@@ -257,9 +257,9 @@ pub struct Machine {
     /// switch in `bcache.enabled`; the fast path additionally requires the
     /// `block-cache` cargo feature.
     pub bcache: BlockCache,
-    /// Sampling profiler + flight recorder handle (disabled by default;
-    /// the kernel installs a shared one). Consulted at instruction
-    /// boundaries only — see [`Machine::profile_poll`].
+    /// Sampling profiler handle (disabled by default; the kernel installs
+    /// a shared one). Consulted at instruction boundaries only — see
+    /// [`Machine::profile_poll`].
     pub profiler: Profiler,
     /// Replay data-access hints, indexed `[read, write]`; see [`DataHint`].
     #[cfg(feature = "block-cache")]
@@ -387,12 +387,6 @@ impl Machine {
                     site: FaultSite::IrqSpurious as u8,
                 },
             );
-            self.profiler.record_event(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqSpurious as u8,
-                },
-            );
         }
         if self.fault.due(FaultSite::IrqStorm, now) {
             // A storm asserts every fabric line at once — the worst case
@@ -402,12 +396,6 @@ impl Machine {
             }
             self.log.push(now, SimEvent::Marker("irq-storm"));
             self.tracer.emit(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqStorm as u8,
-                },
-            );
-            self.profiler.record_event(
                 now,
                 TraceEvent::FaultInjected {
                     site: FaultSite::IrqStorm as u8,
@@ -425,12 +413,6 @@ impl Machine {
                         let _ = self.mem.write_u32(pa, v ^ (1 << bit));
                         self.log.push(now, SimEvent::Marker("mem-flip"));
                         self.tracer.emit(
-                            now,
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::MemFlip as u8,
-                            },
-                        );
-                        self.profiler.record_event(
                             now,
                             TraceEvent::FaultInjected {
                                 site: FaultSite::MemFlip as u8,
@@ -538,12 +520,6 @@ impl Machine {
                         site: FaultSite::AxiReadError as u8,
                     },
                 );
-                self.profiler.record_event(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiReadError as u8,
-                    },
-                );
                 return Ok(0xFFFF_FFFF);
             }
             let Machine {
@@ -595,12 +571,6 @@ impl Machine {
                 // channel; the store itself never reaches the device).
                 self.log.push(self.clock, SimEvent::Marker("axi-write-err"));
                 self.tracer.emit(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiWriteError as u8,
-                    },
-                );
-                self.profiler.record_event(
                     self.clock,
                     TraceEvent::FaultInjected {
                         site: FaultSite::AxiWriteError as u8,

@@ -56,7 +56,7 @@ fn quad_lockstep_prog(
         m.gic.enable(IrqNum::PRIVATE_TIMER);
         m.ptimer.program_periodic(Cycles::new(period));
         let p = if profiled {
-            Profiler::enabled(SAMPLE_PERIOD, m.now(), 64)
+            Profiler::enabled(SAMPLE_PERIOD, m.now())
         } else {
             Profiler::disabled()
         };
@@ -114,7 +114,7 @@ fn quad_lockstep_prog(
         "seed {seed}: reference and block-executor profiles differ"
     );
     assert_eq!(ref_prof.total_samples(), fast_prof.total_samples());
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "diag")]
     {
         assert!(
             ref_prof.total_samples() > 0 || quad[1].0.now().raw() < SAMPLE_PERIOD,

@@ -155,7 +155,7 @@ impl AttribReport {
 
 /// Run the Table III scenario with `n` guests under the metrics registry
 /// and return the per-VM attribution of the measurement window. Returns
-/// zeros when the `metrics` feature is off (the registry is inert).
+/// zeros when the `diag` feature is off (the registry is inert).
 pub fn measure_attrib(n: usize, cfg: &Table3Config) -> AttribReport {
     let seed = cfg.seeds.first().copied().unwrap_or(11);
     let mut k = build_kernel(n, seed, cfg);
@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::table3::quick_config;
 
-    #[cfg(feature = "metrics")]
+    #[cfg(feature = "diag")]
     #[test]
     fn attrib_per_vm_refills_grow_with_vm_count() {
         let cfg = quick_config();
@@ -286,7 +286,7 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "metrics")]
+    #[cfg(feature = "diag")]
     #[test]
     fn attrib_rows_have_activity() {
         let r = measure_attrib(2, &quick_config());

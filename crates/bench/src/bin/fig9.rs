@@ -3,14 +3,14 @@
 //! OSes. Also captures an event timeline of the 4-guest configuration
 //! (`target/experiments/fig9.trace.json`).
 //!
-//! With `--attrib` (requires `--features metrics`) it additionally prints
+//! With `--attrib` (requires `--features diag`) it additionally prints
 //! the cache/TLB-pollution attribution table — per-VM D-cache/TLB refill
 //! counts for 1–4 multiplexed VMs — turning the figure's explanation into
-//! measured data, and folds the counts into `BENCH_pr4.json`. With the
-//! `profile` feature on, the attribution gains a "where" breakdown: sampled
-//! cycles per (VM, hypercall/DPR-stage) context.
+//! measured data, and folds the counts into `BENCH_pr4.json`, followed by
+//! the "where" breakdown: sampled cycles per (VM, hypercall/DPR-stage)
+//! context.
 //!
-//! With `--profile` (requires `--features profile`) it runs the 4-guest
+//! With `--profile` (requires `--features diag`) it runs the 4-guest
 //! workload under the 10 µs PC sampler and writes the flame-graph input
 //! (`fig9.collapsed.txt`) plus Perfetto sample-rate counter tracks
 //! (`fig9.profile.trace.json`). Same seed ⇒ byte-identical profile.
@@ -86,7 +86,7 @@ fn main() {
     if args.iter().any(|a| a == "--attrib") {
         let reports: Vec<_> = (1..=4).map(|n| measure_attrib(n, &cfg)).collect();
         if reports[0].window.entries.is_empty() {
-            eprintln!("warning: metrics registry is inert — rerun with `--features metrics`");
+            eprintln!("warning: metrics registry is inert — rerun with `--features diag`");
         }
         println!("\n{}", format_attrib(&reports));
         bench.push((
@@ -103,8 +103,6 @@ fn main() {
                 println!("  {n:>8}  {frame}");
             }
             println!();
-        } else {
-            eprintln!("warning: profiler is inert — rerun with `--features profile` for the context breakdown");
         }
     }
 
@@ -123,7 +121,7 @@ fn main() {
             }
             println!("(feed target/experiments/fig9.collapsed.txt to any flame-graph renderer)");
         } else {
-            eprintln!("warning: profiler is inert — rerun with `--features profile`");
+            eprintln!("warning: profiler is inert — rerun with `--features diag`");
         }
     }
     write_json("BENCH_pr4", &Json::obj(bench));

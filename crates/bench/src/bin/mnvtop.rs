@@ -6,7 +6,7 @@
 //! wide fabric counters. Every column is a snapshot *delta* over the
 //! frame's window, so the display shows rates, not lifetime totals.
 //!
-//! With the `profile` feature on, each frame adds a hot-spot pane: the
+//! With the `diag` feature on, each frame adds a hot-spot pane: the
 //! hottest sampled PCs (with VM and kernel-context annotations) and the
 //! sampled-cycle share per (VM, hypercall/DPR-stage) context.
 //!
@@ -17,7 +17,7 @@
 //! request that completed inside the frame's window.
 //!
 //! Usage:
-//!   cargo run --release -p mnv-bench --features metrics,profile,trace --bin mnvtop -- \
+//!   cargo run --release -p mnv-bench --features diag --bin mnvtop -- \
 //!     [--guests N] [--frames N] [--interval-ms F] [--plain]
 //!
 //! `--plain` disables the ANSI clear-screen between frames (the default
@@ -51,17 +51,14 @@ fn main() {
     let cfg = quick_config();
     let mut k = build_kernel(guests.clamp(1, 8), 11, &cfg);
     let reg = k.enable_metrics();
+    let tracer = k.enable_tracing(1 << 20);
+    let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
     if !reg.is_enabled() {
-        eprintln!("warning: metrics registry is inert — rebuild with `--features metrics`");
+        eprintln!(
+            "warning: metrics registry and profiler are inert — rebuild with `--features diag`"
+        );
         eprintln!("         (frames below will show zeros)");
     }
-    let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !profiler.is_enabled() {
-        eprintln!(
-            "note: profiler is inert — add `profile` to the feature list for the hot-spot pane"
-        );
-    }
-    let tracer = k.enable_tracing(1 << 20);
     if !tracer.is_enabled() {
         eprintln!("note: tracer is inert — add `trace` to the feature list for the request pane");
     }

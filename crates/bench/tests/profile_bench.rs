@@ -34,7 +34,7 @@ fn profiling_does_not_perturb_the_fig9_workload() {
 /// Same seed ⇒ byte-identical collapsed profile and counter tracks, and
 /// ≥95 % of sampled cycles land in attributable (VM, hypercall/DPR-stage)
 /// buckets.
-#[cfg(feature = "profile")]
+#[cfg(feature = "diag")]
 #[test]
 fn fig9_profile_is_deterministic_and_attributed() {
     let cfg = quick_config();
@@ -50,11 +50,11 @@ fn fig9_profile_is_deterministic_and_attributed() {
     );
 }
 
-/// Whether the handle is live (the `profile` feature somewhere in the
+/// Whether the handle is live (the `diag` feature somewhere in the
 /// graph) or inert, the run helper works and its queries are safe — call
 /// sites need no gates. Exact inert-handle behavior is unit-tested in
 /// `mnv-profile` itself, where feature unification cannot flip it.
-#[cfg(not(feature = "profile"))]
+#[cfg(not(feature = "diag"))]
 #[test]
 fn profiled_run_needs_no_feature_gates() {
     let p = profiled_run(1, &quick_config(), 2.0);

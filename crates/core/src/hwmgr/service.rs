@@ -30,6 +30,8 @@ use super::tables::{HwTaskTable, PrrTable, ReqTag};
 use crate::kobj::pd::{DataSection, Pd};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
+use crate::obs;
+use crate::postmortem;
 use crate::slo::{iface_of, SloTracker};
 use crate::stats::KernelStats;
 use crate::supervisor::{timing, FabricJob, Ladder, PrrHealth};
@@ -301,13 +303,10 @@ impl HwMgr {
     }
 
     /// Mark entry into stage `stage` (1-6 of Fig. 7): samples taken until
-    /// the next marker attribute to it, the transition is logged in the
-    /// flight-recorder ring, and the open request (if any) gets a stage
-    /// stamp in its causal waterfall.
+    /// the next marker attribute to it, and the open request (if any) gets
+    /// a stage stamp in its causal waterfall.
     fn stage(&self, m: &Machine, tracer: &Tracer, req: ReqTag, stage: u8) {
         self.profiler.swap_ctx(SampleCtx::DprStage(stage));
-        self.profiler
-            .record_event(m.now(), TraceEvent::DprStage { stage });
         self.req_stamp(m.now(), tracer, req, stage);
     }
 
@@ -360,12 +359,12 @@ impl HwMgr {
                 .inc("slo_violations", Label::Iface(iface_name(iface)));
         }
         if let Some(violations) = outcome.burned {
-            stats.slo_burns += 1;
-            self.metrics
-                .inc("slo_burns", Label::Iface(iface_name(iface)));
-            let ev = TraceEvent::SloBurn { iface, violations };
-            tracer.emit(now, ev);
-            self.profiler.record_event(now, ev);
+            self.note(
+                now,
+                tracer,
+                stats,
+                TraceEvent::SloBurn { iface, violations },
+            );
         }
     }
 
@@ -605,8 +604,6 @@ impl HwMgr {
         // caller's context (the HwTaskRequest hypercall) is restored on
         // every exit path, early returns included.
         let outer = self.profiler.swap_ctx(SampleCtx::DprStage(1));
-        self.profiler
-            .record_event(m.now(), TraceEvent::DprStage { stage: 1 });
         self.req_stamp(m.now(), tracer, req, 1);
         let r = self.request_inner(
             m, pds, pt, stats, tracer, caller, task, iface_va, data_va, req,
@@ -751,17 +748,12 @@ impl HwMgr {
                     }
                     pd.iface_maps.remove(&task);
                 }
-                stats.hwmgr.repromotions += 1;
-                self.metrics.inc("repromotions", Label::Machine);
-                self.metrics
-                    .inc("vm_repromotions", Label::Vm(caller.0 as u8));
                 let ev = TraceEvent::Repromote {
                     vm: caller.0,
                     task: task.0 as u32,
                     prr,
                 };
-                tracer.emit(m.now(), ev);
-                self.profiler.record_event(m.now(), ev);
+                self.note(m.now(), tracer, stats, ev);
             } else if let Some(i) = self
                 .shadows
                 .iter()
@@ -1085,15 +1077,11 @@ impl HwMgr {
             req,
         });
         self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
-        stats.hwmgr.sw_fallbacks += 1;
-        self.metrics.inc("sw_fallbacks", Label::Machine);
-        tracer.emit(
-            m.now(),
-            TraceEvent::SwFallback {
-                vm: caller.0,
-                task: task.0 as u32,
-            },
-        );
+        let ev = TraceEvent::SwFallback {
+            vm: caller.0,
+            task: task.0 as u32,
+        };
+        self.note(m.now(), tracer, stats, ev);
         Ok(HwTaskStatus::Success as u32
             | (hw_task_result::NO_PRR << 8)
             | (hw_task_result::NO_LINE << 16)
@@ -1133,11 +1121,13 @@ impl HwMgr {
             if status == pcap_status::BUSY && now > job.stall_deadline() {
                 let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
                 self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_ABORT);
-                if self.profiler.has_flight_events() {
-                    let ctx = crate::postmortem::context(m, pds, Some(job.vm), &self.metrics);
-                    self.profiler
-                        .trigger_dump("pcap-watchdog-abort", m.now(), ctx);
-                }
+                obs::dump(
+                    &self.profiler,
+                    tracer,
+                    "pcap-watchdog-abort",
+                    m.now(),
+                    || postmortem::context(m, pds, Some(job.vm), &self.metrics),
+                );
             }
         }
 
@@ -1198,26 +1188,7 @@ impl HwMgr {
         tracer: &Tracer,
         prr: u8,
     ) -> bool {
-        stats.hwmgr.quarantines += 1;
-        self.metrics.inc("quarantines", Label::Machine);
-        tracer.emit(m.now(), TraceEvent::PrrQuarantine { prr });
-        self.profiler
-            .record_event(m.now(), TraceEvent::PrrQuarantine { prr });
-        if self.profiler.has_flight_events() {
-            let vm = self.prrs.entry(prr).client;
-            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
-            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
-        }
-        self.busy_since[prr as usize] = None;
-        self.ladders.remove(&prr);
-        // A fresh quarantine starts a fresh scrub cycle (due immediately).
-        self.health[prr as usize] = PrrHealth::default();
-        self.prrs.entry_mut(m, prr).quarantined = true;
-
-        // A wedged region must not keep DMA rights.
-        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
-        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
-
+        self.take_out_of_service(m, pds, stats, tracer, prr, false);
         let (client, task, iface_va) = {
             let e = self.prrs.entry(prr);
             (e.client, e.task, e.iface_va)
@@ -1296,6 +1267,46 @@ impl HwMgr {
         }
         self.shadows.push(shadow);
         true
+    }
+
+    /// The steps every quarantine shares: record it (counted, traced and
+    /// post-mortem-dumped by [`obs::note`]), reset the region's hang and
+    /// scrub state, mark it out of service and revoke its DMA rights.
+    /// `detach` also drops the region's client binding — for callers that
+    /// move the client elsewhere themselves, where [`HwMgr::quarantine`]
+    /// keeps it to migrate.
+    pub(crate) fn take_out_of_service(
+        &mut self,
+        m: &mut Machine,
+        pds: &BTreeMap<VmId, Pd>,
+        stats: &mut KernelStats,
+        tracer: &Tracer,
+        prr: u8,
+        detach: bool,
+    ) {
+        let vm = self.prrs.entry(prr).client;
+        obs::note(
+            m.now(),
+            TraceEvent::PrrQuarantine { prr },
+            tracer,
+            stats,
+            &self.metrics,
+            &self.profiler,
+            || postmortem::context(m, pds, vm, &self.metrics),
+        );
+        self.busy_since[prr as usize] = None;
+        self.ladders.remove(&prr);
+        // A fresh quarantine starts a fresh scrub cycle (due immediately).
+        self.health[prr as usize] = PrrHealth::default();
+        let e = self.prrs.entry_mut(m, prr);
+        e.quarantined = true;
+        if detach {
+            e.client = None;
+            e.iface_va = None;
+        }
+        // A wedged region must not keep DMA rights.
+        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
+        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
     }
 
     /// Serve pending start requests written into shadow register pages. A
@@ -1401,15 +1412,11 @@ impl HwMgr {
 
         // A completed (software) round trip ends the no-completion streak.
         self.relocations.remove(&(s.vm, s.task));
-        stats.hwmgr.sw_fallbacks += 1;
-        self.metrics.inc("sw_fallbacks", Label::Machine);
-        tracer.emit(
-            m.now(),
-            TraceEvent::SwFallback {
-                vm: s.vm.0,
-                task: s.task.0 as u32,
-            },
-        );
+        let ev = TraceEvent::SwFallback {
+            vm: s.vm.0,
+            task: s.task.0 as u32,
+        };
+        self.note(m.now(), tracer, stats, ev);
         // Completion delivery: buffer the vIRQ like the vGIC routing path
         // does for an inactive owner, and wake the VM.
         let req = s.req.take();
@@ -1520,22 +1527,11 @@ impl HwMgr {
                 if let Some(mut job) = self.pcap_job {
                     if job.attempts < self.max_pcap_retries {
                         job.attempts += 1;
-                        stats.hwmgr.pcap_retries += 1;
-                        self.metrics.inc("pcap_retries", Label::Machine);
-                        tracer.emit(
-                            m.now(),
-                            TraceEvent::PcapRetry {
-                                prr: job.prr,
-                                attempt: job.attempts,
-                            },
-                        );
-                        self.profiler.record_event(
-                            m.now(),
-                            TraceEvent::PcapRetry {
-                                prr: job.prr,
-                                attempt: job.attempts,
-                            },
-                        );
+                        let ev = TraceEvent::PcapRetry {
+                            prr: job.prr,
+                            attempt: job.attempts,
+                        };
+                        self.note(m.now(), tracer, stats, ev);
                         self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_RETRY);
                         // Exponential backoff, then relaunch the transfer.
                         m.charge(timing::PCAP_RETRY_BACKOFF_BASE << job.attempts);

@@ -91,8 +91,6 @@ pub fn hypercall_from_trap(
     ks.metrics.inc("hypercalls", Label::Vm(caller.0 as u8));
     ks.tracer
         .emit(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
-    ks.profiler
-        .record_event(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
     // Samples taken while the dispatcher runs attribute to this hypercall
     // (nested contexts restore on the way out, e.g. a DPR stage inside).
     let outer = ks.profiler.swap_ctx(SampleCtx::Hypercall(args.nr.nr()));

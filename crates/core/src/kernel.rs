@@ -120,9 +120,9 @@ pub struct KernelState {
     /// accounting charges `machine.pmu_inputs() - meter_base` to whichever
     /// world ran since (the VM on switch-out, the host otherwise).
     pub meter_base: PmuInputs,
-    /// Sampling profiler + flight recorder (disabled unless
-    /// [`Kernel::enable_profiling`] is called; shared with the machine,
-    /// the Hardware Task Manager and the PL peripheral).
+    /// Sampling profiler and post-mortem dumps (disabled unless
+    /// [`Kernel::enable_profiling`] is called; shared with the machine and
+    /// the Hardware Task Manager).
     pub profiler: Profiler,
 }
 
@@ -205,7 +205,7 @@ impl Kernel {
     /// Turn on the per-VM metrics registry: the kernel, the Hardware Task
     /// Manager and the PL peripheral share one registry (clones share
     /// state, like the tracer's ring). Returns a handle for snapshots and
-    /// export. Without the `metrics` feature this returns an inert handle
+    /// export. Without the `diag` feature this returns an inert handle
     /// and every probe stays an empty inline function.
     pub fn enable_metrics(&mut self) -> Registry {
         let r = Registry::enabled();
@@ -222,24 +222,25 @@ impl Kernel {
         r
     }
 
-    /// Turn on the cycle-driven sampling profiler and the flight recorder:
-    /// the kernel, the machine and the Hardware Task Manager (and through
-    /// them the PL peripheral) share one profiler, so samples carry the
-    /// (VM, hypercall/DPR-stage) annotations and diagnostic events land in
-    /// one last-N ring. `period` is the sampling period in cycles
-    /// ([`mnv_profile::DEFAULT_PERIOD`] is 10 us of simulated time).
-    /// Sampling is pure observation — a profiled run is bit-identical to
-    /// an unprofiled one. Without the `profile` feature this returns an
-    /// inert handle and every probe stays an empty inline function.
+    /// Turn on the cycle-driven sampling profiler and post-mortem dumps:
+    /// the kernel, the machine and the Hardware Task Manager share one
+    /// profiler, so samples carry the (VM, hypercall/DPR-stage)
+    /// annotations. Dumps read the newest events of the kernel's trace
+    /// ring (the flight recorder), so when tracing is off this turns it on
+    /// with a [`mnv_profile::DEFAULT_FLIGHT_CAP`] ring. `period` is the
+    /// sampling period in cycles ([`mnv_profile::DEFAULT_PERIOD`] is 10 us
+    /// of simulated time). Sampling and tracing are pure observation — a
+    /// profiled run is bit-identical to an unprofiled one. Without the
+    /// `diag` feature this returns an inert handle and every probe stays
+    /// an empty inline function.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
-        let p = Profiler::enabled(period, self.machine.now(), mnv_profile::DEFAULT_FLIGHT_CAP);
+        let p = Profiler::enabled(period, self.machine.now());
+        if p.is_enabled() && !self.state.tracer.is_enabled() {
+            self.enable_tracing(mnv_profile::DEFAULT_FLIGHT_CAP);
+        }
         self.state.profiler = p.clone();
         self.state.hwmgr.profiler = p.clone();
         self.machine.profiler = p.clone();
-        self.machine
-            .peripheral_mut::<Pl>()
-            .expect("PL attached")
-            .set_profiler(p.clone());
         p
     }
 
@@ -269,24 +270,7 @@ impl Kernel {
     /// VM keeps running — the containment boundary of §III-B.
     pub fn kill_vm(&mut self, vm: VmId) {
         self.state
-            .tracer
-            .emit(self.machine.now(), TraceEvent::VmKilled { vm: vm.0 });
-        self.state
-            .profiler
-            .record_event(self.machine.now(), TraceEvent::VmKilled { vm: vm.0 });
-        if self.state.profiler.has_flight_events() {
-            let ctx = crate::postmortem::context(
-                &self.machine,
-                &self.state.pds,
-                Some(vm),
-                &self.state.metrics,
-            );
-            self.state
-                .profiler
-                .trigger_dump("vm-killed", self.machine.now(), ctx);
-        }
-        self.state.stats.vms_killed += 1;
-        self.state.metrics.inc("vms_killed", Label::Machine);
+            .note(&self.machine, vm, TraceEvent::VmKilled { vm: vm.0 });
         // Supervised VMs get a backed-off relaunch — unless they crashed
         // too often inside the window, which makes the kill permanent.
         match self.supervisor.record_crash(vm, self.machine.now().raw()) {
@@ -651,10 +635,6 @@ impl Kernel {
             TraceEvent::VmSwitch { from: 0, to: vm.0 },
         );
         self.state.profiler.set_vm(vm.0 as u8);
-        self.state.profiler.record_event(
-            self.machine.now(),
-            TraceEvent::VmSwitch { from: 0, to: vm.0 },
-        );
         {
             let pd = self.state.pds.get_mut(&vm).expect("vm exists");
             pd.stats.activations += 1;
@@ -715,10 +695,6 @@ impl Kernel {
             TraceEvent::VmSwitch { from: vm.0, to: 0 },
         );
         self.state.profiler.set_vm(0);
-        self.state.profiler.record_event(
-            self.machine.now(),
-            TraceEvent::VmSwitch { from: vm.0, to: 0 },
-        );
         let pd = self.state.pds.get_mut(&vm).expect("vm exists");
         pd.vcpu.save_active(&mut self.machine, vm);
         for line in pd.vgic.all_lines() {
@@ -878,11 +854,11 @@ impl Kernel {
                     guest,
                 },
             );
-            self.state.stats.vm_restarts += 1;
-            self.state.metrics.inc("vm_restarts", Label::Vm(vm.0 as u8));
-            let ev = TraceEvent::VmRestart { vm: vm.0, attempt };
-            self.state.tracer.emit(self.machine.now(), ev);
-            self.state.profiler.record_event(self.machine.now(), ev);
+            self.state.note(
+                &self.machine,
+                vm,
+                TraceEvent::VmRestart { vm: vm.0, attempt },
+            );
         }
     }
 

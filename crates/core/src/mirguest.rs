@@ -201,11 +201,11 @@ impl MirGuest {
                         // A guest writing privileged system registers is a
                         // policy violation: kill the VM (sensitive writes
                         // must go through hypercalls).
-                        self.kill(ks, vm);
+                        self.kill(m, ks, vm);
                         false
                     }
                     _ => {
-                        self.kill(ks, vm);
+                        self.kill(m, ks, vm);
                         false
                     }
                 }
@@ -229,7 +229,7 @@ impl MirGuest {
                     m.exception_return(self.abort_handler);
                     true
                 } else {
-                    self.kill(ks, vm);
+                    self.kill(m, ks, vm);
                     false
                 }
             }
@@ -247,15 +247,18 @@ impl MirGuest {
                 true
             }
             _ => {
-                self.kill(ks, vm);
+                self.kill(m, ks, vm);
                 false
             }
         }
     }
 
-    fn kill(&mut self, ks: &mut KernelState, vm: VmId) {
+    /// Kill the VM on a policy violation or an unhandled fault: recorded
+    /// exactly like [`crate::Kernel::kill_vm`] (trace, counters,
+    /// post-mortem), but the guest only halts in place.
+    fn kill(&mut self, m: &Machine, ks: &mut KernelState, vm: VmId) {
         self.halted = true;
-        ks.stats.vms_killed += 1;
+        ks.note(m, vm, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
         if let Some(pd) = ks.pds.get_mut(&vm) {
             pd.state = PdState::Halted;
         }

@@ -1,5 +1,5 @@
 //! Post-mortem context capture: the machine / vCPU / metrics snapshot a
-//! dump trigger embeds into the flight-recorder blob.
+//! dump embeds next to the flight recorder (the trace ring's tail).
 //!
 //! Kept separate from the trigger sites (VM kill, PRR quarantine, PCAP
 //! watchdog abort) so every dump carries the same context shape and

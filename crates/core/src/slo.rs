@@ -5,9 +5,8 @@
 //! hypercall mint and the completion delivery to the guest. The tracker
 //! counts violations inside fixed windows of simulated time; when a
 //! window's violation count reaches the burn limit, the window *burns* —
-//! the kernel emits a [`mnv_trace::TraceEvent::SloBurn`] event, records a
-//! flight-recorder entry, and bumps the `slo_burns` counter, so a
-//! post-mortem can distinguish "one unlucky tail request" from "the
+//! the kernel notes a [`mnv_trace::TraceEvent::SloBurn`] event (traced,
+//! and counted in `slo_burns`), so a post-mortem can distinguish "one unlucky tail request" from "the
 //! interface is systematically missing its objective" (e.g. a PCAP port
 //! that keeps stalling).
 //!

@@ -25,7 +25,7 @@
 //! * **Hardware-task escalation ladder**: a hung region no longer jumps
 //!   straight to quarantine. The rungs are retry-same-PRR →
 //!   relocate-to-compatible-PRR → software fallback → error, each with its
-//!   own timeout, every transition counted, traced and flight-recorded.
+//!   own timeout, every transition recorded once through `obs::note`.
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
@@ -36,7 +36,6 @@ use mnv_fpga::prr::regs as prr_regs;
 use mnv_fpga::prr::status as prr_status;
 use mnv_fpga::prr::REG_COUNT;
 use mnv_hal::{Domain, HwTaskId, Priority, VmId};
-use mnv_metrics::Label;
 use mnv_trace::event::req_stage;
 use mnv_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
@@ -595,14 +594,11 @@ impl HwMgr {
         h.fails = 0;
         h.next_scrub_at = now + self.scrub_interval;
         let passes = h.passes;
-        stats.hwmgr.scrubs += 1;
-        self.metrics.inc("prr_scrubs", Label::Machine);
         let ev = TraceEvent::PrrScrub {
             prr: job.prr,
             pass: true,
         };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         if passes < SCRUB_PASSES_TO_REINSTATE {
             return;
         }
@@ -622,11 +618,8 @@ impl HwMgr {
             e.iface_va = None;
             e.task = Some(job.task);
         }
-        stats.hwmgr.reinstates += 1;
-        self.metrics.inc("prr_reinstates", Label::Machine);
         let ev = TraceEvent::PrrReinstate { prr: job.prr };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
 
         // If the scrub bitstream was chosen for a degraded client, promote
         // that client now — the core is already resident.
@@ -653,23 +646,17 @@ impl HwMgr {
         h.passes = 0;
         h.next_scrub_at = now + self.scrub_interval;
         let fails = h.fails;
-        stats.hwmgr.scrub_fails += 1;
-        self.metrics.inc("prr_scrub_fails", Label::Machine);
         let ev = TraceEvent::PrrScrub {
             prr: job.prr,
             pass: false,
         };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         if fails < SCRUB_FAILS_TO_RETIRE {
             return;
         }
         self.prrs.entry_mut(m, job.prr).retired = true;
-        stats.hwmgr.prrs_retired += 1;
-        self.metrics.inc("prrs_retired", Label::Machine);
         let ev = TraceEvent::PrrRetire { prr: job.prr };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
     }
 
     /// Prepare a shadow client's return to hardware: reserve the region,
@@ -772,16 +759,12 @@ impl HwMgr {
         let old = std::mem::replace(self.prrs.req_slot(prr), s.req);
         self.fail_req(m.now(), tracer, old, s.vm, req_stage::RELEASED);
         self.free_shadow_page(s.page);
-        stats.hwmgr.repromotions += 1;
-        self.metrics.inc("repromotions", Label::Machine);
-        self.metrics.inc("vm_repromotions", Label::Vm(s.vm.0 as u8));
         let ev = TraceEvent::Repromote {
             vm: s.vm.0,
             task: s.task.0 as u32,
             prr,
         };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         // Kick the hardware run with the guest's own control bits. This
         // write goes through the PL fault site like any guest start — a
         // re-hang lands back in the watchdog/ladder path.
@@ -821,11 +804,8 @@ impl HwMgr {
                 saved,
             },
         );
-        stats.hwmgr.ladder_retries += 1;
-        self.metrics.inc("ladder_retries", Label::Machine);
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 1 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         let req = self.prrs.entry(prr).req;
         self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RETRY);
     }
@@ -883,11 +863,8 @@ impl HwMgr {
                             l.rung = 2;
                             l.deadline = now + self.ladder_relocate_timeout;
                         }
-                        stats.hwmgr.ladder_relocations += 1;
-                        self.metrics.inc("ladder_relocations", Label::Machine);
                         let ev = TraceEvent::HwTaskEscalate { prr, rung: 2 };
-                        tracer.emit(m.now(), ev);
-                        self.profiler.record_event(m.now(), ev);
+                        self.note(m.now(), tracer, stats, ev);
                         let req = self.prrs.entry(prr).req;
                         self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RELOCATE);
                         return;
@@ -917,11 +894,8 @@ impl HwMgr {
         tracer: &Tracer,
         prr: u8,
     ) {
-        stats.hwmgr.ladder_fallbacks += 1;
-        self.metrics.inc("ladder_fallbacks", Label::Machine);
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 3 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         let req = self.prrs.entry(prr).req;
         self.req_stamp(m.now(), tracer, req, req_stage::LADDER_FALLBACK);
         if self.quarantine(m, pds, pt, stats, tracer, prr) {
@@ -931,11 +905,8 @@ impl HwMgr {
         // exhausted, task unregistered, …) and is still mapped to the
         // wedged device page. Reset the region and latch an explicit error
         // so the guest's poll loop terminates with a diagnosable code.
-        stats.hwmgr.ladder_errors += 1;
-        self.metrics.inc("ladder_errors", Label::Machine);
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 4 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        self.note(m.now(), tracer, stats, ev);
         {
             // Rung 4 is terminal for the causal request: the guest gets an
             // explicit device error, never a completion vIRQ.
@@ -951,40 +922,6 @@ impl HwMgr {
             dev + 4 * prr_regs::PARAM0 as u64,
             prr_errcode::TASK_ABANDONED,
         );
-    }
-
-    /// Take a region out of service *without* migrating a client: the
-    /// relocation path already moved (or will move) the client elsewhere.
-    /// Counted and flight-recorded exactly like a full quarantine.
-    pub(crate) fn quarantine_bare(
-        &mut self,
-        m: &mut Machine,
-        pds: &BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
-        prr: u8,
-    ) {
-        stats.hwmgr.quarantines += 1;
-        self.metrics.inc("quarantines", Label::Machine);
-        tracer.emit(m.now(), TraceEvent::PrrQuarantine { prr });
-        self.profiler
-            .record_event(m.now(), TraceEvent::PrrQuarantine { prr });
-        if self.profiler.has_flight_events() {
-            let vm = self.prrs.entry(prr).client;
-            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
-            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
-        }
-        self.busy_since[prr as usize] = None;
-        self.health[prr as usize] = PrrHealth::default();
-        {
-            let e = self.prrs.entry_mut(m, prr);
-            e.quarantined = true;
-            e.client = None;
-            e.iface_va = None;
-        }
-        // A wedged region must not keep DMA rights.
-        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
-        let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
     }
 
     /// Finish a rung-2 relocation after its PCAP load completed: quarantine
@@ -1030,7 +967,7 @@ impl HwMgr {
 
         // The hung source goes to quarantine (and the scrubber's care) —
         // without a client migration, since the client moves to hardware.
-        self.quarantine_bare(m, pds, stats, tracer, from);
+        self.take_out_of_service(m, pds, stats, tracer, from, true);
 
         // Move the dispatch.
         {

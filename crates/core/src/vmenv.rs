@@ -119,13 +119,6 @@ impl<'a> VmEnv<'a> {
                             irq: irq.0,
                         },
                     );
-                    self.ks.profiler.record_event(
-                        self.m.now(),
-                        TraceEvent::VirqInject {
-                            vm: self.vm.0,
-                            irq: irq.0,
-                        },
-                    );
                     Some(irq.0)
                 }
             },
@@ -347,13 +340,6 @@ impl GuestEnv for VmEnv<'_> {
                 self.m
                     .charge(mnv_arm::timing::EXC_ENTRY + mnv_arm::timing::EXC_RETURN);
                 self.ks.tracer.emit(
-                    self.m.now(),
-                    TraceEvent::VirqInject {
-                        vm: self.vm.0,
-                        irq: mnv_ucos::layout::TIMER_VIRQ,
-                    },
-                );
-                self.ks.profiler.record_event(
                     self.m.now(),
                     TraceEvent::VirqInject {
                         vm: self.vm.0,

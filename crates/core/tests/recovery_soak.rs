@@ -35,7 +35,8 @@ fn soak_run(
         priority: Priority::GUEST,
         guest: workload_guest(seed ^ 0x5DEECE66D, fft),
     });
-    let tracer = k.enable_tracing(1 << 17);
+    let tracer = k.enable_tracing(1 << 18);
+    k.enable_metrics();
     // The chaos preset plus real hang pressure (40% of starts wedge, six
     // per run) so the ladder, scrubber and re-promotion paths all carry
     // load that the disarmed half must then heal.
@@ -50,20 +51,132 @@ fn soak_run(
     k.run(Cycles::from_millis(40.0));
     plane.disarm();
     k.run(Cycles::from_millis(80.0));
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "seed {seed}: the ring must hold the whole run"
+    );
 
     (k, plane.records(), tracer.snapshot())
+}
+
+/// One event stream: for every lifecycle kind the kernel notes, the
+/// events in the trace ring must equal the `KernelStats` counter it maps
+/// to and, with the registry live (`diag`), the registry series too. A
+/// site that counts without tracing (or traces without counting) breaks
+/// the equality.
+fn check_one_event_stream(
+    k: &mini_nova::Kernel,
+    events: &[(Cycles, TraceEvent)],
+) -> Result<(), String> {
+    use TraceEvent as E;
+    type IsKind = fn(&TraceEvent) -> bool;
+    let (s, h) = (&k.state.stats, &k.state.stats.hwmgr);
+    let kinds: [(&str, IsKind, u64); 16] = [
+        (
+            "vms_killed",
+            |e| matches!(e, E::VmKilled { .. }),
+            s.vms_killed,
+        ),
+        (
+            "vm_restarts",
+            |e| matches!(e, E::VmRestart { .. }),
+            s.vm_restarts,
+        ),
+        (
+            "quarantines",
+            |e| matches!(e, E::PrrQuarantine { .. }),
+            h.quarantines,
+        ),
+        (
+            "prr_scrubs",
+            |e| matches!(e, E::PrrScrub { pass: true, .. }),
+            h.scrubs,
+        ),
+        (
+            "prr_scrub_fails",
+            |e| matches!(e, E::PrrScrub { pass: false, .. }),
+            h.scrub_fails,
+        ),
+        (
+            "prr_reinstates",
+            |e| matches!(e, E::PrrReinstate { .. }),
+            h.reinstates,
+        ),
+        (
+            "prrs_retired",
+            |e| matches!(e, E::PrrRetire { .. }),
+            h.prrs_retired,
+        ),
+        (
+            "repromotions",
+            |e| matches!(e, E::Repromote { .. }),
+            h.repromotions,
+        ),
+        (
+            "vm_repromotions",
+            |e| matches!(e, E::Repromote { .. }),
+            h.repromotions,
+        ),
+        (
+            "ladder_retries",
+            |e| matches!(e, E::HwTaskEscalate { rung: 1, .. }),
+            h.ladder_retries,
+        ),
+        (
+            "ladder_relocations",
+            |e| matches!(e, E::HwTaskEscalate { rung: 2, .. }),
+            h.ladder_relocations,
+        ),
+        (
+            "ladder_fallbacks",
+            |e| matches!(e, E::HwTaskEscalate { rung: 3, .. }),
+            h.ladder_fallbacks,
+        ),
+        (
+            "ladder_errors",
+            |e| matches!(e, E::HwTaskEscalate { rung: 4, .. }),
+            h.ladder_errors,
+        ),
+        (
+            "sw_fallbacks",
+            |e| matches!(e, E::SwFallback { .. }),
+            h.sw_fallbacks,
+        ),
+        (
+            "pcap_retries",
+            |e| matches!(e, E::PcapRetry { .. }),
+            h.pcap_retries,
+        ),
+        ("slo_burns", |e| matches!(e, E::SloBurn { .. }), s.slo_burns),
+    ];
+    let reg = k.state.metrics.snapshot();
+    for (name, is_kind, counter) in kinds {
+        let traced = events.iter().filter(|(_, e)| is_kind(e)).count() as u64;
+        if traced != counter {
+            return Err(format!("{name}: {traced} traced, {counter} in KernelStats"));
+        }
+        if k.state.metrics.is_enabled() && reg.total(name) != counter {
+            return Err(format!("{name}: registry {} vs {counter}", reg.total(name)));
+        }
+    }
+    Ok(())
 }
 
 #[test]
 fn twenty_seeds_converge_after_midrun_disarm() {
     for seed in 1..=20u64 {
-        let (k, records, _events) = soak_run(seed);
+        let (k, records, events) = soak_run(seed);
         assert!(
             !records.is_empty(),
             "seed {seed}: chaos plan never fired, the soak proves nothing"
         );
         k.check_recovery_invariants()
             .unwrap_or_else(|e| panic!("seed {seed}: invariant violated: {e}"));
+        if k.state.tracer.is_enabled() {
+            check_one_event_stream(&k, &events)
+                .unwrap_or_else(|e| panic!("seed {seed}: sinks disagree: {e}"));
+        }
         k.state
             .hwmgr
             .check_converged()

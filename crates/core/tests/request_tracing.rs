@@ -118,7 +118,7 @@ fn waterfalls_reconstruct_complete_request_lifecycles() {
 /// p99 tail-bucket exemplars carry request ids that resolve to real
 /// traced requests: the whole point of exemplars is jumping from an
 /// aggregate histogram straight to one concrete waterfall.
-#[cfg(feature = "metrics")]
+#[cfg(feature = "diag")]
 #[test]
 fn tail_exemplars_resolve_to_traced_requests() {
     let mut k = hw_scenario();
@@ -155,24 +155,16 @@ fn tail_exemplars_resolve_to_traced_requests() {
 
 /// Tightening an interface's latency objective below what the hardware
 /// can deliver makes every completion a violation; once the windowed
-/// count crosses the burn limit the kernel records the burn in the
-/// stats, the trace and (with `profile` on) the flight recorder.
+/// count crosses the burn limit the kernel records the burn once: in the
+/// stats and in the one trace ring (whose tail is the flight recorder).
 #[test]
 fn slo_burn_fires_on_sustained_violations() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
-    // Wire the manager a flight recorder with a roomy ring: the default
-    // 512-event ring is a last-moments buffer, and the tail of the run
-    // (hypercall records) would evict a mid-run burn before the test
-    // could look. Recording is non-architectural, so this changes
-    // nothing else.
-    #[cfg(feature = "profile")]
-    let profiler = {
-        let p =
-            mnv_profile::Profiler::enabled(mnv_profile::DEFAULT_PERIOD, k.machine.now(), 1 << 16);
-        k.state.hwmgr.profiler = p.clone();
-        p
-    };
+    // A live profiler (under `diag`) dumps from this ring rather than
+    // installing its own: tracing is already on, so the roomy ring stays
+    // and the burn count below still matches it.
+    k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
     // 1000 cycles ≈ 1.5 us: no reconfiguration-plus-execution round trip
     // fits, so every interface burns its window.
     for iface in 0..3 {
@@ -208,14 +200,5 @@ fn slo_burn_fires_on_sustained_violations() {
             assert_ne!(iface_name(*iface), "iface:?");
             assert!(*violations >= 2, "burn latched below the limit");
         }
-    }
-    #[cfg(feature = "profile")]
-    {
-        let in_flight = profiler
-            .flight_snapshot()
-            .into_iter()
-            .filter(|(_, ev)| matches!(ev, TraceEvent::SloBurn { .. }))
-            .count();
-        assert!(in_flight > 0, "burn must reach the flight recorder");
     }
 }

@@ -22,7 +22,6 @@ use mnv_arm::bus::{PeriphCtx, Peripheral};
 use mnv_arm::event::SimEvent;
 use mnv_fault::{FaultPlane, FaultSite};
 use mnv_metrics::{Label, Registry};
-use mnv_profile::Profiler;
 use mnv_trace::TraceEvent;
 
 use crate::bitstream::Bitstream;
@@ -153,12 +152,6 @@ pub struct Pl {
     /// counts, AXI GP transaction counts, HP burst bytes and per-PRR
     /// occupancy cycles.
     metrics: Registry,
-    /// Profiler / flight-recorder handle (disabled no-op by default; the
-    /// embedder clones a live one in via [`Pl::set_profiler`]). Mirrors
-    /// the fabric's diagnostic trace events — PCAP transfer launches,
-    /// completions and aborts, PRR reconfigurations and injected faults —
-    /// into the always-on last-N flight ring.
-    profiler: Profiler,
 }
 
 impl Pl {
@@ -185,7 +178,6 @@ impl Pl {
             base_latch: 0,
             fault: FaultPlane::disabled(),
             metrics: Registry::disabled(),
-            profiler: Profiler::disabled(),
         }
     }
 
@@ -200,12 +192,6 @@ impl Pl {
     /// Attach a metrics registry (a shared handle, like the fault plane).
     pub fn set_metrics(&mut self, registry: Registry) {
         self.metrics = registry;
-    }
-
-    /// Attach a profiler / flight recorder (a shared handle, like the
-    /// fault plane and the metrics registry).
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// Number of PRRs.
@@ -281,21 +267,8 @@ impl Pl {
                     site: FaultSite::PcapStall as u8,
                 },
             );
-            self.profiler.record_event(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapStall as u8,
-                },
-            );
         }
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: false,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -315,13 +288,6 @@ impl Pl {
         self.pcap.stalled = false;
         ctx.log.push(ctx.now, SimEvent::Marker("pcap-abort"));
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: true,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -355,12 +321,6 @@ impl Pl {
             payload[byte] ^= 1u8 << bit;
             ctx.log.push(ctx.now, SimEvent::Marker("pcap-corrupt"));
             ctx.tracer.emit(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapCorrupt as u8,
-                },
-            );
-            self.profiler.record_event(
                 ctx.now,
                 TraceEvent::FaultInjected {
                     site: FaultSite::PcapCorrupt as u8,
@@ -423,13 +383,6 @@ impl Pl {
                             task: bs.core.encode(),
                         },
                     );
-                    self.profiler.record_event(
-                        ctx.now,
-                        TraceEvent::PrrReconfig {
-                            prr: target,
-                            task: bs.core.encode(),
-                        },
-                    );
                     if self.pcap.irq_en {
                         ctx.gic.raise(IrqNum::PCAP_DONE);
                         ctx.log
@@ -448,13 +401,6 @@ impl Pl {
             },
         }
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: true,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -589,12 +535,6 @@ impl Peripheral for Pl {
                     self.prrs[prr].hang();
                     ctx.log.push(ctx.now, SimEvent::Marker("prr-hang"));
                     ctx.tracer.emit(
-                        ctx.now,
-                        TraceEvent::FaultInjected {
-                            site: FaultSite::PrrHang as u8,
-                        },
-                    );
-                    self.profiler.record_event(
                         ctx.now,
                         TraceEvent::FaultInjected {
                             site: FaultSite::PrrHang as u8,

@@ -11,13 +11,13 @@
 //!   *same* boundaries as the per-instruction reference interpreter.
 //!   Samples fold per ([`SampleKey`]: VM, ASID, kernel context, PC, mode)
 //!   into a `BTreeMap`, so exports are deterministic byte-for-byte;
-//! * a **flight recorder**: a small always-on ring of the most recent
-//!   structured kernel events (world switches, hypercalls, vIRQ
-//!   injections, DPR stage traffic, fault-plane firings) reusing
-//!   [`mnv_trace::TraceRing`]. On a terminal event the kernel calls
-//!   [`Profiler::trigger_dump`] and the ring, the hot profile buckets and
-//!   the trigger-site machine context become one self-contained
-//!   [`postmortem`] blob, decoded by the `mnvdbg` binary.
+//! * **post-mortem dumps**: on a terminal event the kernel calls
+//!   [`Profiler::trigger_dump`], which reads the newest
+//!   [`DEFAULT_FLIGHT_CAP`] events of the kernel's one [`Tracer`] ring
+//!   (the flight recorder is the tail of the trace, not a second ring)
+//!   and folds them, the hot profile buckets and the trigger-site
+//!   machine context into one self-contained [`postmortem`] blob,
+//!   decoded by the `mnvdbg` binary.
 //!
 //! ## Observation only
 //!
@@ -40,10 +40,8 @@ pub use sample::{SampleCtx, SampleKey, SampleMode};
 
 use mnv_hal::Cycles;
 use mnv_trace::json::Json;
-use mnv_trace::TraceEvent;
+use mnv_trace::Tracer;
 
-#[cfg(feature = "profile")]
-use mnv_trace::TraceRing;
 #[cfg(feature = "profile")]
 use std::cell::RefCell;
 #[cfg(feature = "profile")]
@@ -55,7 +53,9 @@ use std::rc::Rc;
 /// at 660 MHz — 100 kHz sampling on the simulated clock).
 pub const DEFAULT_PERIOD: u64 = 6_600;
 
-/// Default flight-recorder retention (events).
+/// Flight-recorder depth: the newest this-many trace events go into a
+/// post-mortem, and the ring size a live profiler gives the kernel's
+/// tracer when tracing was off.
 pub const DEFAULT_FLIGHT_CAP: usize = 512;
 
 /// Perfetto counter-track bucket width: 1 ms of simulated time.
@@ -72,12 +72,11 @@ struct State {
     series: BTreeMap<(u64, u8), u64>,
     cur_vm: u8,
     ctx: SampleCtx,
-    flight: TraceRing,
     last_dump: Option<String>,
 }
 
-/// Shared handle to the profiler + flight recorder. Clones share state,
-/// exactly like `Tracer`: the kernel creates one with
+/// Shared handle to the profiler and its post-mortem dumps. Clones share
+/// state, exactly like `Tracer`: the kernel creates one with
 /// [`Profiler::enabled`] and hands clones to the machine and the Hardware
 /// Task Manager.
 #[derive(Clone, Default)]
@@ -92,10 +91,9 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// A live profiler sampling every `period` cycles starting from `now`,
-    /// with a flight ring retaining `flight_cap` events. Inert without the
-    /// `profile` feature, so call sites need no gates.
-    pub fn enabled(period: u64, now: Cycles, flight_cap: usize) -> Self {
+    /// A live profiler sampling every `period` cycles starting from `now`.
+    /// Inert without the `profile` feature, so call sites need no gates.
+    pub fn enabled(period: u64, now: Cycles) -> Self {
         #[cfg(feature = "profile")]
         {
             let period = period.max(1);
@@ -108,14 +106,13 @@ impl Profiler {
                     series: BTreeMap::new(),
                     cur_vm: 0,
                     ctx: SampleCtx::None,
-                    flight: TraceRing::new(flight_cap),
                     last_dump: None,
                 }))),
             }
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = (period, now, flight_cap);
+            let _ = (period, now);
             Profiler::default()
         }
     }
@@ -203,17 +200,6 @@ impl Profiler {
         #[cfg(not(feature = "profile"))]
         let _ = ctx;
         SampleCtx::None
-    }
-
-    /// Record a structured event into the flight ring.
-    #[inline]
-    pub fn record_event(&self, now: Cycles, ev: TraceEvent) {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().flight.push(now, ev);
-        }
-        #[cfg(not(feature = "profile"))]
-        let _ = (now, ev);
     }
 
     /// Total samples folded so far (0 when disabled).
@@ -345,57 +331,40 @@ impl Profiler {
         String::new()
     }
 
-    /// True when the flight recorder has retained at least one event. The
-    /// recorder is documented always-on: post-mortem dump sites gate on
-    /// *this* — "is there anything to dump?" — never on sampling state, so
-    /// a kill or quarantine is captured even in runs that only care about
-    /// the recorder.
-    #[inline]
-    pub fn has_flight_events(&self) -> bool {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return !inner.borrow().flight.is_empty();
-        }
-        false
-    }
-
-    /// Copy the retained flight-recorder events oldest-first.
-    pub fn flight_snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return inner.borrow().flight.snapshot();
-        }
-        Vec::new()
-    }
-
-    /// Capture a post-mortem blob: the flight ring, the hottest profile
-    /// buckets and the caller-supplied machine `context`, stored on the
-    /// shared state (fetch with [`Profiler::last_dump`]) and returned.
-    /// `None` when disabled.
-    pub fn trigger_dump(&self, reason: &str, now: Cycles, context: Json) -> Option<String> {
+    /// Capture a post-mortem blob: the newest [`DEFAULT_FLIGHT_CAP`]
+    /// events of `tracer` (the kernel's one trace ring), the hottest
+    /// profile buckets and the caller-supplied machine `context`, stored
+    /// on the shared state (fetch with [`Profiler::last_dump`]) and
+    /// returned. `None` when disabled.
+    pub fn trigger_dump(
+        &self,
+        reason: &str,
+        now: Cycles,
+        tracer: &Tracer,
+        context: Json,
+    ) -> Option<String> {
         #[cfg(feature = "profile")]
         {
             let top = self.top_k(10);
             let inner = self.inner.as_ref()?;
-            let blob = {
-                let s = inner.borrow();
-                postmortem::build_blob(
-                    reason,
-                    now,
-                    &s.flight.snapshot(),
-                    s.flight.dropped(),
-                    &top,
-                    s.total_samples,
-                    context,
-                )
-                .to_string()
-            };
+            let events = tracer.tail(DEFAULT_FLIGHT_CAP);
+            let dropped = tracer.total() - events.len() as u64;
+            let blob = postmortem::build_blob(
+                reason,
+                now,
+                &events,
+                dropped,
+                &top,
+                inner.borrow().total_samples,
+                context,
+            )
+            .to_string();
             inner.borrow_mut().last_dump = Some(blob.clone());
             Some(blob)
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = (reason, now, context);
+            let _ = (reason, now, tracer, context);
             None
         }
     }
@@ -427,19 +396,18 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
         p.poll(Cycles::new(1_000_000), 0x8000, 1, false);
-        p.record_event(Cycles::ZERO, TraceEvent::TlbFlush);
         assert!(!p.is_enabled());
-        assert!(!p.has_flight_events());
         assert_eq!(p.total_samples(), 0);
         assert!(p.collapsed().is_empty());
         assert_eq!(p.next_deadline(), u64::MAX);
-        assert!(p.trigger_dump("x", Cycles::ZERO, Json::Null).is_none());
+        let t = Tracer::enabled(4);
+        assert!(p.trigger_dump("x", Cycles::ZERO, &t, Json::Null).is_none());
     }
 
     #[cfg(feature = "profile")]
     #[test]
     fn sampling_fires_at_deadlines_and_folds() {
-        let p = Profiler::enabled(100, Cycles::ZERO, 16);
+        let p = Profiler::enabled(100, Cycles::ZERO);
         assert_eq!(p.next_deadline(), 100);
         p.poll(Cycles::new(99), 0x10, 0, false);
         assert_eq!(p.total_samples(), 0, "before the deadline: no sample");
@@ -456,7 +424,7 @@ mod tests {
     #[cfg(feature = "profile")]
     #[test]
     fn annotations_split_buckets_and_clones_share_state() {
-        let p = Profiler::enabled(10, Cycles::ZERO, 16);
+        let p = Profiler::enabled(10, Cycles::ZERO);
         let q = p.clone();
         q.set_vm(1);
         p.poll(Cycles::new(10), 0x20, 1, false);
@@ -477,29 +445,37 @@ mod tests {
     #[cfg(feature = "profile")]
     #[test]
     fn dump_round_trips_flight_and_top_buckets() {
-        let p = Profiler::enabled(10, Cycles::ZERO, 4);
+        use mnv_trace::TraceEvent;
+        let p = Profiler::enabled(10, Cycles::ZERO);
         p.set_vm(2);
         p.poll(Cycles::new(10), 0x40, 2, false);
-        assert!(!p.has_flight_events(), "no events recorded yet");
-        for i in 0..6u64 {
-            p.record_event(
+        // The flight recorder is the tail of the tracer's ring: a ring
+        // deeper than the dump reads DEFAULT_FLIGHT_CAP events, the rest
+        // count as lost.
+        let tracer = Tracer::enabled(DEFAULT_FLIGHT_CAP + 8);
+        let n = DEFAULT_FLIGHT_CAP as u64 + 6;
+        for i in 0..n {
+            tracer.emit(
                 Cycles::new(i * 100),
                 TraceEvent::VmSwitch { from: 0, to: 2 },
             );
         }
-        assert!(p.has_flight_events());
+        tracer.emit(Cycles::new(n * 100), TraceEvent::PrrQuarantine { prr: 1 });
         let blob = p
             .trigger_dump(
                 "watchdog-abort",
-                Cycles::new(700),
+                Cycles::new(n * 100),
+                &tracer,
                 Json::obj([("pc", Json::num(64.0))]),
             )
             .expect("enabled");
         assert_eq!(p.last_dump().as_deref(), Some(blob.as_str()));
         let pm = postmortem::parse(&blob).expect("decodes");
         assert_eq!(pm.reason, "watchdog-abort");
-        assert_eq!(pm.events.len(), 4, "ring retains the newest 4");
-        assert_eq!(pm.events_dropped, 2);
+        assert_eq!(pm.events.len(), DEFAULT_FLIGHT_CAP, "the newest events");
+        assert_eq!(pm.events_dropped, 7);
+        assert_eq!(pm.events[0].0, 700, "oldest retained event");
+        assert_eq!(pm.events.last().unwrap().1, "PrrQuarantine");
         assert_eq!(pm.profile_top[0].0, "vm2;0x00000040");
         assert_eq!(pm.context.get("pc").and_then(Json::as_num), Some(64.0));
     }
@@ -507,7 +483,7 @@ mod tests {
     #[cfg(feature = "profile")]
     #[test]
     fn perfetto_counters_parse_and_bucket_per_vm() {
-        let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO, 4);
+        let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO);
         p.set_vm(1);
         for i in 1..=5u64 {
             p.poll(Cycles::new(i * DEFAULT_PERIOD), 0x8000, 1, false);

@@ -166,13 +166,6 @@ pub enum TraceEvent {
         /// The terminated VM.
         vm: u16,
     },
-    /// The Hardware Task Manager entered stage `stage` (1-6 of Fig. 7) of
-    /// the DPR allocation routine. Recorded by the flight recorder so a
-    /// post-mortem shows *where* in the allocation a failure hit.
-    DprStage {
-        /// Stage number, 1..=6.
-        stage: u8,
-    },
     /// The supervisor relaunched a killed VM from its registered image.
     VmRestart {
         /// The restarted VM.
@@ -354,7 +347,6 @@ impl TraceEvent {
             TraceEvent::PrrQuarantine { .. } => "PrrQuarantine",
             TraceEvent::SwFallback { .. } => "SwFallback",
             TraceEvent::VmKilled { .. } => "VmKilled",
-            TraceEvent::DprStage { .. } => "DprStage",
             TraceEvent::VmRestart { .. } => "VmRestart",
             TraceEvent::PrrScrub { .. } => "PrrScrub",
             TraceEvent::PrrReinstate { .. } => "PrrReinstate",

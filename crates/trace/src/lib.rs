@@ -161,6 +161,22 @@ impl Tracer {
         }
     }
 
+    /// Copy the newest `n` retained events oldest-first (empty when
+    /// disabled); see [`TraceRing::tail`].
+    pub fn tail(&self, n: usize) -> Vec<(Cycles, TraceEvent)> {
+        #[cfg(feature = "trace")]
+        {
+            self.sink
+                .as_ref()
+                .map_or_else(Vec::new, |s| s.borrow().tail(n))
+        }
+        #[cfg(not(feature = "trace"))]
+        {
+            let _ = n;
+            Vec::new()
+        }
+    }
+
     /// Drop all retained events.
     pub fn clear(&self) {
         #[cfg(feature = "trace")]

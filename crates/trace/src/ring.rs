@@ -84,6 +84,13 @@ impl TraceRing {
         self.iter().copied().collect()
     }
 
+    /// Copy the newest `n` retained events (all of them when fewer are
+    /// retained), oldest-first — the flight recorder's view of the ring.
+    pub fn tail(&self, n: usize) -> Vec<(Cycles, TraceEvent)> {
+        let skip = self.buf.len().saturating_sub(n);
+        self.iter().skip(skip).copied().collect()
+    }
+
     /// Drop all retained events (totals are kept).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -127,6 +134,46 @@ mod tests {
         r.push(Cycles::new(3), ev(3));
         let got: Vec<u64> = r.iter().map(|(t, _)| t.raw()).collect();
         assert_eq!(got, vec![1, 2, 3]);
+    }
+
+    fn tail_times(r: &TraceRing, n: usize) -> Vec<u64> {
+        r.tail(n).iter().map(|(t, _)| t.raw()).collect()
+    }
+
+    #[test]
+    fn tail_of_unwrapped_ring() {
+        let mut r = TraceRing::new(8);
+        for i in 0..5u16 {
+            r.push(Cycles::new(i as u64), ev(i));
+        }
+        assert_eq!(tail_times(&r, 3), vec![2, 3, 4]);
+        assert_eq!(tail_times(&r, 5), vec![0, 1, 2, 3, 4]);
+        assert_eq!(tail_times(&r, 100), vec![0, 1, 2, 3, 4], "n past len");
+        assert!(r.tail(0).is_empty());
+    }
+
+    #[test]
+    fn tail_of_exactly_full_ring() {
+        let mut r = TraceRing::new(4);
+        for i in 0..4u16 {
+            r.push(Cycles::new(i as u64), ev(i));
+        }
+        assert_eq!(tail_times(&r, 2), vec![2, 3]);
+        assert_eq!(tail_times(&r, 4), vec![0, 1, 2, 3]);
+        assert_eq!(r.tail(4), r.snapshot());
+    }
+
+    #[test]
+    fn tail_of_wrapped_ring_crosses_the_seam() {
+        let mut r = TraceRing::new(4);
+        for i in 0..7u16 {
+            r.push(Cycles::new(i as u64), ev(i));
+        }
+        // Retained: t=3..=6, stored as [4, 5, 6, 3] with head at 3.
+        assert_eq!(tail_times(&r, 3), vec![4, 5, 6]);
+        assert_eq!(tail_times(&r, 4), vec![3, 4, 5, 6]);
+        assert_eq!(tail_times(&r, 9), vec![3, 4, 5, 6]);
+        assert_eq!(r.tail(1)[0].1, ev(6));
     }
 
     #[test]

@@ -256,12 +256,6 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
                 ts,
                 req: 0,
             }),
-            TraceEvent::DprStage { stage } => out.instants.push(Instant {
-                track: Track::HwMgr,
-                name: format!("dpr:stage{stage}"),
-                ts,
-                req: 0,
-            }),
             TraceEvent::VmRestart { vm, attempt } => out.instants.push(Instant {
                 track: Track::Vm(vm),
                 name: format!("vm-restart #{attempt}"),

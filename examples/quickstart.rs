@@ -16,7 +16,7 @@ fn main() {
     let mut kernel = Kernel::new(KernelConfig::default());
     let tracer = kernel.enable_tracing(1 << 16);
     // Per-VM counter plane (an inert handle unless built with
-    // `--features metrics`): every cache/TLB/cycle event charged to the
+    // `--features diag`): every cache/TLB/cycle event charged to the
     // VM — or the kernel itself — that caused it.
     let metrics = kernel.enable_metrics();
 

@@ -46,6 +46,50 @@ fn rogue_mir_guest_cannot_write_privileged_state() {
 }
 
 #[test]
+fn policy_kill_is_recorded_like_a_kernel_kill() {
+    // Regression: a MIR guest killed for writing a privileged CP15
+    // register used to bump `vms_killed` and nothing else — no trace
+    // event, no registry count, no post-mortem. It now goes through the
+    // same lifecycle note as `Kernel::kill_vm`.
+    let mut k = Kernel::new(KernelConfig::default());
+    let tracer = k.enable_tracing(1 << 12);
+    let reg = k.enable_metrics();
+    let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
+    let mut b = ProgramBuilder::new();
+    b.mov(0, 0);
+    b.push(Instr::Mcr {
+        reg: MirCp15::Ttbr0,
+        rs: 0,
+    });
+    b.halt();
+    let vm = k.create_vm(VmSpec {
+        name: "rogue",
+        priority: Priority::GUEST,
+        guest: GuestKind::Mir(Box::new(MirGuest::new(
+            b.assemble(guest_layout::CODE_BASE.raw()),
+        ))),
+    });
+    k.run(Cycles::from_millis(5.0));
+    assert_eq!(k.state.stats.vms_killed, 1);
+    if tracer.is_enabled() {
+        let kills: Vec<_> = tracer
+            .snapshot()
+            .into_iter()
+            .filter(|(_, ev)| matches!(ev, mnv_trace::TraceEvent::VmKilled { .. }))
+            .collect();
+        assert_eq!(kills.len(), 1, "exactly one VmKilled in the ring");
+        assert_eq!(kills[0].1, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
+    }
+    if reg.is_enabled() {
+        assert_eq!(reg.get("vms_killed", mnv_metrics::Label::Machine), 1);
+        let dump = profiler.last_dump().expect("the kill dumps a post-mortem");
+        let pm = mnv_profile::postmortem::parse(&dump).unwrap();
+        assert_eq!(pm.reason, "vm-killed");
+        assert_eq!(pm.events.last().unwrap().1, "VmKilled");
+    }
+}
+
+#[test]
 fn rogue_mir_guest_cannot_raise_privilege_via_msr() {
     // The classic non-trapping sensitive instruction: MSR CPSR with a
     // privileged mode request silently updates flags only — the guest
