@@ -328,7 +328,7 @@ impl HwMgr {
                 // from under it by the supervisor (quarantine, relocation):
                 // follow it to the shadow service if so.
                 let disp = self.prrs.find_dispatch(ctx.vm, run.task);
-                if disp != Some(run.prr) || self.prrs.entry(run.prr).quarantined {
+                if disp != Some(run.prr) || !self.prrs.entry(run.prr).in_service() {
                     ctx.active = None;
                     self.ring_complete_shadow(m, pds, stats, tracer, &mut ctx, &run);
                     continue;
@@ -485,7 +485,7 @@ impl HwMgr {
         mut run: RingRun,
     ) {
         match self.prrs.find_dispatch(ctx.vm, run.task) {
-            Some(prr) if !self.prrs.entry(prr).quarantined => {
+            Some(prr) if self.prrs.entry(prr).in_service() => {
                 run.prr = prr;
                 run.await_pcap = false;
                 if let Ok(l) = self.irqs.alloc(ctx.vm, prr) {

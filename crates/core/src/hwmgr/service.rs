@@ -34,7 +34,7 @@ use crate::obs;
 use crate::postmortem;
 use crate::slo::{iface_of, SloTracker};
 use crate::stats::KernelStats;
-use crate::supervisor::{timing, FabricJob, Ladder, PrrHealth};
+use crate::supervisor::timing;
 
 /// Fixed hardware-task data-section length (the guests' convention).
 pub const DATA_SECTION_LEN: u64 = 0x2_0000;
@@ -49,8 +49,8 @@ pub const SW_SLOWDOWN: u64 = 8;
 /// the slowest core's compute is well under 5 M cycles).
 pub const DEFAULT_WATCHDOG_TIMEOUT: u64 = 20_000_000;
 
-/// Default bound on PCAP relaunch attempts per reconfiguration.
-pub const DEFAULT_MAX_PCAP_RETRIES: u8 = 3;
+/// Bound on PCAP relaunch attempts per client reconfiguration.
+pub const MAX_PCAP_RETRIES: u8 = 3;
 
 /// Pseudo-region namespace for completion lines parked by a quarantine
 /// migration: the line stays allocated to the client (so the shadow service
@@ -59,27 +59,55 @@ pub const DEFAULT_MAX_PCAP_RETRIES: u8 = 3;
 /// indices are tiny (≤15), so the namespaces cannot collide.
 pub(crate) const SHADOW_LINE_KEY: u8 = 0x80;
 
-/// An in-flight PCAP reconfiguration — everything the retry path needs to
-/// relaunch the transfer after a CRC reject or a watchdog abort.
+/// What an in-flight PCAP transfer is for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PcapJobKind {
+    /// A guest's stage-5 reconfiguration: it raises PCAP_DONE, completes
+    /// through the client's poll and is relaunched when it fails.
+    Client {
+        /// VM waiting on the reconfiguration.
+        vm: VmId,
+        /// Relaunches performed so far.
+        attempts: u8,
+        /// The causal request waiting on this reconfiguration (stamps the
+        /// PCAP launch/retry/done/abort hops into its waterfall).
+        req: ReqTag,
+    },
+    /// Background scrub of a quarantined region: a test-bitstream load
+    /// whose CRC-checked ingest doubles as configuration readback.
+    Scrub,
+    /// Load a degraded client's task onto a healthy free region so the
+    /// client can be promoted back to hardware.
+    Repromote {
+        /// The shadow-fallback client being promoted.
+        vm: VmId,
+    },
+    /// Escalation-ladder rung 2: load the hung client's task onto a
+    /// compatible region, then move the client across.
+    Relocate {
+        /// The client being moved.
+        vm: VmId,
+        /// The hung region it is leaving.
+        from: u8,
+    },
+}
+
+/// The PCAP engine's one in-flight transfer: a client reconfiguration or
+/// a kernel-initiated load (scrub, re-promotion, relocation). A client
+/// launch aborts a kernel load in flight and replaces an older client job;
+/// kernel loads start only on an idle channel.
 #[derive(Clone, Copy, Debug)]
 pub struct PcapJob {
-    /// VM waiting on the reconfiguration.
-    pub vm: VmId,
-    /// The task being configured.
+    /// The task whose bitstream is being loaded.
     pub task: HwTaskId,
     /// Target region.
     pub prr: u8,
-    /// Bitstream source address in the store.
-    pub bit_addr: PhysAddr,
-    /// Bitstream length.
+    /// Bitstream length (stall-deadline input).
     pub bit_len: u32,
-    /// Relaunches performed so far.
-    pub attempts: u8,
     /// Cycle time of the current launch (stall-watchdog reference).
     pub started_at: u64,
-    /// The causal request waiting on this reconfiguration (stamps the
-    /// PCAP launch/retry/done/abort hops into its waterfall).
-    pub req: ReqTag,
+    /// Purpose of the transfer.
+    pub kind: PcapJobKind,
 }
 
 impl PcapJob {
@@ -88,6 +116,15 @@ impl PcapJob {
     /// done by then).
     pub fn stall_deadline(&self) -> u64 {
         self.started_at + 4 * pcap_transfer_cycles(self.bit_len as u64) + timing::PCAP_STALL_SLACK
+    }
+
+    /// The VM waiting on the transfer when it is a client
+    /// reconfiguration; `None` for a kernel load.
+    pub fn client(&self) -> Option<VmId> {
+        match self.kind {
+            PcapJobKind::Client { vm, .. } => Some(vm),
+            _ => None,
+        }
     }
 }
 
@@ -130,15 +167,13 @@ pub struct HwMgr {
     pub prrs: PrrTable,
     /// PL interrupt-line allocator.
     pub irqs: PlIrqAllocator,
-    /// VM that launched the in-flight PCAP transfer (the PCAP completion
-    /// IRQ "is always connected to the VM which launches the current
-    /// transfer" — §IV-D).
+    /// VM that launched the in-flight client reconfiguration (the PCAP
+    /// completion IRQ "is always connected to the VM which launches the
+    /// current transfer" — §IV-D). Set with a `Client` job; an error poll
+    /// by another VM clears it while the job stays in the channel.
     pub pcap_owner: Option<VmId>,
-    /// The in-flight PCAP reconfiguration (retry/watchdog bookkeeping).
+    /// The PCAP channel's one in-flight transfer, client or kernel.
     pub pcap_job: Option<PcapJob>,
-    /// Per-PRR cycle time at which the region was first observed BUSY
-    /// (`None` = not busy); the hang watchdog's reference point.
-    pub busy_since: Vec<Option<u64>>,
     /// Active software-fallback dispatches.
     pub shadows: Vec<SwShadow>,
     /// Bump cursor into the shadow-page pool.
@@ -150,24 +185,11 @@ pub struct HwMgr {
     /// BUSY (ladder rung 1; regions with no client go straight to
     /// quarantine).
     pub watchdog_timeout: u64,
-    /// Bound on PCAP relaunch attempts per reconfiguration.
-    pub max_pcap_retries: u8,
-    /// The in-flight kernel-initiated PCAP transfer (scrub, re-promotion
-    /// or relocation load), if any.
-    pub fabric_job: Option<FabricJob>,
-    /// Per-PRR scrub health (consecutive pass/fail counts, next due time).
-    pub health: Vec<PrrHealth>,
-    /// Open escalation ladders, keyed by hung region.
-    pub ladders: BTreeMap<u8, Ladder>,
     /// Relocation hops consumed by a dispatch's current no-completion
     /// streak (bounds the ladder's rung 2; see
     /// [`crate::supervisor::MAX_RELOCATION_HOPS`]). Reset by a fresh
     /// request or a completed software round trip.
     pub relocations: BTreeMap<(VmId, HwTaskId), u8>,
-    /// Ladder rung-1 timeout (retry on the same region).
-    pub ladder_retry_timeout: u64,
-    /// Ladder rung-2 timeout (relocation to a compatible region).
-    pub ladder_relocate_timeout: u64,
     /// Interval between background scrubs of one quarantined region.
     pub scrub_interval: u64,
     /// Native-baseline mode: unified memory space, so the page-table
@@ -225,18 +247,11 @@ impl HwMgr {
             irqs: PlIrqAllocator::new(),
             pcap_owner: None,
             pcap_job: None,
-            busy_since: vec![None; num_prrs],
             shadows: Vec::new(),
             shadow_cursor: 0,
             shadow_free: Vec::new(),
             watchdog_timeout: DEFAULT_WATCHDOG_TIMEOUT,
-            max_pcap_retries: DEFAULT_MAX_PCAP_RETRIES,
-            fabric_job: None,
-            health: vec![PrrHealth::default(); num_prrs],
-            ladders: BTreeMap::new(),
             relocations: BTreeMap::new(),
-            ladder_retry_timeout: timing::LADDER_RETRY_TIMEOUT,
-            ladder_relocate_timeout: timing::LADDER_RELOCATE_TIMEOUT,
             scrub_interval: timing::SCRUB_INTERVAL,
             native,
             metrics: Registry::disabled(),
@@ -488,10 +503,10 @@ impl HwMgr {
         let mut reclaim = None;
         for &p in entry_prrs {
             self.prrs.touch(m, p);
-            if self.prrs.entry(p).quarantined {
+            if !self.prrs.entry(p).in_service() {
                 continue; // out of service — the watchdog retired it
             }
-            if self.fabric_job.as_ref().is_some_and(|j| j.prr == p) {
+            if matches!(self.pcap_job, Some(j) if j.prr == p && j.client().is_none()) {
                 continue; // a kernel-initiated load holds the region
             }
             if self.shadows.iter().any(|s| s.promote_to == Some(p)) {
@@ -633,9 +648,9 @@ impl HwMgr {
         self.relocations.remove(&(caller, task));
 
         // Stage 1–2: look the task up and select a region.
-        let (entry_prrs, bit_addr, bit_len, core) = {
+        let (entry_prrs, core) = {
             let e = self.tasks.lookup(m, task).ok_or(HcError::NotFound)?;
-            (e.prrs.clone(), e.bit_addr, e.bit_len, e.core)
+            (e.prrs.clone(), e.core)
         };
 
         // Register (or refresh) the caller's data section.
@@ -659,7 +674,7 @@ impl HwMgr {
 
         // Fast path: the caller already holds this task.
         if let Some(prr) = self.prrs.find_dispatch(caller, task) {
-            if self.prrs.entry(prr).quarantined {
+            if !self.prrs.entry(prr).in_service() {
                 // Migrated to the software fallback when its region was
                 // quarantined: refresh the data section and re-report the
                 // degraded dispatch — the interface mapping already points
@@ -695,25 +710,7 @@ impl HwMgr {
             // one interface slot across tasks has since pointed this VA
             // at another region's page, and the held dispatch would be
             // programmed through the wrong window.
-            if !self.native {
-                let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
-                pagetable::map_page(
-                    m,
-                    pd.l1,
-                    iface_va,
-                    Pl::prr_page(prr),
-                    Domain::DEVICE,
-                    Ap::Full,
-                    true,
-                    false,
-                    pt,
-                )
-                .map_err(|_| HcError::NoResource)?;
-                m.tlb_flush_mva(iface_va, pd.asid);
-                pd.iface_maps.insert(task, (iface_va, prr));
-            } else if let Some(pd) = pds.get_mut(&caller) {
-                pd.iface_maps.insert(task, (iface_va, prr));
-            }
+            self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
             self.prrs.entry_mut(m, prr).iface_va = Some(iface_va.raw());
             self.program_hwmmu(m, prr, ds);
             self.attach_req(m.now(), tracer, prr, caller, req);
@@ -741,12 +738,7 @@ impl HwMgr {
             if let Some(prr) = self.select_prr(m, &entry_prrs, task) {
                 self.drop_shadow_of(m, pds, tracer, caller, task);
                 if let Some(pd) = pds.get_mut(&caller) {
-                    if !self.native {
-                        if let Some(&(va, _)) = pd.iface_maps.get(&task) {
-                            let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
-                        }
-                    }
-                    pd.iface_maps.remove(&task);
+                    self.unmap_iface(m, pd, task);
                 }
                 let ev = TraceEvent::Repromote {
                     vm: caller.0,
@@ -772,7 +764,8 @@ impl HwMgr {
 
         self.stage(m, tracer, req, 2);
         let Some(prr) = self.select_prr(m, &entry_prrs, task) else {
-            if !entry_prrs.is_empty() && entry_prrs.iter().all(|&p| self.prrs.entry(p).quarantined)
+            if !entry_prrs.is_empty()
+                && entry_prrs.iter().all(|&p| !self.prrs.entry(p).in_service())
             {
                 // Every region this task fits is out of service: degrade
                 // to a pure-software dispatch instead of failing forever.
@@ -797,29 +790,7 @@ impl HwMgr {
 
         // Stage 3: map the interface page into the caller.
         self.stage(m, tracer, req, 3);
-        if !self.native {
-            let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
-            pagetable::map_page(
-                m,
-                pd.l1,
-                iface_va,
-                Pl::prr_page(prr),
-                Domain::DEVICE,
-                Ap::Full,
-                true,
-                false,
-                pt,
-            )
-            .map_err(|_| HcError::NoResource)?;
-            // The VA may have pointed at another region's page until now
-            // (a client reusing one interface slot across tasks): the
-            // remap must shoot the stale translation down, or the guest's
-            // register writes keep reaching the old region.
-            m.tlb_flush_mva(iface_va, pd.asid);
-            pd.iface_maps.insert(task, (iface_va, prr));
-        } else if let Some(pd) = pds.get_mut(&caller) {
-            pd.iface_maps.insert(task, (iface_va, prr));
-        }
+        self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
 
         // Stage 4: load the hwMMU with the client's data section.
         self.stage(m, tracer, req, 4);
@@ -865,24 +836,16 @@ impl HwMgr {
             stats.hwmgr.reconfigs += 1;
             self.metrics.inc("hwmgr_reconfigs", Label::Machine);
             // Client reconfigurations always win the channel: a background
-            // scrub/relocation load in flight is aborted and rescheduled.
-            self.cancel_fabric_job(m);
-            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_SRC), bit_addr.raw() as u32);
-            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_LEN), bit_len);
-            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_TARGET), prr as u32);
-            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_IRQ_EN), 1);
-            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 1);
-            self.pcap_owner = Some(caller);
-            self.pcap_job = Some(PcapJob {
+            // scrub/relocation load in flight is aborted and rescheduled,
+            // an older client job is replaced.
+            self.cancel_kernel_job(m);
+            let kind = PcapJobKind::Client {
                 vm: caller,
-                task,
-                prr,
-                bit_addr,
-                bit_len,
                 attempts: 0,
-                started_at: m.now().raw(),
                 req,
-            });
+            };
+            self.launch_pcap(m, task, prr, kind);
+            self.pcap_owner = Some(caller);
             self.req_stamp(m.now(), tracer, req, req_stage::PCAP_LAUNCH);
             if let Some(pd) = pds.get_mut(&caller) {
                 pd.pcap_pending = Some(task);
@@ -894,6 +857,52 @@ impl HwMgr {
         }
         self.stage(m, tracer, req, 6);
         Ok(HwTaskStatus::Success as u32 | ((prr as u32) << 8) | (line_idx << 16))
+    }
+
+    /// Map `caller`'s interface VA for `task` onto `page` and record the
+    /// region behind it (`NO_PRR` for a shadow page). The VA may have
+    /// pointed at another page until now (a client reusing one interface
+    /// slot across tasks): the remap must shoot the stale translation down,
+    /// or the guest's register writes keep reaching the old page.
+    #[allow(clippy::too_many_arguments)]
+    fn map_iface(
+        &self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        pt: &mut PtAlloc,
+        caller: VmId,
+        task: HwTaskId,
+        iface_va: VirtAddr,
+        page: PhysAddr,
+        prr: u8,
+    ) -> Result<(), HcError> {
+        let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
+        if !self.native {
+            pagetable::map_page(
+                m,
+                pd.l1,
+                iface_va,
+                page,
+                Domain::DEVICE,
+                Ap::Full,
+                true,
+                false,
+                pt,
+            )
+            .map_err(|_| HcError::NoResource)?;
+            m.tlb_flush_mva(iface_va, pd.asid);
+        }
+        pd.iface_maps.insert(task, (iface_va, prr));
+        Ok(())
+    }
+
+    /// Drop `task` from the client's interface map and unmap its VA.
+    fn unmap_iface(&self, m: &mut Machine, pd: &mut Pd, task: HwTaskId) {
+        if let Some((va, _)) = pd.iface_maps.remove(&task) {
+            if !self.native {
+                let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
+            }
+        }
     }
 
     pub(crate) fn program_hwmmu(&self, m: &mut Machine, prr: u8, ds: DataSection) {
@@ -926,12 +935,7 @@ impl HwMgr {
         self.drop_shadow_of(m, pds, tracer, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
-        if !self.native {
-            if let Some(&(va, _)) = pd.iface_maps.get(&task) {
-                let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
-            }
-        }
-        pd.iface_maps.remove(&task);
+        self.unmap_iface(m, pd, task);
         if let Some(line) = self.irqs.free_prr(prr) {
             let _ = m.phys_write_u32(ctrl_reg(plregs::IRQ_ROUTE), ((prr as u32) << 8) | 0xFF);
             pd.vgic.remove(line);
@@ -1003,12 +1007,7 @@ impl HwMgr {
         self.drop_shadow_of(m, pds, tracer, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
-        if !self.native {
-            if let Some(&(va, _)) = pd.iface_maps.get(&task) {
-                let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
-            }
-        }
-        pd.iface_maps.remove(&task);
+        self.unmap_iface(m, pd, task);
         Ok(0)
     }
 
@@ -1035,29 +1034,8 @@ impl HwMgr {
         let _ = m.phys_write_u32(page + 4 * prr_regs::STATUS as u64, prr_status::IDLE);
         let _ = m.phys_write_u32(page + 4 * prr_regs::CORE_KIND as u64, core.encode());
 
-        if !self.native {
-            let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
-            pagetable::map_page(
-                m,
-                pd.l1,
-                iface_va,
-                page,
-                Domain::DEVICE,
-                Ap::Full,
-                true,
-                false,
-                pt,
-            )
-            .map_err(|_| HcError::NoResource)?;
-            // Same stale-translation hazard as the hardware dispatch: the
-            // interface VA may be remapped from a real PRR page.
-            m.tlb_flush_mva(iface_va, pd.asid);
-            pd.iface_maps
-                .insert(task, (iface_va, hw_task_result::NO_PRR as u8));
-        } else if let Some(pd) = pds.get_mut(&caller) {
-            pd.iface_maps
-                .insert(task, (iface_va, hw_task_result::NO_PRR as u8));
-        }
+        let no_prr = hw_task_result::NO_PRR as u8;
+        self.map_iface(m, pds, pt, caller, task, iface_va, page, no_prr)?;
 
         let _ = m.phys_write_u32(
             ds.pa + data_section::STATE_FLAG,
@@ -1115,38 +1093,44 @@ impl HwMgr {
     ) {
         let now = m.now().raw();
 
-        // 1. PCAP stall abort.
+        // 1. PCAP stall abort of a client transfer (step 4 polls kernel loads).
         if let Some(job) = self.pcap_job {
-            let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
-            if status == pcap_status::BUSY && now > job.stall_deadline() {
-                let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_ABORT);
-                obs::dump(
-                    &self.profiler,
-                    tracer,
-                    "pcap-watchdog-abort",
-                    m.now(),
-                    || postmortem::context(m, pds, Some(job.vm), &self.metrics),
-                );
+            if let PcapJobKind::Client { vm, req, .. } = job.kind {
+                let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
+                if status == pcap_status::BUSY && now > job.stall_deadline() {
+                    let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+                    self.req_stamp(m.now(), tracer, req, req_stage::PCAP_ABORT);
+                    obs::dump(
+                        &self.profiler,
+                        tracer,
+                        "pcap-watchdog-abort",
+                        m.now(),
+                        || postmortem::context(m, pds, Some(vm), &self.metrics),
+                    );
+                }
             }
         }
 
         // 2. Hang detection and ladder advancement.
         for prr in 0..self.prrs.len() as u8 {
-            if self.prrs.entry(prr).quarantined {
+            if !self.prrs.entry(prr).in_service() {
                 continue;
             }
             let status = self.prr_status(m, prr);
+            let Some((busy_since, ladder)) = self.prrs.watch_slot(prr) else {
+                continue;
+            };
             if status != prr_status::BUSY {
-                self.busy_since[prr as usize] = None;
                 // The retried (or relocated-away) run resolved; close the
                 // region's ladder.
-                self.ladders.remove(&prr);
+                *busy_since = None;
+                *ladder = None;
                 continue;
             }
-            let since = *self.busy_since[prr as usize].get_or_insert(now);
-            if let Some(l) = self.ladders.get(&prr) {
-                if now > l.deadline {
+            let since = *busy_since.get_or_insert(now);
+            let deadline = ladder.as_ref().map(|l| l.deadline);
+            if let Some(deadline) = deadline {
+                if now > deadline {
                     self.ladder_advance(m, pds, pt, stats, tracer, prr, now);
                 }
             } else if now.saturating_sub(since) > self.watchdog_timeout {
@@ -1270,8 +1254,8 @@ impl HwMgr {
     }
 
     /// The steps every quarantine shares: record it (counted, traced and
-    /// post-mortem-dumped by [`obs::note`]), reset the region's hang and
-    /// scrub state, mark it out of service and revoke its DMA rights.
+    /// post-mortem-dumped by [`obs::note`]), move the region to quarantine
+    /// with a fresh scrub cycle and revoke its DMA rights.
     /// `detach` also drops the region's client binding — for callers that
     /// move the client elsewhere themselves, where [`HwMgr::quarantine`]
     /// keeps it to migrate.
@@ -1294,12 +1278,8 @@ impl HwMgr {
             &self.profiler,
             || postmortem::context(m, pds, vm, &self.metrics),
         );
-        self.busy_since[prr as usize] = None;
-        self.ladders.remove(&prr);
-        // A fresh quarantine starts a fresh scrub cycle (due immediately).
-        self.health[prr as usize] = PrrHealth::default();
         let e = self.prrs.entry_mut(m, prr);
-        e.quarantined = true;
+        e.quarantine();
         if detach {
             e.client = None;
             e.iface_va = None;
@@ -1481,10 +1461,40 @@ impl HwMgr {
         Ok(HwTaskState::Unknown as u32)
     }
 
+    /// Program the PCAP engine to load `task`'s bitstream into `prr` and
+    /// start it; the transfer becomes the channel's one job. Only a client
+    /// reconfiguration raises PCAP_DONE: kernel loads complete by poll, so
+    /// the line stays with the VM that launched a client transfer.
+    pub(crate) fn launch_pcap(
+        &mut self,
+        m: &mut Machine,
+        task: HwTaskId,
+        prr: u8,
+        kind: PcapJobKind,
+    ) {
+        let Some((bit_addr, bit_len)) = self.tasks.get(task).map(|e| (e.bit_addr, e.bit_len))
+        else {
+            return;
+        };
+        let irq_en = matches!(kind, PcapJobKind::Client { .. }) as u32;
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_SRC), bit_addr.raw() as u32);
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_LEN), bit_len);
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_TARGET), prr as u32);
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_IRQ_EN), irq_en);
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 1);
+        self.pcap_job = Some(PcapJob {
+            task,
+            prr,
+            bit_len,
+            started_at: m.now().raw(),
+            kind,
+        });
+    }
+
     /// PcapPoll: 1 when the caller's pending reconfiguration completed.
     ///
     /// A failed transfer (CRC reject, malformed header, watchdog abort) is
-    /// relaunched with backoff up to [`HwMgr::max_pcap_retries`] times;
+    /// relaunched with backoff up to [`MAX_PCAP_RETRIES`] times;
     /// past that the target region is quarantined and the client degrades
     /// to the software fallback — the poll still reports completion.
     pub fn handle_pcap_poll(
@@ -1509,13 +1519,19 @@ impl HwMgr {
             if let Some(pd) = pds.get_mut(&caller) {
                 pd.pcap_pending = None;
             }
-            if let Some(job) = self.pcap_job {
-                self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_DONE);
+            if let Some(PcapJob {
+                prr,
+                started_at,
+                kind: PcapJobKind::Client { req, .. },
+                ..
+            }) = self.pcap_job
+            {
+                self.req_stamp(m.now(), tracer, req, req_stage::PCAP_DONE);
                 self.metrics.observe(
                     "pcap_latency",
-                    Label::Prr(job.prr),
-                    m.now().raw().saturating_sub(job.started_at),
-                    job.req.id,
+                    Label::Prr(prr),
+                    m.now().raw().saturating_sub(started_at),
+                    req.id,
                 );
             }
             self.pcap_owner = None;
@@ -1524,38 +1540,38 @@ impl HwMgr {
         }
         if status == pcap_status::ERROR {
             if self.pcap_owner == Some(caller) {
-                if let Some(mut job) = self.pcap_job {
-                    if job.attempts < self.max_pcap_retries {
-                        job.attempts += 1;
+                if let Some(PcapJob {
+                    task,
+                    prr,
+                    kind: PcapJobKind::Client { vm, attempts, req },
+                    ..
+                }) = self.pcap_job
+                {
+                    if attempts < MAX_PCAP_RETRIES {
+                        let attempts = attempts + 1;
                         let ev = TraceEvent::PcapRetry {
-                            prr: job.prr,
-                            attempt: job.attempts,
+                            prr,
+                            attempt: attempts,
                         };
                         self.note(m.now(), tracer, stats, ev);
-                        self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_RETRY);
+                        self.req_stamp(m.now(), tracer, req, req_stage::PCAP_RETRY);
                         // Exponential backoff, then relaunch the transfer.
-                        m.charge(timing::PCAP_RETRY_BACKOFF_BASE << job.attempts);
-                        let _ =
-                            m.phys_write_u32(ctrl_reg(plregs::PCAP_SRC), job.bit_addr.raw() as u32);
-                        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_LEN), job.bit_len);
-                        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_TARGET), job.prr as u32);
-                        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_IRQ_EN), 1);
-                        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 1);
-                        job.started_at = m.now().raw();
-                        self.pcap_job = Some(job);
+                        m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
+                        let kind = PcapJobKind::Client { vm, attempts, req };
+                        self.launch_pcap(m, task, prr, kind);
                         return Ok(0);
                     }
                     // Retries exhausted: the transfer path to this region
                     // is persistently failing (e.g. a damaged bitstream
                     // store). Quarantine it and serve the client on the
                     // CPU — the reconfiguration completes, degraded.
-                    self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_ABORT);
+                    self.req_stamp(m.now(), tracer, req, req_stage::PCAP_ABORT);
                     self.pcap_job = None;
                     self.pcap_owner = None;
                     if let Some(pd) = pds.get_mut(&caller) {
                         pd.pcap_pending = None;
                     }
-                    let _ = self.quarantine(m, pds, pt, stats, tracer, job.prr);
+                    let _ = self.quarantine(m, pds, pt, stats, tracer, prr);
                     return Ok(1);
                 }
             }

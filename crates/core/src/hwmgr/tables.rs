@@ -16,6 +16,7 @@
 use mnv_arm::machine::Machine;
 use mnv_fpga::bitstream::CoreKind;
 use mnv_fpga::pl::pcap_transfer_cycles;
+use mnv_fpga::prr::REG_COUNT;
 use mnv_hal::{Cycles, HwTaskId, PhysAddr, VmId};
 use std::collections::BTreeMap;
 
@@ -131,6 +132,66 @@ impl ReqTag {
     }
 }
 
+/// Scrub health of a quarantined region, driving the reinstate/retire
+/// decision.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrrHealth {
+    /// Consecutive scrub passes.
+    pub passes: u8,
+    /// Consecutive scrub failures.
+    pub fails: u8,
+    /// Earliest cycle time of the next scrub attempt (`u64::MAX` marks a
+    /// region with no compatible registered task — unscrubbable).
+    pub next_scrub_at: u64,
+}
+
+/// Escalation-ladder state of one hung region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ladder {
+    /// Current rung: 1 retry, 2 relocate (3 and 4 resolve immediately and
+    /// never persist here).
+    pub rung: u8,
+    /// Deadline after which the next rung is taken.
+    pub deadline: u64,
+    /// Interface register image captured at the first escalation (the
+    /// client's staged run, replayed on retry and relocation).
+    pub saved: [u32; REG_COUNT],
+}
+
+/// Where a region stands with the allocator. Only
+/// [`PrrEntry::quarantine`], [`PrrEntry::reinstate`] and
+/// [`PrrEntry::retire`] move a region between these states.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrrService {
+    /// In the allocator pool, watched by the hang watchdog.
+    InService {
+        /// Cycle time at which the region was first observed BUSY (`None`
+        /// = not busy); the hang watchdog's reference point.
+        busy_since: Option<u64>,
+        /// The escalation ladder open on the region's hung run, if any.
+        ladder: Option<Ladder>,
+    },
+    /// Taken out of service by the watchdog or the escalation ladder. A
+    /// hung PRR never comes back by itself, but a full reconfiguration
+    /// resets the region's logic: the supervisor's background scrubber
+    /// (test-bitstream PCAP load + CRC readback) reinstates the region
+    /// after enough consecutive passes.
+    Quarantined(PrrHealth),
+    /// Permanently out of service: the scrubber's failure budget was
+    /// exhausted, so the region's fabric (or its configuration path) is
+    /// considered genuinely damaged. Terminal.
+    Retired,
+}
+
+impl Default for PrrService {
+    fn default() -> Self {
+        PrrService::InService {
+            busy_since: None,
+            ladder: None,
+        }
+    }
+}
+
 /// One PRR-table entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrrEntry {
@@ -142,20 +203,60 @@ pub struct PrrEntry {
     pub iface_va: Option<u64>,
     /// Completed dispatches through this region.
     pub dispatches: u64,
-    /// Region taken out of service by the reconfiguration watchdog. A hung
-    /// PRR never comes back by itself, but a full reconfiguration resets
-    /// the region's logic: the supervisor's background scrubber
-    /// (test-bitstream PCAP load + CRC readback) reinstates the region
-    /// into the allocator pool after enough consecutive passes.
-    pub quarantined: bool,
-    /// Permanently out of service: the scrubber's failure budget was
-    /// exhausted, so the region's fabric (or its configuration path) is
-    /// considered genuinely damaged. `retired` implies `quarantined` and
-    /// is never cleared.
-    pub retired: bool,
+    /// Service state: in the allocator pool, quarantined or retired.
+    pub service: PrrService,
     /// The open causal request awaiting its first completion through this
     /// region (cleared when the completion vIRQ is attributed to it).
     pub req: ReqTag,
+}
+
+impl PrrEntry {
+    /// True while the region is in the allocator pool.
+    pub fn in_service(&self) -> bool {
+        matches!(self.service, PrrService::InService { .. })
+    }
+
+    /// True once the region is retired for good.
+    pub fn is_retired(&self) -> bool {
+        self.service == PrrService::Retired
+    }
+
+    /// The escalation ladder open on the region's hung run, if any.
+    pub fn ladder(&self) -> Option<&Ladder> {
+        match &self.service {
+            PrrService::InService { ladder, .. } => ladder.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Take the region out of service with a fresh scrub cycle, due
+    /// immediately. Quarantining a quarantined region restarts its cycle;
+    /// a retired region stays retired.
+    pub fn quarantine(&mut self) {
+        if !self.is_retired() {
+            self.service = PrrService::Quarantined(PrrHealth::default());
+        }
+    }
+
+    /// Return a quarantined region to the allocator pool.
+    pub fn reinstate(&mut self) {
+        debug_assert!(
+            matches!(self.service, PrrService::Quarantined(_)),
+            "reinstate from {:?}",
+            self.service
+        );
+        self.service = PrrService::default();
+    }
+
+    /// Retire a quarantined region permanently.
+    pub fn retire(&mut self) {
+        debug_assert!(
+            matches!(self.service, PrrService::Quarantined(_)),
+            "retire from {:?}",
+            self.service
+        );
+        self.service = PrrService::Retired;
+    }
 }
 
 /// The PRR state table.
@@ -195,6 +296,28 @@ impl PrrTable {
     /// tracing layer stays cycle-neutral.
     pub fn req_slot(&mut self, prr: u8) -> &mut ReqTag {
         &mut self.entries[prr as usize].req
+    }
+
+    /// Uncharged access to an in-service region's hang watch (when it was
+    /// first seen BUSY, its open ladder); `None` out of service.
+    pub fn watch_slot(&mut self, prr: u8) -> Option<(&mut Option<u64>, &mut Option<Ladder>)> {
+        match &mut self.entries[prr as usize].service {
+            PrrService::InService { busy_since, ladder } => Some((busy_since, ladder)),
+            _ => None,
+        }
+    }
+
+    /// Close `prr`'s escalation ladder, returning it (uncharged).
+    pub fn take_ladder(&mut self, prr: u8) -> Option<Ladder> {
+        self.watch_slot(prr).and_then(|(_, ladder)| ladder.take())
+    }
+
+    /// Uncharged access to a quarantined region's scrub health.
+    pub fn health_slot(&mut self, prr: u8) -> Option<&mut PrrHealth> {
+        match &mut self.entries[prr as usize].service {
+            PrrService::Quarantined(health) => Some(health),
+            _ => None,
+        }
     }
 
     /// Number of regions.
@@ -287,5 +410,90 @@ mod tests {
             1,
             vec![],
         );
+    }
+
+    fn in_state(service: PrrService) -> PrrEntry {
+        PrrEntry {
+            service,
+            ..PrrEntry::default()
+        }
+    }
+
+    #[test]
+    fn legal_service_edges() {
+        let fresh = PrrService::Quarantined(PrrHealth::default());
+
+        // InService → Quarantined drops the hang watch.
+        let mut e = in_state(PrrService::InService {
+            busy_since: Some(3),
+            ladder: Some(Ladder {
+                rung: 1,
+                deadline: 5,
+                saved: [0; REG_COUNT],
+            }),
+        });
+        e.quarantine();
+        assert_eq!(e.service, fresh);
+
+        // Quarantined → Quarantined restarts the scrub cycle.
+        let mut e = in_state(PrrService::Quarantined(PrrHealth {
+            passes: 1,
+            fails: 0,
+            next_scrub_at: 9,
+        }));
+        e.quarantine();
+        assert_eq!(e.service, fresh);
+
+        // Quarantined → InService with an empty hang watch.
+        e.reinstate();
+        assert_eq!(e.service, PrrService::default());
+
+        // Quarantined → Retired, and a retired region stays retired.
+        e.quarantine();
+        e.retire();
+        assert!(e.is_retired() && !e.in_service());
+        e.quarantine();
+        assert!(e.is_retired());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn illegal_service_edges_are_rejected() {
+        type Edge = fn(&mut PrrEntry);
+        let edges: [(PrrService, Edge); 4] = [
+            (PrrService::default(), PrrEntry::reinstate),
+            (PrrService::Retired, PrrEntry::reinstate),
+            (PrrService::default(), PrrEntry::retire),
+            (PrrService::Retired, PrrEntry::retire),
+        ];
+        for (from, edge) in edges {
+            let r = std::panic::catch_unwind(move || edge(&mut in_state(from)));
+            assert!(r.is_err(), "edge from {from:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn table_slots_follow_the_service_state() {
+        let mut m = Machine::default();
+        let mut p = PrrTable::new(2);
+        let ladder = Ladder {
+            rung: 1,
+            deadline: 7,
+            saved: [0; REG_COUNT],
+        };
+        *p.watch_slot(0).unwrap().1 = Some(ladder);
+        assert!(p.health_slot(0).is_none(), "in service: no scrub health");
+        assert_eq!(p.take_ladder(0), Some(ladder));
+        assert_eq!(p.take_ladder(0), None);
+
+        p.entry_mut(&mut m, 1).quarantine();
+        assert!(p.watch_slot(1).is_none(), "quarantined: no hang watch");
+        assert!(p.take_ladder(1).is_none());
+        p.health_slot(1).unwrap().next_scrub_at = 11;
+        let h = PrrHealth {
+            next_scrub_at: 11,
+            ..PrrHealth::default()
+        };
+        assert_eq!(p.entry(1).service, PrrService::Quarantined(h));
     }
 }

@@ -533,7 +533,7 @@ impl Kernel {
         if self.state.hwmgr.pcap_owner == Some(vm) {
             self.state.hwmgr.pcap_owner = None;
         }
-        if self.state.hwmgr.pcap_job.map(|j| j.vm) == Some(vm) {
+        if self.state.hwmgr.pcap_job.and_then(|j| j.client()) == Some(vm) {
             self.state.hwmgr.pcap_job = None;
         }
         if let Some(pd) = self.state.pds.remove(&vm) {
@@ -715,6 +715,8 @@ impl Kernel {
     pub fn run(&mut self, duration: Cycles) {
         let deadline = self.machine.now() + duration;
         while self.machine.now() < deadline {
+            // The loop head is a quiescent point: no VM is mid-hypercall.
+            debug_assert_eq!(self.check_recovery_invariants(), Ok(()));
             // Reconfiguration watchdog: abort stalled PCAP transfers,
             // quarantine PRRs stuck BUSY past the timeout and serve any
             // software-fallback shadow interfaces.
@@ -862,9 +864,10 @@ impl Kernel {
         }
     }
 
-    /// Debug invariant check for soak harnesses: no fabric resource may
-    /// reference a dead VM and the shadow-page pool must balance. Cheap
-    /// enough to call every probe interval.
+    /// Debug invariant check: no fabric resource may reference a dead VM,
+    /// a PCAP owner's transfer must be in the channel and the shadow-page
+    /// pool must balance. [`Kernel::run`] asserts it at the head of every
+    /// loop iteration in debug builds; soak harnesses call it too.
     pub fn check_recovery_invariants(&self) -> Result<(), String> {
         self.state.hwmgr.check_invariants(&self.state.pds)
     }

@@ -29,7 +29,7 @@
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
-use mnv_fpga::pl::{pcap_status, pcap_transfer_cycles, plregs, Pl};
+use mnv_fpga::pl::{pcap_status, plregs, Pl};
 use mnv_fpga::prr::ctrl as prr_ctrl;
 use mnv_fpga::prr::errcode as prr_errcode;
 use mnv_fpga::prr::regs as prr_regs;
@@ -40,7 +40,8 @@ use mnv_trace::event::req_stage;
 use mnv_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
-use crate::hwmgr::service::{ctrl_reg, SwShadow, SHADOW_LINE_KEY};
+use crate::hwmgr::service::{ctrl_reg, PcapJob, PcapJobKind, SwShadow, SHADOW_LINE_KEY};
+use crate::hwmgr::tables::{Ladder, PrrService};
 use crate::hwmgr::HwMgr;
 use crate::kernel::GuestKind;
 use crate::kobj::pd::Pd;
@@ -299,77 +300,6 @@ impl Supervisor {
 // Fabric recovery: scrub-and-reinstate, escalation ladder, re-promotion
 // ---------------------------------------------------------------------------
 
-/// What a kernel-initiated PCAP transfer is for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FabricJobKind {
-    /// Background scrub of a quarantined region: a test-bitstream load
-    /// whose CRC-checked ingest doubles as configuration readback.
-    Scrub,
-    /// Load a degraded client's task onto a healthy free region so the
-    /// client can be promoted back to hardware.
-    Repromote {
-        /// The shadow-fallback client being promoted.
-        vm: VmId,
-    },
-    /// Escalation-ladder rung 2: load the hung client's task onto a
-    /// compatible region, then move the client across.
-    Relocate {
-        /// The client being moved.
-        vm: VmId,
-        /// The hung region it is leaving.
-        from: u8,
-    },
-}
-
-/// One in-flight kernel-initiated PCAP transfer. At most one exists, and
-/// only while no guest reconfiguration is pending — client transfers always
-/// win the channel.
-#[derive(Clone, Copy, Debug)]
-pub struct FabricJob {
-    /// Target region.
-    pub prr: u8,
-    /// The task whose bitstream is being loaded.
-    pub task: HwTaskId,
-    /// Bitstream length (stall-deadline input).
-    pub bit_len: u32,
-    /// Launch time.
-    pub started_at: u64,
-    /// Purpose of the transfer.
-    pub kind: FabricJobKind,
-}
-
-impl FabricJob {
-    /// Cycle deadline after which the transfer is considered stalled.
-    pub fn stall_deadline(&self) -> u64 {
-        self.started_at + 4 * pcap_transfer_cycles(self.bit_len as u64) + timing::PCAP_STALL_SLACK
-    }
-}
-
-/// Per-PRR scrub health, driving the reinstate/retire decision.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrrHealth {
-    /// Consecutive scrub passes.
-    pub passes: u8,
-    /// Consecutive scrub failures.
-    pub fails: u8,
-    /// Earliest cycle time of the next scrub attempt (`u64::MAX` marks a
-    /// region with no compatible registered task — unscrubbable).
-    pub next_scrub_at: u64,
-}
-
-/// Escalation-ladder state for one hung region.
-#[derive(Clone, Copy, Debug)]
-pub struct Ladder {
-    /// Current rung: 1 retry, 2 relocate (3 and 4 resolve immediately and
-    /// never persist here).
-    pub rung: u8,
-    /// Deadline after which the next rung is taken.
-    pub deadline: u64,
-    /// Interface register image captured at the first escalation (the
-    /// client's staged run, replayed on retry and relocation).
-    pub saved: [u32; REG_COUNT],
-}
-
 /// The DMA-staging registers replayed across retry/relocation/transplant
 /// (SRC_ADDR, SRC_LEN, DST_ADDR, DST_LEN, PARAM0).
 const STAGING_REGS: [usize; 5] = [
@@ -392,32 +322,40 @@ impl HwMgr {
         stats: &mut KernelStats,
         tracer: &Tracer,
     ) {
-        self.poll_fabric_job(m, pds, pt, stats, tracer);
-        if self.pcap_job.is_none() && self.fabric_job.is_none() {
-            self.launch_next_fabric_job(m, pds);
+        self.poll_kernel_job(m, pds, pt, stats, tracer);
+        if self.pcap_job.is_none() {
+            self.launch_next_kernel_job(m, pds);
         }
     }
 
     /// Abort the in-flight kernel transfer (a client reconfiguration needs
     /// the channel). Not counted as a scrub failure — the scrub is simply
     /// rescheduled.
-    pub(crate) fn cancel_fabric_job(&mut self, m: &mut Machine) {
-        let Some(job) = self.fabric_job.take() else {
+    pub(crate) fn cancel_kernel_job(&mut self, m: &mut Machine) {
+        let Some(job) = self.pcap_job.filter(|j| j.client().is_none()) else {
             return;
         };
+        self.pcap_job = None;
         let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-        let now = m.now().raw();
-        match job.kind {
-            FabricJobKind::Scrub | FabricJobKind::Repromote { .. } => {
-                self.health[job.prr as usize].next_scrub_at = now + self.scrub_interval;
-            }
-            // A cancelled relocation leaves the ladder in place; its
-            // deadline escalates the hung region to the software rung.
-            FabricJobKind::Relocate { .. } => {}
+        // A cancelled relocation leaves the ladder in place; its deadline
+        // escalates the hung region to the software rung.
+        if !matches!(job.kind, PcapJobKind::Relocate { .. }) {
+            self.delay_scrub(m, job.prr);
         }
     }
 
-    fn poll_fabric_job(
+    /// Move a quarantined region's next scrub one interval out (a region in
+    /// service has no scrub to move).
+    fn delay_scrub(&mut self, m: &Machine, prr: u8) {
+        let at = m.now().raw() + self.scrub_interval;
+        if let Some(h) = self.prrs.health_slot(prr) {
+            h.next_scrub_at = at;
+        }
+    }
+
+    /// Poll the in-flight kernel transfer and act on its outcome; one past
+    /// its stall deadline is aborted and handled as failed.
+    fn poll_kernel_job(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
@@ -425,63 +363,51 @@ impl HwMgr {
         stats: &mut KernelStats,
         tracer: &Tracer,
     ) {
-        let Some(job) = self.fabric_job else { return };
+        let Some(job) = self.pcap_job.filter(|j| j.client().is_none()) else {
+            return;
+        };
         let status = m
             .phys_read_u32(ctrl_reg(plregs::PCAP_STATUS))
             .unwrap_or(pcap_status::ERROR);
-        match status {
-            pcap_status::DONE => {
-                self.fabric_job = None;
-                match job.kind {
-                    FabricJobKind::Scrub => self.scrub_passed(m, pds, stats, tracer, job),
-                    FabricJobKind::Repromote { vm } => {
-                        // The region now holds the client's core; keep the
-                        // table honest even if the client vanished mid-load.
-                        self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                        if pds.contains_key(&vm) {
-                            self.repromote_prep(m, pds, job.prr, vm, job.task);
-                        }
-                    }
-                    FabricJobKind::Relocate { vm, from } => {
-                        self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                        self.finish_relocation(m, pds, pt, stats, tracer, job, vm, from);
-                    }
-                }
-            }
-            pcap_status::ERROR => {
-                self.fabric_job = None;
-                self.fabric_job_failed(m, pds, pt, stats, tracer, job);
-            }
+        let done = match status {
+            pcap_status::DONE => true,
+            pcap_status::ERROR => false,
             _ if m.now().raw() > job.stall_deadline() => {
                 let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                self.fabric_job = None;
-                self.fabric_job_failed(m, pds, pt, stats, tracer, job);
+                false
             }
-            _ => {}
-        }
-    }
-
-    fn fabric_job_failed(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
-        job: FabricJob,
-    ) {
-        match job.kind {
-            FabricJobKind::Scrub => self.scrub_failed(m, stats, tracer, job),
-            FabricJobKind::Repromote { .. } => {
-                // The target region stays healthy and free; the promotion
-                // scan will simply try again later.
-                self.health[job.prr as usize].next_scrub_at = m.now().raw() + self.scrub_interval;
+            _ => return,
+        };
+        self.pcap_job = None;
+        match (job.kind, done) {
+            (PcapJobKind::Scrub, pass) => self.scrub_done(m, pds, stats, tracer, job, pass),
+            (PcapJobKind::Repromote { vm }, true) => {
+                // The region now holds the client's core; keep the table
+                // honest even if the client vanished mid-load.
+                self.prrs.entry_mut(m, job.prr).task = Some(job.task);
+                if pds.contains_key(&vm) {
+                    self.repromote_prep(m, pds, job.prr, vm, job.task);
+                }
             }
-            FabricJobKind::Relocate { from, .. } => {
+            (PcapJobKind::Repromote { .. }, false) => {
+                // The target stays in service and free. The candidate scan
+                // reads no scrub timing, so its next pass retries the load
+                // at once; the delay only applies to a target quarantined
+                // while its load was in flight.
+                self.delay_scrub(m, job.prr);
+            }
+            (PcapJobKind::Relocate { vm, from }, true) => {
+                self.prrs.entry_mut(m, job.prr).task = Some(job.task);
+                self.finish_relocation(m, pds, pt, stats, tracer, job, vm, from);
+            }
+            (PcapJobKind::Relocate { from, .. }, false) => {
                 // Relocation load failed: fall straight through to the
                 // software rung for the hung region.
-                self.ladders.remove(&from);
+                self.prrs.take_ladder(from);
                 self.ladder_fallback(m, pds, pt, stats, tracer, from);
+            }
+            (PcapJobKind::Client { .. }, _) => {
+                unreachable!("client jobs are polled by their owner")
             }
         }
     }
@@ -489,7 +415,7 @@ impl HwMgr {
     /// Pick and launch the next kernel PCAP transfer: a due scrub of a
     /// quarantined region first, else a re-promotion load for a degraded
     /// client with a healthy compatible region free.
-    fn launch_next_fabric_job(&mut self, m: &mut Machine, pds: &BTreeMap<VmId, Pd>) {
+    fn launch_next_kernel_job(&mut self, m: &mut Machine, pds: &BTreeMap<VmId, Pd>) {
         let now = m.now().raw();
 
         // Scrubs. The scrub bitstream is chosen to be useful: prefer the
@@ -497,8 +423,11 @@ impl HwMgr {
         // reinstating pass leaves the right core resident and the
         // subsequent re-promotion needs no extra transfer.
         for prr in 0..self.prrs.len() as u8 {
-            let e = *self.prrs.entry(prr);
-            if !e.quarantined || e.retired || now < self.health[prr as usize].next_scrub_at {
+            let due = matches!(
+                self.prrs.entry(prr).service,
+                PrrService::Quarantined(h) if now >= h.next_scrub_at
+            );
+            if !due {
                 continue;
             }
             let preferred = self
@@ -517,10 +446,12 @@ impl HwMgr {
                 // No registered task fits this region: it cannot be
                 // scrubbed, so stop considering it (and exempt it from the
                 // "no quarantined-but-scrubbable regions" invariant).
-                self.health[prr as usize].next_scrub_at = u64::MAX;
+                if let Some(h) = self.prrs.health_slot(prr) {
+                    h.next_scrub_at = u64::MAX;
+                }
                 continue;
             };
-            self.launch_fabric_pcap(m, prr, task, FabricJobKind::Scrub);
+            self.launch_pcap(m, task, prr, PcapJobKind::Scrub);
             return;
         }
 
@@ -531,14 +462,7 @@ impl HwMgr {
             if s.promote_to.is_some() || !pds.contains_key(&s.vm) {
                 return None;
             }
-            let prr = (0..self.prrs.len() as u8).find(|&p| {
-                let e = self.prrs.entry(p);
-                !e.quarantined
-                    && !e.retired
-                    && e.client.is_none()
-                    && !self.ladders.contains_key(&p)
-                    && self.task_fits(s.task, p)
-            })?;
+            let prr = (0..self.prrs.len() as u8).find(|&p| self.free_target(s.task, p))?;
             Some((s.vm, s.task, prr))
         });
         if let Some((vm, task, prr)) = candidate {
@@ -548,72 +472,55 @@ impl HwMgr {
             if self.prrs.entry(prr).task == Some(task) {
                 self.repromote_prep(m, pds, prr, vm, task);
             } else {
-                self.launch_fabric_pcap(m, prr, task, FabricJobKind::Repromote { vm });
+                self.launch_pcap(m, task, prr, PcapJobKind::Repromote { vm });
             }
         }
     }
 
-    fn launch_fabric_pcap(
-        &mut self,
-        m: &mut Machine,
-        prr: u8,
-        task: HwTaskId,
-        kind: FabricJobKind,
-    ) {
-        let Some((bit_addr, bit_len)) = self.tasks.get(task).map(|e| (e.bit_addr, e.bit_len))
-        else {
-            return;
-        };
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_SRC), bit_addr.raw() as u32);
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_LEN), bit_len);
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_TARGET), prr as u32);
-        // Kernel transfers complete by poll, not IRQ — the PCAP_DONE line
-        // stays reserved for client reconfigurations.
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_IRQ_EN), 0);
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 1);
-        self.fabric_job = Some(FabricJob {
-            prr,
-            task,
-            bit_len,
-            started_at: m.now().raw(),
-            kind,
-        });
-    }
-
-    fn scrub_passed(
+    /// Record a scrub's outcome in the region's health and schedule the
+    /// next one: [`SCRUB_PASSES_TO_REINSTATE`] consecutive passes reinstate
+    /// the region, [`SCRUB_FAILS_TO_RETIRE`] consecutive failures retire it.
+    fn scrub_done(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         stats: &mut KernelStats,
         tracer: &Tracer,
-        job: FabricJob,
+        job: PcapJob,
+        pass: bool,
     ) {
-        let now = m.now().raw();
-        let h = &mut self.health[job.prr as usize];
-        h.passes += 1;
-        h.fails = 0;
-        h.next_scrub_at = now + self.scrub_interval;
-        let passes = h.passes;
-        let ev = TraceEvent::PrrScrub {
-            prr: job.prr,
-            pass: true,
-        };
+        let next = m.now().raw() + self.scrub_interval;
+        let streak = self.prrs.health_slot(job.prr).map_or(0, |h| {
+            h.next_scrub_at = next;
+            if pass {
+                h.passes += 1;
+                h.fails = 0;
+                h.passes
+            } else {
+                h.fails += 1;
+                h.passes = 0;
+                h.fails
+            }
+        });
+        let ev = TraceEvent::PrrScrub { prr: job.prr, pass };
         self.note(m.now(), tracer, stats, ev);
-        if passes < SCRUB_PASSES_TO_REINSTATE {
+        if !pass {
+            if streak >= SCRUB_FAILS_TO_RETIRE {
+                self.prrs.entry_mut(m, job.prr).retire();
+                let ev = TraceEvent::PrrRetire { prr: job.prr };
+                self.note(m.now(), tracer, stats, ev);
+            }
+            return;
+        }
+        if streak < SCRUB_PASSES_TO_REINSTATE {
             return;
         }
 
         // Reinstate: back into the first-fit pool, with the scrub task's
         // core resident.
-        self.health[job.prr as usize] = PrrHealth {
-            passes: 0,
-            fails: 0,
-            next_scrub_at: u64::MAX, // healthy regions are not scrubbed
-        };
-        self.busy_since[job.prr as usize] = None;
         {
             let e = self.prrs.entry_mut(m, job.prr);
-            e.quarantined = false;
+            e.reinstate();
             e.client = None;
             e.iface_va = None;
             e.task = Some(job.task);
@@ -631,32 +538,6 @@ impl HwMgr {
         if let Some(vm) = client {
             self.repromote_prep(m, pds, job.prr, vm, job.task);
         }
-    }
-
-    fn scrub_failed(
-        &mut self,
-        m: &mut Machine,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
-        job: FabricJob,
-    ) {
-        let now = m.now().raw();
-        let h = &mut self.health[job.prr as usize];
-        h.fails += 1;
-        h.passes = 0;
-        h.next_scrub_at = now + self.scrub_interval;
-        let fails = h.fails;
-        let ev = TraceEvent::PrrScrub {
-            prr: job.prr,
-            pass: false,
-        };
-        self.note(m.now(), tracer, stats, ev);
-        if fails < SCRUB_FAILS_TO_RETIRE {
-            return;
-        }
-        self.prrs.entry_mut(m, job.prr).retired = true;
-        let ev = TraceEvent::PrrRetire { prr: job.prr };
-        self.note(m.now(), tracer, stats, ev);
     }
 
     /// Prepare a shadow client's return to hardware: reserve the region,
@@ -730,29 +611,7 @@ impl HwMgr {
             let v = m.phys_read_u32(s.page + 4 * idx as u64).unwrap_or(0);
             let _ = m.phys_write_u32(dev + 4 * idx as u64, v);
         }
-        if !self.native {
-            if let Some(pd) = pds.get_mut(&s.vm) {
-                if let Some(&(va, _)) = pd.iface_maps.get(&s.task) {
-                    let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
-                    let _ = pagetable::map_page(
-                        m,
-                        pd.l1,
-                        va,
-                        dev,
-                        Domain::DEVICE,
-                        Ap::Full,
-                        true,
-                        false,
-                        pt,
-                    );
-                }
-            }
-        }
-        if let Some(pd) = pds.get_mut(&s.vm) {
-            if let Some(entry) = pd.iface_maps.get_mut(&s.task) {
-                entry.1 = prr;
-            }
-        }
+        self.move_iface(m, pds, pt, s.vm, s.task, prr);
         self.prrs.entry_mut(m, prr).dispatches += 1;
         // The shadow's open causal request follows the client back onto
         // fabric: the completion vIRQ from the new region closes it.
@@ -769,6 +628,31 @@ impl HwMgr {
         // write goes through the PL fault site like any guest start — a
         // re-hang lands back in the watchdog/ladder path.
         let _ = m.phys_write_u32(dev + 4 * prr_regs::CTRL as u64, ctrl);
+    }
+
+    /// Swing `vm`'s interface mapping for `task` over to `prr`'s register
+    /// page and record the new region in its interface map.
+    fn move_iface(
+        &self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        pt: &mut PtAlloc,
+        vm: VmId,
+        task: HwTaskId,
+        prr: u8,
+    ) {
+        let Some(pd) = pds.get_mut(&vm) else { return };
+        let Some(entry) = pd.iface_maps.get_mut(&task) else {
+            return;
+        };
+        entry.1 = prr;
+        let va = entry.0;
+        if !self.native {
+            let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
+            let dev = Pl::prr_page(prr);
+            let _ =
+                pagetable::map_page(m, pd.l1, va, dev, Domain::DEVICE, Ap::Full, true, false, pt);
+        }
     }
 
     /// Escalation-ladder entry: a region exceeded the hang watchdog with a
@@ -795,15 +679,14 @@ impl HwMgr {
             dev + 4 * prr_regs::CTRL as u64,
             (saved[prr_regs::CTRL] & prr_ctrl::IRQ_EN) | prr_ctrl::START,
         );
-        self.busy_since[prr as usize] = Some(now);
-        self.ladders.insert(
-            prr,
-            Ladder {
+        if let Some((busy_since, ladder)) = self.prrs.watch_slot(prr) {
+            *busy_since = Some(now);
+            *ladder = Some(Ladder {
                 rung: 1,
-                deadline: now + self.ladder_retry_timeout,
+                deadline: now + timing::LADDER_RETRY_TIMEOUT,
                 saved,
-            },
-        );
+            });
+        }
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 1 };
         self.note(m.now(), tracer, stats, ev);
         let req = self.prrs.entry(prr).req;
@@ -822,7 +705,7 @@ impl HwMgr {
         prr: u8,
         now: u64,
     ) {
-        let Some(ladder) = self.ladders.get(&prr).copied() else {
+        let Some(ladder) = self.prrs.entry(prr).ladder().copied() else {
             return;
         };
         if ladder.rung == 1 {
@@ -836,32 +719,16 @@ impl HwMgr {
                 let hops = self.relocations.get(&(vm, task)).copied().unwrap_or(0);
                 let target = (hops < MAX_RELOCATION_HOPS)
                     .then(|| {
-                        (0..self.prrs.len() as u8).find(|&p| {
-                            p != prr && {
-                                let e = self.prrs.entry(p);
-                                !e.quarantined
-                                    && !e.retired
-                                    && e.client.is_none()
-                                    && !self.ladders.contains_key(&p)
-                                    && self.task_fits(task, p)
-                            }
-                        })
+                        (0..self.prrs.len() as u8).find(|&p| p != prr && self.free_target(task, p))
                     })
                     .flatten();
                 if let Some(target) = target {
-                    if self.pcap_job.is_none()
-                        && self.fabric_job.is_none()
-                        && self.prr_status(m, target) != prr_status::BUSY
-                    {
-                        self.launch_fabric_pcap(
-                            m,
-                            target,
-                            task,
-                            FabricJobKind::Relocate { vm, from: prr },
-                        );
-                        if let Some(l) = self.ladders.get_mut(&prr) {
+                    if self.pcap_job.is_none() && self.prr_status(m, target) != prr_status::BUSY {
+                        let kind = PcapJobKind::Relocate { vm, from: prr };
+                        self.launch_pcap(m, task, target, kind);
+                        if let Some((_, Some(l))) = self.prrs.watch_slot(prr) {
                             l.rung = 2;
-                            l.deadline = now + self.ladder_relocate_timeout;
+                            l.deadline = now + timing::LADDER_RELOCATE_TIMEOUT;
                         }
                         let ev = TraceEvent::HwTaskEscalate { prr, rung: 2 };
                         self.note(m.now(), tracer, stats, ev);
@@ -873,12 +740,13 @@ impl HwMgr {
             }
         }
         // Rung 3 (and 4 inside): no relocation possible, or it timed out.
-        if let Some(job) = self.fabric_job {
-            if matches!(job.kind, FabricJobKind::Relocate { from, .. } if from == prr) {
-                self.cancel_fabric_job(m);
-            }
+        if matches!(
+            self.pcap_job,
+            Some(PcapJob { kind: PcapJobKind::Relocate { from, .. }, .. }) if from == prr
+        ) {
+            self.cancel_kernel_job(m);
         }
-        self.ladders.remove(&prr);
+        self.prrs.take_ladder(prr);
         self.ladder_fallback(m, pds, pt, stats, tracer, prr);
     }
 
@@ -935,11 +803,11 @@ impl HwMgr {
         pt: &mut PtAlloc,
         stats: &mut KernelStats,
         tracer: &Tracer,
-        job: FabricJob,
+        job: PcapJob,
         vm: VmId,
         from: u8,
     ) {
-        let Some(ladder) = self.ladders.remove(&from) else {
+        let Some(ladder) = self.prrs.take_ladder(from) else {
             // The ladder already resolved another way (e.g. the run
             // completed right before the load finished); the load just
             // leaves a healthy free region with the task resident.
@@ -978,27 +846,7 @@ impl HwMgr {
             e.dispatches += 1;
         }
         *self.prrs.req_slot(target) = moved;
-        if !self.native {
-            if let Some(pd) = pds.get_mut(&vm) {
-                let _ = pagetable::unmap_page(m, pd.l1, iface_va, pd.asid);
-                let _ = pagetable::map_page(
-                    m,
-                    pd.l1,
-                    iface_va,
-                    Pl::prr_page(target),
-                    Domain::DEVICE,
-                    Ap::Full,
-                    true,
-                    false,
-                    pt,
-                );
-            }
-        }
-        if let Some(pd) = pds.get_mut(&vm) {
-            if let Some(entry) = pd.iface_maps.get_mut(&job.task) {
-                entry.1 = target;
-            }
-        }
+        self.move_iface(m, pds, pt, vm, job.task, target);
         self.program_hwmmu(m, target, ds);
         if let Some(line) = self.irqs.retarget_prr(from, target) {
             let _ = m.phys_write_u32(ctrl_reg(plregs::IRQ_ROUTE), ((from as u32) << 8) | 0xFF);
@@ -1025,6 +873,13 @@ impl HwMgr {
     fn task_fits(&self, task: HwTaskId, prr: u8) -> bool {
         self.tasks.get(task).is_some_and(|e| e.prrs.contains(&prr))
     }
+
+    /// Can a re-promotion or relocation load target `prr` for `task`? The
+    /// region must be in service with no client and no open ladder.
+    fn free_target(&self, task: HwTaskId, prr: u8) -> bool {
+        let e = self.prrs.entry(prr);
+        e.in_service() && e.client.is_none() && e.ladder().is_none() && self.task_fits(task, prr)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1033,8 +888,9 @@ impl HwMgr {
 
 impl HwMgr {
     /// Structural invariants that must hold at any quiescent point (no VM
-    /// mid-hypercall): no fabric resource may reference a missing VM, and
-    /// shadow-pool accounting must balance.
+    /// mid-hypercall): no fabric resource may reference a missing VM, a
+    /// PCAP owner's client job must be in the channel, and shadow-pool
+    /// accounting must balance.
     pub fn check_invariants(&self, pds: &BTreeMap<VmId, Pd>) -> Result<(), String> {
         for (i, s) in self.shadows.iter().enumerate() {
             if !pds.contains_key(&s.vm) {
@@ -1058,19 +914,18 @@ impl HwMgr {
             }
         }
         for prr in 0..self.prrs.len() as u8 {
-            let e = self.prrs.entry(prr);
-            if let Some(vm) = e.client {
+            if let Some(vm) = self.prrs.entry(prr).client {
                 if !pds.contains_key(&vm) {
                     return Err(format!("prr{prr} client is dead vm{}", vm.0));
                 }
-            }
-            if e.retired && !e.quarantined {
-                return Err(format!("prr{prr} retired but not quarantined"));
             }
         }
         if let Some(vm) = self.pcap_owner {
             if !pds.contains_key(&vm) {
                 return Err(format!("pcap owner is dead vm{}", vm.0));
+            }
+            if self.pcap_job.and_then(|j| j.client()) != Some(vm) {
+                return Err(format!("pcap owner vm{} has no client job", vm.0));
             }
         }
         let live = self.shadow_pages_live();
@@ -1100,7 +955,7 @@ impl HwMgr {
             let repromotable = self
                 .tasks
                 .get(s.task)
-                .is_some_and(|e| e.prrs.iter().any(|&p| !self.prrs.entry(p).retired));
+                .is_some_and(|e| e.prrs.iter().any(|&p| !self.prrs.entry(p).is_retired()));
             if repromotable {
                 return Err(format!(
                     "vm{} task{} still degraded with un-retired compatible regions",
@@ -1108,16 +963,16 @@ impl HwMgr {
                 ));
             }
         }
-        if !self.ladders.is_empty() {
-            return Err(format!(
-                "{} escalation ladder(s) still open",
-                self.ladders.len()
-            ));
+        let open = (0..self.prrs.len() as u8)
+            .filter(|&p| self.prrs.entry(p).ladder().is_some())
+            .count();
+        if open > 0 {
+            return Err(format!("{open} escalation ladder(s) still open"));
         }
         for prr in 0..self.prrs.len() as u8 {
-            let e = self.prrs.entry(prr);
+            let quarantined = matches!(self.prrs.entry(prr).service, PrrService::Quarantined(_));
             let scrubbable = self.tasks.ids().iter().any(|&t| self.task_fits(t, prr));
-            if e.quarantined && !e.retired && scrubbable {
+            if quarantined && scrubbable {
                 return Err(format!("prr{prr} is quarantined but scrubbable"));
             }
         }

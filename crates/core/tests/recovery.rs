@@ -8,18 +8,22 @@
 mod common;
 
 use common::{healthy_guest, kernel, spinner_guest};
-use mini_nova::supervisor::CRASH_BUDGET;
-use mini_nova::{GuestKind, VmSpec};
+use mini_nova::hwmgr::service::PcapJobKind;
+use mini_nova::hwmgr::tables::PrrService;
+use mini_nova::kernel::KernelState;
+use mini_nova::supervisor::{CRASH_BUDGET, SCRUB_FAILS_TO_RETIRE};
+use mini_nova::{GuestKind, Kernel, VmSpec};
 use mnv_fault::{FaultPlan, SiteCfg};
 use mnv_fpga::cores::make_core;
-use mnv_hal::{Cycles, Priority};
+use mnv_hal::{Cycles, HwTaskId, Priority};
+use mnv_trace::TraceEvent;
 use mnv_ucos::kernel::{Ucos, UcosConfig};
 use mnv_ucos::tasks::{THwTask, THW_DST_OFF, THW_SRC_OFF};
 
-/// One single-VM hardware-task run; `wedges` > 0 arms a bounded hang storm
-/// (every start wedges until the budget is spent, then the fabric is
-/// clean). Returns the kernel after `ms` simulated milliseconds.
-fn thw_run(seed: u64, wedges: u32, ms: f64) -> (mini_nova::Kernel, mnv_hal::HwTaskId) {
+/// A single-VM hardware-task kernel: a T_hw client driving QAM-4, with
+/// supervision timers compressed so degradation *and* recovery both fit a
+/// short run (the ratios between them match the defaults).
+fn thw_kernel(seed: u64) -> (Kernel, HwTaskId) {
     let (mut k, ids) = kernel();
     let task = ids[6]; // QAM-4: fits all four regions
     let mut os = Ucos::new(UcosConfig::default());
@@ -29,15 +33,21 @@ fn thw_run(seed: u64, wedges: u32, ms: f64) -> (mini_nova::Kernel, mnv_hal::HwTa
         priority: Priority::GUEST,
         guest: GuestKind::Ucos(Box::new(os)),
     });
+    k.state.hwmgr.watchdog_timeout = 1_000_000;
+    k.state.hwmgr.scrub_interval = 1_000_000;
+    (k, task)
+}
+
+/// [`thw_kernel`] run for `ms` simulated milliseconds; `wedges` > 0 arms a
+/// bounded hang storm (every start wedges until the budget is spent, then
+/// the fabric is clean).
+fn thw_run(seed: u64, wedges: u32, ms: f64) -> (Kernel, HwTaskId) {
+    let (mut k, task) = thw_kernel(seed);
     if wedges > 0 {
         let mut plan = FaultPlan::none(seed);
         plan.prr_hang = SiteCfg::new(1_000_000, wedges);
         k.enable_faults(plan);
     }
-    // Compressed supervision timers so degradation *and* recovery both
-    // fit the run; the ratios between them match the defaults.
-    k.state.hwmgr.watchdog_timeout = 1_000_000;
-    k.state.hwmgr.scrub_interval = 1_000_000;
     k.run(Cycles::from_millis(ms));
     (k, task)
 }
@@ -179,4 +189,145 @@ fn crash_looping_guest_is_permanently_killed_after_the_budget() {
         "the image must be dropped after budget exhaustion"
     );
     k.check_recovery_invariants().expect("recovery invariants");
+}
+
+#[test]
+fn persistent_pcap_corruption_retires_the_region_and_the_shadow_stays_exact() {
+    // Every PCAP transfer is corrupted, for ever: the client's
+    // reconfiguration exhausts its retries and quarantines its region, and
+    // no scrub can pass. The task is confined to region 0, so retiring it
+    // leaves the shadow as the best reachable service (with spare
+    // compatible regions the scrubber keeps retrying re-promotion loads
+    // onto them and the fabric cannot converge).
+    let (mut k, task) = thw_kernel(42);
+    let e = k
+        .state
+        .hwmgr
+        .tasks
+        .get(task)
+        .cloned()
+        .expect("task registered");
+    k.state
+        .hwmgr
+        .tasks
+        .register(task, e.core, e.bit_addr, e.bit_len, vec![0]);
+    let mut plan = FaultPlan::none(42);
+    plan.pcap_corrupt = SiteCfg::new(1_000_000, u32::MAX);
+    k.enable_faults(plan);
+    let tracer = k.enable_tracing(1 << 18);
+    k.run(Cycles::from_millis(20.0));
+
+    let h = k.state.stats.hwmgr;
+    assert!(
+        k.state.hwmgr.prrs.entry(0).is_retired(),
+        "region 0 must retire: {h:?}"
+    );
+    assert_eq!(h.prrs_retired, 1, "{h:?}");
+    assert!(h.sw_fallbacks >= 1, "the shadow must serve: {h:?}");
+    // Each retired region saw exactly the failure budget of scrubs, then
+    // none: the scrubber never touches a retired region again.
+    assert_eq!(tracer.dropped(), 0, "the scrub history must be complete");
+    let events = tracer.snapshot();
+    for p in 0..k.state.hwmgr.prrs.len() as u8 {
+        if !k.state.hwmgr.prrs.entry(p).is_retired() {
+            continue;
+        }
+        let history: Vec<&str> = events
+            .iter()
+            .filter_map(|(_, ev)| match *ev {
+                TraceEvent::PrrScrub { prr, pass } if prr == p => {
+                    Some(if pass { "pass" } else { "fail" })
+                }
+                TraceEvent::PrrRetire { prr } if prr == p => Some("retire"),
+                _ => None,
+            })
+            .collect();
+        let mut expect = vec!["fail"; SCRUB_FAILS_TO_RETIRE as usize];
+        expect.push("retire");
+        assert_eq!(history, expect, "prr{p} scrub history");
+    }
+    k.state
+        .hwmgr
+        .check_converged()
+        .expect("a retired fabric is the best reachable state");
+    k.check_recovery_invariants().expect("recovery invariants");
+
+    // The shadow-served output is still the IP core's.
+    let (input, _) = thw_io(&mut k, 1);
+    let expected = make_core(e.core).process(&input);
+    let (_, out) = thw_io(&mut k, expected.len());
+    assert_eq!(out, expected, "shadow output must match the IP core");
+}
+
+/// Run `k` in 1000-cycle steps until `done` holds; returns the clock at the
+/// start of the last step. Bounded: panics after 200 M cycles.
+fn run_until(k: &mut Kernel, done: impl Fn(&Kernel) -> bool) -> u64 {
+    let mut before = k.machine.now().raw();
+    for _ in 0..200_000 {
+        if done(k) {
+            return before;
+        }
+        before = k.machine.now().raw();
+        k.run(Cycles::new(1_000));
+    }
+    panic!("condition not reached");
+}
+
+#[test]
+fn client_reconfiguration_preempts_an_inflight_scrub() {
+    // One PCAP channel: a client reconfiguration aborts the scrub in flight
+    // (not a scrub failure), the quarantined region's next scrub moves one
+    // interval out, and the scrub relaunches only after the client's
+    // transfer has completed.
+    let (mut k, _) = thw_kernel(7);
+    k.state.hwmgr.prrs.entry_mut(&mut k.machine, 1).quarantine();
+    {
+        let KernelState {
+            hwmgr,
+            pds,
+            pt,
+            stats,
+            tracer,
+            ..
+        } = &mut k.state;
+        hwmgr.fabric_tick(&mut k.machine, pds, pt, stats, tracer);
+    }
+    let kind = |k: &Kernel| k.state.hwmgr.pcap_job.map(|j| j.kind);
+    assert_eq!(
+        kind(&k),
+        Some(PcapJobKind::Scrub),
+        "the scrub takes the idle channel"
+    );
+
+    let before = run_until(&mut k, |k| kind(k) != Some(PcapJobKind::Scrub));
+    let after = k.machine.now().raw();
+    assert!(
+        matches!(kind(&k), Some(PcapJobKind::Client { .. })),
+        "a client reconfiguration must take the channel, got {:?}",
+        kind(&k)
+    );
+    let interval = k.state.hwmgr.scrub_interval;
+    let PrrService::Quarantined(h) = k.state.hwmgr.prrs.entry(1).service else {
+        panic!("region 1 must stay quarantined");
+    };
+    assert!(
+        before + interval <= h.next_scrub_at && h.next_scrub_at <= after + interval,
+        "the next scrub moves one interval past the abort: {h:?}"
+    );
+    assert_eq!(
+        k.state.stats.hwmgr.scrub_fails, 0,
+        "an abort is not a failure"
+    );
+
+    run_until(&mut k, |k| kind(k) == Some(PcapJobKind::Scrub));
+    let job = k.state.hwmgr.pcap_job.expect("scrub in flight");
+    assert_eq!(job.prr, 1);
+    assert!(
+        job.started_at >= h.next_scrub_at,
+        "the scrub waits for its slot"
+    );
+    assert!(
+        k.state.hwmgr.pcap_owner.is_none(),
+        "the client's transfer completed first"
+    );
 }
