@@ -49,10 +49,13 @@
 //!   affected (ASID, VA) blocks.
 //! * **Cache maintenance** — a full clean+invalidate drops everything.
 //!
-//! On capacity overflow the cache no longer drops everything: a
-//! generation-stamped second-chance sweep evicts only blocks not touched
-//! since the previous sweep, so a hot working set at capacity keeps its
-//! translations (and its chains) instead of rebuilding from scratch.
+//! **Capacity.** At [`MAX_BLOCKS`] resident blocks every insert evicts
+//! exactly one victim, chosen by a CLOCK (second-chance) hand over a ring
+//! with one slot per resident block: a lookup or chain follow sets the
+//! block's referenced bit, the hand clears set bits as it passes and takes
+//! the first block whose bit is already clear. A hot working set at
+//! capacity keeps its translations and chains, and code larger than the
+//! cache costs one eviction per miss instead of periodic whole-map sweeps.
 //!
 //! [`PhysMemory`]: crate::memory::PhysMemory
 //! [`FastClass::Exit`]: crate::mir::FastClass::Exit
@@ -77,8 +80,8 @@ pub const MAX_SEGS: usize = 4;
 /// than the run's verification overhead).
 pub const MIN_RUN_LEN: usize = 2;
 
-/// Maximum resident blocks; on overflow a second-chance sweep evicts the
-/// blocks not used since the previous sweep.
+/// Maximum resident blocks; an insert at capacity first evicts one block
+/// chosen by the CLOCK hand (see [`BlockCache::insert`]).
 pub const MAX_BLOCKS: usize = 8192;
 
 /// Counters for the block cache (host-side observability only — none of
@@ -105,7 +108,8 @@ pub struct BlockCacheStats {
     /// Replays aborted because a live translation disagreed with the
     /// recorded physical address (remap/MMU-state change).
     pub replay_aborts: u64,
-    /// Blocks dropped by the second-chance capacity sweep.
+    /// Blocks evicted by the CLOCK hand to make room at capacity (one per
+    /// insert of a new key into a full cache).
     pub evictions: u64,
     /// Committed blocks that fused more than one segment.
     pub superblocks: u64,
@@ -253,15 +257,17 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
     let fetch = timing::L1_HIT + timing::INSTR_BASE;
 
     // Reconstruct per-instruction VAs from the segment map.
-    let mut vas: Vec<u32> = Vec::with_capacity(instrs.len());
+    let n = instrs.len();
+    let mut vas = [0u32; MAX_BLOCK_LEN];
+    let mut k = 0;
     for s in segs {
-        for k in 0..s.len {
-            vas.push(s.va.wrapping_add(k * INSTR_SIZE as u32));
+        for j in 0..s.len {
+            vas[k] = s.va.wrapping_add(j * INSTR_SIZE as u32);
+            k += 1;
         }
     }
-    debug_assert_eq!(vas.len(), instrs.len(), "segment map covers the block");
+    debug_assert_eq!(k, n, "segment map covers the block");
 
-    let n = instrs.len();
     let pure = |k: usize| instrs[k].1.fast_class() == FastClass::Pure;
     // Whether control and fetch contiguity flow from instruction k to k+1
     // inside one run: plain fallthrough (VA and PA both advance by one
@@ -294,11 +300,7 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
         // dynamic transfer (conditional B, Ret) may be included as the
         // run's final instruction when nothing follows it in the block.
         let mut j = i + 1;
-        while j < n && pure(j) {
-            let prev_continues = continues(j - 1);
-            if !prev_continues {
-                break;
-            }
+        while j < n && pure(j) && continues(j - 1) {
             if instrs[j].1.is_control_transfer() && instrs[j].1.static_target().is_none() {
                 // Trailing dynamic transfer: include it only as the block's
                 // last instruction (recording rules guarantee that anyway).
@@ -310,14 +312,9 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
             j += 1;
         }
         if j - i >= MIN_RUN_LEN {
-            let cost_before_last: u64 = instrs[i..j - 1]
-                .iter()
-                .map(|&(_, ins)| fetch + static_execute_cycles(ins))
-                .sum();
-            let static_cost: u64 = instrs[i..j]
-                .iter()
-                .map(|&(_, ins)| fetch + static_execute_cycles(ins))
-                .sum();
+            let cost = |k: usize| fetch + static_execute_cycles(instrs[k].1);
+            let cost_before_last: u64 = (i..j - 1).map(cost).sum();
+            let static_cost = cost_before_last + cost(j - 1);
 
             // Flag liveness, backward within the run. At the run's end the
             // flags are conservatively live (an IRQ, a later block or a
@@ -433,17 +430,13 @@ pub struct RunVerify {
 /// One decoded (super)block.
 #[derive(Debug)]
 pub struct CachedBlock {
-    /// Decoded run: (physical fetch address, instruction) per slot. Behind
-    /// an `Rc` so the executor can hold the run it is replaying without
-    /// cloning it and without borrowing the cache (which invalidation
-    /// mutates mid-replay).
-    pub instrs: Rc<Vec<(u64, Instr)>>,
-    /// Pure runs planned at commit time (see [`PureRun`]), shared with the
-    /// executor the same way `instrs` is.
-    pub runs: Rc<Vec<PureRun>>,
+    /// Decoded run: (physical fetch address, instruction) per slot.
+    pub instrs: Box<[(u64, Instr)]>,
+    /// Pure runs planned at commit time (see [`PureRun`]).
+    pub runs: Vec<PureRun>,
     /// Straight-line segments (see [`BlockSeg`]); one for a plain basic
     /// block, one extra per fused unconditional-branch seam.
-    pub segs: Vec<BlockSeg>,
+    pub segs: Box<[BlockSeg]>,
     /// ASID the block was recorded under (also part of the key).
     pub asid: u8,
     /// Starting virtual PC (also part of the key; kept for VA-targeted
@@ -458,14 +451,18 @@ pub struct CachedBlock {
     /// links be torn down lazily (including "replay abort de-chains its
     /// predecessors") without back-pointers.
     valid: Cell<bool>,
-    /// Generation stamp for the second-chance capacity sweep: the sweep
-    /// evicts blocks whose stamp predates the current generation.
-    last_use: Cell<u64>,
+    /// CLOCK referenced bit: set by every lookup and chain follow, cleared
+    /// by the capacity hand as it passes. The hand evicts the first block
+    /// it finds with the bit already clear.
+    referenced: Cell<bool>,
+    /// The block's slot in the cache's CLOCK ring (assigned on insert).
+    slot: u32,
     /// Successor links: slot 0 = taken/other target, slot 1 = fallthrough
     /// (`fall_va`). `Weak` so chains (including self-loops) never leak;
     /// validity is re-checked at follow time anyway.
     succ: [RefCell<Option<Weak<CachedBlock>>>; 2],
-    /// Memoized verification per pure run (parallel to `runs`): the slots a
+    /// Memoized verification per pure run (parallel to `runs` once one of
+    /// them first verifies; empty until then): the slots a
     /// successful verification resolved plus the [`VerifyStamp`] it is
     /// conditioned on. A stamp match proves the probes would resolve
     /// identically, so the executor skips them and goes straight to the
@@ -474,17 +471,18 @@ pub struct CachedBlock {
 }
 
 impl CachedBlock {
-    /// Build a block from a non-empty recording and its segment map, then
-    /// plan the pure runs. `line_shift` is log2 of the I-cache line size
-    /// (the run plans carry per-line LRU ordinals).
+    /// Build a block from a non-empty recording of at most
+    /// [`MAX_BLOCK_LEN`] instructions and its segment map, then plan the
+    /// pure runs. `line_shift` is log2 of the I-cache line size (the run
+    /// plans carry per-line LRU ordinals).
     pub fn new(
-        instrs: Vec<(u64, Instr)>,
-        segs: Vec<BlockSeg>,
+        instrs: &[(u64, Instr)],
+        segs: &[BlockSeg],
         asid: u8,
         va: u32,
         line_shift: u32,
     ) -> CachedBlock {
-        assert!(!instrs.is_empty());
+        assert!(!instrs.is_empty() && instrs.len() <= MAX_BLOCK_LEN);
         debug_assert_eq!(
             segs.iter().map(|s| s.len as usize).sum::<usize>(),
             instrs.len(),
@@ -494,18 +492,17 @@ impl CachedBlock {
             .last()
             .map(|s| s.va.wrapping_add(s.len * INSTR_SIZE as u32))
             .unwrap_or(va);
-        let runs = plan_runs(&instrs, &segs, line_shift);
-        let verify = RefCell::new(vec![None; runs.len()]);
         CachedBlock {
-            instrs: Rc::new(instrs),
-            runs: Rc::new(runs),
-            verify,
-            segs,
+            runs: plan_runs(instrs, segs, line_shift),
+            instrs: instrs.into(),
+            verify: RefCell::new(Vec::new()),
+            segs: segs.into(),
             asid,
             va,
             fall_va,
             valid: Cell::new(true),
-            last_use: Cell::new(0),
+            referenced: Cell::new(false),
+            slot: 0,
             succ: [RefCell::new(None), RefCell::new(None)],
         }
     }
@@ -513,18 +510,18 @@ impl CachedBlock {
     /// Convenience for a single-segment block whose VAs mirror its PAs'
     /// layout starting at `va` (tests and simple callers).
     pub fn from_contiguous(
-        instrs: Vec<(u64, Instr)>,
+        instrs: &[(u64, Instr)],
         asid: u8,
         va: u32,
         line_shift: u32,
     ) -> CachedBlock {
         let pa = instrs.first().map(|&(pa, _)| pa).unwrap_or(0);
-        let segs = vec![BlockSeg {
+        let seg = BlockSeg {
             va,
             pa,
             len: instrs.len() as u32,
-        }];
-        CachedBlock::new(instrs, segs, asid, va, line_shift)
+        };
+        CachedBlock::new(instrs, &[seg], asid, va, line_shift)
     }
 
     /// Still safe to enter through a successor link.
@@ -575,11 +572,17 @@ pub struct BlockCache {
     /// Counters.
     pub stats: BlockCacheStats,
     blocks: HashMap<(u8, u32), Rc<CachedBlock>>,
+    /// CLOCK ring: slot `i` holds the resident block whose `slot` is `i`.
+    /// Slots vacated by invalidation go on `free` and are refilled before
+    /// the ring grows, so the ring never exceeds [`MAX_BLOCKS`] slots and
+    /// every slot is resident whenever the cache is full.
+    ring: Vec<Weak<CachedBlock>>,
+    /// Vacated ring slots.
+    free: Vec<u32>,
+    /// Next ring slot the CLOCK hand examines.
+    hand: usize,
     /// High-water mark of `PhysMemory::code_gen` already drained.
     seen_gen: u64,
-    /// Current second-chance generation; bumped by every capacity sweep.
-    /// Blocks are stamped with it on insert, lookup and chain follow.
-    use_gen: u64,
 }
 
 impl Default for BlockCache {
@@ -588,8 +591,10 @@ impl Default for BlockCache {
             enabled: true,
             stats: BlockCacheStats::default(),
             blocks: HashMap::new(),
+            ring: Vec::new(),
+            free: Vec::new(),
+            hand: 0,
             seen_gen: 0,
-            use_gen: 0,
         }
     }
 }
@@ -610,7 +615,7 @@ impl BlockCache {
         match self.blocks.get(&(asid, va)) {
             Some(b) => {
                 self.stats.hits += 1;
-                b.last_use.set(self.use_gen);
+                b.referenced.set(true);
                 Some(Rc::clone(b))
             }
             None => {
@@ -630,7 +635,7 @@ impl BlockCache {
         let cand = prev.succ[prev.slot_for(pc)].borrow().as_ref()?.upgrade()?;
         if cand.is_valid() && cand.asid == asid && cand.va == pc {
             self.stats.chain_follows += 1;
-            cand.last_use.set(self.use_gen);
+            cand.referenced.set(true);
             Some(cand)
         } else {
             None
@@ -642,11 +647,11 @@ impl BlockCache {
     /// start), the executor re-enters its replay cursor in place instead of
     /// tearing it down and chasing the `Weak` self-link. This performs the
     /// exact bookkeeping [`BlockCache::follow`] would (a chain-follow count
-    /// and a recency stamp) and the same guards (validity, ASID, PC).
+    /// and the referenced bit) and the same guards (validity, ASID, PC).
     pub fn follow_self(&mut self, b: &CachedBlock, asid: u8, pc: u32) -> bool {
         if b.is_valid() && b.asid == asid && b.va == pc {
             self.stats.chain_follows += 1;
-            b.last_use.set(self.use_gen);
+            b.referenced.set(true);
             true
         } else {
             false
@@ -666,51 +671,73 @@ impl BlockCache {
     }
 
     /// Insert a finished block, returning the shared handle (so the caller
-    /// can immediately chain its recorded predecessor to it). On capacity
-    /// overflow a second-chance sweep runs first.
-    pub fn insert(&mut self, block: CachedBlock) -> Rc<CachedBlock> {
-        if self.blocks.len() >= MAX_BLOCKS {
-            self.evict_cold();
-        }
+    /// can immediately chain its recorded predecessor to it). A block
+    /// re-recorded over a resident key takes over the displaced block's
+    /// ring slot; a new key takes a vacated slot or a new one, or — at
+    /// capacity — the slot of the one block the CLOCK hand evicts.
+    pub fn insert(&mut self, mut block: CachedBlock) -> Rc<CachedBlock> {
+        debug_assert_eq!(self.ring.len() - self.free.len(), self.blocks.len());
         if block.segs.len() > 1 {
             self.stats.superblocks += 1;
             self.stats.fused_segs += block.segs.len() as u64 - 1;
         }
-        block.last_use.set(self.use_gen);
-        let rc = Rc::new(block);
-        if let Some(old) = self.blocks.insert((rc.asid, rc.va), Rc::clone(&rc)) {
+        let key = (block.asid, block.va);
+        block.slot = match self.blocks.get(&key) {
             // Re-recording over an existing key (e.g. after an SMC rewrite
             // within the same chunk generation): the displaced block must
             // not stay reachable through chains.
-            old.invalidate();
-        }
+            Some(old) => {
+                old.invalidate();
+                old.slot
+            }
+            None if self.blocks.len() >= MAX_BLOCKS => self.evict_one(),
+            None => self.free.pop().unwrap_or_else(|| {
+                self.ring.push(Weak::new());
+                self.ring.len() as u32 - 1
+            }),
+        };
+        let rc = Rc::new(block);
+        self.ring[rc.slot as usize] = Rc::downgrade(&rc);
+        self.blocks.insert(key, Rc::clone(&rc));
         rc
     }
 
-    /// Second-chance capacity sweep: evict every block not stamped in the
-    /// current use generation, then open a new generation so the survivors
-    /// must prove themselves again before the next sweep. If everything
-    /// was recently used the whole cache is dropped (the old overflow
-    /// behaviour) — nothing colder to choose from.
-    fn evict_cold(&mut self) {
-        let gen = self.use_gen;
-        let before = self.blocks.len();
-        self.blocks.retain(|_, b| {
-            if b.last_use.get() == gen {
-                true
-            } else {
+    /// Advance the CLOCK hand to the first block whose referenced bit is
+    /// clear, clearing set bits on the way (so it stops within one
+    /// revolution), evict that block exactly as an invalidation would, and
+    /// return its slot. Only called at capacity, when every ring slot holds
+    /// a resident block.
+    fn evict_one(&mut self) -> u32 {
+        loop {
+            let slot = self.hand;
+            self.hand = (slot + 1) % self.ring.len();
+            let b = self.ring[slot]
+                .upgrade()
+                .expect("a full ring holds only resident blocks");
+            if !b.referenced.replace(false) {
+                self.blocks.remove(&(b.asid, b.va));
                 b.invalidate();
-                false
+                self.stats.evictions += 1;
+                return slot as u32;
             }
-        });
-        if self.blocks.len() == before {
-            for b in self.blocks.values() {
-                b.invalidate();
-            }
-            self.blocks.clear();
         }
-        self.stats.evictions += (before - self.blocks.len()) as u64;
-        self.use_gen += 1;
+    }
+
+    /// Drop every resident block `doomed` selects: invalidate it (which
+    /// de-chains it from every predecessor) and vacate its ring slot.
+    /// Returns how many were dropped.
+    fn drop_where(&mut self, mut doomed: impl FnMut(&CachedBlock) -> bool) -> u64 {
+        let before = self.blocks.len();
+        let free = &mut self.free;
+        self.blocks.retain(|_, b| {
+            let drop = doomed(b);
+            if drop {
+                b.invalidate();
+                free.push(b.slot);
+            }
+            !drop
+        });
+        (before - self.blocks.len()) as u64
     }
 
     /// Remove one block (replay found it stale). Invalidation de-chains it
@@ -718,6 +745,7 @@ impl BlockCache {
     pub fn remove(&mut self, asid: u8, va: u32) {
         if let Some(b) = self.blocks.remove(&(asid, va)) {
             b.invalidate();
+            self.free.push(b.slot);
         }
     }
 
@@ -729,39 +757,18 @@ impl BlockCache {
         if chunks.is_empty() || self.blocks.is_empty() {
             return;
         }
-        let before = self.blocks.len();
-        self.blocks.retain(|_, b| {
-            if chunks.iter().any(|&c| b.touches_chunk(c, chunk_size)) {
-                b.invalidate();
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.store_invalidations += (before - self.blocks.len()) as u64;
+        self.stats.store_invalidations +=
+            self.drop_where(|b| chunks.iter().any(|&c| b.touches_chunk(c, chunk_size)));
     }
 
     /// Drop everything (cache-maintenance ops, TLBIALL).
     pub fn invalidate_all(&mut self) {
-        self.stats.maint_invalidations += self.blocks.len() as u64;
-        for b in self.blocks.values() {
-            b.invalidate();
-        }
-        self.blocks.clear();
+        self.stats.maint_invalidations += self.drop_where(|_| true);
     }
 
     /// Drop all blocks recorded under `asid` (TLBIASID).
     pub fn invalidate_asid(&mut self, asid: u8) {
-        let before = self.blocks.len();
-        self.blocks.retain(|&(a, _), b| {
-            if a == asid {
-                b.invalidate();
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.maint_invalidations += (before - self.blocks.len()) as u64;
+        self.stats.maint_invalidations += self.drop_where(|b| b.asid == asid);
     }
 
     /// Drop `asid`-tagged blocks with any segment intersecting the page
@@ -770,16 +777,8 @@ impl BlockCache {
     /// ending at `0xFFFF_FFF8` doesn't wrap.
     pub fn invalidate_mva(&mut self, asid: u8, va: u32, page_size: u64) {
         let page = va as u64 & !(page_size - 1);
-        let before = self.blocks.len();
-        self.blocks.retain(|&(a, _), b| {
-            if a == asid && b.touches_page(page, page_size) {
-                b.invalidate();
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.maint_invalidations += (before - self.blocks.len()) as u64;
+        self.stats.maint_invalidations +=
+            self.drop_where(|b| b.asid == asid && b.touches_page(page, page_size));
     }
 }
 
@@ -789,8 +788,8 @@ mod tests {
     use crate::mir::{AluOp, Cond};
 
     fn block(asid: u8, va: u32, lo: u64, n: usize) -> CachedBlock {
-        let instrs = (0..n as u64).map(|i| (lo + i * 8, Instr::Ret)).collect();
-        CachedBlock::from_contiguous(instrs, asid, va, 5)
+        let instrs: Vec<_> = (0..n as u64).map(|i| (lo + i * 8, Instr::Ret)).collect();
+        CachedBlock::from_contiguous(&instrs, asid, va, 5)
     }
 
     #[test]
@@ -874,7 +873,7 @@ mod tests {
             },
         ];
         let mut c = BlockCache::default();
-        c.insert(CachedBlock::new(instrs.clone(), segs.clone(), 1, 0x8000, 5));
+        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000, 5));
         assert_eq!(c.stats.superblocks, 1);
         assert_eq!(c.stats.fused_segs, 1);
         // A page strictly between the segments touches neither.
@@ -886,7 +885,7 @@ mod tests {
 
         // Same for chunks: only chunks actually containing a segment count.
         let mut c = BlockCache::default();
-        c.insert(CachedBlock::new(instrs, segs, 1, 0x8000, 5));
+        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000, 5));
         c.invalidate_chunks(&[0x1_0000], 0x1_0000, 1);
         assert!(c.lookup(1, 0x8000).is_some(), "hole chunk touches no seg");
         c.invalidate_chunks(&[0x4_0000], 0x1_0000, 2);
@@ -932,7 +931,7 @@ mod tests {
             .enumerate()
             .map(|(i, &s)| (0x8000 + i as u64 * 8, s))
             .collect();
-        let b = CachedBlock::from_contiguous(instrs, 0, 0x8000, 5);
+        let b = CachedBlock::from_contiguous(&instrs, 0, 0x8000, 5);
         assert_eq!(b.runs.len(), 2, "two pure stretches split by the str");
         let fetch = timing::L1_HIT + timing::INSTR_BASE;
         assert_eq!((b.runs[0].start, b.runs[0].len), (0, 3));
@@ -980,7 +979,7 @@ mod tests {
                 len: 2,
             },
         ];
-        let b = CachedBlock::new(instrs, segs, 0, 0x8000, 5);
+        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000, 5);
         assert_eq!(b.runs.len(), 2);
         assert_eq!((b.runs[0].start, b.runs[0].len), (0, 2));
         assert_eq!((b.runs[1].start, b.runs[1].len), (2, 2));
@@ -1014,7 +1013,7 @@ mod tests {
                 len: 2,
             },
         ];
-        let b = CachedBlock::new(instrs, segs, 0, 0x8000, 5);
+        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000, 5);
         assert_eq!(b.runs.len(), 1, "seam does not split the run");
         let run = &b.runs[0];
         assert_eq!((run.start, run.len), (0, 4));
@@ -1041,7 +1040,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &s)| (0x8000 + i as u64 * 8, s))
                 .collect();
-            CachedBlock::from_contiguous(instrs, 0, 0x8000, 5)
+            CachedBlock::from_contiguous(&instrs, 0, 0x8000, 5)
         };
         let sub = Instr::AluImm {
             op: AluOp::Sub,
@@ -1079,48 +1078,77 @@ mod tests {
         assert_eq!(b.runs[0].flags_dead, 0);
     }
 
-    #[test]
-    fn capacity_overflow_evicts_cold_blocks_second_chance() {
+    /// A cache filled with one-instruction ASID-0 blocks at VAs `0, 8, 16,
+    /// ...`; block `i` sits in ring slot `i`.
+    fn full_cache() -> BlockCache {
         let mut c = BlockCache::default();
-        for i in 0..MAX_BLOCKS {
-            c.insert(block(0, i as u32 * 8, i as u64 * 8, 1));
+        for i in 0..MAX_BLOCKS as u32 {
+            c.insert(block(0, i * 8, i as u64 * 8, 1));
         }
-        assert_eq!(c.len(), MAX_BLOCKS);
-        // Everything was inserted in the current generation, so the first
-        // sweep finds nothing cold and falls back to a full drop.
-        c.insert(block(0, 0xFFFF_0000, 0x100, 1));
-        assert_eq!(c.len(), 1, "no cold blocks: sweep degrades to a flush");
-        assert_eq!(c.stats.evictions as usize, MAX_BLOCKS);
+        c
+    }
 
-        // Refill in the *new* generation, touching one block afterwards so
-        // it is stamped current; the next sweep keeps exactly the hot one
-        // (plus nothing else) instead of flushing.
-        for i in 0..MAX_BLOCKS - 1 {
-            c.insert(block(1, i as u32 * 8, i as u64 * 8, 1));
+    #[test]
+    fn insert_at_capacity_evicts_exactly_one_block() {
+        let mut c = full_cache();
+        for (n, va) in [(1, 0x8000), (2, 0x9000)] {
+            c.insert(block(1, va, va as u64, 1));
+            assert_eq!((c.len(), c.stats.evictions), (MAX_BLOCKS, n));
         }
-        assert_eq!(c.len(), MAX_BLOCKS);
-        c.evict_cold(); // open a new generation: everything goes cold
-        assert_eq!(c.len(), 0, "uniformly-stamped cache degrades to a flush");
-        for i in 0..MAX_BLOCKS {
-            c.insert(block(2, i as u32 * 8, i as u64 * 8, 1));
+        // Re-recording a resident key replaces it in place: no victim.
+        c.insert(block(1, 0x9000, 0x9000, 2));
+        assert_eq!((c.len(), c.stats.evictions), (MAX_BLOCKS, 2));
+    }
+
+    #[test]
+    fn block_referenced_since_the_hand_passed_survives() {
+        let mut c = full_cache();
+        assert!(c.lookup(0, 8).is_some()); // references slot 1 only
+        c.insert(block(1, 0x8000, 0x8000, 1)); // the hand takes slot 0
+        c.insert(block(1, 0x9000, 0x9000, 1)); // clears slot 1, takes slot 2
+        let resident = |c: &BlockCache, va| c.blocks.contains_key(&(0, va));
+        assert!(!resident(&c, 0) && resident(&c, 8) && !resident(&c, 16));
+        // Unreferenced since the hand cleared its bit: gone next time round.
+        for i in 0..MAX_BLOCKS as u32 {
+            c.insert(block(2, i * 8, 0x10_0000, 1));
         }
-        c.evict_cold(); // new generation again; all of ASID 2 now cold
-        assert_eq!(c.len(), 0);
-        for i in 0..MAX_BLOCKS {
-            c.insert(block(3, i as u32 * 8, i as u64 * 8, 1));
+        assert!(!resident(&c, 8));
+    }
+
+    #[test]
+    fn evicted_block_is_invalidated_and_unchained() {
+        let mut c = full_cache();
+        let victim = Rc::clone(&c.blocks[&(0, 0)]); // slot 0: the first victim
+        let pred = Rc::clone(&c.blocks[&(0, 8)]);
+        c.patch(&pred, &victim); // a back edge, patched but never followed
+        c.insert(block(1, 0x8000, 0x8000, 1));
+        assert_eq!(c.stats.evictions, 1);
+        assert!(!victim.is_valid() && pred.is_valid());
+        assert!(c.follow(&pred, 0, 0).is_none(), "the chain into it is dead");
+        assert!(c.lookup(0, 0).is_none());
+    }
+
+    #[test]
+    fn insert_invalidate_cycles_keep_the_ring_bounded() {
+        // 64 resident blocks plus a stream of fresh keys, each dropped by
+        // one of the invalidation paths before the next one arrives.
+        let mut c = BlockCache::default();
+        for i in 0..64u32 {
+            c.insert(block(2, i * 8, 0x10_0000, 1));
         }
-        c.use_gen += 1; // pretend a sweep aged the population
-        assert!(c.lookup(3, 0).is_some(), "stamp the hot block current");
-        let evicted_before = c.stats.evictions;
-        c.insert(block(4, 0xFFFF_0000, 0x100, 1));
-        assert_eq!(c.len(), 2, "hot block + the new insert survive");
-        assert!(c.lookup(3, 0).is_some());
-        assert!(c.lookup(4, 0xFFFF_0000).is_some());
-        assert_eq!(
-            c.stats.evictions - evicted_before,
-            MAX_BLOCKS as u64 - 1,
-            "cold blocks counted"
-        );
+        for round in 0..4 * MAX_BLOCKS as u32 {
+            let va = 0x4_0000 + round * 8;
+            c.insert(block(1, va, 0x8000, 1));
+            match round % 4 {
+                0 => c.remove(1, va),
+                1 => c.invalidate_mva(1, va, 4096),
+                2 => c.invalidate_asid(1),
+                _ => c.invalidate_chunks(&[0], 0x1_0000, round as u64),
+            }
+            assert_eq!((c.len(), c.ring.len()), (64, 65));
+        }
+        c.invalidate_all();
+        assert_eq!((c.len(), c.free.len()), (0, c.ring.len()));
     }
 
     #[test]

@@ -84,7 +84,9 @@ pub enum UndKind {
 /// every fetch discontinuity and every page boundary, so segments never span
 /// pages and each one verifies against a single TLB entry), the memory
 /// generation the recording must survive to be committable, and the cached
-/// predecessor block (if any) to chain to at commit time.
+/// predecessor block (if any) to chain to at commit time. Its buffers are
+/// recycled through `Machine::rec_bufs`, so recording allocates nothing once
+/// they have reached [`MAX_BLOCK_LEN`].
 #[cfg(feature = "block-cache")]
 struct Recording {
     /// Block key: (ASID, entry VA).
@@ -104,14 +106,28 @@ struct Recording {
     pred: Option<std::rc::Rc<CachedBlock>>,
 }
 
+/// A recording's instruction and segment buffers.
+#[cfg(feature = "block-cache")]
+type RecordingBufs = (Vec<(u64, Instr)>, Vec<BlockSeg>);
+
 #[cfg(feature = "block-cache")]
 impl Recording {
-    fn new(key: (u8, u32), gen: u64, pred: Option<std::rc::Rc<CachedBlock>>) -> Recording {
+    /// Open a recording at `key` into `bufs`, the empty buffers a committed
+    /// recording left behind.
+    fn new(
+        key: (u8, u32),
+        gen: u64,
+        pred: Option<std::rc::Rc<CachedBlock>>,
+        bufs: RecordingBufs,
+    ) -> Recording {
+        let (mut instrs, mut segs) = bufs;
+        instrs.reserve(MAX_BLOCK_LEN);
+        segs.reserve(MAX_SEGS);
         Recording {
             key,
             gen,
-            instrs: Vec::new(),
-            segs: Vec::new(),
+            instrs,
+            segs,
             next_va: key.1,
             next_pa: 0,
             pred,
@@ -268,6 +284,9 @@ pub struct Machine {
     /// expiring every [`DataHint`] RAM-range proof.
     #[cfg(feature = "block-cache")]
     mmio_gen: u32,
+    /// Emptied buffers of the last committed recording, handed to the next.
+    #[cfg(feature = "block-cache")]
+    rec_bufs: RecordingBufs,
     clock: Cycles,
     last_sync: Cycles,
     periphs: Vec<Box<dyn Peripheral>>,
@@ -309,6 +328,8 @@ impl Machine {
             dhint: [None; 2],
             #[cfg(feature = "block-cache")]
             mmio_gen: 0,
+            #[cfg(feature = "block-cache")]
+            rec_bufs: RecordingBufs::default(),
             clock: Cycles::ZERO,
             last_sync: Cycles::ZERO,
             periphs: Vec::new(),
@@ -926,28 +947,30 @@ impl Machine {
     /// landed while it was open (the dirty-chunk drain only protects blocks
     /// that are already resident). When the recording knows its dynamic
     /// predecessor (the block whose exit started it), the new block is
-    /// chained in immediately — the edge was just traversed.
+    /// chained in immediately — the edge was just traversed. The emptied
+    /// buffers go back to `rec_bufs` for the next recording.
     #[cfg(feature = "block-cache")]
     fn bcache_commit(&mut self, rec: Recording) {
         let Recording {
             key,
             gen,
-            instrs,
-            segs,
+            mut instrs,
+            mut segs,
             pred,
             ..
         } = rec;
-        if instrs.is_empty() {
-            return;
+        if !instrs.is_empty() && self.mem.code_gen() == gen {
+            let shift = self.caches.l1i.line_shift();
+            let rc = self
+                .bcache
+                .insert(CachedBlock::new(&instrs, &segs, key.0, key.1, shift));
+            if let Some(p) = pred {
+                self.bcache.patch(&p, &rc);
+            }
         }
-        if self.mem.code_gen() != gen {
-            return;
-        }
-        let block = CachedBlock::new(instrs, segs, key.0, key.1, self.caches.l1i.line_shift());
-        let rc = self.bcache.insert(block);
-        if let Some(p) = pred {
-            self.bcache.patch(&p, &rc);
-        }
+        instrs.clear();
+        segs.clear();
+        self.rec_bufs = (instrs, segs);
     }
 
     /// Run until the clock reaches `deadline` or a non-`Retired` event
@@ -1370,7 +1393,10 @@ impl Machine {
                     }
                     // On a miss the predecessor rides along in the
                     // recording and is chained to the new block at commit.
-                    None => rec = Some(Recording::new((asid, pc), self.mem.code_gen(), pred)),
+                    None => {
+                        let bufs = std::mem::take(&mut self.rec_bufs);
+                        rec = Some(Recording::new((asid, pc), self.mem.code_gen(), pred, bufs))
+                    }
                 }
             }
 
@@ -1428,7 +1454,11 @@ impl Machine {
                     mmu_on: self.cp15.mmu_enabled(),
                 };
                 let mut memo = block.verify.borrow_mut();
-                if !memo[r.next_run].as_ref().is_some_and(|v| v.stamp == stamp) {
+                let memo_hit = memo
+                    .get(r.next_run)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|v| v.stamp == stamp);
+                if !memo_hit {
                     // Per-segment translation check: nothing inside a pure
                     // run can change the mapping, the ASID, DACR, the
                     // privilege level or the TLB itself, and every segment
@@ -1500,6 +1530,12 @@ impl Machine {
                         .last()
                         .zip(line_slots.last())
                         .map(|(&(lpa, _), &(slot, _))| (lpa >> shift, slot));
+                    // The memo is allocated by a block's first successful
+                    // verification: most blocks of code larger than the
+                    // caches never get one.
+                    if memo.is_empty() {
+                        memo.resize(block.runs.len(), None);
+                    }
                     memo[r.next_run] = Some(RunVerify {
                         stamp,
                         tlb_hint: last_hint,

@@ -10,9 +10,12 @@
 //!   block (and every link into it) mid-chain and re-decode;
 //! * `TLBIASID` fired between two chained blocks — maintenance that drops
 //!   every block recorded under the ASID, severing live successor links
-//!   that the executor would otherwise follow without a lookup.
+//!   that the executor would otherwise follow without a lookup;
+//! * code larger than the block cache — two ASIDs taking turns over one
+//!   loop of conditional-branch blocks, 1.5× `MAX_BLOCKS` keys in all, so
+//!   every turn evicts blocks the other ASID's chains still point into.
 //!
-//! Both run a cache-enabled and a cache-disabled machine over an identical
+//! All run a cache-enabled and a cache-disabled machine over an identical
 //! slice schedule and compare full architectural state at every boundary
 //! and every trap, exactly like `lockstep.rs`.
 
@@ -21,6 +24,7 @@
 mod common;
 
 use common::{advance, assert_same, chain_heavy_program, service, Lcg, CODE_BASE};
+use mnv_arm::blockcache::MAX_BLOCKS;
 use mnv_arm::machine::{bare_machine, Machine};
 use mnv_arm::mir::{AluOp, Cond, Program, ProgramBuilder, INSTR_SIZE};
 use mnv_arm::psr::Psr;
@@ -207,4 +211,56 @@ fn tlbiasid_between_chained_blocks_stays_bit_identical() {
         s.misses >= 2,
         "blocks were never rebuilt after maintenance: {s:?}"
     );
+}
+
+/// Blocks in the over-capacity loop: each ASID's copy fits the cache on its
+/// own, both together are 1.5× `MAX_BLOCKS` (the benchmark's `mir_churn`
+/// ratio).
+const CHURN_BLOCKS: u32 = MAX_BLOCKS as u32 * 3 / 4;
+
+/// A loop over `CHURN_BLOCKS` four-instruction blocks, each ended by a
+/// conditional branch whose two edges both lead to the next block.
+fn churn_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov(0, 0x5EED);
+    b.mov(6, 0);
+    b.mov(2, 0x3FFF_FFFF); // countdown: outlives the run
+    let top = b.label();
+    b.bind(top);
+    for i in 0..CHURN_BLOCKS {
+        let next = b.label();
+        b.alu_imm(AluOp::Add, 0, 0, i | 1);
+        b.alu(AluOp::Eor, 1, 0, 6);
+        b.alu_imm(AluOp::Cmp, 1, 1, 0);
+        b.branch(Cond::Ne, next);
+        b.bind(next);
+    }
+    b.alu_imm(AluOp::Sub, 2, 2, 1);
+    b.alu_imm(AluOp::Cmp, 2, 2, 0);
+    b.branch(Cond::Ne, top);
+    b.halt();
+    b.assemble(CODE_BASE)
+}
+
+#[test]
+fn code_larger_than_the_block_cache_stays_bit_identical() {
+    let prog = churn_program();
+    let (mut fast, mut slow) = make_pair(&prog, 100_003);
+    // Alternate ASIDs 1 and 2 at every quiet boundary: each turn runs the
+    // loop several times under one ASID, so its blocks are recorded,
+    // chained and replayed, then evicted by the other ASID's turn.
+    let set_asid = |m: &mut Machine, boundary: u64| m.cp15.set_asid(Asid(1 + (boundary % 2) as u8));
+    set_asid(&mut fast, 0);
+    set_asid(&mut slow, 0);
+    let boundaries = run_pair(11, &mut fast, &mut slow, 8_000_000, 1_000_003, set_asid);
+    assert!(boundaries >= 4, "too few ASID turns: {boundaries}");
+
+    assert_eq!(fast.now(), slow.now());
+    assert_eq!(fast.instructions_retired, slow.instructions_retired);
+    assert_eq!(fast.pmu_inputs(), slow.pmu_inputs());
+    let s = &fast.bcache.stats;
+    assert!(s.evictions > 0, "the cache never reached capacity: {s:?}");
+    assert!(s.chain_follows > 0, "chains never formed: {s:?}");
+    assert!(s.hits > 0, "no block survived to a lookup: {s:?}");
+    assert_eq!(fast.bcache.len(), MAX_BLOCKS, "a full cache stays full");
 }
