@@ -562,9 +562,8 @@ impl CachedBlock {
 }
 
 /// The decoded-block cache. Lives on the [`Machine`](crate::Machine); the
-/// `enabled` flag is a runtime switch (the lockstep harness and the
-/// throughput bench compare both executors in one build), while the
-/// `block-cache` cargo feature removes the fast path at compile time.
+/// `enabled` flag is a run-time switch (the lockstep suites and the
+/// benchmark's lockstep gate compare both executors in one build).
 pub struct BlockCache {
     /// Runtime switch; `false` makes `Machine::run_slice` take the
     /// per-instruction reference path.

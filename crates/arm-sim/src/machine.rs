@@ -13,7 +13,6 @@ use mnv_profile::Profiler;
 use mnv_trace::{TraceEvent, Tracer, TrapKind};
 
 use crate::blockcache::BlockCache;
-#[cfg(feature = "block-cache")]
 use crate::blockcache::{BlockSeg, CachedBlock, RunVerify, VerifyStamp, MAX_BLOCK_LEN, MAX_SEGS};
 use crate::bus::{PeriphCtx, Peripheral};
 use crate::cache::{CacheHierarchy, MemAccessKind};
@@ -22,7 +21,6 @@ use crate::cpu::{Cpu, CpuEvent, ExceptionKind};
 use crate::event::{EventLog, SimEvent};
 use crate::gic::Gic;
 use crate::memory::PhysMemory;
-#[cfg(feature = "block-cache")]
 use crate::mir::FastClass;
 use crate::mir::{AluOp, Cond, Instr, MirCp15, Program, INSTR_SIZE};
 use crate::mmu::{AccessKind, Fault, Mmu};
@@ -31,7 +29,6 @@ use crate::psr::Psr;
 use crate::timer::{GlobalTimer, PrivateTimer};
 use crate::timing;
 use crate::tlb::Tlb;
-#[cfg(feature = "block-cache")]
 use crate::tlb::{PageKind, TlbEntry};
 use crate::vfp::Vfp;
 
@@ -87,7 +84,6 @@ pub enum UndKind {
 /// predecessor block (if any) to chain to at commit time. Its buffers are
 /// recycled through `Machine::rec_bufs`, so recording allocates nothing once
 /// they have reached [`MAX_BLOCK_LEN`].
-#[cfg(feature = "block-cache")]
 struct Recording {
     /// Block key: (ASID, entry VA).
     key: (u8, u32),
@@ -107,10 +103,8 @@ struct Recording {
 }
 
 /// A recording's instruction and segment buffers.
-#[cfg(feature = "block-cache")]
 type RecordingBufs = (Vec<(u64, Instr)>, Vec<BlockSeg>);
 
-#[cfg(feature = "block-cache")]
 impl Recording {
     /// Open a recording at `key` into `bufs`, the empty buffers a committed
     /// recording left behind.
@@ -163,7 +157,6 @@ impl Recording {
 /// therefore never go stale — at worst it stops matching and the access
 /// takes the full model (which refreshes it) — so no invalidation hooks
 /// are needed and bit-identity holds unconditionally.
-#[cfg(feature = "block-cache")]
 #[derive(Clone, Copy)]
 struct DataHint {
     /// TLB slot + entry that translated the last access in this
@@ -183,7 +176,6 @@ struct DataHint {
 /// the unbanked r0–r7 file: direct register indexing and lazy NZC, with
 /// exactly [`Machine::alu`]'s semantics (only `Sub`/`Cmp` set flags, `Cmp`
 /// writes no register).
-#[cfg(feature = "block-cache")]
 #[inline(always)]
 fn alu_low(cpu: &mut Cpu, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
     let result = match op {
@@ -269,23 +261,19 @@ pub struct Machine {
     /// Performance monitoring unit (CP15 c9 group, delta-sampled from the
     /// counters above — see [`crate::pmu`]).
     pub pmu: Pmu,
-    /// Decoded basic-block cache used by [`Machine::run_slice`]. Runtime
-    /// switch in `bcache.enabled`; the fast path additionally requires the
-    /// `block-cache` cargo feature.
+    /// Decoded basic-block cache used by [`Machine::run_slice`]; the
+    /// run-time switch is `bcache.enabled`.
     pub bcache: BlockCache,
     /// Sampling profiler handle (disabled by default; the kernel installs
     /// a shared one). Consulted at instruction boundaries only — see
     /// [`Machine::profile_poll`].
     pub profiler: Profiler,
     /// Replay data-access hints, indexed `[read, write]`; see [`DataHint`].
-    #[cfg(feature = "block-cache")]
     dhint: [Option<DataHint>; 2],
     /// Bumped whenever the MMIO window list changes (peripheral attach),
     /// expiring every [`DataHint`] RAM-range proof.
-    #[cfg(feature = "block-cache")]
     mmio_gen: u32,
     /// Emptied buffers of the last committed recording, handed to the next.
-    #[cfg(feature = "block-cache")]
     rec_bufs: RecordingBufs,
     clock: Cycles,
     last_sync: Cycles,
@@ -324,11 +312,8 @@ impl Machine {
             pmu: Pmu::default(),
             bcache: BlockCache::default(),
             profiler: Profiler::disabled(),
-            #[cfg(feature = "block-cache")]
             dhint: [None; 2],
-            #[cfg(feature = "block-cache")]
             mmio_gen: 0,
-            #[cfg(feature = "block-cache")]
             rec_bufs: RecordingBufs::default(),
             clock: Cycles::ZERO,
             last_sync: Cycles::ZERO,
@@ -479,10 +464,7 @@ impl Machine {
             );
         }
         self.periphs.push(p);
-        #[cfg(feature = "block-cache")]
-        {
-            self.mmio_gen += 1;
-        }
+        self.mmio_gen += 1;
     }
 
     /// Typed access to an attached peripheral.
@@ -922,7 +904,6 @@ impl Machine {
     /// plane pins the executor to per-instruction sync). Returns
     /// `Cycles::new(u64::MAX)` when everything is quiescent. Only valid
     /// right after a sync (`last_sync == clock`).
-    #[cfg(feature = "block-cache")]
     fn device_deadline(&self) -> Cycles {
         if self.fault.is_armed() {
             return self.clock;
@@ -949,7 +930,6 @@ impl Machine {
     /// predecessor (the block whose exit started it), the new block is
     /// chained in immediately — the edge was just traversed. The emptied
     /// buffers go back to `rec_bufs` for the next recording.
-    #[cfg(feature = "block-cache")]
     fn bcache_commit(&mut self, rec: Recording) {
         let Recording {
             key,
@@ -982,12 +962,11 @@ impl Machine {
     /// }
     /// ```
     ///
-    /// (the lockstep differential suite enforces this), but when the
-    /// `block-cache` feature is compiled in and `bcache.enabled` is set it
-    /// replays decoded basic blocks and syncs the device models only at
-    /// computed deadlines instead of every instruction.
+    /// (the lockstep differential suite enforces this), but when
+    /// `bcache.enabled` is set it replays decoded basic blocks and syncs
+    /// the device models only at computed deadlines instead of every
+    /// instruction.
     pub fn run_slice(&mut self, deadline: Cycles) -> CpuEvent {
-        #[cfg(feature = "block-cache")]
         if self.bcache.enabled {
             return self.run_slice_fast(deadline);
         }
@@ -1013,7 +992,6 @@ impl Machine {
     /// direct slot compare every time. With the MMU off the reference
     /// translation is a free identity with no TLB traffic, reproduced here
     /// as exactly that.
-    #[cfg(feature = "block-cache")]
     fn replay_translate(
         &mut self,
         va: VirtAddr,
@@ -1058,7 +1036,6 @@ impl Machine {
     /// scan. Line changes, misses and disabled caches take the full model
     /// (which refreshes the hint, keeping the invariant that the hint
     /// always describes the most recent fill state of its slot).
-    #[cfg(feature = "block-cache")]
     fn replay_fetch_cost(&mut self, pa: PhysAddr, hint: &mut Option<(u64, usize)>) -> u64 {
         if self.caches.enabled {
             let line = pa.raw() >> self.caches.l1i.line_shift();
@@ -1089,7 +1066,6 @@ impl Machine {
     /// the hit already counted and nothing charged, exactly like
     /// `Mmu::translate`), then the L1D hit credit and charge, then the
     /// RAM access.
-    #[cfg(feature = "block-cache")]
     fn execute_mem_replay(&mut self, instr: Instr, pc: u32, privileged: bool) -> CpuEvent {
         let (write, rn, imm) = match instr {
             Instr::Ldr { rn, imm, .. } => (false, rn, imm),
@@ -1190,7 +1166,6 @@ impl Machine {
     /// when the fast path can't serve this page (MMIO in range, cold L1D
     /// line, no TLB entry, caches disabled) — meaning the next access
     /// simply takes the full model again.
-    #[cfg(feature = "block-cache")]
     fn make_data_hint(&self, va: VirtAddr, pa: PhysAddr) -> Option<DataHint> {
         if !self.caches.enabled {
             return None;
@@ -1256,7 +1231,6 @@ impl Machine {
     /// caught up to the clock, because every MMIO access syncs internally),
     /// while CP15/CPSR writes conservatively force a sync + poll at the
     /// next boundary.
-    #[cfg(feature = "block-cache")]
     fn run_slice_fast(&mut self, deadline: Cycles) -> CpuEvent {
         use std::rc::Rc;
 
@@ -1766,7 +1740,6 @@ impl Machine {
     /// ordering and event delivery as [`Machine::step`], appending to the
     /// open recording when there is one. On an event the caller gets it
     /// after any open recording has been committed.
-    #[cfg(feature = "block-cache")]
     fn fetch_slow(
         &mut self,
         pc: u32,
@@ -1814,7 +1787,6 @@ impl Machine {
     /// proved the N/Z/C results dead (overwritten by a later setter in the
     /// same pure run before any reader). A dead `Cmp` is a complete no-op;
     /// a dead `Sub` is just its register write.
-    #[cfg(feature = "block-cache")]
     #[inline]
     fn alu_lazy(&mut self, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
         if !flags_dead {
@@ -2409,7 +2381,6 @@ mod tests {
         b.halt();
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn run_slice_matches_reference_interpreter() {
         // The block executor must be *bit-identical* to the per-instruction
@@ -2447,7 +2418,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn irq_delivery_point_is_identical() {
         // IRQ delivery must land on the same instruction boundary (same
@@ -2478,7 +2448,6 @@ mod tests {
         assert_eq!(fast.cpu.reg(0), slow.cpu.reg(0));
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn stores_invalidate_cached_blocks() {
         let prog = |v: u32| {
@@ -2508,7 +2477,6 @@ mod tests {
         assert!(m.bcache.stats.store_invalidations >= 1);
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn tlb_maintenance_drops_decoded_blocks() {
         let mut m = with_program(|b| {

@@ -12,8 +12,6 @@
 //! Randomisation uses the same zero-dependency LCG as `proptests.rs`, so
 //! every failure is reproducible from its seed.
 
-#![cfg(feature = "block-cache")]
-
 mod common;
 
 use common::{advance, assert_same, gen_program, service, Lcg, CODE_BASE};

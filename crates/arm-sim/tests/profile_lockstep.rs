@@ -14,8 +14,6 @@
 //! boundaries as the per-instruction reference path — the collapsed
 //! profiles must match byte for byte.
 
-#![cfg(feature = "block-cache")]
-
 mod common;
 
 use common::{advance, assert_same, chain_heavy_program, gen_program, service, Lcg, CODE_BASE};

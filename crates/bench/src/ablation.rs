@@ -251,6 +251,9 @@ pub fn manager_priority() -> Vec<AblationResult> {
     ]
 }
 
+/// The arm names the `ablation` binary accepts, one per experiment.
+pub const ARMS: [&str; 4] = ["vfp", "asid", "hypercall", "mgrprio"];
+
 /// Run every ablation.
 pub fn run_all() -> Vec<AblationResult> {
     let mut v = Vec::new();

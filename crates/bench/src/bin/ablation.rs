@@ -5,18 +5,18 @@
 //! Usage: `cargo run --release -p mnv-bench --bin ablation [vfp|asid|hypercall|mgrprio]`
 
 use mnv_bench::ablation::{
-    asid_vs_flush, hypercall_vs_trap, manager_priority, run_all, vfp_lazy_vs_eager,
+    asid_vs_flush, hypercall_vs_trap, manager_priority, run_all, vfp_lazy_vs_eager, ARMS,
 };
-use mnv_bench::write_json;
+use mnv_bench::{args_or_usage, write_json};
 use mnv_trace::json::Json;
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_default();
-    let results = match which.as_str() {
-        "vfp" => vfp_lazy_vs_eager(),
-        "asid" => asid_vs_flush(),
-        "hypercall" => hypercall_vs_trap(),
-        "mgrprio" => manager_priority(),
+    let args = args_or_usage(&ARMS, "ablation [vfp|asid|hypercall|mgrprio]");
+    let results = match args.first().map(String::as_str) {
+        Some("vfp") => vfp_lazy_vs_eager(),
+        Some("asid") => asid_vs_flush(),
+        Some("hypercall") => hypercall_vs_trap(),
+        Some("mgrprio") => manager_priority(),
         _ => run_all(),
     };
 

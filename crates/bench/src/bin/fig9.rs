@@ -6,7 +6,7 @@
 //! With `--attrib` (requires `--features diag`) it additionally prints
 //! the cache/TLB-pollution attribution table — per-VM D-cache/TLB refill
 //! counts for 1–4 multiplexed VMs — turning the figure's explanation into
-//! measured data, and folds the counts into `BENCH_pr4.json`, followed by
+//! measured data, and writes the counts to `fig9.attrib.json`, followed by
 //! the "where" breakdown: sampled cycles per (VM, hypercall/DPR-stage)
 //! context.
 //!
@@ -25,15 +25,24 @@
 use mnv_bench::attrib::{format_attrib, measure_attrib};
 use mnv_bench::table3::build_kernel;
 use mnv_bench::{
-    fig9_rows, measure_native, measure_virtualized, profiled_run, traced_run, write_artifact,
-    write_json, Table3Config,
+    args_or_usage, fig9_rows, measure_native, measure_virtualized, profiled_run, traced_run,
+    write_artifact, write_json, Table3Config,
 };
 use mnv_hal::Cycles;
 use mnv_trace::json::Json;
 use mnv_trace::waterfall;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_usage(
+        &[
+            "--quick",
+            "--no-trace",
+            "--attrib",
+            "--profile",
+            "--waterfall",
+        ],
+        "fig9 [--quick] [--no-trace] [--attrib] [--profile] [--waterfall]",
+    );
     let cfg = if args.iter().any(|a| a == "--quick") {
         mnv_bench::table3::quick_config()
     } else {
@@ -69,30 +78,16 @@ fn main() {
         &Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
     );
 
-    // The perf-trajectory artefact: per-row mean/p99 plus headline
-    // counters, extended with per-VM attribution when measured.
-    let mut bench = vec![
-        (
-            "fig9",
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-        ("native", native.to_json()),
-        (
-            "virtualized",
-            Json::Arr(virt.iter().map(|r| r.to_json()).collect()),
-        ),
-    ];
-
     if args.iter().any(|a| a == "--attrib") {
         let reports: Vec<_> = (1..=4).map(|n| measure_attrib(n, &cfg)).collect();
         if reports[0].window.entries.is_empty() {
             eprintln!("warning: metrics registry is inert — rerun with `--features diag`");
         }
         println!("\n{}", format_attrib(&reports));
-        bench.push((
-            "attrib",
-            Json::Arr(reports.iter().map(|r| r.to_json()).collect()),
-        ));
+        write_json(
+            "fig9.attrib",
+            &Json::Arr(reports.iter().map(|r| r.to_json()).collect()),
+        );
 
         // The "where" next to the attribution's "who": sampled cycles per
         // (VM, hypercall/DPR-stage) kernel context over the 4-guest run.
@@ -124,7 +119,6 @@ fn main() {
             eprintln!("warning: profiler is inert — rerun with `--features diag`");
         }
     }
-    write_json("BENCH_pr4", &Json::obj(bench));
 
     if args.iter().any(|a| a == "--waterfall") {
         // A dedicated traced run so both the kernel's SLO counters and the
@@ -170,10 +164,6 @@ fn main() {
         }
     }
 
-    if args.iter().any(|a| a == "--ring") {
-        run_ring_section(&args);
-    }
-
     if !args.iter().any(|a| a == "--no-trace") {
         let tracer = traced_run(4, &cfg, 30.0);
         if tracer.dropped() > 0 {
@@ -185,73 +175,4 @@ fn main() {
         write_artifact("fig9.trace.json", &tracer.export_chrome());
         eprintln!("(load target/experiments/fig9.trace.json in Perfetto / chrome://tracing)");
     }
-}
-
-/// `--ring`: the shared-ring vs per-call submission comparison. Writes
-/// `BENCH_pr10.json` at the repo root (the perf gate's input) and a copy
-/// under `target/experiments/`. With `--check`, exits non-zero when the
-/// lockstep diff fails or the hypercall reduction drops below 5x.
-#[cfg(feature = "ring")]
-fn run_ring_section(args: &[String]) {
-    use mnv_bench::ringbench::compare_ring_modes;
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let sim_ms = if quick { 60.0 } else { 200.0 };
-    let c = compare_ring_modes(11, sim_ms);
-
-    println!("\nSHARED-RING SUBMISSION vs PER-CALL ({sim_ms} ms simulated, 1 guest)");
-    println!(
-        "{:<10}{:>12}{:>14}{:>12}{:>14}{:>10}",
-        "mode", "rounds", "hw hypercalls", "per round", "vm switches", "per round"
-    );
-    for r in [&c.per_call, &c.ring] {
-        println!(
-            "{:<10}{:>12.1}{:>14}{:>12.1}{:>14}{:>10.1}",
-            r.mode,
-            r.rounds,
-            r.hw_hypercalls,
-            r.hypercalls_per_round(),
-            r.vm_switches,
-            r.switches_per_round()
-        );
-    }
-    println!(
-        "\nreduction: {:.1}x hardware-task hypercalls, {:.1}x world switches per round",
-        c.hypercall_reduction(),
-        c.switch_reduction()
-    );
-    println!(
-        "lockstep: {} shared checkpoints, bit-identical: {}",
-        c.lockstep_points, c.lockstep_ok
-    );
-    println!(
-        "coalescing: {} descriptors over {} kicks, {} completion vIRQs",
-        c.ring.ring_descs, c.ring.ring_kicks, c.ring.ring_virqs
-    );
-
-    let json = c.to_json();
-    write_json("BENCH_pr10", &json);
-    if let Err(e) = std::fs::write("BENCH_pr10.json", json.to_string()) {
-        eprintln!("warn: cannot write BENCH_pr10.json: {e}");
-    }
-
-    if args.iter().any(|a| a == "--check") {
-        if !c.lockstep_ok {
-            eprintln!("CHECK FAILED: ring and per-call runs are not bit-identical");
-            std::process::exit(1);
-        }
-        if c.hypercall_reduction() < 5.0 {
-            eprintln!(
-                "CHECK FAILED: hypercall reduction {:.2}x < 5x",
-                c.hypercall_reduction()
-            );
-            std::process::exit(1);
-        }
-        println!("ring perf gate: OK");
-    }
-}
-
-#[cfg(not(feature = "ring"))]
-fn run_ring_section(_args: &[String]) {
-    eprintln!("warning: built without the `ring` feature — --ring section skipped");
 }

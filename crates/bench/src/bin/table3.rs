@@ -7,13 +7,16 @@
 //! Usage: `cargo run --release -p mnv-bench --bin table3 [--quick] [--chaos] [--footprint] [--no-trace]`
 
 use mnv_bench::{
-    measure_native, measure_virtualized, table3::format_table3, traced_run, write_artifact,
-    write_json, Table3Config,
+    args_or_usage, measure_native, measure_virtualized, table3::format_table3, traced_run,
+    write_artifact, write_json, Table3Config,
 };
 use mnv_trace::json::Json;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_usage(
+        &["--quick", "--chaos", "--footprint", "--no-trace"],
+        "table3 [--quick] [--chaos] [--footprint] [--no-trace]",
+    );
     let mut cfg = if args.iter().any(|a| a == "--quick") {
         mnv_bench::table3::quick_config()
     } else {
@@ -56,18 +59,6 @@ fn main() {
 
     write_json(
         "table3",
-        &Json::obj([
-            ("native", native.to_json()),
-            (
-                "virtualized",
-                Json::Arr(virt.iter().map(|r| r.to_json()).collect()),
-            ),
-        ]),
-    );
-    // Perf-trajectory artefact (same shape fig9 writes, minus the ratio
-    // rows): per-row mean/p99/max plus the headline resilience counters.
-    write_json(
-        "BENCH_pr4",
         &Json::obj([
             ("native", native.to_json()),
             (

@@ -15,14 +15,11 @@
 //!
 //! Binaries print the tables in the paper's layout and emit JSON records
 //! next to them, plus Perfetto-loadable `.trace.json` timelines captured
-//! through `mnv-trace`. The `benches/` harnesses time the hot paths with
-//! plain wall-clock loops (no external benchmarking crate).
+//! through `mnv-trace`. Host speed is measured by the repository benchmark
+//! (`src/bin/benchmark`), not here.
 
 pub mod ablation;
 pub mod attrib;
-pub mod hostbench;
-#[cfg(feature = "ring")]
-pub mod ringbench;
 pub mod table3;
 
 pub use table3::{
@@ -31,6 +28,23 @@ pub use table3::{
 };
 
 use mnv_trace::json::Json;
+
+/// The command-line arguments after the program name. Exits with `usage`
+/// and status 2 when one of them is not in `known`, so a stale or
+/// misspelt flag fails loudly instead of being ignored.
+pub fn args_or_usage(known: &[&str], usage: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = unknown_arg(&args, known) {
+        eprintln!("unknown argument {bad:?}\nusage: {usage}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// The first of `args` that is not in `known`.
+fn unknown_arg<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    args.iter().map(String::as_str).find(|a| !known.contains(a))
+}
 
 /// Write a JSON value to `target/experiments/<name>.json` (best-effort:
 /// failures only warn, results are always printed anyway).
@@ -52,5 +66,27 @@ pub fn write_artifact(file: &str, content: &str) {
         eprintln!("warn: cannot write {}: {e}", path.display());
     } else {
         eprintln!("(wrote {})", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        let fig9 = ["--quick", "--no-trace"];
+        assert_eq!(unknown_arg(&args(&["--quick"]), &fig9), None);
+        assert_eq!(unknown_arg(&args(&[]), &fig9), None);
+        assert_eq!(
+            unknown_arg(&args(&["--quick", "--ring"]), &fig9),
+            Some("--ring")
+        );
+        assert_eq!(unknown_arg(&args(&["vfp"]), &ablation::ARMS), None);
+        assert_eq!(unknown_arg(&args(&["asdi"]), &ablation::ARMS), Some("asdi"));
     }
 }

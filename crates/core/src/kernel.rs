@@ -582,28 +582,25 @@ impl Kernel {
             // Decoded-block cache counters are machine-global (blocks are
             // keyed by ASID, not owned by the scheduled VM), so they mirror
             // as gauges rather than per-label deltas.
-            #[cfg(feature = "block-cache")]
-            {
-                let s = &self.machine.bcache.stats;
-                r.set("bcache_hits", Label::Machine, s.hits);
-                r.set("bcache_misses", Label::Machine, s.misses);
-                r.set("bcache_chain_follows", Label::Machine, s.chain_follows);
-                r.set("bcache_replayed_instrs", Label::Machine, s.replayed_instrs);
-                r.set("bcache_batched_instrs", Label::Machine, s.batched_instrs);
-                r.set("bcache_evictions", Label::Machine, s.evictions);
-                r.set("bcache_superblocks", Label::Machine, s.superblocks);
-                r.set("bcache_fused_segs", Label::Machine, s.fused_segs);
-                r.set(
-                    "bcache_store_invalidations",
-                    Label::Machine,
-                    s.store_invalidations,
-                );
-                r.set(
-                    "bcache_maint_invalidations",
-                    Label::Machine,
-                    s.maint_invalidations,
-                );
-            }
+            let s = &self.machine.bcache.stats;
+            r.set("bcache_hits", Label::Machine, s.hits);
+            r.set("bcache_misses", Label::Machine, s.misses);
+            r.set("bcache_chain_follows", Label::Machine, s.chain_follows);
+            r.set("bcache_replayed_instrs", Label::Machine, s.replayed_instrs);
+            r.set("bcache_batched_instrs", Label::Machine, s.batched_instrs);
+            r.set("bcache_evictions", Label::Machine, s.evictions);
+            r.set("bcache_superblocks", Label::Machine, s.superblocks);
+            r.set("bcache_fused_segs", Label::Machine, s.fused_segs);
+            r.set(
+                "bcache_store_invalidations",
+                Label::Machine,
+                s.store_invalidations,
+            );
+            r.set(
+                "bcache_maint_invalidations",
+                Label::Machine,
+                s.maint_invalidations,
+            );
         }
     }
 

@@ -1,7 +1,6 @@
 //! Shared-ring accelerator queues, end to end: batched submission through
 //! `RingKick`, coalesced completion vIRQs, u16 index wrap, hostile-header
 //! hardening, and ring-vs-per-call lockstep bit-identity.
-#![cfg(feature = "ring")]
 
 mod common;
 

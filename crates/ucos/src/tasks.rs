@@ -453,9 +453,10 @@ enum BatchPhase {
 /// op stream (tasks rotated from `set`, inputs derived from the seed and
 /// round number) and folds every result into a running checksum, so a
 /// per-call instance and a ring instance with the same seed must publish
-/// **bit-identical** checkpoints — the lockstep property the fig. 9 `--ring`
-/// comparison asserts. Ring mode degrades permanently to per-call when the
-/// kick is refused (kernel built without the `ring` feature).
+/// **bit-identical** checkpoints — the lockstep property
+/// `ring_and_per_call_are_bit_identical_and_cheaper` in the kernel's ring
+/// suite asserts. Ring mode degrades permanently to per-call when the
+/// kernel refuses the kick.
 pub struct HwBatchTask {
     set: Vec<HwTaskId>,
     family: u8,
@@ -927,7 +928,7 @@ mod tests {
         let (mut env, mut svc) = ctx_parts();
         env.respond(
             Hypercall::RingKick,
-            Err(mnv_hal::abi::HcError::BadCall), // kernel built without rings
+            Err(mnv_hal::abi::HcError::BadCall), // the kernel refuses the kick
         );
         env.respond(Hypercall::HwTaskRequest, Ok(0));
         let mut t = HwBatchTask::new(vec![HwTaskId(0)], 0, BatchMode::Ring, 2, 7);

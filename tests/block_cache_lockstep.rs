@@ -82,17 +82,16 @@ fn four_guest_scenario_is_bit_identical_across_executors() {
         assert_eq!(sum_f, sum_s, "guest {vf:?} checksum diverged");
         assert_eq!(fast.pd(vf).state, slow.pd(vs).state);
     }
-    #[cfg(feature = "block-cache")]
-    {
-        let s = &fast.machine.bcache.stats;
-        assert!(
-            s.hit_ratio() > 0.9,
-            "loopy guests must replay from the cache (hit ratio {:.3})",
-            s.hit_ratio()
-        );
-        assert_eq!(
-            slow.machine.bcache.stats.hits + slow.machine.bcache.stats.misses,
-            0
-        );
-    }
+    let s = &fast.machine.bcache.stats;
+    assert!(
+        s.hit_ratio() > 0.9,
+        "loopy guests must replay from the cache (hit ratio {:.3})",
+        s.hit_ratio()
+    );
+    assert!(s.chain_follows > 0, "the loop back-edge was never chained");
+    assert!(s.batched_instrs > 0, "the batched replay loop never ran");
+    assert_eq!(
+        slow.machine.bcache.stats.hits + slow.machine.bcache.stats.misses,
+        0
+    );
 }
