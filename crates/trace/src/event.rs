@@ -70,7 +70,7 @@ impl MgrPhase {
 }
 
 /// One trace event. VM ids are raw `u16`s (0 means "the kernel itself").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceEvent {
     /// An exception was taken (span begin on the kernel track).
     TrapEnter {

@@ -8,7 +8,7 @@
 //! produces.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,85 +88,132 @@ impl Json {
         self.as_obj().and_then(|m| m.get(key))
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(v) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in v.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(m) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_str(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
-impl std::fmt::Display for Json {
+impl fmt::Display for Json {
     /// Compact JSON serialisation (`.to_string()` produces the document).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Write `n` as a JSON number (`null` when it is not finite).
+pub(crate) fn write_num<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
     if !n.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        write!(out, "{}", n as i64)
     } else {
         // 17 significant digits round-trip any f64.
-        let _ = write!(out, "{n:.17}");
+        let mut buf = NumBuf::default();
+        write!(buf, "{n:.17}")?;
         // Trim trailing zeros (keep at least one fractional digit).
-        while out.ends_with('0') && !out.ends_with(".0") {
-            out.pop();
+        let digits = buf.as_str().trim_end_matches('0');
+        out.write_str(digits)?;
+        if digits.ends_with('.') {
+            out.write_char('0')?;
+        }
+        Ok(())
+    }
+}
+
+/// Stack room for `{:.17}` of any finite f64: a sign, up to 309 integer
+/// digits, the point and 17 fractional digits.
+struct NumBuf {
+    bytes: [u8; 328],
+    len: usize,
+}
+
+impl Default for NumBuf {
+    fn default() -> Self {
+        NumBuf {
+            bytes: [0; 328],
+            len: 0,
         }
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl NumBuf {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only whole str slices are copied in")
     }
-    out.push('"');
+}
+
+impl fmt::Write for NumBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Write `s`'s text as a quoted, escaped JSON string.
+pub(crate) fn write_str<W: fmt::Write>(s: impl fmt::Display, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    write!(Escape(out), "{s}")?;
+    out.write_char('"')
+}
+
+/// Forwards text with JSON string escapes applied.
+struct Escape<'a, W>(&'a mut W);
+
+impl<W: fmt::Write> fmt::Write for Escape<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let out = &mut *self.0;
+        for c in s.chars() {
+            match c {
+                '"' => out.write_str("\\\"")?,
+                '\\' => out.write_str("\\\\")?,
+                '\n' => out.write_str("\\n")?,
+                '\r' => out.write_str("\\r")?,
+                '\t' => out.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+                c => out.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parse a JSON document. Returns `Err` with a byte offset and message on
 /// malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let b = text.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    let mut p = Parser { text, b, pos: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -177,6 +224,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -313,11 +361,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.b[self.pos..];
-                    let s_rest = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s_rest.chars().next().unwrap();
+                    // Consume one full UTF-8 scalar. `pos` only ever
+                    // advances by whole scalars, so it is a char boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("a byte remains, so a scalar does");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }

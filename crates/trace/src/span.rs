@@ -6,7 +6,8 @@
 //! closed at the trace's final timestamp — so a ring that wrapped mid-span
 //! still renders as a well-formed timeline.
 
-use crate::event::TraceEvent;
+use crate::event::{iface_name, req_stage_name, TraceEvent};
+use core::fmt;
 use mnv_hal::Cycles;
 
 /// Logical track (maps to a Chrome-trace "thread").
@@ -48,13 +49,72 @@ impl Track {
     }
 }
 
+/// What a span or instant is called: the event that named it, or the VM
+/// `running` span derived from world switches. A `Copy` value, rendered to
+/// text only when an exporter writes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Label {
+    /// Named by this event (a begin event for spans).
+    Event(TraceEvent),
+    /// A VM's time on the CPU, between the world switches into and out of it.
+    Running,
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ev = match *self {
+            Label::Running => return f.write_str("running"),
+            Label::Event(ev) => ev,
+        };
+        match ev {
+            TraceEvent::TrapEnter { kind } => f.write_str(kind.name()),
+            // An end event never names a record.
+            TraceEvent::TrapExit => f.write_str(ev.kind_name()),
+            TraceEvent::Hypercall { nr } => match mnv_hal::abi::Hypercall::from_nr(nr) {
+                Some(hc) => write!(f, "hc:{hc:?}"),
+                None => write!(f, "hc:#{nr}"),
+            },
+            TraceEvent::VmSwitch { from, to } => write!(f, "switch {from}->{to}"),
+            TraceEvent::SchedPick { vm } => write!(f, "pick vm{vm}"),
+            TraceEvent::VirqInject { irq, .. } => write!(f, "virq {irq}"),
+            TraceEvent::HwMgrPhase { phase, .. } => f.write_str(phase.name()),
+            TraceEvent::PcapDma { bytes, .. } => write!(f, "pcap-dma {bytes}B"),
+            TraceEvent::PrrReconfig { prr, task } => {
+                write!(f, "reconfig prr{prr} core:{task:#x}")
+            }
+            TraceEvent::TlbFlush => f.write_str("tlb-flush"),
+            TraceEvent::FaultForwarded { .. } => f.write_str("fault-forwarded"),
+            TraceEvent::FaultInjected { site } => write!(f, "fault-injected site:{site}"),
+            TraceEvent::PcapRetry { prr, attempt } => write!(f, "pcap-retry prr{prr} #{attempt}"),
+            TraceEvent::PrrQuarantine { prr } => write!(f, "quarantine prr{prr}"),
+            TraceEvent::SwFallback { task, .. } => write!(f, "sw-fallback task:{task}"),
+            TraceEvent::VmKilled { .. } => f.write_str("vm-killed"),
+            TraceEvent::VmRestart { attempt, .. } => write!(f, "vm-restart #{attempt}"),
+            TraceEvent::PrrScrub { prr, pass } => {
+                write!(f, "scrub prr{prr} {}", if pass { "pass" } else { "fail" })
+            }
+            TraceEvent::PrrReinstate { prr } => write!(f, "reinstate prr{prr}"),
+            TraceEvent::PrrRetire { prr } => write!(f, "retire prr{prr}"),
+            TraceEvent::Repromote { task, prr, .. } => {
+                write!(f, "repromote task:{task} -> prr{prr}")
+            }
+            TraceEvent::HwTaskEscalate { prr, rung } => write!(f, "escalate prr{prr} rung{rung}"),
+            TraceEvent::ReqSpan { req, vm, .. } => write!(f, "r{req} vm{vm}"),
+            TraceEvent::ReqStage { req, stage } => write!(f, "r{req}:{}", req_stage_name(stage)),
+            TraceEvent::SloBurn { iface, violations } => {
+                write!(f, "slo-burn {} x{violations}", iface_name(iface))
+            }
+        }
+    }
+}
+
 /// A completed (paired) span.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Span {
     /// Track the span lives on.
     pub track: Track,
-    /// Span name.
-    pub name: String,
+    /// Span name (its `Display` text).
+    pub label: Label,
     /// Begin timestamp.
     pub start: Cycles,
     /// End timestamp.
@@ -71,12 +131,12 @@ impl Span {
 }
 
 /// An instantaneous event.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Instant {
     /// Track the marker lives on.
     pub track: Track,
-    /// Marker name.
-    pub name: String,
+    /// Marker name (its `Display` text).
+    pub label: Label,
     /// Timestamp.
     pub ts: Cycles,
     /// Request id this marker belongs to (0 = not request-scoped).
@@ -99,7 +159,7 @@ pub struct PairedTrace {
 
 struct Open {
     track: Track,
-    name: String,
+    label: Label,
     start: Cycles,
     req: u32,
 }
@@ -113,17 +173,17 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
     // The VM whose "running" span is currently open (VmSwitch pairing).
     let mut running: Option<u16> = None;
 
-    let begin = |open: &mut Vec<Open>, track: Track, name: String, ts: Cycles, req: u32| {
+    let begin = |open: &mut Vec<Open>, track: Track, label: Label, ts: Cycles, req: u32| {
         open.push(Open {
             track,
-            name,
+            label,
             start: ts,
             req,
         });
     };
     // `expect`: when the end event itself names the span it closes (manager
     // phases, PCAP transfers, derived running spans), a surviving begin
-    // with a different name is a *stale slot* — its real begin was evicted
+    // with a different label is a *stale slot* — its real begin was evicted
     // by ring wraparound — and pairing against it would fabricate a bogus
     // duration. Such ends (and ends with no candidate at all) are counted
     // as orphans instead. `req != 0` additionally demands an exact
@@ -132,18 +192,18 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
                out: &mut PairedTrace,
                track: Track,
                ts: Cycles,
-               expect: Option<&str>,
+               expect: Option<Label>,
                req: u32| {
-        // Innermost unmatched begin on this track (and name/req, if known).
+        // Innermost unmatched begin on this track (and label/req, if known).
         let found = open
             .iter()
-            .rposition(|o| o.track == track && o.req == req && expect.is_none_or(|n| o.name == n));
+            .rposition(|o| o.track == track && o.req == req && expect.is_none_or(|l| o.label == l));
         match found {
             Some(i) => {
                 let o = open.remove(i);
                 out.spans.push(Span {
                     track: o.track,
-                    name: o.name,
+                    label: o.label,
                     start: o.start,
                     end: ts,
                     req: o.req,
@@ -155,162 +215,91 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
 
     for &(ts, ev) in events {
         last_ts = last_ts.max(ts);
-        match ev {
-            TraceEvent::TrapEnter { kind } => {
-                begin(&mut open, Track::Kernel, kind.name().to_string(), ts, 0)
+        let label = Label::Event(ev);
+        // Every event that is not a span boundary is an instant marker
+        // on this track (VmSwitch is both).
+        let marker = match ev {
+            TraceEvent::TrapEnter { .. } => {
+                begin(&mut open, Track::Kernel, label, ts, 0);
+                None
             }
-            TraceEvent::TrapExit => end(&mut open, &mut out, Track::Kernel, ts, None, 0),
-            TraceEvent::Hypercall { nr } => out.instants.push(Instant {
-                track: Track::Kernel,
-                name: hypercall_name(nr),
-                ts,
-                req: 0,
-            }),
+            TraceEvent::TrapExit => {
+                end(&mut open, &mut out, Track::Kernel, ts, None, 0);
+                None
+            }
             TraceEvent::VmSwitch { from, to } => {
-                out.instants.push(Instant {
-                    track: Track::Kernel,
-                    name: format!("switch {from}->{to}"),
-                    ts,
-                    req: 0,
-                });
                 if let Some(v) = running.take().filter(|&v| v == from && v != 0) {
-                    end(&mut open, &mut out, Track::Vm(v), ts, Some("running"), 0);
+                    end(
+                        &mut open,
+                        &mut out,
+                        Track::Vm(v),
+                        ts,
+                        Some(Label::Running),
+                        0,
+                    );
                 }
                 if to != 0 {
-                    begin(&mut open, Track::Vm(to), "running".into(), ts, 0);
+                    begin(&mut open, Track::Vm(to), Label::Running, ts, 0);
                     running = Some(to);
                 }
+                Some((Track::Kernel, 0))
             }
-            TraceEvent::SchedPick { vm } => out.instants.push(Instant {
-                track: Track::Kernel,
-                name: format!("pick vm{vm}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::VirqInject { vm, irq } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: format!("virq {irq}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::HwMgrPhase { phase, end: e } => {
-                if e {
-                    end(&mut open, &mut out, Track::HwMgr, ts, Some(phase.name()), 0);
-                } else {
-                    begin(&mut open, Track::HwMgr, phase.name().to_string(), ts, 0);
-                }
+            TraceEvent::HwMgrPhase { phase, end: true } => {
+                let named = Label::Event(TraceEvent::HwMgrPhase { phase, end: false });
+                end(&mut open, &mut out, Track::HwMgr, ts, Some(named), 0);
+                None
             }
-            TraceEvent::PcapDma { bytes, end: e } => {
-                let name = format!("pcap-dma {bytes}B");
-                if e {
-                    end(&mut open, &mut out, Track::Pcap, ts, Some(&name), 0);
-                } else {
-                    begin(&mut open, Track::Pcap, name, ts, 0);
-                }
+            TraceEvent::HwMgrPhase { end: false, .. } => {
+                begin(&mut open, Track::HwMgr, label, ts, 0);
+                None
             }
-            TraceEvent::PrrReconfig { prr, task } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("reconfig prr{prr} core:{task:#x}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::TlbFlush => out.instants.push(Instant {
-                track: Track::Kernel,
-                name: "tlb-flush".into(),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::FaultForwarded { vm } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: "fault-forwarded".into(),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::FaultInjected { site } => out.instants.push(Instant {
-                track: Track::Kernel,
-                name: format!("fault-injected site:{site}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::PcapRetry { prr, attempt } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("pcap-retry prr{prr} #{attempt}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::PrrQuarantine { prr } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("quarantine prr{prr}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::SwFallback { vm, task } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: format!("sw-fallback task:{task}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::VmKilled { vm } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: "vm-killed".into(),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::VmRestart { vm, attempt } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: format!("vm-restart #{attempt}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::PrrScrub { prr, pass } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("scrub prr{prr} {}", if pass { "pass" } else { "fail" }),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::PrrReinstate { prr } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("reinstate prr{prr}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::PrrRetire { prr } => out.instants.push(Instant {
-                track: Track::Pcap,
-                name: format!("retire prr{prr}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::Repromote { vm, task, prr } => out.instants.push(Instant {
-                track: Track::Vm(vm),
-                name: format!("repromote task:{task} -> prr{prr}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::HwTaskEscalate { prr, rung } => out.instants.push(Instant {
-                track: Track::HwMgr,
-                name: format!("escalate prr{prr} rung{rung}"),
-                ts,
-                req: 0,
-            }),
-            TraceEvent::ReqSpan { req, vm, end: e } => {
-                if e {
-                    end(&mut open, &mut out, Track::Req, ts, None, req);
-                } else {
-                    begin(&mut open, Track::Req, format!("r{req} vm{vm}"), ts, req);
-                }
+            TraceEvent::PcapDma { bytes, end: true } => {
+                let named = Label::Event(TraceEvent::PcapDma { bytes, end: false });
+                end(&mut open, &mut out, Track::Pcap, ts, Some(named), 0);
+                None
             }
-            TraceEvent::ReqStage { req, stage } => out.instants.push(Instant {
-                track: Track::Req,
-                name: format!("r{req}:{}", crate::event::req_stage_name(stage)),
+            TraceEvent::PcapDma { end: false, .. } => {
+                begin(&mut open, Track::Pcap, label, ts, 0);
+                None
+            }
+            TraceEvent::ReqSpan { req, end: true, .. } => {
+                end(&mut open, &mut out, Track::Req, ts, None, req);
+                None
+            }
+            TraceEvent::ReqSpan {
+                req, end: false, ..
+            } => {
+                begin(&mut open, Track::Req, label, ts, req);
+                None
+            }
+            TraceEvent::ReqStage { req, .. } => Some((Track::Req, req)),
+            TraceEvent::Hypercall { .. }
+            | TraceEvent::SchedPick { .. }
+            | TraceEvent::TlbFlush
+            | TraceEvent::FaultInjected { .. } => Some((Track::Kernel, 0)),
+            TraceEvent::VirqInject { vm, .. }
+            | TraceEvent::FaultForwarded { vm }
+            | TraceEvent::SwFallback { vm, .. }
+            | TraceEvent::VmKilled { vm }
+            | TraceEvent::VmRestart { vm, .. }
+            | TraceEvent::Repromote { vm, .. } => Some((Track::Vm(vm), 0)),
+            TraceEvent::PrrReconfig { .. }
+            | TraceEvent::PcapRetry { .. }
+            | TraceEvent::PrrQuarantine { .. }
+            | TraceEvent::PrrScrub { .. }
+            | TraceEvent::PrrReinstate { .. }
+            | TraceEvent::PrrRetire { .. } => Some((Track::Pcap, 0)),
+            TraceEvent::HwTaskEscalate { .. } | TraceEvent::SloBurn { .. } => {
+                Some((Track::HwMgr, 0))
+            }
+        };
+        if let Some((track, req)) = marker {
+            out.instants.push(Instant {
+                track,
+                label,
                 ts,
                 req,
-            }),
-            TraceEvent::SloBurn { iface, violations } => out.instants.push(Instant {
-                track: Track::HwMgr,
-                name: format!("slo-burn {} x{violations}", crate::event::iface_name(iface)),
-                ts,
-                req: 0,
-            }),
+            });
         }
     }
 
@@ -319,21 +308,13 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
     for o in open {
         out.spans.push(Span {
             track: o.track,
-            name: o.name,
+            label: o.label,
             start: o.start,
             end: last_ts.max(o.start),
             req: o.req,
         });
     }
     out
-}
-
-/// The exporter-facing hypercall label.
-fn hypercall_name(nr: u8) -> String {
-    match mnv_hal::abi::Hypercall::from_nr(nr) {
-        Some(hc) => format!("hc:{hc:?}"),
-        None => format!("hc:#{nr}"),
-    }
 }
 
 #[cfg(test)]
@@ -362,9 +343,9 @@ mod tests {
         let p = pair(&events);
         assert_eq!(p.spans.len(), 2);
         // Inner IRQ span closes first.
-        assert_eq!(p.spans[0].name, "trap:irq");
+        assert_eq!(p.spans[0].label.to_string(), "trap:irq");
         assert_eq!(p.spans[0].cycles(), 10);
-        assert_eq!(p.spans[1].name, "trap:svc");
+        assert_eq!(p.spans[1].label.to_string(), "trap:svc");
         assert_eq!(p.spans[1].cycles(), 30);
     }
 
@@ -385,7 +366,7 @@ mod tests {
         ];
         let p = pair(&events);
         assert_eq!(p.spans.len(), 1);
-        assert_eq!(p.spans[0].name, "mgr:exec");
+        assert_eq!(p.spans[0].label.to_string(), "mgr:exec");
         assert_eq!(p.spans[0].end, Cycles::new(90), "closed at trace end");
         assert_eq!(p.instants.len(), 1);
         assert_eq!(p.orphan_spans, 1, "the begin-less TrapExit is an orphan");
@@ -415,7 +396,7 @@ mod tests {
         let p = pair(&events);
         assert_eq!(p.orphan_spans, 1);
         assert_eq!(p.spans.len(), 1);
-        assert_eq!(p.spans[0].name, "mgr:entry");
+        assert_eq!(p.spans[0].label.to_string(), "mgr:entry");
         assert_eq!(p.spans[0].end, Cycles::new(20), "force-closed at trace end");
     }
 
@@ -461,12 +442,12 @@ mod tests {
         let p = pair(&events);
         assert_eq!(p.spans.len(), 2);
         let r1 = p.spans.iter().find(|s| s.req == 1).unwrap();
-        assert_eq!(r1.name, "r1 vm1");
+        assert_eq!(r1.label.to_string(), "r1 vm1");
         assert_eq!(r1.cycles(), 50);
         let r2 = p.spans.iter().find(|s| s.req == 2).unwrap();
         assert_eq!(r2.cycles(), 70);
         assert_eq!(p.orphan_spans, 0);
-        assert_eq!(p.instants[0].name, "r1:alloc:s2");
+        assert_eq!(p.instants[0].label.to_string(), "r1:alloc:s2");
         assert_eq!(p.instants[0].req, 1);
         assert_eq!(p.instants[0].track, Track::Req);
     }
@@ -480,7 +461,11 @@ mod tests {
             (Cycles::new(200), E::VmSwitch { from: 2, to: 0 }),
         ];
         let p = pair(&events);
-        let running: Vec<_> = p.spans.iter().filter(|s| s.name == "running").collect();
+        let running: Vec<_> = p
+            .spans
+            .iter()
+            .filter(|s| s.label == Label::Running)
+            .collect();
         assert_eq!(running.len(), 2);
         assert_eq!(running[0].track, Track::Vm(1));
         assert_eq!(running[0].cycles(), 100);
@@ -490,8 +475,9 @@ mod tests {
 
     #[test]
     fn hypercall_names_resolve() {
-        assert_eq!(hypercall_name(0), "hc:Yield");
-        assert_eq!(hypercall_name(17), "hc:HwTaskRequest");
-        assert_eq!(hypercall_name(200), "hc:#200");
+        let hc = |nr| Label::Event(E::Hypercall { nr }).to_string();
+        assert_eq!(hc(0), "hc:Yield");
+        assert_eq!(hc(17), "hc:HwTaskRequest");
+        assert_eq!(hc(200), "hc:#200");
     }
 }

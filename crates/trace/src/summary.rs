@@ -2,9 +2,9 @@
 
 use crate::acc::Acc;
 use crate::event::TraceEvent;
-use crate::span::pair;
+use crate::span::{pair, Label};
 use mnv_hal::Cycles;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Render a top-`n` text summary of an oldest-first event stream.
@@ -21,16 +21,26 @@ pub fn summarize(events: &[(Cycles, TraceEvent)], n: usize) -> String {
 pub fn summarize_with_drops(events: &[(Cycles, TraceEvent)], n: usize, dropped: u64) -> String {
     let paired = pair(events);
 
-    let mut spans: BTreeMap<String, Acc> = BTreeMap::new();
+    // Tally by label, then render each distinct label once; labels that
+    // print alike share a row.
+    let mut span_labels: HashMap<Label, Acc> = HashMap::new();
     for s in &paired.spans {
-        spans
-            .entry(s.name.clone())
+        span_labels
+            .entry(s.label)
             .or_default()
             .push(Cycles::new(s.cycles()));
     }
-    let mut markers: BTreeMap<String, u64> = BTreeMap::new();
+    let mut spans: BTreeMap<String, Acc> = BTreeMap::new();
+    for (label, acc) in &span_labels {
+        spans.entry(label.to_string()).or_default().merge(acc);
+    }
+    let mut marker_labels: HashMap<Label, u64> = HashMap::new();
     for i in &paired.instants {
-        *markers.entry(i.name.clone()).or_insert(0) += 1;
+        *marker_labels.entry(i.label).or_insert(0) += 1;
+    }
+    let mut markers: BTreeMap<String, u64> = BTreeMap::new();
+    for (label, count) in &marker_labels {
+        *markers.entry(label.to_string()).or_insert(0) += count;
     }
 
     let mut ranked: Vec<(&String, &Acc)> = spans.iter().collect();
