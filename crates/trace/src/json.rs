@@ -133,8 +133,13 @@ pub(crate) fn write_num<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
         out.write_str("null")
     } else if n == n.trunc() && n.abs() < 1e15 {
         write!(out, "{}", n as i64)
+    } else if n.abs() < 0.1 {
+        // The shortest text that parses back to `n`; `{}` never uses an
+        // exponent.
+        write!(out, "{n}")
     } else {
-        // 17 significant digits round-trip any f64.
+        // From 0.1 up, 17 fractional digits are at least 17 significant
+        // ones, which round-trip any f64.
         let mut buf = NumBuf::default();
         write!(buf, "{n:.17}")?;
         // Trim trailing zeros (keep at least one fractional digit).
@@ -426,6 +431,33 @@ mod tests {
         let text = doc.to_string();
         assert!(text.contains("\\u0001"));
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn numbers_round_trip_from_1e_minus_12_to_1e15() {
+        let mut state = 0x6a09_e667_f3bc_c909_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..20_000 {
+            // Cycle counts converted to microseconds at 660 MHz, both ways
+            // the exporters compute them, plus arbitrary mantissas at every
+            // decade in range.
+            let k = (next() % 1_000_000_000) as f64;
+            let mantissa = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let scaled = mantissa * 10f64.powi((next() % 28) as i32 - 12);
+            for x in [k / 660.0, k * 1e6 / 660e6, scaled, -scaled] {
+                let text = Json::num(x).to_string();
+                assert!(!text.contains('e'), "{text}");
+                assert_eq!(parse(&text).unwrap().as_num(), Some(x), "{text}");
+            }
+        }
+        // One cycle in microseconds needs all 17 significant digits.
+        assert_eq!(Json::num(1.0 / 660.0).to_string(), "0.0015151515151515152");
     }
 
     #[test]
