@@ -112,14 +112,11 @@ fn quad_lockstep_prog(
         "seed {seed}: reference and block-executor profiles differ"
     );
     assert_eq!(ref_prof.total_samples(), fast_prof.total_samples());
-    #[cfg(feature = "diag")]
-    {
-        assert!(
-            ref_prof.total_samples() > 0 || quad[1].0.now().raw() < SAMPLE_PERIOD,
-            "seed {seed}: a profiled run past the first deadline must sample"
-        );
-        assert!(!quad[0].1.is_enabled() && !quad[2].1.is_enabled());
-    }
+    assert!(
+        ref_prof.total_samples() > 0 || quad[1].0.now().raw() < SAMPLE_PERIOD,
+        "seed {seed}: a profiled run past the first deadline must sample"
+    );
+    assert!(!quad[0].1.is_enabled() && !quad[2].1.is_enabled());
     quad[3].0.bcache.stats
 }
 

@@ -9,9 +9,6 @@
 //! cycles, traps and fabric usage, attributed by the kernel's world-switch
 //! epoch accounting. With more multiplexed VMs each VM's refill counts
 //! rise, which is the mechanism behind the latency growth.
-//!
-//! Everything here works (and returns zeros) without the `metrics`
-//! feature; the binaries warn when the registry is inert.
 
 use mini_nova::kernel::Kernel;
 use mnv_hal::Cycles;
@@ -154,8 +151,7 @@ impl AttribReport {
 }
 
 /// Run the Table III scenario with `n` guests under the metrics registry
-/// and return the per-VM attribution of the measurement window. Returns
-/// zeros when the `diag` feature is off (the registry is inert).
+/// and return the per-VM attribution of the measurement window.
 pub fn measure_attrib(n: usize, cfg: &Table3Config) -> AttribReport {
     let seed = cfg.seeds.first().copied().unwrap_or(11);
     let mut k = build_kernel(n, seed, cfg);
@@ -261,7 +257,6 @@ mod tests {
     use super::*;
     use crate::table3::quick_config;
 
-    #[cfg(feature = "diag")]
     #[test]
     fn attrib_per_vm_refills_grow_with_vm_count() {
         let cfg = quick_config();
@@ -286,7 +281,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "diag")]
     #[test]
     fn attrib_rows_have_activity() {
         let r = measure_attrib(2, &quick_config());
@@ -298,19 +292,5 @@ mod tests {
             assert!(ipc > 0.0 && ipc < 4.0, "implausible IPC {ipc}");
         }
         assert!(r.host.cycles > 0, "host epoch never accounted");
-    }
-
-    #[test]
-    fn attrib_without_metrics_is_empty_not_broken() {
-        // With the registry compiled out it is inert; the harness must
-        // still return a well-formed (all-zero) report. Probe liveness at
-        // runtime — mnv-metrics' feature can be unified on independently
-        // of this crate's `metrics` flag in workspace builds.
-        let r = measure_attrib(1, &quick_config());
-        if !mnv_metrics::Registry::enabled().is_enabled() {
-            assert_eq!(r.window.entries.len(), 0);
-            assert_eq!(r.label_sum(|v| v.cycles), 0);
-        }
-        let _ = format_attrib(&[r]);
     }
 }

@@ -3,17 +3,16 @@
 //! OSes. Also captures an event timeline of the 4-guest configuration
 //! (`target/experiments/fig9.trace.json`).
 //!
-//! With `--attrib` (requires `--features diag`) it additionally prints
-//! the cache/TLB-pollution attribution table — per-VM D-cache/TLB refill
-//! counts for 1–4 multiplexed VMs — turning the figure's explanation into
-//! measured data, and writes the counts to `fig9.attrib.json`, followed by
-//! the "where" breakdown: sampled cycles per (VM, hypercall/DPR-stage)
-//! context.
+//! With `--attrib` it additionally prints the cache/TLB-pollution
+//! attribution table — per-VM D-cache/TLB refill counts for 1–4
+//! multiplexed VMs — turning the figure's explanation into measured data,
+//! and writes the counts to `fig9.attrib.json`, followed by the "where"
+//! breakdown: sampled cycles per (VM, hypercall/DPR-stage) context.
 //!
-//! With `--profile` (requires `--features diag`) it runs the 4-guest
-//! workload under the 10 µs PC sampler and writes the flame-graph input
-//! (`fig9.collapsed.txt`) plus Perfetto sample-rate counter tracks
-//! (`fig9.profile.trace.json`). Same seed ⇒ byte-identical profile.
+//! With `--profile` it runs the 4-guest workload under the 10 µs PC
+//! sampler and writes the flame-graph input (`fig9.collapsed.txt`) plus
+//! Perfetto sample-rate counter tracks (`fig9.profile.trace.json`). Same
+//! seed ⇒ byte-identical profile.
 //!
 //! With `--waterfall` (requires `--features trace`) it re-runs the 4-guest
 //! workload with causal request tracing live, reconstructs the per-request
@@ -80,9 +79,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--attrib") {
         let reports: Vec<_> = (1..=4).map(|n| measure_attrib(n, &cfg)).collect();
-        if reports[0].window.entries.is_empty() {
-            eprintln!("warning: metrics registry is inert — rerun with `--features diag`");
-        }
         println!("\n{}", format_attrib(&reports));
         write_json(
             "fig9.attrib",
@@ -92,32 +88,26 @@ fn main() {
         // The "where" next to the attribution's "who": sampled cycles per
         // (VM, hypercall/DPR-stage) kernel context over the 4-guest run.
         let profiler = profiled_run(4, &cfg, 30.0);
-        if profiler.is_enabled() {
-            println!("WHERE (PC samples per VM and kernel context, 4 guests, 30 ms):");
-            for (frame, n) in profiler.hot_contexts().into_iter().take(12) {
-                println!("  {n:>8}  {frame}");
-            }
-            println!();
+        println!("WHERE (PC samples per VM and kernel context, 4 guests, 30 ms):");
+        for (frame, n) in profiler.hot_contexts().into_iter().take(12) {
+            println!("  {n:>8}  {frame}");
         }
+        println!();
     }
 
     if args.iter().any(|a| a == "--profile") {
         let profiler = profiled_run(4, &cfg, 30.0);
-        if profiler.is_enabled() {
-            write_artifact("fig9.collapsed.txt", &profiler.collapsed());
-            write_artifact("fig9.profile.trace.json", &profiler.perfetto_counters());
-            println!(
-                "\nPROFILE (10 us PC sampling, 4 guests, 30 ms simulated): {} samples, {:.1}% attributed",
-                profiler.total_samples(),
-                100.0 * profiler.attributed_fraction()
-            );
-            for (stack, n) in profiler.top_k(10) {
-                println!("  {n:>8}  {stack}");
-            }
-            println!("(feed target/experiments/fig9.collapsed.txt to any flame-graph renderer)");
-        } else {
-            eprintln!("warning: profiler is inert — rerun with `--features diag`");
+        write_artifact("fig9.collapsed.txt", &profiler.collapsed());
+        write_artifact("fig9.profile.trace.json", &profiler.perfetto_counters());
+        println!(
+            "\nPROFILE (10 us PC sampling, 4 guests, 30 ms simulated): {} samples, {:.1}% attributed",
+            profiler.total_samples(),
+            100.0 * profiler.attributed_fraction()
+        );
+        for (stack, n) in profiler.top_k(10) {
+            println!("  {n:>8}  {stack}");
         }
+        println!("(feed target/experiments/fig9.collapsed.txt to any flame-graph renderer)");
     }
 
     if args.iter().any(|a| a == "--waterfall") {

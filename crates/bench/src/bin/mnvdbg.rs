@@ -17,7 +17,7 @@
 //!   mnvdbg --request ID FILE      render one request's stage waterfall
 //!                                 from a waterfall JSON export
 //!                                 (`ID` = `all` lists every request)
-//!   mnvdbg --demo        (requires `--features diag`, with the default `fault`) run a
+//!   mnvdbg --demo        (requires the default `trace` and `fault`) run a
 //!                        2-guest scenario with every accelerator start
 //!                        wedged, let the watchdog quarantine the region,
 //!                        write the resulting dump to
@@ -122,8 +122,10 @@ fn demo() {
     let cfg = quick_config();
     let mut k = build_kernel(2, 11, &cfg);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !profiler.is_enabled() {
-        eprintln!("mnvdbg: profiler is inert — rerun with `--features diag`");
+    if !k.state.tracer.is_enabled() {
+        eprintln!(
+            "mnvdbg: tracer is inert, so the flight recorder would be empty — rerun with `--features trace`"
+        );
         std::process::exit(2);
     }
     let mut plan = FaultPlan::none(9);

@@ -6,9 +6,9 @@
 //! wide fabric counters. Every column is a snapshot *delta* over the
 //! frame's window, so the display shows rates, not lifetime totals.
 //!
-//! With the `diag` feature on, each frame adds a hot-spot pane: the
-//! hottest sampled PCs (with VM and kernel-context annotations) and the
-//! sampled-cycle share per (VM, hypercall/DPR-stage) context.
+//! Each frame adds a hot-spot pane: the hottest sampled PCs (with VM and
+//! kernel-context annotations) and the sampled-cycle share per (VM,
+//! hypercall/DPR-stage) context.
 //!
 //! With the `trace` feature on, each frame also renders a request pane:
 //! the frame's SLO violations/burns, the per-interface request-latency
@@ -17,7 +17,7 @@
 //! request that completed inside the frame's window.
 //!
 //! Usage:
-//!   cargo run --release -p mnv-bench --features diag --bin mnvtop -- \
+//!   cargo run --release -p mnv-bench --bin mnvtop -- \
 //!     [--guests N] [--frames N] [--interval-ms F] [--plain]
 //!
 //! `--plain` disables the ANSI clear-screen between frames (the default
@@ -53,12 +53,6 @@ fn main() {
     let reg = k.enable_metrics();
     let tracer = k.enable_tracing(1 << 20);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !reg.is_enabled() {
-        eprintln!(
-            "warning: metrics registry and profiler are inert — rebuild with `--features diag`"
-        );
-        eprintln!("         (frames below will show zeros)");
-    }
     if !tracer.is_enabled() {
         eprintln!("note: tracer is inert — add `trace` to the feature list for the request pane");
     }
@@ -79,9 +73,7 @@ fn main() {
             print!("\x1b[2J\x1b[H");
         }
         render(frame, interval_ms, &d, &k.state.metrics.snapshot());
-        if profiler.is_enabled() {
-            render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
-        }
+        render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
         if tracer.is_enabled() {
             render_reqs(
                 &tracer,

@@ -7,8 +7,8 @@
 //! Usage: `cargo run --release -p mnv-bench --bin table3 [--quick] [--chaos] [--footprint] [--no-trace]`
 
 use mnv_bench::{
-    args_or_usage, measure_native, measure_virtualized, table3::format_table3, traced_run,
-    write_artifact, write_json, Table3Config,
+    args_or_usage, footprint, measure_native, measure_virtualized, table3::format_table3,
+    traced_run, write_artifact, write_json, Table3Config,
 };
 use mnv_trace::json::Json;
 
@@ -90,48 +90,37 @@ fn main() {
     }
 }
 
-/// The §V-B footprint paragraph: kernel size, hypercall counts, patch size.
+/// The §V-B footprint paragraph: kernel size, hypercall counts, patch
+/// size. Exits 1 when a source file cannot be read.
 fn print_footprint() {
     use mnv_hal::abi::HYPERCALL_COUNT;
     use mnv_ucos::port::HYPERCALLS_USED;
 
+    let fp = match footprint::measure() {
+        Ok(fp) => fp,
+        Err(e) => {
+            eprintln!("table3: footprint: {e}");
+            std::process::exit(1);
+        }
+    };
     println!("Mini-NOVA footprint (paper §V-B vs this reproduction)");
     println!("  hypercalls provided: {HYPERCALL_COUNT}   (paper: 25)");
     println!(
         "  hypercalls used by uC/OS-II port: {}   (paper: 17)",
         HYPERCALLS_USED.len()
     );
-    // LoC of the microkernel crate, the analogue of the paper's 5,363 LoC.
-    let loc = count_loc("crates/core/src");
-    println!("  microkernel source lines: {loc}   (paper: 5,363 LoC kernel+services)");
-    let patch_loc = count_loc_file("crates/ucos/src/port.rs");
-    println!("  paravirtualization patch lines: {patch_loc}   (paper: ~200 LoC)");
-}
-
-fn count_loc(dir: &str) -> usize {
-    let mut total = 0;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                total += count_loc(p.to_str().unwrap_or(""));
-            } else if p.extension().map(|x| x == "rs").unwrap_or(false) {
-                total += count_loc_file(p.to_str().unwrap_or(""));
-            }
-        }
-    }
-    total
-}
-
-fn count_loc_file(path: &str) -> usize {
-    std::fs::read_to_string(path)
-        .map(|s| {
-            s.lines()
-                .filter(|l| {
-                    let t = l.trim();
-                    !t.is_empty() && !t.starts_with("//")
-                })
-                .count()
-        })
-        .unwrap_or(0)
+    // Code lines of the microkernel crate without test modules, blanks
+    // and comments: the paper's kernel, then what this reproduction adds.
+    println!(
+        "  paper-kernel source lines: {}   (paper: 5,363 LoC kernel+services)",
+        fp.paper_kernel
+    );
+    println!(
+        "  extension source lines: {}   (supervisor, ring, obs, slo, postmortem, mirguest, native)",
+        fp.extensions
+    );
+    println!(
+        "  paravirtualization patch lines: {}   (paper: ~200 LoC)",
+        fp.patch
+    );
 }

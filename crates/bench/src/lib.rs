@@ -11,7 +11,9 @@
 //!   that Table III's setup relies on ([`recon_delay`]);
 //! * the **ablation** experiments for the design choices DESIGN.md calls
 //!   out (lazy VFP switch, ASID tagging, manager priority, hypercalls vs
-//!   trap-and-emulate) ([`ablation`]).
+//!   trap-and-emulate) ([`ablation`]);
+//! * the §V-B **footprint**: kernel source lines and hypercall counts
+//!   ([`footprint`]).
 //!
 //! Binaries print the tables in the paper's layout and emit JSON records
 //! next to them, plus Perfetto-loadable `.trace.json` timelines captured
@@ -20,6 +22,7 @@
 
 pub mod ablation;
 pub mod attrib;
+pub mod footprint;
 pub mod table3;
 
 pub use table3::{

@@ -265,8 +265,7 @@ pub fn traced_run(n: usize, cfg: &Table3Config, trace_ms: f64) -> Tracer {
 /// Run one virtualized configuration with the sampling profiler enabled
 /// and return the profiler handle. Sampling is pure observation, so the
 /// run is bit-identical to an unprofiled one; same `n`/`cfg`/duration
-/// means a byte-identical collapsed profile. Inert (but still safe to
-/// query) without the `diag` feature.
+/// means a byte-identical collapsed profile.
 pub fn profiled_run(n: usize, cfg: &Table3Config, profile_ms: f64) -> Profiler {
     let mut k = build_kernel(n, cfg.seeds.first().copied().unwrap_or(11), cfg);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);

@@ -7,9 +7,7 @@ use mnv_hal::Cycles;
 
 /// Profile-on vs profile-off on the 4-guest Table III scenario: the
 /// machine must end at the same cycle with the same retired count, PMU
-/// inputs and manager statistics. Runs in every feature configuration —
-/// with `profile` off the profiler is inert and the check is trivial, with
-/// it on this is the end-to-end bit-identity gate.
+/// inputs and manager statistics — the end-to-end bit-identity gate.
 #[test]
 fn profiling_does_not_perturb_the_fig9_workload() {
     let cfg = quick_config();
@@ -34,7 +32,6 @@ fn profiling_does_not_perturb_the_fig9_workload() {
 /// Same seed ⇒ byte-identical collapsed profile and counter tracks, and
 /// ≥95 % of sampled cycles land in attributable (VM, hypercall/DPR-stage)
 /// buckets.
-#[cfg(feature = "diag")]
 #[test]
 fn fig9_profile_is_deterministic_and_attributed() {
     let cfg = quick_config();
@@ -48,20 +45,4 @@ fn fig9_profile_is_deterministic_and_attributed() {
         "only {:.1}% of samples attributed",
         100.0 * a.attributed_fraction()
     );
-}
-
-/// Whether the handle is live (the `diag` feature somewhere in the
-/// graph) or inert, the run helper works and its queries are safe — call
-/// sites need no gates. Exact inert-handle behavior is unit-tested in
-/// `mnv-profile` itself, where feature unification cannot flip it.
-#[cfg(not(feature = "diag"))]
-#[test]
-fn profiled_run_needs_no_feature_gates() {
-    let p = profiled_run(1, &quick_config(), 2.0);
-    if !p.is_enabled() {
-        assert!(p.collapsed().is_empty());
-        assert_eq!(p.total_samples(), 0);
-    } else {
-        assert!(p.total_samples() > 0);
-    }
 }

@@ -205,8 +205,8 @@ impl Kernel {
     /// Turn on the per-VM metrics registry: the kernel, the Hardware Task
     /// Manager and the PL peripheral share one registry (clones share
     /// state, like the tracer's ring). Returns a handle for snapshots and
-    /// export. Without the `diag` feature this returns an inert handle
-    /// and every probe stays an empty inline function.
+    /// export. Until this is called every probe meets a disabled handle
+    /// and records nothing.
     pub fn enable_metrics(&mut self) -> Registry {
         let r = Registry::enabled();
         self.state.metrics = r.clone();
@@ -231,11 +231,11 @@ impl Kernel {
     /// sampling period in cycles ([`mnv_profile::DEFAULT_PERIOD`] is 10 us
     /// of simulated time). Sampling and tracing are pure observation — a
     /// profiled run is bit-identical to an unprofiled one. Without the
-    /// `diag` feature this returns an inert handle and every probe stays
-    /// an empty inline function.
+    /// `trace` feature the tracer stays inert: samples are still taken,
+    /// but every post-mortem's flight recorder is empty.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
         let p = Profiler::enabled(period, self.machine.now());
-        if p.is_enabled() && !self.state.tracer.is_enabled() {
+        if !self.state.tracer.is_enabled() {
             self.enable_tracing(mnv_profile::DEFAULT_FLIGHT_CAP);
         }
         self.state.profiler = p.clone();

@@ -246,10 +246,7 @@ fn fault_trace_events_reach_the_tracer() {
 fn fault_plane_counters_mirror_the_metrics_registry() {
     // The degradation counters are exported on the metrics plane too: under
     // a seeded chaos run the registry's machine-wide series must agree
-    // exactly with the kernel's own fault-plane accounting. (When the
-    // registry is compiled out it is inert and reads back zeros; gate on
-    // the handle, not this crate's feature, so the test holds under any
-    // workspace feature unification.)
+    // exactly with the kernel's own fault-plane accounting.
     use mnv_metrics::Label;
 
     let (mut k, ids) = kernel();
@@ -275,16 +272,10 @@ fn fault_plane_counters_mirror_the_metrics_registry() {
     ];
     for (name, stat) in series {
         let metered = snap.get(name, Label::Machine);
-        if reg.is_enabled() {
-            assert_eq!(metered, stat, "registry series {name} diverged");
-        } else {
-            assert_eq!(metered, 0, "inert registry must read zero for {name}");
-        }
+        assert_eq!(metered, stat, "registry series {name} diverged");
     }
-    if reg.is_enabled() {
-        assert!(
-            snap.get("pcap_retries", Label::Machine) > 0,
-            "chaos preset must exercise the retry path"
-        );
-    }
+    assert!(
+        snap.get("pcap_retries", Label::Machine) > 0,
+        "chaos preset must exercise the retry path"
+    );
 }

@@ -282,38 +282,26 @@ fn per_vm_epoch_deltas_sum_to_machine_totals() {
             ("pt_walks", d.pt_walks),
             ("exc_taken", d.exc_taken),
         ];
-        // Gate on the handle, not this crate's feature flag: the registry's
-        // liveness follows mnv-metrics' own feature under unification.
-        if reg.is_enabled() {
-            assert!(d.cycles > 0, "round {round}: the window metered nothing");
-            for (name, machine_total) in series {
-                assert_eq!(
-                    snap.total(name),
-                    machine_total,
-                    "round {round} (n={n}): label-sum of {name} diverged from the machine delta"
-                );
-            }
-            assert!(
-                snap.get("pmu_cycles", Label::Host) > 0,
-                "round {round}: scheduler/world-switch work lands on the host label"
+        assert!(d.cycles > 0, "round {round}: the window metered nothing");
+        for (name, machine_total) in series {
+            assert_eq!(
+                snap.total(name),
+                machine_total,
+                "round {round} (n={n}): label-sum of {name} diverged from the machine delta"
             );
-            for v in 1..=n {
-                let pd = k.pd(VmId(v)).stats.pmu;
-                let vm = Label::Vm(v as u8);
-                assert_eq!(snap.get("pmu_cycles", vm), pd.cycles);
-                assert_eq!(snap.get("instr_retired", vm), pd.instr_retired);
-                assert_eq!(snap.get("dcache_refill", vm), pd.l1d_refill);
-                assert_eq!(snap.get("tlb_refill", vm), pd.tlb_refill);
-                assert_eq!(snap.get("exc_taken", vm), pd.exc_taken);
-            }
-        } else {
-            for (name, _) in series {
-                assert_eq!(
-                    snap.total(name),
-                    0,
-                    "inert registry must stay empty when compiled out"
-                );
-            }
+        }
+        assert!(
+            snap.get("pmu_cycles", Label::Host) > 0,
+            "round {round}: scheduler/world-switch work lands on the host label"
+        );
+        for v in 1..=n {
+            let pd = k.pd(VmId(v)).stats.pmu;
+            let vm = Label::Vm(v as u8);
+            assert_eq!(snap.get("pmu_cycles", vm), pd.cycles);
+            assert_eq!(snap.get("instr_retired", vm), pd.instr_retired);
+            assert_eq!(snap.get("dcache_refill", vm), pd.l1d_refill);
+            assert_eq!(snap.get("tlb_refill", vm), pd.tlb_refill);
+            assert_eq!(snap.get("exc_taken", vm), pd.exc_taken);
         }
     }
 }

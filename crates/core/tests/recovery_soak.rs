@@ -62,7 +62,7 @@ fn soak_run(
 
 /// One event stream: for every lifecycle kind the kernel notes, the
 /// events in the trace ring must equal the `KernelStats` counter it maps
-/// to and, with the registry live (`diag`), the registry series too. A
+/// to and the registry series too. A
 /// site that counts without tracing (or traces without counting) breaks
 /// the equality.
 fn check_one_event_stream(
@@ -156,7 +156,7 @@ fn check_one_event_stream(
         if traced != counter {
             return Err(format!("{name}: {traced} traced, {counter} in KernelStats"));
         }
-        if k.state.metrics.is_enabled() && reg.total(name) != counter {
+        if reg.total(name) != counter {
             return Err(format!("{name}: registry {} vs {counter}", reg.total(name)));
         }
     }

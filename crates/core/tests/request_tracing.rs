@@ -118,7 +118,6 @@ fn waterfalls_reconstruct_complete_request_lifecycles() {
 /// p99 tail-bucket exemplars carry request ids that resolve to real
 /// traced requests: the whole point of exemplars is jumping from an
 /// aggregate histogram straight to one concrete waterfall.
-#[cfg(feature = "diag")]
 #[test]
 fn tail_exemplars_resolve_to_traced_requests() {
     let mut k = hw_scenario();
@@ -161,7 +160,7 @@ fn tail_exemplars_resolve_to_traced_requests() {
 fn slo_burn_fires_on_sustained_violations() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
-    // A live profiler (under `diag`) dumps from this ring rather than
+    // A live profiler dumps from this ring rather than
     // installing its own: tracing is already on, so the roomy ring stays
     // and the burn count below still matches it.
     k.enable_profiling(mnv_profile::DEFAULT_PERIOD);

@@ -8,11 +8,12 @@
 //! many D-cache refills did VM 2 cause while it ran" — the measured form
 //! of the paper's §V-B pollution argument.
 //!
-//! Design rules, matching the `trace`/`fault` planes:
+//! Design rules:
 //!
-//! * **Zero-cost when disabled.** Everything is behind the `metrics`
-//!   feature; without it `Registry` is a unit-sized inert handle and every
-//!   probe is an empty `#[inline]` function. Call sites never need a
+//! * **Switched on at run time, not by a cargo feature.**
+//!   [`Registry::disabled`] (the default) is an empty handle: every probe
+//!   is one inlined `None` test and records nothing, so a kernel without
+//!   a live registry pays one branch per probe. Call sites never need a
 //!   `cfg`.
 //! * **No allocation after init.** A counter allocates its slot on first
 //!   touch; every subsequent `add`/`set` is a `BTreeMap` index lookup plus
@@ -36,13 +37,9 @@
 
 use mnv_trace::json::Json;
 
-#[cfg(feature = "metrics")]
 use mnv_trace::hist::{self, Hist, BUCKETS};
-#[cfg(feature = "metrics")]
 use std::cell::RefCell;
-#[cfg(feature = "metrics")]
 use std::collections::BTreeMap;
-#[cfg(feature = "metrics")]
 use std::rc::Rc;
 
 /// What a metric is attributed to. Labels render into the Prometheus label
@@ -169,9 +166,8 @@ impl HistEntry {
     }
 }
 
-/// A point-in-time capture of the whole registry. Plain data — usable (and
-/// empty) even when the `metrics` feature is off, so harness code needs no
-/// feature gates.
+/// A point-in-time capture of the whole registry. Plain data — empty for
+/// a disabled registry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Samples in (name, label) order.
@@ -383,7 +379,6 @@ fn label_set_with(label: &Label, extra: &str) -> String {
     }
 }
 
-#[cfg(feature = "metrics")]
 struct HistSlot {
     name: &'static str,
     label: Label,
@@ -393,7 +388,6 @@ struct HistSlot {
     exemplars: [(u32, u64); BUCKETS],
 }
 
-#[cfg(feature = "metrics")]
 #[derive(Default)]
 struct State {
     /// Slot storage; values mutate in place, slots are never removed.
@@ -406,7 +400,6 @@ struct State {
     hist_index: BTreeMap<(&'static str, Label), usize>,
 }
 
-#[cfg(feature = "metrics")]
 impl State {
     fn slot(&mut self, name: &'static str, label: Label, kind: Kind) -> &mut Entry {
         let idx = *self.index.entry((name, label)).or_insert_with(|| {
@@ -440,7 +433,6 @@ impl State {
 /// [`Registry::enabled`] and hands clones to the machine layers.
 #[derive(Clone, Default)]
 pub struct Registry {
-    #[cfg(feature = "metrics")]
     inner: Option<Rc<RefCell<State>>>,
 }
 
@@ -450,40 +442,25 @@ impl Registry {
         Registry::default()
     }
 
-    /// A live registry (inert without the `metrics` feature, so call sites
-    /// need no gates).
+    /// A live registry.
     pub fn enabled() -> Self {
-        #[cfg(feature = "metrics")]
-        {
-            Registry {
-                inner: Some(Rc::new(RefCell::new(State::default()))),
-            }
+        Registry {
+            inner: Some(Rc::new(RefCell::new(State::default()))),
         }
-        #[cfg(not(feature = "metrics"))]
-        Registry::default()
     }
 
     /// True when this handle records.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "metrics")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "metrics"))]
-        false
+        self.inner.is_some()
     }
 
     /// Add `n` to a counter.
     #[inline]
     pub fn add(&self, name: &'static str, label: Label, n: u64) {
-        #[cfg(feature = "metrics")]
         if let Some(inner) = &self.inner {
-            let mut s = inner.borrow_mut();
-            s.slot(name, label, Kind::Counter).value += n;
+            inner.borrow_mut().slot(name, label, Kind::Counter).value += n;
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (name, label, n);
     }
 
     /// Increment a counter by one.
@@ -498,7 +475,6 @@ impl Registry {
     /// exemplar annotation on p99-tail buckets.
     #[inline]
     pub fn observe(&self, name: &'static str, label: Label, value: u64, exemplar: u32) {
-        #[cfg(feature = "metrics")]
         if let Some(inner) = &self.inner {
             let mut s = inner.borrow_mut();
             let slot = s.hist_slot(name, label);
@@ -507,74 +483,61 @@ impl Registry {
                 slot.exemplars[hist::bucket_of(value)] = (exemplar, value);
             }
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (name, label, value, exemplar);
     }
 
     /// Set a gauge to `v`.
     #[inline]
     pub fn set(&self, name: &'static str, label: Label, v: u64) {
-        #[cfg(feature = "metrics")]
         if let Some(inner) = &self.inner {
-            let mut s = inner.borrow_mut();
-            s.slot(name, label, Kind::Gauge).value = v;
+            inner.borrow_mut().slot(name, label, Kind::Gauge).value = v;
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (name, label, v);
     }
 
     /// Current value of one sample (0 when absent or disabled).
     pub fn get(&self, name: &'static str, label: Label) -> u64 {
-        #[cfg(feature = "metrics")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            return s
-                .index
-                .get(&(name, label))
-                .map(|&i| s.slots[i].value)
-                .unwrap_or(0);
-        }
-        let _ = (name, label);
-        0
+        let Some(inner) = &self.inner else { return 0 };
+        let s = inner.borrow();
+        s.index
+            .get(&(name, label))
+            .map(|&i| s.slots[i].value)
+            .unwrap_or(0)
     }
 
     /// Capture everything, sorted by (name, label). Empty when disabled.
     pub fn snapshot(&self) -> Snapshot {
-        #[cfg(feature = "metrics")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            let mut entries: Vec<Entry> = s.index.iter().map(|(&(_, _), &i)| s.slots[i]).collect();
-            entries.sort_by(|a, b| (a.name, a.label).cmp(&(b.name, b.label)));
-            // hist_index iterates in (name, label) order already.
-            let hists: Vec<HistEntry> = s
-                .hist_index
-                .values()
-                .map(|&i| {
-                    let sl = &s.hists[i];
-                    let buckets = (0..BUCKETS)
-                        .filter(|&b| sl.hist.bucket_count(b) > 0)
-                        .map(|b| HistBucket {
-                            le: hist::bucket_hi(b),
-                            count: sl.hist.bucket_count(b),
-                            exemplar_req: sl.exemplars[b].0,
-                            exemplar_value: sl.exemplars[b].1,
-                        })
-                        .collect();
-                    HistEntry {
-                        name: sl.name,
-                        label: sl.label,
-                        count: sl.hist.count(),
-                        sum: sl.hist.sum(),
-                        min: sl.hist.min(),
-                        max: sl.hist.max(),
-                        p99: sl.hist.p99() as u64,
-                        buckets,
-                    }
-                })
-                .collect();
-            return Snapshot { entries, hists };
-        }
-        Snapshot::default()
+        let Some(inner) = &self.inner else {
+            return Snapshot::default();
+        };
+        let s = inner.borrow();
+        // Both indexes iterate in (name, label) order.
+        let entries = s.index.values().map(|&i| s.slots[i]).collect();
+        let hists = s
+            .hist_index
+            .values()
+            .map(|&i| {
+                let sl = &s.hists[i];
+                let buckets = (0..BUCKETS)
+                    .filter(|&b| sl.hist.bucket_count(b) > 0)
+                    .map(|b| HistBucket {
+                        le: hist::bucket_hi(b),
+                        count: sl.hist.bucket_count(b),
+                        exemplar_req: sl.exemplars[b].0,
+                        exemplar_value: sl.exemplars[b].1,
+                    })
+                    .collect();
+                HistEntry {
+                    name: sl.name,
+                    label: sl.label,
+                    count: sl.hist.count(),
+                    sum: sl.hist.sum(),
+                    min: sl.hist.min(),
+                    max: sl.hist.max(),
+                    p99: sl.hist.p99() as u64,
+                    buckets,
+                }
+            })
+            .collect();
+        Snapshot { entries, hists }
     }
 
     /// OpenMetrics-style text of the current state (just the `# EOF`
@@ -620,7 +583,6 @@ mod tests {
         assert_eq!(r.openmetrics(), "# EOF\n");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn counters_accumulate_and_clones_share_state() {
         let r = Registry::enabled();
@@ -632,7 +594,6 @@ mod tests {
         assert_eq!(r.snapshot().total("hypercalls"), 14);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn gauges_set_not_accumulate() {
         let r = Registry::enabled();
@@ -643,7 +604,6 @@ mod tests {
         assert_eq!(s.entries[0].kind, Kind::Gauge);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn snapshot_delta_subtracts_counters_keeps_gauges() {
         let r = Registry::enabled();
@@ -657,7 +617,6 @@ mod tests {
         assert_eq!(d.get("g", Label::Machine), 9);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn prometheus_lines_are_name_labels_value() {
         let r = Registry::enabled();
@@ -684,7 +643,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn prometheus_emits_help_before_type() {
         let r = Registry::enabled();
@@ -705,7 +663,6 @@ mod tests {
         assert!(text.contains("# TYPE mnv_vm_count gauge"), "{text}");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn hostile_label_values_are_escaped() {
         assert_eq!(escape_label_value("m-gp0"), "m-gp0");
@@ -728,7 +685,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn json_export_groups_by_metric_then_label() {
         let r = Registry::enabled();
@@ -743,7 +699,6 @@ mod tests {
         assert_eq!(parsed.to_string(), j.to_string());
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn histograms_observe_and_snapshot() {
         let r = Registry::enabled();
@@ -771,7 +726,6 @@ mod tests {
         assert_eq!(d.hist("req_latency", Label::Iface("fft")), Some(h));
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn prometheus_histograms_are_cumulative_integer_series() {
         let r = Registry::enabled();
@@ -809,7 +763,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn openmetrics_annotates_tail_buckets_with_exemplars() {
         let r = Registry::enabled();
@@ -830,28 +783,24 @@ mod tests {
         assert!(!text.contains("req_id=\"1\""), "{text}");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn no_alloc_after_first_touch() {
         let r = Registry::enabled();
         r.add("c", Label::Vm(1), 1);
-        #[cfg(feature = "metrics")]
-        {
-            let before = r.inner.as_ref().unwrap().borrow().slots.capacity();
-            for _ in 0..1000 {
-                r.add("c", Label::Vm(1), 1);
-            }
-            let after = r.inner.as_ref().unwrap().borrow().slots.capacity();
-            assert_eq!(before, after, "steady-state adds must not grow storage");
-            // Histogram slots follow the same first-touch discipline.
-            r.observe("h", Label::Vm(1), 100, 1);
-            let before = r.inner.as_ref().unwrap().borrow().hists.capacity();
-            for v in 0..1000 {
-                r.observe("h", Label::Vm(1), v, 1);
-            }
-            let after = r.inner.as_ref().unwrap().borrow().hists.capacity();
-            assert_eq!(before, after, "steady-state observes must not grow storage");
+        let before = r.inner.as_ref().unwrap().borrow().slots.capacity();
+        for _ in 0..1000 {
+            r.add("c", Label::Vm(1), 1);
         }
+        let after = r.inner.as_ref().unwrap().borrow().slots.capacity();
+        assert_eq!(before, after, "steady-state adds must not grow storage");
+        // Histogram slots follow the same first-touch discipline.
+        r.observe("h", Label::Vm(1), 100, 1);
+        let before = r.inner.as_ref().unwrap().borrow().hists.capacity();
+        for v in 0..1000 {
+            r.observe("h", Label::Vm(1), v, 1);
+        }
+        let after = r.inner.as_ref().unwrap().borrow().hists.capacity();
+        assert_eq!(before, after, "steady-state observes must not grow storage");
         assert_eq!(r.get("c", Label::Vm(1)), 1001);
     }
 }

@@ -3,8 +3,6 @@
 //! emits — HELP/TYPE family headers, label escaping, histogram series
 //! shape and exemplar annotations — instead of spot-checking substrings.
 
-#![cfg(feature = "metrics")]
-
 use mnv_metrics::{Label, Registry};
 
 /// One parsed sample line.

@@ -25,10 +25,9 @@
 //! TLBs or architectural registers: a profiled run is **bit-identical** to
 //! an unprofiled one (cycles, retired instructions, PMU deltas, trap PCs
 //! — enforced by the lockstep suites). The handle follows the shared
-//! `Tracer`/`Registry`/`FaultPlane` idiom: `Clone` shares state, the
-//! disabled handle is unit-sized and free to call into, and without the
-//! `profile` cargo feature every probe compiles to an empty inline
-//! function.
+//! `Tracer`/`Registry`/`FaultPlane` idiom: `Clone` shares state, and the
+//! disabled handle (the default) records nothing: every probe is one
+//! inlined `None` test.
 
 #![warn(missing_docs)]
 
@@ -42,11 +41,8 @@ use mnv_hal::Cycles;
 use mnv_trace::json::Json;
 use mnv_trace::Tracer;
 
-#[cfg(feature = "profile")]
 use std::cell::RefCell;
-#[cfg(feature = "profile")]
 use std::collections::BTreeMap;
-#[cfg(feature = "profile")]
 use std::rc::Rc;
 
 /// Default sampling period: one sample per 6 600 simulated cycles (10 µs
@@ -59,10 +55,8 @@ pub const DEFAULT_PERIOD: u64 = 6_600;
 pub const DEFAULT_FLIGHT_CAP: usize = 512;
 
 /// Perfetto counter-track bucket width: 1 ms of simulated time.
-#[cfg(feature = "profile")]
 const COUNTER_BUCKET: u64 = mnv_hal::cycles::CPU_HZ / 1000;
 
-#[cfg(feature = "profile")]
 struct State {
     period: u64,
     next_sample: u64,
@@ -81,7 +75,6 @@ struct State {
 /// Task Manager.
 #[derive(Clone, Default)]
 pub struct Profiler {
-    #[cfg(feature = "profile")]
     inner: Option<Rc<RefCell<State>>>,
 }
 
@@ -92,40 +85,26 @@ impl Profiler {
     }
 
     /// A live profiler sampling every `period` cycles starting from `now`.
-    /// Inert without the `profile` feature, so call sites need no gates.
     pub fn enabled(period: u64, now: Cycles) -> Self {
-        #[cfg(feature = "profile")]
-        {
-            let period = period.max(1);
-            Profiler {
-                inner: Some(Rc::new(RefCell::new(State {
-                    period,
-                    next_sample: now.raw() + period,
-                    samples: BTreeMap::new(),
-                    total_samples: 0,
-                    series: BTreeMap::new(),
-                    cur_vm: 0,
-                    ctx: SampleCtx::None,
-                    last_dump: None,
-                }))),
-            }
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            let _ = (period, now);
-            Profiler::default()
+        let period = period.max(1);
+        Profiler {
+            inner: Some(Rc::new(RefCell::new(State {
+                period,
+                next_sample: now.raw() + period,
+                samples: BTreeMap::new(),
+                total_samples: 0,
+                series: BTreeMap::new(),
+                cur_vm: 0,
+                ctx: SampleCtx::None,
+                last_dump: None,
+            }))),
         }
     }
 
     /// True when this handle records.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "profile")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "profile"))]
-        false
+        self.inner.is_some()
     }
 
     /// The next sample deadline in raw cycles (`u64::MAX` when disabled).
@@ -133,11 +112,9 @@ impl Profiler {
     /// run ever strides over a sample point.
     #[inline]
     pub fn next_deadline(&self) -> u64 {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return inner.borrow().next_sample;
-        }
-        u64::MAX
+        self.inner
+            .as_ref()
+            .map_or(u64::MAX, |inner| inner.borrow().next_sample)
     }
 
     /// Take a sample if `now` has reached the deadline. Called by the
@@ -148,150 +125,128 @@ impl Profiler {
     /// stay cycle-weighted.
     #[inline]
     pub fn poll(&self, now: Cycles, pc: u32, asid: u8, privileged: bool) {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            let mut s = inner.borrow_mut();
-            let now = now.raw();
-            if now < s.next_sample {
-                return;
-            }
-            let weight = 1 + (now - s.next_sample) / s.period;
-            s.next_sample += weight * s.period;
-            let key = SampleKey {
-                vm: s.cur_vm,
-                asid,
-                ctx: s.ctx,
-                pc,
-                mode: if privileged {
-                    SampleMode::Privileged
-                } else {
-                    SampleMode::User
-                },
-            };
-            *s.samples.entry(key).or_insert(0) += weight;
-            s.total_samples += weight;
-            let scope = key.vm;
-            *s.series.entry((now / COUNTER_BUCKET, scope)).or_insert(0) += weight;
+        let Some(inner) = &self.inner else { return };
+        let mut s = inner.borrow_mut();
+        let now = now.raw();
+        if now < s.next_sample {
+            return;
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = (now, pc, asid, privileged);
+        let weight = 1 + (now - s.next_sample) / s.period;
+        s.next_sample += weight * s.period;
+        let key = SampleKey {
+            vm: s.cur_vm,
+            asid,
+            ctx: s.ctx,
+            pc,
+            mode: if privileged {
+                SampleMode::Privileged
+            } else {
+                SampleMode::User
+            },
+        };
+        *s.samples.entry(key).or_insert(0) += weight;
+        s.total_samples += weight;
+        let scope = key.vm;
+        *s.series.entry((now / COUNTER_BUCKET, scope)).or_insert(0) += weight;
     }
 
     /// Annotate subsequent samples and events with the running VM
     /// (0 = host). Set by the kernel at world switches.
     #[inline]
     pub fn set_vm(&self, vm: u8) {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             inner.borrow_mut().cur_vm = vm;
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = vm;
     }
 
     /// Swap the kernel-context annotation, returning the previous one so
     /// nested scopes (a DPR stage inside a hypercall) restore correctly.
     #[inline]
     pub fn swap_ctx(&self, ctx: SampleCtx) -> SampleCtx {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return std::mem::replace(&mut inner.borrow_mut().ctx, ctx);
+        match &self.inner {
+            Some(inner) => std::mem::replace(&mut inner.borrow_mut().ctx, ctx),
+            None => SampleCtx::None,
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = ctx;
-        SampleCtx::None
     }
 
     /// Total samples folded so far (0 when disabled).
     pub fn total_samples(&self) -> u64 {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return inner.borrow().total_samples;
-        }
-        0
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.borrow().total_samples)
     }
 
     /// Fraction of samples landing in attributable (VM, DPR
     /// stage/hypercall) buckets (1.0 for an empty profile).
     pub fn attributed_fraction(&self) -> f64 {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            if s.total_samples == 0 {
-                return 1.0;
-            }
-            let attributed: u64 = s
-                .samples
-                .iter()
-                .filter(|(k, _)| k.is_attributed())
-                .map(|(_, n)| *n)
-                .sum();
-            return attributed as f64 / s.total_samples as f64;
+        let Some(inner) = &self.inner else { return 1.0 };
+        let s = inner.borrow();
+        if s.total_samples == 0 {
+            return 1.0;
         }
-        1.0
+        let attributed: u64 = s
+            .samples
+            .iter()
+            .filter(|(k, _)| k.is_attributed())
+            .map(|(_, n)| *n)
+            .sum();
+        attributed as f64 / s.total_samples as f64
     }
 
     /// The profile as collapsed-stack text (one `frames count` line per
     /// bucket, in deterministic key order) — the input format of every
     /// flame-graph renderer.
     pub fn collapsed(&self) -> String {
-        #[cfg(feature = "profile")]
+        let mut out = String::new();
         if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            let mut out = String::new();
-            for (k, n) in &s.samples {
+            for (k, n) in &inner.borrow().samples {
                 out.push_str(&k.collapsed_frames());
                 out.push(' ');
                 out.push_str(&n.to_string());
                 out.push('\n');
             }
-            return out;
         }
-        String::new()
+        out
     }
 
     /// The `k` hottest buckets, by sample count then key order.
     pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            let mut all: Vec<(String, u64)> = s
-                .samples
-                .iter()
-                .map(|(key, n)| (key.collapsed_frames(), *n))
-                .collect();
-            all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            all.truncate(k);
-            return all;
-        }
-        let _ = k;
-        Vec::new()
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let mut all: Vec<(String, u64)> = inner
+            .borrow()
+            .samples
+            .iter()
+            .map(|(key, n)| (key.collapsed_frames(), *n))
+            .collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
     }
 
     /// Samples aggregated per (scope, kernel context) — the "where"
     /// breakdown next to the attribution report's "who" tables.
     pub fn hot_contexts(&self) -> Vec<(String, u64)> {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-            for (k, n) in &s.samples {
-                let scope = if k.vm == 0 {
-                    "host".to_string()
-                } else {
-                    format!("vm{}", k.vm)
-                };
-                let frame = match k.ctx.frame() {
-                    Some(f) => format!("{scope};{f}"),
-                    None => scope,
-                };
-                *agg.entry(frame).or_insert(0) += n;
-            }
-            let mut out: Vec<(String, u64)> = agg.into_iter().collect();
-            out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            return out;
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let mut agg: BTreeMap<String, u64> = BTreeMap::new();
+        for (k, n) in &inner.borrow().samples {
+            let scope = if k.vm == 0 {
+                "host".to_string()
+            } else {
+                format!("vm{}", k.vm)
+            };
+            let frame = match k.ctx.frame() {
+                Some(f) => format!("{scope};{f}"),
+                None => scope,
+            };
+            *agg.entry(frame).or_insert(0) += n;
         }
-        Vec::new()
+        let mut out: Vec<(String, u64)> = agg.into_iter().collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
     }
 
     /// Per-VM sample-rate counter tracks as Chrome trace-event JSON
@@ -299,36 +254,34 @@ impl Profiler {
     /// simulated clock) — loads in Perfetto next to the `mnv-trace`
     /// timeline.
     pub fn perfetto_counters(&self) -> String {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            let s = inner.borrow();
-            let mut out: Vec<Json> = Vec::new();
-            for (&(bucket, scope), &n) in &s.series {
-                let name = if scope == 0 {
-                    "samples:host".to_string()
-                } else {
-                    format!("samples:vm{scope}")
-                };
-                let ts = (bucket * COUNTER_BUCKET) as f64 * 1e6 / mnv_hal::cycles::CPU_HZ as f64;
-                out.push(Json::obj([
-                    ("name", Json::str(name)),
-                    ("ph", Json::str("C")),
-                    ("ts", Json::num(ts)),
-                    ("pid", Json::num(1.0)),
-                    ("args", Json::obj([("samples", Json::num(n as f64))])),
-                ]));
-            }
-            return Json::obj([
-                ("traceEvents", Json::Arr(out)),
-                ("displayTimeUnit", Json::str("ms")),
-                (
-                    "otherData",
-                    Json::obj([("source", Json::str("mnv-profile"))]),
-                ),
-            ])
-            .to_string();
+        let Some(inner) = &self.inner else {
+            return String::new();
+        };
+        let mut out: Vec<Json> = Vec::new();
+        for (&(bucket, scope), &n) in &inner.borrow().series {
+            let name = if scope == 0 {
+                "samples:host".to_string()
+            } else {
+                format!("samples:vm{scope}")
+            };
+            let ts = (bucket * COUNTER_BUCKET) as f64 * 1e6 / mnv_hal::cycles::CPU_HZ as f64;
+            out.push(Json::obj([
+                ("name", Json::str(name)),
+                ("ph", Json::str("C")),
+                ("ts", Json::num(ts)),
+                ("pid", Json::num(1.0)),
+                ("args", Json::obj([("samples", Json::num(n as f64))])),
+            ]));
         }
-        String::new()
+        Json::obj([
+            ("traceEvents", Json::Arr(out)),
+            ("displayTimeUnit", Json::str("ms")),
+            (
+                "otherData",
+                Json::obj([("source", Json::str("mnv-profile"))]),
+            ),
+        ])
+        .to_string()
     }
 
     /// Capture a post-mortem blob: the newest [`DEFAULT_FLIGHT_CAP`]
@@ -343,39 +296,26 @@ impl Profiler {
         tracer: &Tracer,
         context: Json,
     ) -> Option<String> {
-        #[cfg(feature = "profile")]
-        {
-            let top = self.top_k(10);
-            let inner = self.inner.as_ref()?;
-            let events = tracer.tail(DEFAULT_FLIGHT_CAP);
-            let dropped = tracer.total() - events.len() as u64;
-            let blob = postmortem::build_blob(
-                reason,
-                now,
-                &events,
-                dropped,
-                &top,
-                inner.borrow().total_samples,
-                context,
-            )
-            .to_string();
-            inner.borrow_mut().last_dump = Some(blob.clone());
-            Some(blob)
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            let _ = (reason, now, tracer, context);
-            None
-        }
+        let inner = self.inner.as_ref()?;
+        let events = tracer.tail(DEFAULT_FLIGHT_CAP);
+        let dropped = tracer.total() - events.len() as u64;
+        let blob = postmortem::build_blob(
+            reason,
+            now,
+            &events,
+            dropped,
+            &self.top_k(10),
+            inner.borrow().total_samples,
+            context,
+        )
+        .to_string();
+        inner.borrow_mut().last_dump = Some(blob.clone());
+        Some(blob)
     }
 
     /// The most recent post-mortem blob, if any dump has fired.
     pub fn last_dump(&self) -> Option<String> {
-        #[cfg(feature = "profile")]
-        if let Some(inner) = &self.inner {
-            return inner.borrow().last_dump.clone();
-        }
-        None
+        self.inner.as_ref()?.borrow().last_dump.clone()
     }
 }
 
@@ -404,7 +344,6 @@ mod tests {
         assert!(p.trigger_dump("x", Cycles::ZERO, &t, Json::Null).is_none());
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn sampling_fires_at_deadlines_and_folds() {
         let p = Profiler::enabled(100, Cycles::ZERO);
@@ -421,7 +360,6 @@ mod tests {
         assert_eq!(p.collapsed(), "host;0x00000010 3\n");
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn annotations_split_buckets_and_clones_share_state() {
         let p = Profiler::enabled(10, Cycles::ZERO);
@@ -442,7 +380,6 @@ mod tests {
         assert_eq!(p.hot_contexts()[0], ("vm1".to_string(), 2));
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn dump_round_trips_flight_and_top_buckets() {
         use mnv_trace::TraceEvent;
@@ -480,7 +417,6 @@ mod tests {
         assert_eq!(pm.context.get("pc").and_then(Json::as_num), Some(64.0));
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn perfetto_counters_parse_and_bucket_per_vm() {
         let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO);

@@ -4,9 +4,8 @@
 //!
 //! The format is versioned and decodes without any simulator state, so the
 //! `mnvdbg` binary (and CI) can round-trip a dump produced by a different
-//! build configuration. Building a blob is plain data assembly — this
-//! module is deliberately *not* feature-gated; only the live capture path
-//! in [`crate::Profiler`] is.
+//! build configuration. Building a blob is plain data assembly; the live
+//! capture path is [`crate::Profiler::trigger_dump`].
 
 use mnv_hal::Cycles;
 use mnv_trace::json::{self, Json};

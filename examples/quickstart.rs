@@ -15,8 +15,7 @@ fn main() {
     //    the `trace` feature is off).
     let mut kernel = Kernel::new(KernelConfig::default());
     let tracer = kernel.enable_tracing(1 << 16);
-    // Per-VM counter plane (an inert handle unless built with
-    // `--features diag`): every cache/TLB/cycle event charged to the
+    // Per-VM counter plane: every cache/TLB/cycle event charged to the
     // VM — or the kernel itself — that caused it.
     let metrics = kernel.enable_metrics();
 
@@ -128,13 +127,11 @@ fn main() {
 
     // 7. Export the counter plane: the registry mnvtop renders live, as
     //    Prometheus text exposition (`mnv_<series>{vm="1"} value`).
-    if metrics.is_enabled() {
-        let path = std::path::Path::new("target/experiments/quickstart.prom");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, metrics.prometheus()).unwrap();
-        println!(
-            "wrote {} — per-VM counters in Prometheus text format",
-            path.display()
-        );
-    }
+    let path = std::path::Path::new("target/experiments/quickstart.prom");
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, metrics.prometheus()).unwrap();
+    println!(
+        "wrote {} — per-VM counters in Prometheus text format",
+        path.display()
+    );
 }

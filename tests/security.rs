@@ -71,6 +71,10 @@ fn policy_kill_is_recorded_like_a_kernel_kill() {
     });
     k.run(Cycles::from_millis(5.0));
     assert_eq!(k.state.stats.vms_killed, 1);
+    assert_eq!(reg.get("vms_killed", mnv_metrics::Label::Machine), 1);
+    let dump = profiler.last_dump().expect("the kill dumps a post-mortem");
+    let pm = mnv_profile::postmortem::parse(&dump).unwrap();
+    assert_eq!(pm.reason, "vm-killed");
     if tracer.is_enabled() {
         let kills: Vec<_> = tracer
             .snapshot()
@@ -79,12 +83,6 @@ fn policy_kill_is_recorded_like_a_kernel_kill() {
             .collect();
         assert_eq!(kills.len(), 1, "exactly one VmKilled in the ring");
         assert_eq!(kills[0].1, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
-    }
-    if reg.is_enabled() {
-        assert_eq!(reg.get("vms_killed", mnv_metrics::Label::Machine), 1);
-        let dump = profiler.last_dump().expect("the kill dumps a post-mortem");
-        let pm = mnv_profile::postmortem::parse(&dump).unwrap();
-        assert_eq!(pm.reason, "vm-killed");
         assert_eq!(pm.events.last().unwrap().1, "VmKilled");
     }
 }
