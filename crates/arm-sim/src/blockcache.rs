@@ -49,6 +49,13 @@
 //!   affected (ASID, VA) blocks.
 //! * **Cache maintenance** — a full clean+invalidate drops everything.
 //!
+//! **Runs and micro-ops.** At commit each block is planned into
+//! [`Run`]s: stretches the executor replays as one batch, verified
+//! once. At the first successful verification of any of its runs, the
+//! block's runs are lowered once into one flat array of [`Uop`]s, which
+//! the batch loop executes with a single dispatch per instruction and no
+//! per-instruction PC, banking or flag-liveness decisions left to make.
+//!
 //! **Capacity.** At [`MAX_BLOCKS`] resident blocks every insert evicts
 //! exactly one victim, chosen by a CLOCK (second-chance) hand over a ring
 //! with one slot per resident block: a lookup or chain follow sets the
@@ -60,11 +67,12 @@
 //! [`PhysMemory`]: crate::memory::PhysMemory
 //! [`FastClass::Exit`]: crate::mir::FastClass::Exit
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::{Rc, Weak};
 
-use crate::mir::{FastClass, Instr, INSTR_SIZE};
+use crate::mir::{AluOp, Cond, FastClass, Instr, INSTR_SIZE};
 use crate::timing;
 use crate::tlb::TlbEntry;
 
@@ -75,9 +83,9 @@ pub const MAX_BLOCK_LEN: usize = 64;
 /// block; each unconditional-branch seam adds one).
 pub const MAX_SEGS: usize = 4;
 
-/// Minimum length at which a stretch of pure instructions is worth planning
-/// as a [`PureRun`] (below this the per-instruction replay path is cheaper
-/// than the run's verification overhead).
+/// Minimum length at which a stretch of batchable instructions is worth
+/// planning as a [`Run`] (below this the per-instruction replay path is
+/// cheaper than the run's verification overhead).
 pub const MIN_RUN_LEN: usize = 2;
 
 /// Maximum resident blocks; an insert at capacity first evicts one block
@@ -168,37 +176,30 @@ impl BlockSeg {
     }
 }
 
-/// A run segment: like [`BlockSeg`] but relative to a [`PureRun`] (a run
-/// may start mid-segment and span seams).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunSeg {
-    /// Virtual address of the first fetch of this piece of the run.
-    pub va: u32,
-    /// Physical address of the first fetch.
-    pub pa: u64,
-    /// Instructions fetched contiguously from here.
-    pub len: u32,
-}
-
-/// A maximal stretch of *pure* (register-only) instructions inside a cached
-/// block, planned once at commit time so the executor can replay the whole
-/// stretch in one step.
+/// A maximal stretch of *batchable* instructions inside a cached block,
+/// planned once at commit time so the executor can replay the whole
+/// stretch in one step: pure (register-only) instructions plus at most one
+/// `Ldr`/`Str` whose registers are all unbanked (r0–r7).
 ///
 /// Pure instructions cannot trap, touch memory or devices, change privilege,
 /// the ASID, DACR or any mapping — so a per-segment up-front verification
 /// (TLB entry covers the page and translates to the recorded addresses,
 /// every I-cache line resident) holds for every fetch in the run, every
 /// fetch is a plain L1I + TLB hit, and every cycle charge is statically
-/// known. The executor then defers the (exactly reproduced) TLB/L1I
-/// bookkeeping to one bulk update after the run.
+/// known. The run's one memory access runs behind a side-effect-free guard
+/// (the checks of the per-instruction replay's data fast path: TLB hit and
+/// permission, plain RAM, L1D hit), so when it passes its charge is static
+/// too; when it fails the batch stops just before it (see [`RunMem`]). The
+/// executor defers the (exactly reproduced) TLB/L1I bookkeeping to one bulk
+/// update after the batch.
 ///
 /// Runs extend across superblock seams (the seam's `B`/`Bl` is itself pure
 /// and its taken-branch cycles are statically known) and may end with one
 /// *dynamic* trailing transfer (conditional `B`, `Ret`) when that transfer
 /// is the block's last instruction — its successor is resolved by the
-/// specialized loop and its taken-branch cost charged dynamically.
-#[derive(Clone, Debug)]
-pub struct PureRun {
+/// micro-op loop and its taken-branch cost charged dynamically.
+#[derive(Clone, Copy, Debug)]
+pub struct Run {
     /// Index of the run's first instruction within the block.
     pub start: u32,
     /// Number of instructions in the run.
@@ -211,53 +212,79 @@ pub struct PureRun {
     pub cost_before_last: u64,
     /// Total statically known cycles of the run: every fetch plus every
     /// static execute charge (compute bursts, MUL extra, taken-branch cost
-    /// of unconditional transfers). A trailing *conditional* branch
-    /// contributes no static execute cycles — its taken cost is charged
-    /// dynamically by the specialized loop, exactly as the reference
-    /// interpreter does.
+    /// of unconditional transfers, the L1D hit of a guarded memory access).
+    /// A trailing *conditional* branch contributes no static execute cycles
+    /// — its taken cost is charged dynamically by the micro-op loop,
+    /// exactly as the reference interpreter does.
     pub static_cost: u64,
     /// Bitmask over the run (bit `k` = instruction `start + k`): set when
     /// the instruction writes N/Z/C that are provably overwritten by a
     /// later setter in the same run before any reader (conditional branch,
-    /// `MrsCpsr`) and before the run ends. The specialized loop skips the
-    /// flag computation for those — a dead `Cmp` is a complete no-op.
+    /// `MrsCpsr`, or the run's memory access, where the batch may stop) and
+    /// before the run ends. Lowering drops the flag computation for those —
+    /// a dead `Cmp` is a complete no-op.
     pub flags_dead: u64,
-    /// Contiguous (VA, PA) pieces of the run in fetch order; one entry per
-    /// superblock seam crossed (plus the head). Each piece is verified
-    /// against a single TLB entry.
-    pub segs: Vec<RunSeg>,
-    /// Distinct I-cache lines the run fetches through, in fetch order, as
-    /// `(pa of first fetch in the line, 1-based index of the last fetch in
-    /// the line)` — enough to replay the per-line LRU stamps exactly.
-    pub lines: Vec<(u64, u64)>,
+    /// PC after the run's last instruction when it is not a dynamic
+    /// transfer: the fallthrough address, or an unconditional transfer's
+    /// static target. For a trailing conditional `B` it is the not-taken
+    /// successor.
+    pub end_pc: u32,
+    /// The run's one memory access, if it has one.
+    pub mem: Option<RunMem>,
 }
 
-/// Static cycles `Machine::execute` charges for a pure instruction on top of
-/// the fetch (`L1_HIT + INSTR_BASE`). Must mirror the interpreter's charges;
-/// the lockstep differential suite pins the two together. Unconditionally
-/// taken transfers (`B` `Al`, `Bl`, `Ret`) charge their taken-branch cost
-/// statically; a conditional `B` charges 0 here (dynamic, only ever the last
-/// instruction of a run).
+/// Where a [`Run`]'s memory access sits, with what a batch that stops
+/// there needs to settle exactly the prefix that ran.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunMem {
+    /// Offset of the `Ldr`/`Str` within the run.
+    pub at: u32,
+    /// Its virtual PC (where a failed guard leaves the CPU).
+    pub pc: u32,
+    /// Static cycles of the instructions before it.
+    pub cost_before: u64,
+}
+
+/// Static cycles `Machine::execute` charges for a batchable instruction on
+/// top of the fetch (`L1_HIT + INSTR_BASE`). Must mirror the interpreter's
+/// charges; the lockstep differential suite pins the two together.
+/// Unconditionally taken transfers (`B` `Al`, `Bl`, `Ret`) charge their
+/// taken-branch cost statically; a conditional `B` charges 0 here (dynamic,
+/// only ever the last instruction of a run); a memory access charges the
+/// L1D hit its guard proves.
 fn static_execute_cycles(i: Instr) -> u64 {
-    use crate::mir::{AluOp, Cond};
     match i {
         Instr::Compute { cycles } => cycles as u64,
         Instr::Alu { op: AluOp::Mul, .. } | Instr::AluImm { op: AluOp::Mul, .. } => {
             timing::MUL - timing::INSTR_BASE
         }
         Instr::B { cond: Cond::Al, .. } | Instr::Bl { .. } | Instr::Ret => timing::BRANCH_TAKEN,
+        Instr::Ldr { .. } | Instr::Str { .. } => timing::L1_HIT,
         _ => 0,
     }
 }
 
-/// Plan the pure runs of a decoded block (see [`PureRun`]). `segs` is the
-/// block's segment map (drives per-instruction VA/PA reconstruction and
-/// seam detection); `line_shift` is log2 of the I-cache line size.
-fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec<PureRun> {
-    let fetch = timing::L1_HIT + timing::INSTR_BASE;
+/// True for the memory accesses a run may hold: `Ldr`/`Str` on unbanked
+/// registers only.
+fn batchable_mem(i: Instr) -> bool {
+    match i {
+        Instr::Ldr { rd: r, rn, .. } | Instr::Str { rs: r, rn, .. } => (r | rn) < 8,
+        _ => false,
+    }
+}
 
-    // Reconstruct per-instruction VAs from the segment map.
-    let n = instrs.len();
+/// True when the instruction reads r15, i.e. its own address. The PC is
+/// not kept per instruction inside a batch, so such an instruction never
+/// joins a run.
+fn reads_pc(i: Instr) -> bool {
+    matches!(
+        i,
+        Instr::Alu { rn: 15, .. } | Instr::Alu { rm: 15, .. } | Instr::AluImm { rn: 15, .. }
+    )
+}
+
+/// Per-instruction VAs of a block, reconstructed from its segment map.
+fn block_vas(segs: &[BlockSeg]) -> [u32; MAX_BLOCK_LEN] {
     let mut vas = [0u32; MAX_BLOCK_LEN];
     let mut k = 0;
     for s in segs {
@@ -266,9 +293,18 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
             k += 1;
         }
     }
-    debug_assert_eq!(k, n, "segment map covers the block");
+    vas
+}
 
-    let pure = |k: usize| instrs[k].1.fast_class() == FastClass::Pure;
+/// Plan the batchable runs of a decoded block (see [`Run`]). `segs` is
+/// the block's segment map (drives per-instruction VA reconstruction and
+/// seam detection).
+fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg]) -> Vec<Run> {
+    let fetch = timing::L1_HIT + timing::INSTR_BASE;
+    let n = instrs.len();
+    let vas = block_vas(segs);
+
+    let pure = |k: usize| instrs[k].1.fast_class() == FastClass::Pure && !reads_pc(instrs[k].1);
     // Whether control and fetch contiguity flow from instruction k to k+1
     // inside one run: plain fallthrough (VA and PA both advance by one
     // slot) or an unconditional statically-targeted seam whose recorded
@@ -290,18 +326,30 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
     let mut runs = Vec::new();
     let mut i = 0usize;
     while i < n {
-        if !pure(i) || instrs[i].1.is_control_transfer() {
+        let head = instrs[i].1;
+        let opens = batchable_mem(head) || (pure(i) && !head.is_control_transfer());
+        if !opens {
             // Sideband/exit instructions never join a run; a transfer can
             // only *end* one (handled while extending below).
             i += 1;
             continue;
         }
-        // Extend while pure; an unconditional seam continues the run, a
-        // dynamic transfer (conditional B, Ret) may be included as the
-        // run's final instruction when nothing follows it in the block.
+        // Extend while batchable, with at most one memory access; an
+        // unconditional seam continues the run, a dynamic transfer
+        // (conditional B, Ret) may be included as the run's final
+        // instruction when nothing follows it in the block.
+        let mut mem_at = batchable_mem(head).then_some(i);
         let mut j = i + 1;
-        while j < n && pure(j) && continues(j - 1) {
-            if instrs[j].1.is_control_transfer() && instrs[j].1.static_target().is_none() {
+        while j < n && continues(j - 1) {
+            let ins = instrs[j].1;
+            if batchable_mem(ins) {
+                if mem_at.is_some() {
+                    break;
+                }
+                mem_at = Some(j);
+            } else if !pure(j) {
+                break;
+            } else if ins.is_control_transfer() && ins.static_target().is_none() {
                 // Trailing dynamic transfer: include it only as the block's
                 // last instruction (recording rules guarantee that anyway).
                 if j + 1 == n {
@@ -316,9 +364,10 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
             let cost_before_last: u64 = (i..j - 1).map(cost).sum();
             let static_cost = cost_before_last + cost(j - 1);
 
-            // Flag liveness, backward within the run. At the run's end the
-            // flags are conservatively live (an IRQ, a later block or a
-            // sideband consumer may observe them).
+            // Flag liveness, backward within the run. At the run's end and
+            // at its memory access (where a failed guard stops the batch)
+            // the flags are conservatively live: an IRQ, a fault, a later
+            // block or a sideband consumer may observe them.
             let mut flags_dead = 0u64;
             let mut live = true;
             for k in (i..j).rev() {
@@ -329,46 +378,26 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
                     }
                     live = false;
                 }
-                if ins.reads_nzcv() {
+                if ins.reads_nzcv() || Some(k) == mem_at {
                     live = true;
                 }
             }
 
-            // Run segments: split at every fetch discontinuity (seams).
-            let mut rsegs: Vec<RunSeg> = Vec::new();
-            for k in i..j {
-                let (pa, _) = instrs[k];
-                match rsegs.last_mut() {
-                    Some(s)
-                        if s.va.wrapping_add(s.len * INSTR_SIZE as u32) == vas[k]
-                            && s.pa + s.len as u64 * INSTR_SIZE == pa =>
-                    {
-                        s.len += 1;
-                    }
-                    _ => rsegs.push(RunSeg {
-                        va: vas[k],
-                        pa,
-                        len: 1,
-                    }),
-                }
-            }
-
-            let mut lines: Vec<(u64, u64)> = Vec::new();
-            for (k, &(pa, _)) in instrs[i..j].iter().enumerate() {
-                let ord = (k + 1) as u64;
-                match lines.last_mut() {
-                    Some(l) if l.0 >> line_shift == pa >> line_shift => l.1 = ord,
-                    _ => lines.push((pa, ord)),
-                }
-            }
-            runs.push(PureRun {
+            let last = instrs[j - 1].1;
+            runs.push(Run {
                 start: i as u32,
                 len: (j - i) as u32,
                 cost_before_last,
                 static_cost,
                 flags_dead,
-                segs: rsegs,
-                lines,
+                end_pc: last
+                    .static_target()
+                    .unwrap_or(vas[j - 1].wrapping_add(INSTR_SIZE as u32)),
+                mem: mem_at.map(|m| RunMem {
+                    at: (m - i) as u32,
+                    pc: vas[m],
+                    cost_before: (i..m).map(cost).sum(),
+                }),
             });
         }
         i = j;
@@ -376,7 +405,144 @@ fn plan_runs(instrs: &[(u64, Instr)], segs: &[BlockSeg], line_shift: u32) -> Vec
     runs
 }
 
-/// Everything a [`PureRun`]'s up-front verification depends on. If a stored
+/// One pre-resolved micro-op of a lowered run. Lowering decides everything
+/// that does not depend on register values once, so the executor's batch
+/// loop is a single dispatch per instruction: the operation (one variant
+/// per ALU op and operand form), whether every register is unbanked
+/// (r0–r7, read and written directly), whether a flag-setter's flags are
+/// live (`Subs`/`Cmp`) or dead (`Sub`, `Nop`), and every static PC
+/// (seams and fallthroughs need no micro-op; `Bl` carries its return
+/// address). Semantics are exactly [`Machine::execute`]'s for the
+/// instruction; the unit tests run both over the same inputs.
+///
+/// [`Machine::execute`]: crate::Machine
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Uop {
+    /// No effect beyond the fetch: a compute burst (cycles are static), an
+    /// unconditional `B` (static PC) or a `Cmp` with dead flags.
+    Nop,
+    /// `rd = imm`.
+    Mov { rd: u8, imm: u32 },
+    /// `rd = rn + rm`.
+    Add { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn + imm`.
+    AddI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn - rm`, flags dead.
+    Sub { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn - imm`, flags dead.
+    SubI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn - rm`, setting N/Z/C.
+    Subs { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn - imm`, setting N/Z/C.
+    SubsI { rd: u8, rn: u8, imm: u32 },
+    /// N/Z/C of `rn - rm`.
+    Cmp { rn: u8, rm: u8 },
+    /// N/Z/C of `rn - imm`.
+    CmpI { rn: u8, imm: u32 },
+    /// `rd = rn & rm`.
+    And { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn & imm`.
+    AndI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn | rm`.
+    Orr { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn | imm`.
+    OrrI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn ^ rm`.
+    Eor { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn ^ imm`.
+    EorI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn * rm`.
+    Mul { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn * imm`.
+    MulI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn << (rm & 31)`.
+    Lsl { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn << imm` (`imm` pre-masked to 0–31).
+    LslI { rd: u8, rn: u8, imm: u32 },
+    /// `rd = rn >> (rm & 31)`.
+    Lsr { rd: u8, rn: u8, rm: u8 },
+    /// `rd = rn >> imm` (`imm` pre-masked to 0–31).
+    LsrI { rd: u8, rn: u8, imm: u32 },
+    /// `MovImm` to a banked register (r8–r14).
+    MovBanked { rd: u8, imm: u32 },
+    /// Register ALU op touching a banked register, through the generic
+    /// path (flags computed even when dead: harmless, they are overwritten
+    /// before any reader).
+    AluBanked { op: AluOp, rd: u8, rn: u8, rm: u8 },
+    /// Immediate ALU op touching a banked register (as `AluBanked`).
+    AluImmBanked { op: AluOp, rd: u8, rn: u8, imm: u32 },
+    /// `rd = CPSR`.
+    Mrs { rd: u8 },
+    /// `lr = ret` (the branch itself is a static PC).
+    Bl { ret: u32 },
+    /// Trailing conditional branch to `target` (else the run's `end_pc`).
+    BCond { cond: Cond, target: u32 },
+    /// Trailing return: PC = lr.
+    Ret,
+    /// Guarded `rd = mem32[rn + imm]`.
+    Ldr { rd: u8, rn: u8, imm: u32 },
+    /// Guarded `mem32[rn + imm] = rs`.
+    Str { rs: u8, rn: u8, imm: u32 },
+}
+
+/// Lower one batchable instruction at `va` (see [`Uop`]); `flags_dead` is
+/// its bit of [`Run::flags_dead`].
+fn lower(instr: Instr, va: u32, flags_dead: bool) -> Uop {
+    use AluOp::*;
+    let low = |r: u8| r < 8;
+    match instr {
+        Instr::MovImm { rd, imm } if low(rd) => Uop::Mov { rd, imm },
+        Instr::MovImm { rd, imm } => Uop::MovBanked { rd, imm },
+        Instr::Alu { op, rd, rn, rm } if low(rd | rn | rm) => match (op, flags_dead) {
+            (Add, _) => Uop::Add { rd, rn, rm },
+            (Sub, true) => Uop::Sub { rd, rn, rm },
+            (Sub, false) => Uop::Subs { rd, rn, rm },
+            (Cmp, true) => Uop::Nop,
+            (Cmp, false) => Uop::Cmp { rn, rm },
+            (And, _) => Uop::And { rd, rn, rm },
+            (Orr, _) => Uop::Orr { rd, rn, rm },
+            (Eor, _) => Uop::Eor { rd, rn, rm },
+            (Mul, _) => Uop::Mul { rd, rn, rm },
+            (Lsl, _) => Uop::Lsl { rd, rn, rm },
+            (Lsr, _) => Uop::Lsr { rd, rn, rm },
+        },
+        Instr::Alu { op, rd, rn, rm } => Uop::AluBanked { op, rd, rn, rm },
+        Instr::AluImm { op, rd, rn, imm } if low(rd | rn) => match (op, flags_dead) {
+            (Add, _) => Uop::AddI { rd, rn, imm },
+            (Sub, true) => Uop::SubI { rd, rn, imm },
+            (Sub, false) => Uop::SubsI { rd, rn, imm },
+            (Cmp, true) => Uop::Nop,
+            (Cmp, false) => Uop::CmpI { rn, imm },
+            (And, _) => Uop::AndI { rd, rn, imm },
+            (Orr, _) => Uop::OrrI { rd, rn, imm },
+            (Eor, _) => Uop::EorI { rd, rn, imm },
+            (Mul, _) => Uop::MulI { rd, rn, imm },
+            (Lsl, _) => Uop::LslI {
+                rd,
+                rn,
+                imm: imm & 31,
+            },
+            (Lsr, _) => Uop::LsrI {
+                rd,
+                rn,
+                imm: imm & 31,
+            },
+        },
+        Instr::AluImm { op, rd, rn, imm } => Uop::AluImmBanked { op, rd, rn, imm },
+        Instr::MrsCpsr { rd } => Uop::Mrs { rd },
+        Instr::Compute { .. } | Instr::B { cond: Cond::Al, .. } => Uop::Nop,
+        Instr::B { cond, target } => Uop::BCond { cond, target },
+        Instr::Bl { .. } => Uop::Bl {
+            ret: va.wrapping_add(INSTR_SIZE as u32),
+        },
+        Instr::Ret => Uop::Ret,
+        Instr::Ldr { rd, rn, imm } => Uop::Ldr { rd, rn, imm },
+        Instr::Str { rs, rn, imm } => Uop::Str { rs, rn, imm },
+        _ => unreachable!("only batchable instructions are lowered"),
+    }
+}
+
+/// Everything a [`Run`]'s up-front verification depends on. If a stored
 /// stamp equals the current one, re-running the probes would resolve the
 /// same slots with the same outcome:
 ///
@@ -408,7 +574,7 @@ pub struct VerifyStamp {
     pub mmu_on: bool,
 }
 
-/// A successful, memoized verification of one [`PureRun`]: the resolved
+/// A successful, memoized verification of one [`Run`]: the resolved
 /// slots plus the [`VerifyStamp`] conditioning them.
 #[derive(Clone, Debug)]
 pub struct RunVerify {
@@ -432,8 +598,11 @@ pub struct RunVerify {
 pub struct CachedBlock {
     /// Decoded run: (physical fetch address, instruction) per slot.
     pub instrs: Box<[(u64, Instr)]>,
-    /// Pure runs planned at commit time (see [`PureRun`]).
-    pub runs: Vec<PureRun>,
+    /// Runs planned at commit time (see [`Run`]).
+    pub runs: Vec<Run>,
+    /// The runs lowered to micro-ops, built on first use (see
+    /// [`CachedBlock::uops`]).
+    uops: OnceCell<Box<[Uop]>>,
     /// Straight-line segments (see [`BlockSeg`]); one for a plain basic
     /// block, one extra per fused unconditional-branch seam.
     pub segs: Box<[BlockSeg]>,
@@ -461,7 +630,7 @@ pub struct CachedBlock {
     /// (`fall_va`). `Weak` so chains (including self-loops) never leak;
     /// validity is re-checked at follow time anyway.
     succ: [RefCell<Option<Weak<CachedBlock>>>; 2],
-    /// Memoized verification per pure run (parallel to `runs` once one of
+    /// Memoized verification per run (parallel to `runs` once one of
     /// them first verifies; empty until then): the slots a
     /// successful verification resolved plus the [`VerifyStamp`] it is
     /// conditioned on. A stamp match proves the probes would resolve
@@ -473,15 +642,8 @@ pub struct CachedBlock {
 impl CachedBlock {
     /// Build a block from a non-empty recording of at most
     /// [`MAX_BLOCK_LEN`] instructions and its segment map, then plan the
-    /// pure runs. `line_shift` is log2 of the I-cache line size (the run
-    /// plans carry per-line LRU ordinals).
-    pub fn new(
-        instrs: &[(u64, Instr)],
-        segs: &[BlockSeg],
-        asid: u8,
-        va: u32,
-        line_shift: u32,
-    ) -> CachedBlock {
+    /// runs.
+    pub fn new(instrs: &[(u64, Instr)], segs: &[BlockSeg], asid: u8, va: u32) -> CachedBlock {
         assert!(!instrs.is_empty() && instrs.len() <= MAX_BLOCK_LEN);
         debug_assert_eq!(
             segs.iter().map(|s| s.len as usize).sum::<usize>(),
@@ -493,7 +655,8 @@ impl CachedBlock {
             .map(|s| s.va.wrapping_add(s.len * INSTR_SIZE as u32))
             .unwrap_or(va);
         CachedBlock {
-            runs: plan_runs(instrs, segs, line_shift),
+            runs: plan_runs(instrs, segs),
+            uops: OnceCell::new(),
             instrs: instrs.into(),
             verify: RefCell::new(Vec::new()),
             segs: segs.into(),
@@ -509,19 +672,35 @@ impl CachedBlock {
 
     /// Convenience for a single-segment block whose VAs mirror its PAs'
     /// layout starting at `va` (tests and simple callers).
-    pub fn from_contiguous(
-        instrs: &[(u64, Instr)],
-        asid: u8,
-        va: u32,
-        line_shift: u32,
-    ) -> CachedBlock {
+    pub fn from_contiguous(instrs: &[(u64, Instr)], asid: u8, va: u32) -> CachedBlock {
         let pa = instrs.first().map(|&(pa, _)| pa).unwrap_or(0);
         let seg = BlockSeg {
             va,
             pa,
             len: instrs.len() as u32,
         };
-        CachedBlock::new(instrs, &[seg], asid, va, line_shift)
+        CachedBlock::new(instrs, &[seg], asid, va)
+    }
+
+    /// The block's runs lowered to micro-ops, one per instruction (`Nop`
+    /// outside runs, so run `r` is `uops()[start..start + len]`). Built in
+    /// one allocation at the first call — the executor's first successful
+    /// run verification, so blocks that never batch never lower — and kept
+    /// for the block's lifetime, however often its verification memo is
+    /// invalidated.
+    pub fn uops(&self) -> &[Uop] {
+        self.uops.get_or_init(|| {
+            let vas = block_vas(&self.segs);
+            let mut uops = vec![Uop::Nop; self.instrs.len()];
+            for run in self.runs.iter() {
+                for k in 0..run.len as usize {
+                    let i = run.start as usize + k;
+                    let dead = run.flags_dead & (1 << k) != 0;
+                    uops[i] = lower(self.instrs[i].1, vas[i], dead);
+                }
+            }
+            uops.into_boxed_slice()
+        })
     }
 
     /// Still safe to enter through a successor link.
@@ -561,6 +740,36 @@ impl CachedBlock {
     }
 }
 
+/// Hasher for the `(ASID, VA)` block keys: one multiply, with the high
+/// half folded into the low bits the table indexes by. Fixed, so every
+/// process lays the table out the same way, and cheaper than the default
+/// SipHash on the lookup and eviction paths. The keys are guest PCs: a
+/// guest that picks colliding PCs can slow the host's table, never change
+/// what the simulation computes.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.0 = (self.0 << 8) | n as u64;
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | n as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+}
+
 /// The decoded-block cache. Lives on the [`Machine`](crate::Machine); the
 /// `enabled` flag is a run-time switch (the lockstep suites and the
 /// benchmark's lockstep gate compare both executors in one build).
@@ -570,7 +779,7 @@ pub struct BlockCache {
     pub enabled: bool,
     /// Counters.
     pub stats: BlockCacheStats,
-    blocks: HashMap<(u8, u32), Rc<CachedBlock>>,
+    blocks: HashMap<(u8, u32), Rc<CachedBlock>, BuildHasherDefault<KeyHasher>>,
     /// CLOCK ring: slot `i` holds the resident block whose `slot` is `i`.
     /// Slots vacated by invalidation go on `free` and are refilled before
     /// the ring grows, so the ring never exceeds [`MAX_BLOCKS`] slots and
@@ -589,7 +798,7 @@ impl Default for BlockCache {
         BlockCache {
             enabled: true,
             stats: BlockCacheStats::default(),
-            blocks: HashMap::new(),
+            blocks: HashMap::default(),
             ring: Vec::new(),
             free: Vec::new(),
             hand: 0,
@@ -788,7 +997,7 @@ mod tests {
 
     fn block(asid: u8, va: u32, lo: u64, n: usize) -> CachedBlock {
         let instrs: Vec<_> = (0..n as u64).map(|i| (lo + i * 8, Instr::Ret)).collect();
-        CachedBlock::from_contiguous(&instrs, asid, va, 5)
+        CachedBlock::from_contiguous(&instrs, asid, va)
     }
 
     #[test]
@@ -872,7 +1081,7 @@ mod tests {
             },
         ];
         let mut c = BlockCache::default();
-        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000, 5));
+        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000));
         assert_eq!(c.stats.superblocks, 1);
         assert_eq!(c.stats.fused_segs, 1);
         // A page strictly between the segments touches neither.
@@ -884,75 +1093,103 @@ mod tests {
 
         // Same for chunks: only chunks actually containing a segment count.
         let mut c = BlockCache::default();
-        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000, 5));
+        c.insert(CachedBlock::new(&instrs, &segs, 1, 0x8000));
         c.invalidate_chunks(&[0x1_0000], 0x1_0000, 1);
         assert!(c.lookup(1, 0x8000).is_some(), "hole chunk touches no seg");
         c.invalidate_chunks(&[0x4_0000], 0x1_0000, 2);
         assert!(c.lookup(1, 0x8000).is_none());
     }
 
-    #[test]
-    fn run_plan_covers_pure_stretches_only() {
-        // [alu, alu, alu, str, alu, mul, b] at contiguous pa from 0x8000.
-        let seq = [
-            Instr::Alu {
-                op: AluOp::Add,
-                rd: 0,
-                rn: 0,
-                rm: 1,
-            },
-            Instr::AluImm {
-                op: AluOp::Eor,
-                rd: 0,
-                rn: 0,
-                imm: 3,
-            },
-            Instr::MovImm { rd: 2, imm: 7 },
-            Instr::Str {
-                rs: 0,
-                rn: 4,
-                imm: 0,
-            },
-            Instr::Compute { cycles: 11 },
-            Instr::AluImm {
-                op: AluOp::Mul,
-                rd: 0,
-                rn: 0,
-                imm: 3,
-            },
-            Instr::B {
-                cond: crate::mir::Cond::Eq,
-                target: 0x8000,
-            },
-        ];
+    /// A single-segment block of `seq` at contiguous addresses from 0x8000.
+    fn contiguous(seq: &[Instr]) -> CachedBlock {
         let instrs: Vec<(u64, Instr)> = seq
             .iter()
             .enumerate()
             .map(|(i, &s)| (0x8000 + i as u64 * 8, s))
             .collect();
-        let b = CachedBlock::from_contiguous(&instrs, 0, 0x8000, 5);
-        assert_eq!(b.runs.len(), 2, "two pure stretches split by the str");
+        CachedBlock::from_contiguous(&instrs, 0, 0x8000)
+    }
+
+    #[test]
+    fn run_plan_admits_one_unbanked_memory_access_per_run() {
+        let add = Instr::Alu {
+            op: AluOp::Add,
+            rd: 0,
+            rn: 0,
+            rm: 1,
+        };
+        let mul = Instr::AluImm {
+            op: AluOp::Mul,
+            rd: 0,
+            rn: 0,
+            imm: 3,
+        };
+        let str0 = Instr::Str {
+            rs: 0,
+            rn: 4,
+            imm: 0,
+        };
+        let ldr3 = Instr::Ldr {
+            rd: 3,
+            rn: 4,
+            imm: 8,
+        };
+        let beq = Instr::B {
+            cond: Cond::Eq,
+            target: 0x8000,
+        };
         let fetch = timing::L1_HIT + timing::INSTR_BASE;
-        assert_eq!((b.runs[0].start, b.runs[0].len), (0, 3));
-        assert_eq!(b.runs[0].cost_before_last, 2 * fetch);
-        assert_eq!(b.runs[0].static_cost, 3 * fetch);
-        // Second run: compute(11) + mul + trailing conditional branch; cost
-        // before last = fetch+11 + fetch+(MUL-INSTR_BASE); the untaken
-        // branch contributes nothing statically.
-        assert_eq!((b.runs[1].start, b.runs[1].len), (4, 3));
+        let mul_extra = timing::MUL - timing::INSTR_BASE;
+
+        // [add, mov, str, compute(11), mul, b.eq]: one run over the whole
+        // block, the str its memory access, charged one L1D hit.
+        let b = contiguous(&[
+            add,
+            Instr::MovImm { rd: 2, imm: 7 },
+            str0,
+            Instr::Compute { cycles: 11 },
+            mul,
+            beq,
+        ]);
+        assert_eq!(b.runs.len(), 1);
+        let run = b.runs[0];
+        assert_eq!((run.start, run.len), (0, 6));
         assert_eq!(
-            b.runs[1].cost_before_last,
-            2 * fetch + 11 + (timing::MUL - timing::INSTR_BASE)
+            run.mem,
+            Some(RunMem {
+                at: 2,
+                pc: 0x8010,
+                cost_before: 2 * fetch,
+            })
         );
-        assert_eq!(
-            b.runs[1].static_cost,
-            3 * fetch + 11 + (timing::MUL - timing::INSTR_BASE)
-        );
-        // 0x8000..0x8018 is one 32-byte line, 0x8020 starts the next.
-        assert_eq!(b.runs[0].lines, vec![(0x8000, 3)]);
-        assert_eq!(b.runs[1].lines, vec![(0x8020, 3)]);
-        assert_eq!(b.runs[0].segs.len(), 1);
-        assert_eq!(b.runs[1].segs.len(), 1);
+        // The untaken branch contributes nothing statically.
+        let before_last = 5 * fetch + timing::L1_HIT + 11 + mul_extra;
+        assert_eq!(run.cost_before_last, before_last);
+        assert_eq!(run.static_cost, before_last + fetch);
+        assert_eq!(run.end_pc, 0x8030, "not-taken successor");
+
+        // A second access ends the run just before itself and heads the
+        // next one: [add, str, ldr, add, b.eq] plans as [add, str] and
+        // [ldr, add, b.eq].
+        let b = contiguous(&[add, str0, ldr3, add, beq]);
+        let plan: Vec<_> = b
+            .runs
+            .iter()
+            .map(|r| (r.start, r.len, r.mem.map(|m| m.at)))
+            .collect();
+        assert_eq!(plan, vec![(0, 2, Some(1)), (2, 3, Some(0))]);
+        assert_eq!(b.runs[0].end_pc, 0x8010, "fallthrough into the ldr");
+        assert_eq!(b.runs[0].static_cost, 2 * fetch + timing::L1_HIT);
+
+        // An access through a banked register (r8–r14) never joins a run.
+        let banked = Instr::Ldr {
+            rd: 9,
+            rn: 4,
+            imm: 0,
+        };
+        let b = contiguous(&[add, add, banked, add, add]);
+        let plan: Vec<_> = b.runs.iter().map(|r| (r.start, r.len, r.mem)).collect();
+        assert_eq!(plan, vec![(0, 2, None), (3, 2, None)]);
     }
 
     #[test]
@@ -978,7 +1215,7 @@ mod tests {
                 len: 2,
             },
         ];
-        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000, 5);
+        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000);
         assert_eq!(b.runs.len(), 2);
         assert_eq!((b.runs[0].start, b.runs[0].len), (0, 2));
         assert_eq!((b.runs[1].start, b.runs[1].len), (2, 2));
@@ -986,8 +1223,8 @@ mod tests {
 
     #[test]
     fn run_plan_extends_across_unconditional_seams() {
-        // [mov, b.al -> far, mov, ret]: one run spanning the seam, two run
-        // segments, the branch and ret charged statically.
+        // [mov, b.al -> far, mov, ret]: one run spanning the seam, the
+        // branch and ret charged statically.
         let instrs = vec![
             (0x8000, Instr::MovImm { rd: 0, imm: 1 }),
             (
@@ -1012,19 +1249,13 @@ mod tests {
                 len: 2,
             },
         ];
-        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000, 5);
+        let b = CachedBlock::new(&instrs, &segs, 0, 0x8000);
         assert_eq!(b.runs.len(), 1, "seam does not split the run");
         let run = &b.runs[0];
         assert_eq!((run.start, run.len), (0, 4));
-        assert_eq!(run.segs.len(), 2);
-        assert_eq!(
-            (run.segs[0].va, run.segs[0].pa, run.segs[0].len),
-            (0x8000, 0x8000, 2)
-        );
-        assert_eq!(
-            (run.segs[1].va, run.segs[1].pa, run.segs[1].len),
-            (0x9000, 0x1_9000, 2)
-        );
+        // The seam's branch lowers to nothing: its target is static.
+        assert_eq!(b.uops()[1], Uop::Nop);
+        assert_eq!(b.uops()[3], Uop::Ret);
         let fetch = timing::L1_HIT + timing::INSTR_BASE;
         assert_eq!(run.static_cost, 4 * fetch + 2 * timing::BRANCH_TAKEN);
         assert_eq!(run.cost_before_last, 3 * fetch + timing::BRANCH_TAKEN);
@@ -1033,14 +1264,6 @@ mod tests {
     #[test]
     fn flag_liveness_marks_dead_setters() {
         // sub (dead: overwritten by cmp), mov, cmp (live: read by b.ne).
-        let mk = |seq: &[Instr]| {
-            let instrs: Vec<(u64, Instr)> = seq
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (0x8000 + i as u64 * 8, s))
-                .collect();
-            CachedBlock::from_contiguous(&instrs, 0, 0x8000, 5)
-        };
         let sub = Instr::AluImm {
             op: AluOp::Sub,
             rd: 0,
@@ -1059,7 +1282,7 @@ mod tests {
             target: 0x8000,
         };
 
-        let b = mk(&[sub, mov, cmp, bne]);
+        let b = contiguous(&[sub, mov, cmp, bne]);
         assert_eq!(b.runs.len(), 1);
         assert_eq!(
             b.runs[0].flags_dead, 0b0001,
@@ -1068,13 +1291,48 @@ mod tests {
 
         // A reader between the setters keeps the first setter live.
         let mrs = Instr::MrsCpsr { rd: 2 };
-        let b = mk(&[sub, mrs, cmp, bne]);
+        let b = contiguous(&[sub, mrs, cmp, bne]);
         assert_eq!(b.runs[0].flags_dead, 0, "mrs reads the sub's flags");
+
+        // So does a memory access: a failed guard stops the batch there,
+        // and a data abort would save the CPSR.
+        let ldr = Instr::Ldr {
+            rd: 2,
+            rn: 4,
+            imm: 0,
+        };
+        let b = contiguous(&[sub, ldr, cmp, bne]);
+        assert_eq!(
+            b.runs[0].flags_dead, 0,
+            "the ldr may observe the sub's flags"
+        );
 
         // A setter at the end of a run is conservatively live (IRQ entry,
         // the next block or a sideband consumer may observe CPSR).
-        let b = mk(&[sub, mov]);
+        let b = contiguous(&[sub, mov]);
         assert_eq!(b.runs[0].flags_dead, 0);
+
+        // Lowering drops a dead setter's flag work: the dead sub keeps its
+        // register write, a dead cmp becomes a no-op.
+        let b = contiguous(&[sub, cmp, mov, cmp, bne]);
+        assert_eq!(b.runs[0].flags_dead, 0b0011);
+        assert_eq!(
+            b.uops(),
+            [
+                Uop::SubI {
+                    rd: 0,
+                    rn: 0,
+                    imm: 1
+                },
+                Uop::Nop,
+                Uop::Mov { rd: 1, imm: 0 },
+                Uop::CmpI { rn: 0, imm: 0 },
+                Uop::BCond {
+                    cond: Cond::Ne,
+                    target: 0x8000
+                },
+            ]
+        );
     }
 
     /// A cache filled with one-instruction ASID-0 blocks at VAs `0, 8, 16,

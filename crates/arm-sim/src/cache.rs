@@ -225,6 +225,16 @@ impl Cache {
     pub fn line_size(&self) -> usize {
         1 << self.line_shift
     }
+
+    /// Digest of the replacement state: every slot's tag and LRU stamp,
+    /// and the tick. Two caches with equal digests evict the same lines
+    /// from here on; the lockstep suites compare executors with it.
+    pub fn state_digest(&self) -> u64 {
+        // A multiply-xor fold: the L2's 16K slots make a byte-wise hash
+        // the cost of every lockstep comparison in debug builds.
+        let words = self.tags.iter().chain(&self.stamps);
+        words.fold(self.tick, |h, &w| (h ^ w).wrapping_mul(0x0100_0000_01B3))
+    }
 }
 
 /// Kind of access presented to the hierarchy.

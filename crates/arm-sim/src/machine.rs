@@ -13,7 +13,9 @@ use mnv_profile::Profiler;
 use mnv_trace::{TraceEvent, Tracer, TrapKind};
 
 use crate::blockcache::BlockCache;
-use crate::blockcache::{BlockSeg, CachedBlock, RunVerify, VerifyStamp, MAX_BLOCK_LEN, MAX_SEGS};
+use crate::blockcache::{
+    BlockSeg, CachedBlock, Run, RunVerify, Uop, VerifyStamp, MAX_BLOCK_LEN, MAX_SEGS,
+};
 use crate::bus::{PeriphCtx, Peripheral};
 use crate::cache::{CacheHierarchy, MemAccessKind};
 use crate::cp15::{Cp15, Cp15Reg};
@@ -172,30 +174,30 @@ struct DataHint {
     line_slot: usize,
 }
 
-/// ALU core for the specialized replay loop when every operand lives in
-/// the unbanked r0–r7 file: direct register indexing and lazy NZC, with
-/// exactly [`Machine::alu`]'s semantics (only `Sub`/`Cmp` set flags, `Cmp`
-/// writes no register).
-#[inline(always)]
-fn alu_low(cpu: &mut Cpu, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
-    let result = match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub | AluOp::Cmp => a.wrapping_sub(b),
-        AluOp::And => a & b,
-        AluOp::Orr => a | b,
-        AluOp::Eor => a ^ b,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Lsl => a.wrapping_shl(b & 31),
-        AluOp::Lsr => a.wrapping_shr(b & 31),
-    };
-    if !flags_dead && matches!(op, AluOp::Sub | AluOp::Cmp) {
-        cpu.cpsr.n = result & 0x8000_0000 != 0;
-        cpu.cpsr.z = result == 0;
-        cpu.cpsr.c = a >= b; // no borrow
-    }
-    if op != AluOp::Cmp {
-        cpu.set_low_reg(rd, result);
-    }
+/// What a passing data guard resolved (see [`Machine::mem_guard`]).
+#[derive(Clone, Copy)]
+struct DataHit {
+    /// Physical address of the access.
+    pa: PhysAddr,
+    /// TLB slot the access hits (`None`: MMU off, no TLB traffic).
+    tlb_slot: Option<usize>,
+    /// L1D slot holding the line.
+    line_slot: usize,
+}
+
+/// How a batched run ended (see [`Machine::run_uops`]).
+struct BatchExit {
+    /// Instructions that ran (the whole run, or the prefix before a failed
+    /// memory guard, or through a store that dirtied code).
+    done: usize,
+    /// PC to continue at.
+    pc: u32,
+    /// Cycles the instructions that ran charge.
+    cycles: u64,
+    /// TLB slot of the run's data access, when it ran with the MMU on.
+    data_tlb: Option<usize>,
+    /// The run's store dirtied a code chunk: the replay must stop.
+    dirtied: bool,
 }
 
 /// Machine construction parameters.
@@ -803,6 +805,20 @@ impl Machine {
         }
     }
 
+    /// Digests of the TLB, L1I, L1D and L2 replacement state, in that order
+    /// (see [`Tlb::state_digest`]). Hit and miss counts reach the PMU; these
+    /// cover what decides future evictions — entries, tags, LRU stamps and
+    /// ticks — so an executor that stamps in the wrong order diverges here
+    /// long before a miss count does.
+    pub fn replacement_digest(&self) -> [u64; 4] {
+        [
+            self.tlb.state_digest(),
+            self.caches.l1i.state_digest(),
+            self.caches.l1d.state_digest(),
+            self.caches.l2.state_digest(),
+        ]
+    }
+
     /// Take a profile sample if the clock has reached the profiler's next
     /// sample deadline. Pure observation — it reads the PC, ASID and mode
     /// and never charges cycles, syncs devices or touches cache/TLB state
@@ -940,10 +956,9 @@ impl Machine {
             ..
         } = rec;
         if !instrs.is_empty() && self.mem.code_gen() == gen {
-            let shift = self.caches.l1i.line_shift();
             let rc = self
                 .bcache
-                .insert(CachedBlock::new(&instrs, &segs, key.0, key.1, shift));
+                .insert(CachedBlock::new(&instrs, &segs, key.0, key.1));
             if let Some(p) = pred {
                 self.bcache.patch(&p, &rc);
             }
@@ -1059,13 +1074,11 @@ impl Machine {
     /// Replayed `Ldr`/`Str`: bit-identical to the [`Machine::execute`]
     /// arms, with a validated-by-value fast path for the common case — a
     /// TLB-hitting, permission-passing access to plain RAM whose line sits
-    /// in L1D. Validation mutates nothing, so a mismatch cleanly takes the
-    /// full model (reference sequence) and refreshes the hint. The commit
-    /// sequence reproduces the reference bookkeeping in reference order:
-    /// TLB hit credit, then the permission check (a failure aborts with
-    /// the hit already counted and nothing charged, exactly like
-    /// `Mmu::translate`), then the L1D hit credit and charge, then the
-    /// RAM access.
+    /// in L1D ([`Machine::mem_guard`]). The guard mutates nothing, so a
+    /// failure cleanly takes the full model (reference sequence) and
+    /// refreshes the hint. A passing access commits the reference
+    /// bookkeeping in reference order: TLB hit credit, L1D hit credit and
+    /// charge, then the RAM access.
     fn execute_mem_replay(&mut self, instr: Instr, pc: u32, privileged: bool) -> CpuEvent {
         let (write, rn, imm) = match instr {
             Instr::Ldr { rn, imm, .. } => (false, rn, imm),
@@ -1073,65 +1086,19 @@ impl Machine {
             _ => return self.execute(instr, pc, privileged),
         };
         let va = VirtAddr::new(self.cpu.reg(rn).wrapping_add(imm) as u64);
-        let access = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        'fast: {
-            let Some(h) = self.dhint[write as usize] else {
-                break 'fast;
-            };
-            if h.mmio_gen != self.mmio_gen || !self.caches.enabled {
-                break 'fast;
-            }
-            let pa = match h.tlb {
-                Some((slot, e)) => {
-                    if !self.cp15.mmu_enabled()
-                        || self.tlb.entry_at(slot) != Some(e)
-                        || !e.matches(va, self.cp15.asid())
-                    {
-                        break 'fast;
-                    }
-                    e.translate(va)
-                }
-                None => {
-                    if self.cp15.mmu_enabled() {
-                        break 'fast;
-                    }
-                    va.raw()
-                }
-            };
-            // The window check keys off the access's start address, as the
-            // physical routing in `phys_read_u32`/`phys_write_u32` does.
-            if pa < h.ram_lo || pa >= h.ram_hi {
-                break 'fast;
-            }
-            let ppa = PhysAddr::new(pa);
-            if !self.caches.l1d.slot_holds(h.line_slot, ppa) {
-                break 'fast;
-            }
-            if let Some((slot, e)) = h.tlb {
+        if let Some(g) = self.mem_guard(write, va, privileged) {
+            if let Some(slot) = g.tlb_slot {
                 self.tlb.replay_hits(slot, 1);
-                let level = if e.kind == PageKind::Section { 1 } else { 2 };
-                if let Err(f) = self
-                    .mmu
-                    .check(&e, va, access, privileged, &self.cp15, level)
-                {
-                    self.record_fault(f);
-                    self.deliver_exception(ExceptionKind::DataAbort, pc);
-                    return CpuEvent::Exception(ExceptionKind::DataAbort);
-                }
             }
-            self.caches.l1d.replay_hit(h.line_slot);
+            self.caches.l1d.replay_hit(g.line_slot);
             self.charge(timing::L1_HIT);
             match instr {
                 Instr::Ldr { rd, .. } => {
-                    let v = self.mem.read_u32(ppa).unwrap_or(0);
+                    let v = self.mem.read_u32(g.pa).unwrap_or(0);
                     self.cpu.set_reg(rd, v);
                 }
                 Instr::Str { rs, .. } => {
-                    let _ = self.mem.write_u32(ppa, self.cpu.reg(rs));
+                    let _ = self.mem.write_u32(g.pa, self.cpu.reg(rs));
                 }
                 _ => unreachable!(),
             }
@@ -1139,6 +1106,11 @@ impl Machine {
             self.instructions_retired += 1;
             return CpuEvent::Retired;
         }
+        let access = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
         let pa = match self.translate(va, access, privileged) {
             Ok(pa) => pa,
             Err(_) => {
@@ -1160,6 +1132,58 @@ impl Machine {
         self.cpu.pc = pc.wrapping_add(INSTR_SIZE as u32);
         self.instructions_retired += 1;
         CpuEvent::Retired
+    }
+
+    /// The side-effect-free guard of the replayed data fast path: the
+    /// direction's [`DataHint`] still describes this access — its TLB slot
+    /// holds an entry translating `va` under the live ASID and passing the
+    /// live permission check (or the MMU is off, as when the hint was
+    /// made), the physical address is inside the proven RAM range, and the
+    /// L1D slot still holds the line. `Some` proves the reference path
+    /// would take exactly one TLB hit (on that slot) and one L1D hit (on
+    /// that slot) and touch RAM; `None` proves nothing and changes nothing.
+    #[inline]
+    fn mem_guard(&self, write: bool, va: VirtAddr, privileged: bool) -> Option<DataHit> {
+        let h = self.dhint[write as usize]?;
+        if h.mmio_gen != self.mmio_gen || !self.caches.enabled {
+            return None;
+        }
+        let (pa, tlb_slot) = match h.tlb {
+            Some((slot, e)) => {
+                if !self.cp15.mmu_enabled()
+                    || self.tlb.entry_at(slot) != Some(e)
+                    || !e.matches(va, self.cp15.asid())
+                {
+                    return None;
+                }
+                let level = if e.kind == PageKind::Section { 1 } else { 2 };
+                let access = if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                self.mmu
+                    .check(&e, va, access, privileged, &self.cp15, level)
+                    .ok()?;
+                (e.translate(va), Some(slot))
+            }
+            None if self.cp15.mmu_enabled() => return None,
+            None => (va.raw(), None),
+        };
+        // The window check keys off the access's start address, as the
+        // physical routing in `phys_read_u32`/`phys_write_u32` does.
+        if pa < h.ram_lo || pa >= h.ram_hi {
+            return None;
+        }
+        let pa = PhysAddr::new(pa);
+        if !self.caches.l1d.slot_holds(h.line_slot, pa) {
+            return None;
+        }
+        Some(DataHit {
+            pa,
+            tlb_slot,
+            line_slot: h.line_slot,
+        })
     }
 
     /// Build a [`DataHint`] for a just-completed data access, or `None`
@@ -1208,16 +1232,16 @@ impl Machine {
         })
     }
 
-    /// The decoded-block fast path with block chaining. Whole pure runs
-    /// (see [`PureRun`](crate::blockcache::PureRun)) are replayed in one
-    /// step: translation and L1I residency are verified once up front (per
-    /// superblock segment), the statically-known cycles are charged, the
-    /// instructions execute back-to-back through a specialized loop (with
-    /// lazy NZC evaluation for provably dead flag setters), and the TLB/L1I
-    /// hit bookkeeping the reference path would have done per fetch is
-    /// settled in one exact bulk update. Everything else replays per
-    /// instruction through hint-verified fetch paths, and recording /
-    /// uncached execution keeps the reference path's full fetch pipeline.
+    /// The decoded-block fast path with block chaining. Whole planned runs
+    /// (see [`Run`]) are replayed in one step: translation and L1I
+    /// residency are verified once up front (per superblock segment), the
+    /// run's pre-lowered micro-ops execute back-to-back (its one memory
+    /// access behind [`Machine::mem_guard`]), and the cycles and the
+    /// TLB/L1I hit bookkeeping the reference path would have done per
+    /// fetch are settled in one exact bulk update for exactly the
+    /// instructions that ran. Everything else replays per instruction
+    /// through hint-verified fetch paths, and recording / uncached
+    /// execution keeps the reference path's full fetch pipeline.
     ///
     /// Block transitions follow chain links where possible: when a block
     /// finishes, its successor is resolved through the lazily patched link
@@ -1379,13 +1403,14 @@ impl Machine {
             let va = VirtAddr::new(pc as u64);
 
             // -- whole-run batch ------------------------------------------
-            // If the replay cursor sits at the start of a planned pure run
-            // and every boundary inside it falls strictly before the chain
-            // exit bound, verify the run's translation (per segment) and
-            // L1I residency once and execute it in one specialized step.
-            // Any failed precondition falls through to the per-instruction
+            // If the replay cursor sits at the start of a planned run and
+            // every boundary inside it falls strictly before the chain exit
+            // bound, verify the run's translation (per segment) and L1I
+            // residency once and execute its micro-ops in one step. Any
+            // failed precondition falls through to the per-instruction
             // path, which reproduces the reference behaviour (including
-            // fault delivery) exactly.
+            // fault delivery) exactly; so does a failed memory guard, for
+            // the instructions from the memory access on.
             'batch: {
                 let Some(r) = replay.as_mut() else {
                     break 'batch;
@@ -1403,8 +1428,8 @@ impl Machine {
                     break 'batch;
                 }
                 // One compare folds slice deadline, device deadline and
-                // sample deadline: a pure run may not stride over any of
-                // them (the reference path checks all three at every
+                // sample deadline: a run may not stride over any of them
+                // (the reference path checks all three at every
                 // instruction boundary).
                 if self.clock + Cycles::new(run.cost_before_last) >= chain_bound {
                     break 'batch;
@@ -1412,8 +1437,7 @@ impl Machine {
                 if !self.caches.enabled {
                     break 'batch;
                 }
-                let len = run.len as usize;
-                debug_assert_eq!(run.segs[0].va, pc, "replay PC tracks recorded VAs");
+                let (start, len) = (run.start as usize, run.len as usize);
                 // Verification is memoized per run on the block: when the
                 // stamp matches, the probes below would provably resolve the
                 // same slots with the same outcome (see [`VerifyStamp`]), so
@@ -1433,77 +1457,83 @@ impl Machine {
                     .and_then(Option::as_ref)
                     .is_some_and(|v| v.stamp == stamp);
                 if !memo_hit {
-                    // Per-segment translation check: nothing inside a pure
-                    // run can change the mapping, the ASID, DACR, the
-                    // privilege level or the TLB itself, and every segment
-                    // is physically contiguous within one page — so one TLB
-                    // entry check per segment covers every fetch in the run.
+                    // Per-segment translation check over the block segments
+                    // the run covers: nothing inside a run can change the
+                    // mapping, the ASID, DACR, the privilege level or the
+                    // TLB itself, and every segment is physically
+                    // contiguous within one page — so one TLB entry check
+                    // per segment covers every fetch in the run.
                     seg_slots.clear();
                     let mut last_hint = None;
-                    if stamp.mmu_on {
-                        let asid = self.cp15.asid();
-                        for (si, seg) in run.segs.iter().enumerate() {
-                            let sva = VirtAddr::new(seg.va as u64);
-                            let hit = match r.tlb_hint {
-                                Some((slot, e))
-                                    if si == 0
-                                        && self.tlb.entry_at(slot) == Some(e)
-                                        && e.matches(sva, asid) =>
-                                {
-                                    Some((slot, e))
-                                }
-                                _ => self.tlb.probe_slot(sva, asid),
-                            };
-                            let Some((slot, entry)) = hit else {
+                    let asid = self.cp15.asid();
+                    let mut base = 0;
+                    for seg in block.segs.iter() {
+                        let seg_start = base;
+                        base += seg.len as usize;
+                        let lo = seg_start.max(start);
+                        let hi = base.min(start + len);
+                        if lo >= hi {
+                            continue;
+                        }
+                        let off = (lo - seg_start) as u64 * INSTR_SIZE;
+                        let sva = VirtAddr::new(seg.va.wrapping_add(off as u32) as u64);
+                        let spa = seg.pa + off;
+                        if !stamp.mmu_on {
+                            if sva.raw() != spa {
                                 break 'batch;
-                            };
-                            let level = if entry.kind == PageKind::Section {
-                                1
-                            } else {
-                                2
-                            };
-                            if self
-                                .mmu
-                                .check(
-                                    &entry,
-                                    sva,
-                                    AccessKind::Execute,
-                                    privileged,
-                                    &self.cp15,
-                                    level,
-                                )
-                                .is_err()
+                            }
+                            continue;
+                        }
+                        let hit = match r.tlb_hint {
+                            Some((slot, e))
+                                if seg_slots.is_empty()
+                                    && self.tlb.entry_at(slot) == Some(e)
+                                    && e.matches(sva, asid) =>
                             {
-                                break 'batch;
+                                Some((slot, e))
                             }
-                            if entry.translate(sva) != seg.pa {
-                                break 'batch;
-                            }
-                            last_hint = Some((slot, entry));
-                            seg_slots.push((slot, seg.len as u64));
+                            _ => self.tlb.probe_slot(sva, asid),
+                        };
+                        let Some((slot, entry)) = hit else {
+                            break 'batch;
+                        };
+                        let level = if entry.kind == PageKind::Section {
+                            1
+                        } else {
+                            2
+                        };
+                        let exec = AccessKind::Execute;
+                        if self
+                            .mmu
+                            .check(&entry, sva, exec, privileged, &self.cp15, level)
+                            .is_err()
+                            || entry.translate(sva) != spa
+                        {
+                            break 'batch;
                         }
-                    } else {
-                        for seg in run.segs.iter() {
-                            if seg.va as u64 != seg.pa {
-                                break 'batch;
-                            }
-                        }
+                        last_hint = Some((slot, entry));
+                        seg_slots.push((slot, (hi - lo) as u64));
                     }
                     // Every line resident ⇒ every fetch is a plain L1I hit
                     // (a hit never evicts, and only these fetches touch L1I).
+                    // Each line keeps the 1-based ordinal of its last fetch,
+                    // enough to replay the per-line LRU stamps exactly.
                     line_slots.clear();
-                    for &(lpa, ord) in run.lines.iter() {
-                        match self.caches.l1i.probe_slot(PhysAddr::new(lpa)) {
+                    let shift = self.caches.l1i.line_shift();
+                    let mut line = u64::MAX;
+                    for (k, &(pa, _)) in block.instrs[start..start + len].iter().enumerate() {
+                        let ord = k as u64 + 1;
+                        if pa >> shift == line {
+                            line_slots.last_mut().expect("line opened").1 = ord;
+                            continue;
+                        }
+                        line = pa >> shift;
+                        match self.caches.l1i.probe_slot(PhysAddr::new(pa)) {
                             Some(s) => line_slots.push((s, ord)),
                             None => break 'batch,
                         }
                     }
-                    let shift = self.caches.l1i.line_shift();
-                    let line_hint = run
-                        .lines
-                        .last()
-                        .zip(line_slots.last())
-                        .map(|(&(lpa, _), &(slot, _))| (lpa >> shift, slot));
+                    let line_hint = line_slots.last().map(|&(slot, _)| (line, slot));
                     // The memo is allocated by a block's first successful
                     // verification: most blocks of code larger than the
                     // caches never get one.
@@ -1522,80 +1552,27 @@ impl Machine {
                 if let Some(h) = v.tlb_hint {
                     r.tlb_hint = Some(h);
                 }
-                r.line_hint = v.line_hint;
-                // Committed. Charge the statically-known cycles up front
-                // (fetches, compute bursts, MUL extras, unconditional
-                // taken-branch costs; nothing in a pure run observes the
-                // clock, so only the final value matters), run the
-                // specialized loop, then settle the deferred bookkeeping.
-                let start = r.idx;
-                r.idx += len;
+                // Committed. Run the micro-ops (lowered at the block's
+                // first successful verification), then charge and settle
+                // what ran: nothing in a run observes the clock or the
+                // TLB/L1I replacement state, so only the final values
+                // matter.
+                let exit = self.run_uops(&block.uops()[start..start + len], run, privileged);
+                let done = exit.done as u64;
+                let last_pa = exit.done.checked_sub(1).map(|k| block.instrs[start + k].0);
+                r.line_hint = self.settle_batch(run, v, &exit, last_pa, &mut line_slots);
+                r.idx += exit.done;
                 r.next_run += 1;
-                let flags_dead = run.flags_dead;
-                self.charge(run.static_cost);
-                let mut ipc = pc;
-                for (k, &(_, instr)) in block.instrs[start..start + len].iter().enumerate() {
-                    let mut next = ipc.wrapping_add(INSTR_SIZE as u32);
-                    match instr {
-                        Instr::MovImm { rd, imm } => {
-                            if rd < 8 {
-                                self.cpu.set_low_reg(rd, imm);
-                            } else {
-                                self.cpu.set_reg(rd, imm);
-                            }
-                        }
-                        Instr::Alu { op, rd, rn, rm } => {
-                            let dead = flags_dead & (1 << k) != 0;
-                            if (rd | rn | rm) < 8 {
-                                let a = self.cpu.low_reg(rn);
-                                let b = self.cpu.low_reg(rm);
-                                alu_low(&mut self.cpu, op, rd, a, b, dead);
-                            } else {
-                                let a = self.cpu.reg(rn);
-                                let b = self.cpu.reg(rm);
-                                self.alu_lazy(op, rd, a, b, dead);
-                            }
-                        }
-                        Instr::AluImm { op, rd, rn, imm } => {
-                            let dead = flags_dead & (1 << k) != 0;
-                            if (rd | rn) < 8 {
-                                let a = self.cpu.low_reg(rn);
-                                alu_low(&mut self.cpu, op, rd, a, imm, dead);
-                            } else {
-                                let a = self.cpu.reg(rn);
-                                self.alu_lazy(op, rd, a, imm, dead);
-                            }
-                        }
-                        Instr::Compute { .. } => {} // cycles in static_cost
-                        Instr::MrsCpsr { rd } => {
-                            let v = self.cpu.cpsr.to_bits();
-                            self.cpu.set_reg(rd, v);
-                        }
-                        Instr::B { cond, target } => {
-                            if cond == Cond::Al {
-                                next = target; // taken cost in static_cost
-                            } else if self.cond_holds(cond) {
-                                next = target;
-                                self.charge(timing::BRANCH_TAKEN);
-                            }
-                        }
-                        Instr::Bl { target } => {
-                            self.cpu.set_reg(14, next);
-                            next = target; // taken cost in static_cost
-                        }
-                        Instr::Ret => next = self.cpu.reg(14),
-                        _ => debug_assert!(false, "non-pure instruction in a pure run"),
-                    }
-                    ipc = next;
+                self.charge(exit.cycles);
+                self.cpu.pc = exit.pc;
+                self.instructions_retired += done;
+                self.bcache.stats.replayed_instrs += done;
+                self.bcache.stats.batched_instrs += done;
+                if exit.dirtied {
+                    // A store over cached code stops the replay before the
+                    // next (now stale) instruction.
+                    replay = None;
                 }
-                self.cpu.pc = ipc;
-                self.instructions_retired += len as u64;
-                for &(slot, n) in v.seg_slots.iter() {
-                    self.tlb.replay_hits(slot, n);
-                }
-                self.caches.l1i.replay_hits(len as u64, &v.line_slots);
-                self.bcache.stats.replayed_instrs += len as u64;
-                self.bcache.stats.batched_instrs += len as u64;
                 continue 'slice;
             }
 
@@ -1736,6 +1713,186 @@ impl Machine {
         }
     }
 
+    /// Execute a run's micro-ops (`uops` is `run`'s slice of its block's
+    /// lowered form) against the register file and, through its guard, the
+    /// run's one memory access. Charges nothing and settles no fetch
+    /// bookkeeping — the caller does both from the returned exit, which
+    /// says how much of the run ran: all of it, the prefix before a failed
+    /// memory guard, or everything through a store that dirtied a code
+    /// chunk.
+    fn run_uops(&mut self, uops: &[Uop], run: &Run, privileged: bool) -> BatchExit {
+        let mut exit = BatchExit {
+            done: uops.len(),
+            pc: run.end_pc,
+            cycles: run.static_cost,
+            data_tlb: None,
+            dirtied: false,
+        };
+        for &u in uops {
+            let cpu = &mut self.cpu;
+            macro_rules! rr {
+                ($rd:expr, $rn:expr, $rm:expr, $f:expr) => {{
+                    let v = $f(cpu.low_reg($rn), cpu.low_reg($rm));
+                    cpu.set_low_reg($rd, v)
+                }};
+            }
+            macro_rules! ri {
+                ($rd:expr, $rn:expr, $imm:expr, $f:expr) => {{
+                    let v = $f(cpu.low_reg($rn), $imm);
+                    cpu.set_low_reg($rd, v)
+                }};
+            }
+            match u {
+                Uop::Nop => {}
+                Uop::Mov { rd, imm } => cpu.set_low_reg(rd, imm),
+                Uop::Add { rd, rn, rm } => rr!(rd, rn, rm, u32::wrapping_add),
+                Uop::AddI { rd, rn, imm } => ri!(rd, rn, imm, u32::wrapping_add),
+                Uop::Sub { rd, rn, rm } => rr!(rd, rn, rm, u32::wrapping_sub),
+                Uop::SubI { rd, rn, imm } => ri!(rd, rn, imm, u32::wrapping_sub),
+                Uop::Subs { rd, rn, rm } => {
+                    let v = sub_flags(cpu, cpu.low_reg(rn), cpu.low_reg(rm));
+                    cpu.set_low_reg(rd, v);
+                }
+                Uop::SubsI { rd, rn, imm } => {
+                    let v = sub_flags(cpu, cpu.low_reg(rn), imm);
+                    cpu.set_low_reg(rd, v);
+                }
+                Uop::Cmp { rn, rm } => {
+                    sub_flags(cpu, cpu.low_reg(rn), cpu.low_reg(rm));
+                }
+                Uop::CmpI { rn, imm } => {
+                    sub_flags(cpu, cpu.low_reg(rn), imm);
+                }
+                Uop::And { rd, rn, rm } => rr!(rd, rn, rm, |a, b| a & b),
+                Uop::AndI { rd, rn, imm } => ri!(rd, rn, imm, |a, b| a & b),
+                Uop::Orr { rd, rn, rm } => rr!(rd, rn, rm, |a, b| a | b),
+                Uop::OrrI { rd, rn, imm } => ri!(rd, rn, imm, |a, b| a | b),
+                Uop::Eor { rd, rn, rm } => rr!(rd, rn, rm, |a, b| a ^ b),
+                Uop::EorI { rd, rn, imm } => ri!(rd, rn, imm, |a, b| a ^ b),
+                Uop::Mul { rd, rn, rm } => rr!(rd, rn, rm, u32::wrapping_mul),
+                Uop::MulI { rd, rn, imm } => ri!(rd, rn, imm, u32::wrapping_mul),
+                Uop::Lsl { rd, rn, rm } => rr!(rd, rn, rm, |a: u32, b| a << (b & 31)),
+                Uop::LslI { rd, rn, imm } => ri!(rd, rn, imm, |a: u32, b| a << b),
+                Uop::Lsr { rd, rn, rm } => rr!(rd, rn, rm, |a: u32, b| a >> (b & 31)),
+                Uop::LsrI { rd, rn, imm } => ri!(rd, rn, imm, |a: u32, b| a >> b),
+                Uop::MovBanked { rd, imm } => cpu.set_reg(rd, imm),
+                Uop::AluBanked { op, rd, rn, rm } => {
+                    let (a, b) = (cpu.reg(rn), cpu.reg(rm));
+                    alu(cpu, op, rd, a, b);
+                }
+                Uop::AluImmBanked { op, rd, rn, imm } => {
+                    let a = cpu.reg(rn);
+                    alu(cpu, op, rd, a, imm);
+                }
+                Uop::Mrs { rd } => {
+                    let v = cpu.cpsr.to_bits();
+                    cpu.set_reg(rd, v);
+                }
+                Uop::Bl { ret } => cpu.set_reg(14, ret),
+                Uop::BCond { cond, target } => {
+                    if cond_holds(cpu, cond) {
+                        exit.pc = target;
+                        exit.cycles += timing::BRANCH_TAKEN;
+                    }
+                }
+                Uop::Ret => exit.pc = cpu.reg(14),
+                Uop::Ldr { rd, rn, imm } | Uop::Str { rs: rd, rn, imm } => {
+                    let write = matches!(u, Uop::Str { .. });
+                    let mem = run.mem.expect("a lowered access is the run's one");
+                    let va = VirtAddr::new(cpu.low_reg(rn).wrapping_add(imm) as u64);
+                    let Some(g) = self.mem_guard(write, va, privileged) else {
+                        return BatchExit {
+                            done: mem.at as usize,
+                            pc: mem.pc,
+                            cycles: mem.cost_before,
+                            data_tlb: None,
+                            dirtied: false,
+                        };
+                    };
+                    self.caches.l1d.replay_hit(g.line_slot);
+                    exit.data_tlb = g.tlb_slot;
+                    let cpu = &mut self.cpu;
+                    if !write {
+                        let v = self.mem.read_u32(g.pa).unwrap_or(0);
+                        cpu.set_low_reg(rd, v);
+                        continue;
+                    }
+                    let _ = self.mem.write_u32(g.pa, cpu.low_reg(rd));
+                    if self.mem.code_gen() != self.bcache.seen_gen() {
+                        // Through the store: its fetch and its L1D hit.
+                        let fetch = timing::L1_HIT + timing::INSTR_BASE;
+                        exit.done = mem.at as usize + 1;
+                        exit.pc = mem.pc.wrapping_add(INSTR_SIZE as u32);
+                        exit.cycles = mem.cost_before + fetch + timing::L1_HIT;
+                        exit.dirtied = true;
+                        return exit;
+                    }
+                }
+            }
+        }
+        exit
+    }
+
+    /// Settle the fetch bookkeeping a batch deferred, for exactly the
+    /// `exit.done` instructions that ran: TLB hits in reference order (the
+    /// run's data hit right after its own instruction's fetch, so fetch
+    /// and data stamps interleave as the reference's lookups do) and L1I
+    /// hits with each line's stamp clipped to the prefix (built in the
+    /// reused `clipped` buffer). `last_pa` is the physical PC of the last
+    /// instruction that ran. Returns the L1I hint for the next replayed
+    /// fetch.
+    fn settle_batch(
+        &mut self,
+        run: &Run,
+        v: &RunVerify,
+        exit: &BatchExit,
+        last_pa: Option<u64>,
+        clipped: &mut Vec<(usize, u64)>,
+    ) -> Option<(u64, usize)> {
+        let done = exit.done as u64;
+        let mut data = exit
+            .data_tlb
+            .zip(run.mem)
+            .map(|(slot, m)| (m.at as u64 + 1, slot));
+        let mut fetched = 0;
+        for &(slot, n) in v.seg_slots.iter() {
+            let mut n = n.min(done - fetched);
+            if let Some((after, dslot)) = data.filter(|&(after, _)| after <= fetched + n) {
+                // `after` > `fetched`: an earlier piece ending at or past
+                // it would have taken the data hit already.
+                let m = after - fetched;
+                self.tlb.replay_hits(slot, m);
+                self.tlb.replay_hits(dslot, 1);
+                (fetched, n, data) = (after, n - m, None);
+            }
+            if n > 0 {
+                self.tlb.replay_hits(slot, n);
+                fetched += n;
+            }
+            if fetched == done {
+                break;
+            }
+        }
+        if exit.done == run.len as usize {
+            self.caches.l1i.replay_hits(done, &v.line_slots);
+            return v.line_hint;
+        }
+        clipped.clear();
+        let mut prev = 0;
+        for &(slot, ord) in v.line_slots.iter() {
+            if prev >= done {
+                break;
+            }
+            clipped.push((slot, ord.min(done)));
+            prev = ord;
+        }
+        self.caches.l1i.replay_hits(done, clipped);
+        let shift = self.caches.l1i.line_shift();
+        last_pa
+            .zip(clipped.last())
+            .map(|(pa, &(slot, _))| (pa >> shift, slot))
+    }
+
     /// Slow fetch for the block executor: bus read + decode with the same
     /// ordering and event delivery as [`Machine::step`], appending to the
     /// open recording when there is one. On an event the caller gets it
@@ -1783,22 +1940,6 @@ impl Machine {
         Ok(instr)
     }
 
-    /// `Machine::alu` with the flag computation skipped when the planner
-    /// proved the N/Z/C results dead (overwritten by a later setter in the
-    /// same pure run before any reader). A dead `Cmp` is a complete no-op;
-    /// a dead `Sub` is just its register write.
-    #[inline]
-    fn alu_lazy(&mut self, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
-        if !flags_dead {
-            return self.alu(op, rd, a, b);
-        }
-        match op {
-            AluOp::Cmp => {}
-            AluOp::Sub => self.cpu.set_reg(rd, a.wrapping_sub(b)),
-            _ => self.alu(op, rd, a, b),
-        }
-    }
-
     fn und(&mut self, pc: u32, kind: UndKind) -> CpuEvent {
         self.last_und = Some(UndCause {
             pc: VirtAddr::new(pc as u64),
@@ -1820,11 +1961,11 @@ impl Machine {
             Instr::Alu { op, rd, rn, rm } => {
                 let a = self.cpu.reg(rn);
                 let b = self.cpu.reg(rm);
-                self.alu(op, rd, a, b);
+                alu(&mut self.cpu, op, rd, a, b);
             }
             Instr::AluImm { op, rd, rn, imm } => {
                 let a = self.cpu.reg(rn);
-                self.alu(op, rd, a, imm);
+                alu(&mut self.cpu, op, rd, a, imm);
             }
             Instr::Ldr { rd, rn, imm } => {
                 let va = VirtAddr::new(self.cpu.reg(rn).wrapping_add(imm) as u64);
@@ -1846,7 +1987,7 @@ impl Machine {
                 }
             }
             Instr::B { cond, target } => {
-                if self.cond_holds(cond) {
+                if cond_holds(&self.cpu, cond) {
                     new_pc = target;
                     self.charge(timing::BRANCH_TAKEN);
                 }
@@ -1961,41 +2102,6 @@ impl Machine {
         CpuEvent::Retired
     }
 
-    fn alu(&mut self, op: AluOp, rd: u8, a: u32, b: u32) {
-        let (result, set_flags) = match op {
-            AluOp::Add => (a.wrapping_add(b), false),
-            AluOp::Sub => (a.wrapping_sub(b), true),
-            AluOp::And => (a & b, false),
-            AluOp::Orr => (a | b, false),
-            AluOp::Eor => (a ^ b, false),
-            AluOp::Mul => (a.wrapping_mul(b), false),
-            AluOp::Lsl => (a.wrapping_shl(b & 31), false),
-            AluOp::Lsr => (a.wrapping_shr(b & 31), false),
-            AluOp::Cmp => (a.wrapping_sub(b), true),
-        };
-        if set_flags {
-            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-            self.cpu.cpsr.z = result == 0;
-            self.cpu.cpsr.c = a >= b; // no borrow
-        }
-        if op != AluOp::Cmp {
-            self.cpu.set_reg(rd, result);
-        }
-    }
-
-    fn cond_holds(&self, c: Cond) -> bool {
-        let p = &self.cpu.cpsr;
-        match c {
-            Cond::Al => true,
-            Cond::Eq => p.z,
-            Cond::Ne => !p.z,
-            Cond::Lo => !p.c,
-            Cond::Hs => p.c,
-            Cond::Mi => p.n,
-            Cond::Pl => !p.n,
-        }
-    }
-
     /// Run until a non-`Retired` event occurs or `max_instrs` retire.
     pub fn run(&mut self, max_instrs: u64) -> CpuEvent {
         for _ in 0..max_instrs {
@@ -2005,6 +2111,47 @@ impl Machine {
             }
         }
         CpuEvent::Retired
+    }
+}
+
+/// `rd = a op b` with the interpreter's flag rules: only `Sub` and `Cmp`
+/// set N/Z/C, and `Cmp` writes no register.
+fn alu(cpu: &mut Cpu, op: AluOp, rd: u8, a: u32, b: u32) {
+    let result = match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub | AluOp::Cmp => sub_flags(cpu, a, b),
+        AluOp::And => a & b,
+        AluOp::Orr => a | b,
+        AluOp::Eor => a ^ b,
+        AluOp::Mul => a.wrapping_mul(b),
+        AluOp::Lsl => a.wrapping_shl(b & 31),
+        AluOp::Lsr => a.wrapping_shr(b & 31),
+    };
+    if op != AluOp::Cmp {
+        cpu.set_reg(rd, result);
+    }
+}
+
+/// `a - b`, setting N, Z and C (no borrow) from the result.
+#[inline(always)]
+fn sub_flags(cpu: &mut Cpu, a: u32, b: u32) -> u32 {
+    let result = a.wrapping_sub(b);
+    cpu.cpsr.n = result & 0x8000_0000 != 0;
+    cpu.cpsr.z = result == 0;
+    cpu.cpsr.c = a >= b;
+    result
+}
+
+fn cond_holds(cpu: &Cpu, c: Cond) -> bool {
+    let p = &cpu.cpsr;
+    match c {
+        Cond::Al => true,
+        Cond::Eq => p.z,
+        Cond::Ne => !p.z,
+        Cond::Lo => !p.c,
+        Cond::Hs => p.c,
+        Cond::Mi => p.n,
+        Cond::Pl => !p.n,
     }
 }
 
@@ -2477,6 +2624,153 @@ mod tests {
         assert!(m.bcache.stats.store_invalidations >= 1);
     }
 
+    /// Run every planned run of `block` through [`Machine::run_uops`] on
+    /// one machine and through [`Machine::execute`] on another, from the
+    /// same register state, and demand the same registers (all banks),
+    /// CPSR, PC and charged cycles after each run.
+    fn uops_match_execute(block: &CachedBlock, mode: Mode, seed: u32) {
+        let mut fast = bare_machine();
+        let mut x = seed.wrapping_mul(0x9E37_79B9) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        fast.cpu.cpsr = Psr::reset();
+        fast.cpu.set_mode(mode);
+        for r in 0..15 {
+            let v = next() % 5; // small values so compares hit every flag
+            fast.cpu.set_reg(r, v);
+        }
+        let mut slow = bare_machine();
+        slow.cpu = fast.cpu.clone();
+        let privileged = mode.is_privileged();
+        let fetch = timing::L1_HIT + timing::INSTR_BASE;
+        let vas = {
+            let mut vas = Vec::new();
+            for seg in block.segs.iter() {
+                vas.extend((0..seg.len).map(|j| seg.va + j * INSTR_SIZE as u32));
+            }
+            vas
+        };
+        for run in block.runs.iter() {
+            let (start, len) = (run.start as usize, run.len as usize);
+            let exit = fast.run_uops(&block.uops()[start..start + len], run, privileged);
+            assert_eq!(exit.done, len);
+            fast.cpu.pc = exit.pc;
+            fast.charge(exit.cycles);
+            slow.cpu.pc = vas[start];
+            for &(_, instr) in &block.instrs[start..start + len] {
+                slow.charge(fetch);
+                let pc = slow.cpu.pc;
+                assert_eq!(slow.execute(instr, pc, privileged), CpuEvent::Retired);
+            }
+            let at = format!("seed {seed} mode {mode:?} run at {start}");
+            assert_eq!(format!("{:?}", fast.cpu), format!("{:?}", slow.cpu), "{at}");
+            assert_eq!(fast.now(), slow.now(), "{at}");
+        }
+    }
+
+    #[test]
+    fn micro_ops_leave_the_interpreters_state() {
+        use crate::blockcache::{BlockSeg, Uop};
+        let alu = |op, rd, rn, rm| Instr::Alu { op, rd, rn, rm };
+        let imm = |op, rd, rn, imm| Instr::AluImm { op, rd, rn, imm };
+        // Segment A at 0x8000, then a `Bl` seam into segment B at 0x9000
+        // (recorded at pa 0x1_9000). Dead setters (the first sub and cmp,
+        // and the banked sub at 8), banked registers (r8–r14: banked in FIQ
+        // mode, r13/r14 in every mode), a compute burst, MUL, shifts by an
+        // immediate of 32 or more and a flag read by `mrs`.
+        let seg_a = [
+            imm(AluOp::Sub, 0, 0, 1),
+            alu(AluOp::Cmp, 0, 0, 1),
+            imm(AluOp::Add, 9, 9, 5),
+            Instr::MovImm { rd: 10, imm: 77 },
+            alu(AluOp::Lsl, 2, 0, 1),
+            imm(AluOp::Lsr, 3, 2, 35),
+            alu(AluOp::Mul, 4, 2, 3),
+            Instr::Compute { cycles: 9 },
+            alu(AluOp::Sub, 5, 4, 13),
+            imm(AluOp::Cmp, 1, 1, 3),
+            Instr::MrsCpsr { rd: 6 },
+            Instr::Bl { target: 0x9000 },
+        ];
+        let build = |tail: Instr| {
+            let seg_b = [
+                alu(AluOp::Eor, 7, 6, 0),
+                imm(AluOp::Mul, 11, 8, 3),
+                alu(AluOp::Cmp, 1, 2, 3),
+                tail,
+            ];
+            let at = |pa: u64, seg: &[Instr]| -> Vec<(u64, Instr)> {
+                (0..)
+                    .step_by(8)
+                    .map(|k| pa + k)
+                    .zip(seg.iter().copied())
+                    .collect()
+            };
+            let instrs = [at(0x8000, &seg_a), at(0x1_9000, &seg_b)].concat();
+            let segs = [
+                BlockSeg {
+                    va: 0x8000,
+                    pa: 0x8000,
+                    len: seg_a.len() as u32,
+                },
+                BlockSeg {
+                    va: 0x9000,
+                    pa: 0x1_9000,
+                    len: seg_b.len() as u32,
+                },
+            ];
+            CachedBlock::new(&instrs, &segs, 0, 0x8000)
+        };
+        let beq = Instr::B {
+            cond: Cond::Eq,
+            target: 0x8000,
+        };
+        for tail in [beq, Instr::Ret] {
+            let block = build(tail);
+            assert_eq!(block.runs.len(), 1, "one run across the seam");
+            assert_ne!(block.runs[0].flags_dead, 0, "dead setters are lowered");
+            assert!(block.uops().contains(&Uop::Nop), "the dead cmp is dropped");
+            for seed in 0..32 {
+                for mode in [Mode::Usr, Mode::Fiq, Mode::Svc] {
+                    uops_match_execute(&block, mode, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pc_reads_inside_a_loop_see_their_own_address() {
+        // Regression: a batch keeps the CPU's PC at the run's start, so an
+        // ALU op reading r15 in the middle of a run read the wrong address.
+        // Such instructions now run outside batches.
+        fn pc_sum(b: &mut ProgramBuilder) {
+            b.mov(2, 50);
+            let top = b.label();
+            b.bind(top);
+            b.alu_imm(AluOp::Add, 1, 1, 1);
+            b.alu_imm(AluOp::Add, 0, 15, 0);
+            b.alu(AluOp::Add, 3, 3, 0);
+            b.alu_imm(AluOp::Sub, 2, 2, 1);
+            b.alu_imm(AluOp::Cmp, 2, 2, 0);
+            b.branch(Cond::Ne, top);
+            b.halt();
+        }
+        let mut fast = with_program(pc_sum);
+        let mut slow = with_program(pc_sum);
+        slow.bcache.enabled = false;
+        let deadline = Cycles::new(1_000_000);
+        assert_eq!(fast.run_slice(deadline), CpuEvent::Halted);
+        assert_eq!(slow.run_slice(deadline), CpuEvent::Halted);
+        assert_eq!(slow.cpu.reg(3), 50 * 0x8010);
+        assert_eq!(fast.cpu.reg(3), slow.cpu.reg(3));
+        assert_eq!(fast.now(), slow.now());
+        assert!(fast.bcache.stats.batched_instrs > 0);
+    }
+
     #[test]
     fn tlb_maintenance_drops_decoded_blocks() {
         let mut m = with_program(|b| {
@@ -2494,5 +2788,38 @@ mod tests {
             "TLB maintenance must drop decoded blocks (mapping may change)"
         );
         assert!(m.bcache.stats.maint_invalidations >= 1);
+    }
+}
+#[cfg(test)]
+mod pc_probe {
+    use super::*;
+    use crate::mir::ProgramBuilder;
+    #[test]
+    fn pc_read_in_run() {
+        let build = || {
+            let mut m = bare_machine();
+            let mut b = ProgramBuilder::new();
+            b.mov(2, 50);
+            let top = b.label();
+            b.bind(top);
+            b.alu_imm(AluOp::Add, 1, 1, 1);
+            b.alu_imm(AluOp::Add, 0, 15, 0);
+            b.alu(AluOp::Add, 3, 3, 0);
+            b.alu_imm(AluOp::Sub, 2, 2, 1);
+            b.alu_imm(AluOp::Cmp, 2, 2, 0);
+            b.branch(Cond::Ne, top);
+            b.halt();
+            let p = b.assemble(0x8000);
+            m.load_program(&p, PhysAddr::new(0x8000)).unwrap();
+            m.cpu.pc = 0x8000;
+            m.cpu.cpsr = Psr::user();
+            m
+        };
+        let mut f = build();
+        let mut s = build();
+        s.bcache.enabled = false;
+        f.run_slice(Cycles::new(1_000_000));
+        s.run_slice(Cycles::new(1_000_000));
+        assert_eq!(f.cpu.reg(3), s.cpu.reg(3));
     }
 }

@@ -350,10 +350,10 @@ impl Instr {
     }
 
     /// True when executing the instruction overwrites the N/Z/C condition
-    /// flags (`Machine::alu` sets them for `Sub` and `Cmp` only). Used by
-    /// the block cache's flag-liveness pass: a setter whose flags are
-    /// overwritten by a later setter before any reader can skip the flag
-    /// computation entirely during a pure-run replay.
+    /// flags (the interpreter's ALU sets them for `Sub` and `Cmp` only).
+    /// Used by the block cache's flag-liveness pass: a setter whose flags
+    /// are overwritten by a later setter before any reader is lowered
+    /// without the flag computation.
     pub fn sets_nzcv(self) -> bool {
         matches!(
             self,
@@ -370,8 +370,8 @@ impl Instr {
     /// True when the instruction observes the condition flags: conditional
     /// branches evaluate N/Z/C and `MrsCpsr` materialises the whole CPSR
     /// (flags included) into a register. `MsrCpsr` *writes* flags but is
-    /// [`FastClass::Sideband`], so it never appears inside a pure run and
-    /// needs no entry here.
+    /// [`FastClass::Sideband`], so it never appears inside a batched run
+    /// and needs no entry here.
     pub fn reads_nzcv(self) -> bool {
         match self {
             Instr::B { cond, .. } => cond != Cond::Al,

@@ -16,10 +16,12 @@
 //! Entries carry the decoded descriptor attributes so a hit skips the
 //! page-table walk entirely.
 
+use std::hash::{Hash, Hasher};
+
 use mnv_hal::{Asid, Domain, VirtAddr, PAGE_SHIFT, SECTION_SHIFT};
 
 /// Access-permission encoding carried in a TLB entry (decoded AP/APX bits).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ap {
     /// No access at any privilege level.
     None,
@@ -34,7 +36,7 @@ pub enum Ap {
 }
 
 /// Mapping granularity of an entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// 4 KB small page (second-level descriptor).
     Small,
@@ -53,7 +55,7 @@ impl PageKind {
 }
 
 /// One cached translation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TlbEntry {
     /// Virtual base of the mapping (page- or section-aligned).
     pub va_base: u64,
@@ -298,6 +300,15 @@ impl Tlb {
     /// Number of valid entries.
     pub fn valid_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
+    }
+
+    /// Digest of the replacement state: every slot's entry and LRU stamp,
+    /// and the tick. Two TLBs with equal digests evict the same victims
+    /// from here on; the lockstep suites compare executors with it.
+    pub fn state_digest(&self) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        (&self.entries, &self.stamps, self.tick).hash(&mut h);
+        h.finish()
     }
 }
 

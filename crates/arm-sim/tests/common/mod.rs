@@ -1,17 +1,23 @@
 //! Shared pieces of the lockstep differential harnesses: the seeded
-//! program generator, the full architectural-state comparison and the
-//! minimal trap servicing loop. Used by `lockstep.rs` (block cache vs
-//! reference interpreter) and `profile_lockstep.rs` (profiler on vs off).
+//! program generators (MMU off with one RAM data pointer, and MMU on with
+//! paged data, MMIO, a read-only page and stores into the program text),
+//! the full architectural-state comparison and the minimal trap servicing
+//! loop. Used by `lockstep.rs` (block cache vs reference interpreter) and
+//! `profile_lockstep.rs` (profiler on vs off).
 //!
 //! Randomisation uses the same zero-dependency LCG as `proptests.rs`, so
 //! every failure is reproducible from its seed.
 
 #![allow(dead_code)] // each harness uses a subset
 
+use mnv_arm::cp15::{DomainAccess, SCTLR_M};
 use mnv_arm::cpu::{CpuEvent, ExceptionKind};
-use mnv_arm::machine::{Machine, UndKind};
+use mnv_arm::machine::{bare_machine, Machine, UndKind, GIC_BASE};
 use mnv_arm::mir::{AluOp, Cond, Instr, MirCp15, Program, ProgramBuilder, INSTR_SIZE};
-use mnv_hal::{Cycles, IrqNum};
+use mnv_arm::mmu::{l1_table_desc, l2_small_desc};
+use mnv_arm::psr::Psr;
+use mnv_arm::tlb::Ap;
+use mnv_hal::{Asid, Cycles, Domain, IrqNum, PhysAddr, PAGE_SIZE};
 
 /// Minimal 64-bit LCG (Knuth MMIX constants) for deterministic fuzzing.
 pub struct Lcg(u64);
@@ -32,6 +38,11 @@ impl Lcg {
     }
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_u64() % (hi - lo)
+    }
+    /// Uniform in `0..n` from the high bits (an LCG's low bits cycle with
+    /// short periods, which starves some choices of [`Lcg::range`]).
+    pub fn below(&mut self, n: u64) -> u64 {
+        (self.next_u64() >> 31) % n
     }
 }
 
@@ -157,6 +168,189 @@ pub fn gen_program(rng: &mut Lcg) -> Program {
     b.assemble(CODE_BASE)
 }
 
+/// Pages of program text the MMU-on harness maps (identity, writable):
+/// generated programs fill well under the first, and stores aimed at the
+/// last 256 bytes land in the same 64 KiB code-tracking chunk.
+pub const MMU_CODE_PAGES: u32 = 4;
+/// Data pages the MMU-on harness walks (identity-mapped small pages from
+/// [`WALK_VA`]): 256 pages, twice the 128-entry TLB's reach, competing
+/// with the code pages for its sets.
+pub const WALK_PAGES: u32 = 256;
+/// First walked data page.
+pub const WALK_VA: u32 = 0x0040_0000;
+/// A page mapped onto the GIC window: accesses through it are MMIO.
+pub const GIC_PAGE_VA: u32 = 0x0050_0000;
+/// A read-only page: loads work, stores raise data aborts.
+pub const RO_PAGE_VA: u32 = 0x0050_1000;
+/// ASID the MMU-on harness runs under (its mappings are non-global).
+pub const MMU_ASID: u8 = 5;
+/// First-level table; each MiB of VA gets its L2 table at
+/// `L2_PA + mib * 1 KiB`.
+const L1_PA: u64 = 0x10_0000;
+const L2_PA: u64 = 0x10_4000;
+
+/// A target for the special pointer r7: the text tail, the GIC page or the
+/// read-only page, at a random word.
+fn special_pointer(rng: &mut Lcg) -> u32 {
+    let word = rng.below(32) as u32 * 4;
+    match rng.below(3) {
+        0 => CODE_BASE as u32 + MMU_CODE_PAGES * PAGE_SIZE as u32 - 256 + word,
+        1 => GIC_PAGE_VA + word,
+        _ => RO_PAGE_VA + word,
+    }
+}
+
+/// Generate a random program for [`mmu_machine`]: r0–r5 data, r6 a
+/// pointer walking the [`WALK_PAGES`] data pages a page and a bit at a
+/// time, r7 a pointer re-aimed now and then at the text tail, the GIC
+/// page or the read-only page, r8–r11 loop counters, r12 the count of an
+/// outer loop around the whole body (so the walker keeps moving and the
+/// banked-register micro-ops run too). Loads and stores are dense, so
+/// most block-cache runs carry one, and every memory operand is an
+/// unbanked register, so the runs may batch it.
+pub fn gen_mmu_program(rng: &mut Lcg) -> Program {
+    let mut b = ProgramBuilder::new();
+    for r in 0..6u8 {
+        b.mov(r, rng.next_u32() & 0xFFFF);
+    }
+    b.mov(
+        6,
+        WALK_VA + rng.below(WALK_PAGES as u64) as u32 * PAGE_SIZE as u32,
+    );
+    b.mov(7, special_pointer(rng));
+    let counters = [8u8, 9, 10, 11];
+    for &c in &counters {
+        b.mov(c, 2 + rng.below(6) as u32);
+    }
+    b.mov(12, 40 + rng.below(40) as u32);
+    let outer = b.label();
+    b.bind(outer);
+    let mut bound = Vec::new();
+    let nblocks = 3 + rng.below(4);
+    for bi in 0..nblocks {
+        let l = b.label();
+        b.bind(l);
+        bound.push(l);
+        for _ in 0..3 + rng.below(11) {
+            let rd = rng.below(6) as u8;
+            let rn = rng.below(6) as u8;
+            let rm = rng.below(6) as u8;
+            let off = rng.below(32) as u32 * 4;
+            match rng.below(16) {
+                0..=3 => {
+                    b.alu(ALU_OPS[rng.below(8) as usize], rd, rn, rm);
+                }
+                4..=5 => {
+                    b.alu_imm(
+                        ALU_OPS[rng.below(8) as usize],
+                        rd,
+                        rn,
+                        rng.next_u32() & 0xFF,
+                    );
+                }
+                6 => {
+                    b.alu_imm(AluOp::Cmp, rd, rn, rng.next_u32() & 0xFF);
+                }
+                7..=8 => {
+                    b.str(rd, 6, off);
+                }
+                9..=10 => {
+                    b.ldr(rd, 6, off);
+                }
+                11 => {
+                    if rng.below(2) == 0 {
+                        b.str(rd, 7, off);
+                    } else {
+                        b.ldr(rd, 7, off);
+                    }
+                }
+                12 => {
+                    // Next page and a bit, wrapped inside the walked
+                    // region (word-aligned; an offset from the last word
+                    // of its last page reaches the GIC page right after).
+                    let stride = PAGE_SIZE as u32 + rng.below(32) as u32 * 4;
+                    b.alu_imm(AluOp::Add, 6, 6, stride);
+                    b.alu_imm(AluOp::And, 6, 6, 0xF_FFFC);
+                    b.alu_imm(AluOp::Orr, 6, 6, WALK_VA);
+                }
+                13 => {
+                    b.mov(7, special_pointer(rng));
+                }
+                14 => match rng.below(3) {
+                    0 => {
+                        b.compute(1 + rng.below(60) as u32);
+                    }
+                    1 => {
+                        b.push(Instr::MrsCpsr { rd });
+                    }
+                    _ => {
+                        // Reads r15: the instruction's own address.
+                        b.alu_imm(AluOp::Add, rd, 15, rng.next_u32() & 0xFF);
+                    }
+                },
+                15 => {
+                    b.svc(rng.next_u32() as u8);
+                }
+                _ => unreachable!(),
+            }
+        }
+        if bi > 0 && rng.below(100) < 60 {
+            let c = counters[(bi - 1) as usize % counters.len()];
+            let target = bound[rng.below(bound.len() as u64 - 1) as usize];
+            let skip = b.label();
+            b.alu_imm(AluOp::Cmp, c, c, 0);
+            b.branch(Cond::Eq, skip);
+            b.alu_imm(AluOp::Sub, c, c, 1);
+            b.branch(Cond::Al, target);
+            b.bind(skip);
+        }
+    }
+    b.alu_imm(AluOp::Sub, 12, 12, 1);
+    b.alu_imm(AluOp::Cmp, 12, 12, 0);
+    b.branch(Cond::Ne, outer);
+    b.halt();
+    b.assemble(CODE_BASE)
+}
+
+/// A machine running `prog` in user mode with the MMU on: small-page
+/// tables (built with `mmu::l1_table_desc`/`l2_small_desc`) mapping the
+/// program text, the walked data pages, the GIC page and the read-only
+/// page, all non-global under [`MMU_ASID`] in a client domain, and IRQs
+/// unmasked.
+pub fn mmu_machine(prog: &Program) -> Machine {
+    let mut m = bare_machine();
+    m.load_program(prog, PhysAddr::new(CODE_BASE)).unwrap();
+    let domain = Domain::GUEST_USER;
+    let mut map = |va: u32, pa: u64, ap: Ap| {
+        let mib = (va >> 20) as u64;
+        let l2 = PhysAddr::new(L2_PA + mib * 0x400);
+        let l1_slot = PhysAddr::new(L1_PA + mib * 4);
+        m.mem.write_u32(l1_slot, l1_table_desc(l2, domain)).unwrap();
+        let l2_slot = l2 + ((va as u64 >> 12) & 0xFF) * 4;
+        let desc = l2_small_desc(PhysAddr::new(pa), ap, false, false);
+        m.mem.write_u32(l2_slot, desc).unwrap();
+    };
+    let page = PAGE_SIZE as u32;
+    for p in 0..MMU_CODE_PAGES {
+        let va = CODE_BASE as u32 + p * page;
+        map(va, va as u64, Ap::Full);
+    }
+    for p in 0..WALK_PAGES {
+        let va = WALK_VA + p * page;
+        map(va, va as u64, Ap::Full);
+    }
+    map(GIC_PAGE_VA, GIC_BASE, Ap::Full);
+    map(RO_PAGE_VA, RO_PAGE_VA as u64, Ap::ReadOnly);
+    m.cp15.ttbr0 = L1_PA as u32;
+    m.cp15.set_asid(Asid(MMU_ASID));
+    m.cp15.set_domain_access(domain, DomainAccess::Client);
+    m.cp15.sctlr |= SCTLR_M;
+    m.cpu.pc = CODE_BASE as u32;
+    m.cpu.cpsr = Psr::user();
+    m.cpu.cpsr.irq_masked = false;
+    m
+}
+
 /// Directed chain-heavy program: a loop of small blocks stitched together
 /// by *unconditional* branches and leaf calls, the exact shape the block
 /// cache turns into chained superblocks. Used by the chain/SMC lockstep
@@ -225,6 +419,11 @@ pub fn assert_same(seed: u64, at: &str, fast: &Machine, slow: &Machine) {
         "seed {seed} @ {at}: PMU inputs"
     );
     assert_eq!(
+        fast.replacement_digest(),
+        slow.replacement_digest(),
+        "seed {seed} @ {at}: TLB/L1I/L1D/L2 replacement state"
+    );
+    assert_eq!(
         fast.ptimer.expiries, slow.ptimer.expiries,
         "seed {seed} @ {at}: timer expiries"
     );
@@ -233,6 +432,18 @@ pub fn assert_same(seed: u64, at: &str, fast: &Machine, slow: &Machine) {
         slow.gic.is_pending(IrqNum::PRIVATE_TIMER),
         "seed {seed} @ {at}: timer IRQ pending"
     );
+}
+
+/// [`service`], except that a data abort skips the faulting instruction
+/// and carries on (the MMU-on programs store to a read-only page on
+/// purpose).
+pub fn service_skipping_data_aborts(m: &mut Machine, ev: CpuEvent) -> bool {
+    if ev != CpuEvent::Exception(ExceptionKind::DataAbort) {
+        return service(m, ev);
+    }
+    let ret = m.cpu.reg(14).wrapping_add(INSTR_SIZE as u32);
+    m.exception_return(ret);
+    true
 }
 
 /// Run until `deadline` or the first non-Retired event.

@@ -57,9 +57,25 @@ fn build(cache_on: bool) -> (Kernel, Vec<VmId>) {
 fn four_guest_scenario_is_bit_identical_across_executors() {
     let (mut fast, vms_f) = build(true);
     let (mut slow, vms_s) = build(false);
-    let dur = Cycles::from_millis(40.0);
-    fast.run(dur);
-    slow.run(dur);
+    // Eight 5 ms legs; after each, the PMU inputs (hit and miss counts)
+    // and the replacement state behind them (TLB entries, cache tags, LRU
+    // stamps and ticks) must match, so a wrong stamp order fails at the
+    // leg it happens in rather than at some later eviction.
+    for leg in 0..8 {
+        let dur = Cycles::from_millis(5.0);
+        fast.run(dur);
+        slow.run(dur);
+        assert_eq!(
+            fast.machine.pmu_inputs(),
+            slow.machine.pmu_inputs(),
+            "leg {leg}: PMU inputs diverged"
+        );
+        assert_eq!(
+            fast.machine.replacement_digest(),
+            slow.machine.replacement_digest(),
+            "leg {leg}: TLB/L1I/L1D/L2 replacement state diverged"
+        );
+    }
 
     assert_eq!(
         fast.machine.now(),
