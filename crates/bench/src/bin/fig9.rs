@@ -14,10 +14,10 @@
 //! Perfetto sample-rate counter tracks (`fig9.profile.trace.json`). Same
 //! seed ⇒ byte-identical profile.
 //!
-//! With `--waterfall` (requires `--features trace`) it re-runs the 4-guest
-//! workload with causal request tracing live, reconstructs the per-request
-//! stage waterfalls and writes `fig9.waterfall.json` (the `mnvdbg
-//! --request` input format) plus an SLO summary of the run.
+//! With `--waterfall` it re-runs the 4-guest workload with causal request
+//! tracing live, reconstructs the per-request stage waterfalls and writes
+//! `fig9.waterfall.json` (the `mnvdbg --request` input format) plus an SLO
+//! summary of the run.
 //!
 //! Usage: `cargo run --release -p mnv-bench --bin fig9 [--quick] [--no-trace] [--attrib] [--profile] [--waterfall]`
 
@@ -116,11 +116,8 @@ fn main() {
         let mut k = build_kernel(4, 11, &cfg);
         let tracer = k.enable_tracing(1 << 20);
         k.run(Cycles::from_millis(30.0));
-        let events = tracer.snapshot();
-        let falls = waterfall::build(&events);
-        if !tracer.is_enabled() || events.is_empty() {
-            eprintln!("warning: tracer is inert — rerun with `--features trace` for waterfalls");
-        } else if falls.is_empty() {
+        let falls = waterfall::build(&tracer.snapshot());
+        if falls.is_empty() {
             eprintln!("warning: no request spans captured in the trace window");
         } else {
             let complete = falls.iter().filter(|w| w.complete).count();

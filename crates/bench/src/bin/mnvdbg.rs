@@ -17,10 +17,9 @@
 //!   mnvdbg --request ID FILE      render one request's stage waterfall
 //!                                 from a waterfall JSON export
 //!                                 (`ID` = `all` lists every request)
-//!   mnvdbg --demo        (requires the default `trace` and `fault`) run a
-//!                        2-guest scenario with every accelerator start
-//!                        wedged, let the watchdog quarantine the region,
-//!                        write the resulting dump to
+//!   mnvdbg --demo        run a 2-guest scenario with every accelerator
+//!                        start wedged, let the watchdog quarantine the
+//!                        region, write the resulting dump to
 //!                        `target/experiments/mnvdbg.demo.json` and
 //!                        round-trip it through the decoder
 
@@ -122,19 +121,9 @@ fn demo() {
     let cfg = quick_config();
     let mut k = build_kernel(2, 11, &cfg);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !k.state.tracer.is_enabled() {
-        eprintln!(
-            "mnvdbg: tracer is inert, so the flight recorder would be empty — rerun with `--features trace`"
-        );
-        std::process::exit(2);
-    }
     let mut plan = FaultPlan::none(9);
     plan.prr_hang = SiteCfg::new(1_000_000, 8); // every start wedges
-    let plane = k.enable_faults(plan);
-    if !plane.is_armed() {
-        eprintln!("mnvdbg: fault plane is inert — rerun with `--features fault`");
-        std::process::exit(2);
-    }
+    k.enable_faults(plan);
     k.state.hwmgr.watchdog_timeout = 1_000_000; // ~1.5 ms: faster demo
     k.run(Cycles::from_millis(60.0));
 

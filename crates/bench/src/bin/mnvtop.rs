@@ -10,11 +10,11 @@
 //! kernel-context annotations) and the sampled-cycle share per (VM,
 //! hypercall/DPR-stage) context.
 //!
-//! With the `trace` feature on, each frame also renders a request pane:
-//! the frame's SLO violations/burns, the per-interface request-latency
-//! distribution with its p99 tail exemplar (a request id `mnvdbg
-//! --request` can look up), and a compact waterfall of the slowest
-//! request that completed inside the frame's window.
+//! Each frame also renders a request pane: the frame's SLO
+//! violations/burns, the per-interface request-latency distribution with
+//! its p99 tail exemplar (a request id `mnvdbg --request` can look up),
+//! and a compact waterfall of the slowest request that completed inside
+//! the frame's window.
 //!
 //! Usage:
 //!   cargo run --release -p mnv-bench --bin mnvtop -- \
@@ -53,9 +53,6 @@ fn main() {
     let reg = k.enable_metrics();
     let tracer = k.enable_tracing(1 << 20);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !tracer.is_enabled() {
-        eprintln!("note: tracer is inert — add `trace` to the feature list for the request pane");
-    }
 
     // Short warm-up so caches/TLBs and the scheduler reach steady state.
     k.run(Cycles::from_millis(5.0 * guests as f64));
@@ -74,15 +71,13 @@ fn main() {
         }
         render(frame, interval_ms, &d, &k.state.metrics.snapshot());
         render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
-        if tracer.is_enabled() {
-            render_reqs(
-                &tracer,
-                &d,
-                &k.state.metrics.snapshot(),
-                k.state.stats.reqs_minted,
-                window_start,
-            );
-        }
+        render_reqs(
+            &tracer,
+            &d,
+            &k.state.metrics.snapshot(),
+            k.state.stats.reqs_minted,
+            window_start,
+        );
     }
 }
 

@@ -700,7 +700,6 @@ mod tests {
         assert!(retries_line.contains('3'), "{retries_line}");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn chaos_config_produces_nonzero_fault_activity() {
         // A chaos-armed quick run must keep measuring (the benchmark shape
@@ -720,7 +719,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn chaos_heal_demo_converges() {
         // The bin's --chaos heal section: armed half degrades, disarmed
@@ -735,7 +733,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_captures_manager_activity() {
         let tracer = traced_run(2, &quick_config(), 30.0);

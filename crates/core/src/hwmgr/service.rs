@@ -1621,17 +1621,15 @@ mod tests {
         }
         mgr.drain_resumes(Cycles::new(0), &tracer, &mut stats, VmId(1));
 
-        if tracer.is_enabled() {
-            let resumed: Vec<u32> = tracer
-                .snapshot()
-                .into_iter()
-                .filter_map(|(_, ev)| match ev {
-                    TraceEvent::ReqStage { req, stage } if stage == req_stage::RESUME => Some(req),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(resumed, vec![1, 2, 3], "VM 1 closes in posting order");
-        }
+        let resumed: Vec<u32> = tracer
+            .snapshot()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::ReqStage { req, stage } if stage == req_stage::RESUME => Some(req),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resumed, vec![1, 2, 3], "VM 1 closes in posting order");
         let left: Vec<(VmId, u32)> = mgr
             .pending_resume
             .iter()

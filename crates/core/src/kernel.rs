@@ -230,9 +230,7 @@ impl Kernel {
     /// with a [`mnv_profile::DEFAULT_FLIGHT_CAP`] ring. `period` is the
     /// sampling period in cycles ([`mnv_profile::DEFAULT_PERIOD`] is 10 us
     /// of simulated time). Sampling and tracing are pure observation — a
-    /// profiled run is bit-identical to an unprofiled one. Without the
-    /// `trace` feature the tracer stays inert: samples are still taken,
-    /// but every post-mortem's flight recorder is empty.
+    /// profiled run is bit-identical to an unprofiled one.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
         let p = Profiler::enabled(period, self.machine.now());
         if !self.state.tracer.is_enabled() {

@@ -173,10 +173,9 @@ fn twenty_seeds_converge_after_midrun_disarm() {
         );
         k.check_recovery_invariants()
             .unwrap_or_else(|e| panic!("seed {seed}: invariant violated: {e}"));
-        if k.state.tracer.is_enabled() {
-            check_one_event_stream(&k, &events)
-                .unwrap_or_else(|e| panic!("seed {seed}: sinks disagree: {e}"));
-        }
+        assert!(k.state.tracer.is_enabled());
+        check_one_event_stream(&k, &events)
+            .unwrap_or_else(|e| panic!("seed {seed}: sinks disagree: {e}"));
         k.state
             .hwmgr
             .check_converged()

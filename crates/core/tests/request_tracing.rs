@@ -82,9 +82,7 @@ fn request_tracing_is_architecturally_neutral() {
 fn waterfalls_reconstruct_complete_request_lifecycles() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
-    if !tracer.is_enabled() {
-        return; // trace feature off: nothing to reconstruct
-    }
+    assert!(tracer.is_enabled());
     k.run(Cycles::from_millis(60.0));
     let falls = waterfall::build(&tracer.snapshot());
     assert!(!falls.is_empty(), "no requests reconstructed");
@@ -123,9 +121,7 @@ fn tail_exemplars_resolve_to_traced_requests() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
     let reg = k.enable_metrics();
-    if !tracer.is_enabled() {
-        return;
-    }
+    assert!(tracer.is_enabled());
     k.run(Cycles::from_millis(60.0));
     let falls = waterfall::build(&tracer.snapshot());
     let snap = reg.snapshot();
@@ -185,19 +181,18 @@ fn slo_burn_fires_on_sustained_violations() {
         s.slo_violations >= s.slo_burns,
         "a burn implies at least one violation"
     );
-    if tracer.is_enabled() {
-        let burn_events: Vec<_> = tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(_, ev)| match ev {
-                TraceEvent::SloBurn { iface, violations } => Some((iface, violations)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(burn_events.len() as u64, s.slo_burns);
-        for (iface, violations) in &burn_events {
-            assert_ne!(iface_name(*iface), "iface:?");
-            assert!(*violations >= 2, "burn latched below the limit");
-        }
+    assert!(tracer.is_enabled());
+    let burn_events: Vec<_> = tracer
+        .snapshot()
+        .into_iter()
+        .filter_map(|(_, ev)| match ev {
+            TraceEvent::SloBurn { iface, violations } => Some((iface, violations)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(burn_events.len() as u64, s.slo_burns);
+    for (iface, violations) in &burn_events {
+        assert_ne!(iface_name(*iface), "iface:?");
+        assert!(*violations >= 2, "burn latched below the limit");
     }
 }

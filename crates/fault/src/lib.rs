@@ -17,18 +17,16 @@
 //! replays the identical fault sequence. Each decision is recorded as a
 //! [`FaultRecord`], so tests can assert replay identity directly.
 //!
-//! ## Zero cost when disabled
+//! ## Switched on at run time, not by a cargo feature
 //!
-//! Mirrors `mnv-trace`: without the `fault` feature the plane has no state
-//! and every probe is an empty inline function; with the feature, a
-//! disabled plane is a single `None` check per probe.
+//! Mirrors `mnv-trace`: a disabled [`FaultPlane`] (the default) holds
+//! `None`, so every probe is one inlined `None` check and injects nothing.
+//! [`FaultPlane::armed`] gives it a plan. Call sites never need a `cfg`.
 
 #![warn(missing_docs)]
 
 use mnv_hal::Cycles;
-#[cfg(feature = "fault")]
 use std::cell::RefCell;
-#[cfg(feature = "fault")]
 use std::rc::Rc;
 
 /// Where a fault can be injected.
@@ -212,7 +210,6 @@ pub struct FaultRecord {
     pub arg: u64,
 }
 
-#[cfg(feature = "fault")]
 struct SiteState {
     rng: u64,
     trips: u32,
@@ -220,7 +217,6 @@ struct SiteState {
     due_at: u64,
 }
 
-#[cfg(feature = "fault")]
 struct PlaneState {
     plan: FaultPlan,
     sites: [SiteState; SITE_COUNT],
@@ -233,7 +229,6 @@ struct PlaneState {
 
 /// SplitMix64 step — the standard finalizer-based generator; small, fast,
 /// and good enough for Bernoulli schedules.
-#[cfg(feature = "fault")]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -242,7 +237,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[cfg(feature = "fault")]
 impl PlaneState {
     fn new(plan: FaultPlan) -> Self {
         let mk = |i: usize| {
@@ -353,7 +347,6 @@ impl PlaneState {
 /// free to probe.
 #[derive(Clone, Default)]
 pub struct FaultPlane {
-    #[cfg(feature = "fault")]
     inner: Option<Rc<RefCell<PlaneState>>>,
 }
 
@@ -363,55 +356,35 @@ impl FaultPlane {
         Self::default()
     }
 
-    /// Arm a plane with `plan`. Without the `fault` feature this is the
-    /// disabled plane, so callers need no feature gates of their own.
+    /// Arm a plane with `plan`.
     pub fn armed(plan: FaultPlan) -> Self {
-        #[cfg(feature = "fault")]
-        {
-            FaultPlane {
-                inner: Some(Rc::new(RefCell::new(PlaneState::new(plan)))),
-            }
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = plan;
-            Self::default()
+        FaultPlane {
+            inner: Some(Rc::new(RefCell::new(PlaneState::new(plan)))),
         }
     }
 
     /// True when faults can be injected.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Probe an event site: true when the fault fires for this opportunity.
     /// `arg` is recorded for replay comparison (byte offset, address…).
     #[inline]
     pub fn trip(&self, site: FaultSite, now: Cycles, arg: u64) -> bool {
-        #[cfg(feature = "fault")]
         if let Some(inner) = &self.inner {
             return inner.borrow_mut().trip(site, now, arg);
         }
-        let _ = (site, now, arg);
         false
     }
 
     /// Probe a time-driven site: true when its deadline has passed.
     #[inline]
     pub fn due(&self, site: FaultSite, now: Cycles) -> bool {
-        #[cfg(feature = "fault")]
         if let Some(inner) = &self.inner {
             return inner.borrow_mut().due(site, now);
         }
-        let _ = (site, now);
         false
     }
 
@@ -420,11 +393,9 @@ impl FaultPlane {
     /// damages, from the same stream, so replays damage the same thing.
     #[inline]
     pub fn pick(&self, site: FaultSite, bound: u64) -> u64 {
-        #[cfg(feature = "fault")]
         if let Some(inner) = &self.inner {
             return inner.borrow_mut().pick(site, bound);
         }
-        let _ = (site, bound);
         0
     }
 
@@ -435,7 +406,6 @@ impl FaultPlane {
     /// switch: arm, let the system degrade, disarm, and assert that it
     /// converges back to healthy hardware service. No-op when disabled.
     pub fn disarm(&self) {
-        #[cfg(feature = "fault")]
         if let Some(inner) = &self.inner {
             inner.borrow_mut().disarmed = true;
         }
@@ -443,69 +413,33 @@ impl FaultPlane {
 
     /// True when [`FaultPlane::disarm`] has been called on an armed plane.
     pub fn is_disarmed(&self) -> bool {
-        #[cfg(feature = "fault")]
-        {
-            self.inner.as_ref().is_some_and(|i| i.borrow().disarmed)
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            false
-        }
+        self.inner.as_ref().is_some_and(|i| i.borrow().disarmed)
     }
 
     /// The armed plan, if any.
     pub fn plan(&self) -> Option<FaultPlan> {
-        #[cfg(feature = "fault")]
-        {
-            self.inner.as_ref().map(|i| i.borrow().plan)
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            None
-        }
+        self.inner.as_ref().map(|i| i.borrow().plan)
     }
 
     /// All faults injected so far, in order (empty when disabled).
     pub fn records(&self) -> Vec<FaultRecord> {
-        #[cfg(feature = "fault")]
-        {
-            self.inner
-                .as_ref()
-                .map_or_else(Vec::new, |i| i.borrow().records.clone())
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            Vec::new()
-        }
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.borrow().records.clone())
     }
 
     /// Number of trips at one site.
     pub fn count(&self, site: FaultSite) -> u32 {
-        #[cfg(feature = "fault")]
-        {
-            self.inner
-                .as_ref()
-                .map_or(0, |i| i.borrow().sites[site as usize].trips)
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            let _ = site;
-            0
-        }
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.borrow().sites[site as usize].trips)
     }
 
     /// Total faults injected across all sites.
     pub fn total(&self) -> u32 {
-        #[cfg(feature = "fault")]
-        {
-            self.inner
-                .as_ref()
-                .map_or(0, |i| i.borrow().records.len() as u32)
-        }
-        #[cfg(not(feature = "fault"))]
-        {
-            0
-        }
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.borrow().records.len() as u32)
     }
 }
 
@@ -533,7 +467,6 @@ mod tests {
         assert!(p.records().is_empty());
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn same_seed_same_schedule() {
         let run = |seed: u64| {
@@ -563,7 +496,6 @@ mod tests {
         assert_ne!(h1, h3, "different seed, different schedule");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn sites_draw_independent_streams() {
         // Probing site B between probes of site A must not change A's
@@ -588,7 +520,6 @@ mod tests {
         assert_eq!(a_solo, a_mixed);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn max_caps_trips() {
         let p = FaultPlane::armed(FaultPlan {
@@ -605,7 +536,6 @@ mod tests {
         assert_eq!(p.count(FaultSite::PcapStall), 3);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn due_site_respects_deadlines() {
         let p = FaultPlane::armed(FaultPlan {
@@ -628,7 +558,6 @@ mod tests {
         assert!(fired >= 4, "the site must keep firing: {fired}");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn disarm_silences_future_probes_and_keeps_records() {
         let p = FaultPlane::armed(FaultPlan {

@@ -9,13 +9,12 @@
 //!   ([`chrome::export`]) and a plain-text top-N summary
 //!   ([`summary::summarize`]).
 //!
-//! ## Zero cost when disabled
+//! ## Switched on at run time, not by a cargo feature
 //!
-//! The recording path is gated twice. At compile time, building without the
-//! `trace` feature removes the sink field and turns [`Tracer::emit`] into an
-//! empty inline function. At run time (with the feature on), a disabled
-//! [`Tracer`] holds `None` and `emit` is a single branch — no allocation,
-//! no formatting, no event construction side effects reach the ring.
+//! A disabled [`Tracer`] (the default) holds `None`: [`Tracer::emit`] is
+//! one inlined branch — no allocation, no formatting, no event
+//! construction side effects reach the ring. [`Tracer::enabled`] gives it
+//! a ring. Call sites never need a `cfg`.
 //!
 //! The simulator is single-threaded, so the shared ring is an
 //! `Rc<RefCell<_>>` — cloning a [`Tracer`] shares the same ring, which is
@@ -42,9 +41,7 @@ pub use span::{PairedTrace, Span, Track};
 pub use waterfall::ReqWaterfall;
 
 use mnv_hal::Cycles;
-#[cfg(feature = "trace")]
 use std::cell::RefCell;
-#[cfg(feature = "trace")]
 use std::rc::Rc;
 
 /// A handle to a (possibly shared, possibly absent) trace ring.
@@ -53,7 +50,6 @@ use std::rc::Rc;
 /// around and free to `emit` into.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     sink: Option<Rc<RefCell<TraceRing>>>,
 }
 
@@ -64,53 +60,29 @@ impl Tracer {
     }
 
     /// A tracer recording into a fresh ring retaining `cap` events.
-    /// Without the `trace` feature this is the disabled tracer, so callers
-    /// need no feature gates of their own.
     pub fn enabled(cap: usize) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            Tracer {
-                sink: Some(Rc::new(RefCell::new(TraceRing::new(cap)))),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = cap;
-            Self::default()
+        Tracer {
+            sink: Some(Rc::new(RefCell::new(TraceRing::new(cap)))),
         }
     }
 
     /// True when events are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.sink.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.sink.is_some()
     }
 
-    /// Record `ev` at time `now`. A no-op (one branch, or nothing at all
-    /// without the `trace` feature) when disabled.
+    /// Record `ev` at time `now`. A no-op (one branch) when disabled.
     #[inline]
     pub fn emit(&self, now: Cycles, ev: TraceEvent) {
-        #[cfg(feature = "trace")]
         if let Some(sink) = &self.sink {
             sink.borrow_mut().push(now, ev);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (now, ev);
         }
     }
 
     /// Events lost to ring wraparound (0 when disabled): everything ever
     /// emitted beyond what the ring still retains.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
         if let Some(sink) = &self.sink {
             return sink.borrow().dropped();
         }
@@ -119,14 +91,7 @@ impl Tracer {
 
     /// Number of retained events (0 when disabled).
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.sink.as_ref().map_or(0, |s| s.borrow().len())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.sink.as_ref().map_or(0, |s| s.borrow().len())
     }
 
     /// True when no events are retained.
@@ -137,49 +102,26 @@ impl Tracer {
     /// Total events ever recorded, including ones lost to wraparound
     /// (0 when disabled).
     pub fn total(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.sink.as_ref().map_or(0, |s| s.borrow().total())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.sink.as_ref().map_or(0, |s| s.borrow().total())
     }
 
     /// Copy the retained events oldest-first (empty when disabled).
     pub fn snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
-        #[cfg(feature = "trace")]
-        {
-            self.sink
-                .as_ref()
-                .map_or_else(Vec::new, |s| s.borrow().snapshot())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.sink
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.borrow().snapshot())
     }
 
     /// Copy the newest `n` retained events oldest-first (empty when
     /// disabled); see [`TraceRing::tail`].
     pub fn tail(&self, n: usize) -> Vec<(Cycles, TraceEvent)> {
-        #[cfg(feature = "trace")]
-        {
-            self.sink
-                .as_ref()
-                .map_or_else(Vec::new, |s| s.borrow().tail(n))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = n;
-            Vec::new()
-        }
+        self.sink
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.borrow().tail(n))
     }
 
     /// Drop all retained events.
     pub fn clear(&self) {
-        #[cfg(feature = "trace")]
         if let Some(sink) = &self.sink {
             sink.borrow_mut().clear();
         }
@@ -221,7 +163,6 @@ mod tests {
         assert!(t.snapshot().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn clones_share_one_ring() {
         let a = Tracer::enabled(8);
@@ -235,7 +176,6 @@ mod tests {
         assert_eq!(snap[1].1, TraceEvent::TrapExit);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn span_pairing_survives_wraparound() {
         // Ring of 6: push 3 full trap spans (2 events each) plus a stray
@@ -266,7 +206,6 @@ mod tests {
         assert!(paired.spans.iter().all(|s| s.cycles() == 50));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn dropped_events_surface_in_both_exporters() {
         let t = Tracer::enabled(2);
@@ -292,7 +231,6 @@ mod tests {
         assert!(!clean.summary(10).contains("wraparound"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn chrome_export_round_trips_through_parser() {
         let t = Tracer::enabled(32);

@@ -11,8 +11,7 @@ use mini_nova_repro::prelude::*;
 fn main() {
     // 1. Boot the kernel on the simulated Zynq-7000: dual-purpose DDR,
     //    four partially reconfigurable regions, PCAP, hwMMU. Capture the
-    //    whole run as a cycle-timestamped event trace (a no-op handle when
-    //    the `trace` feature is off).
+    //    whole run as a cycle-timestamped event trace.
     let mut kernel = Kernel::new(KernelConfig::default());
     let tracer = kernel.enable_tracing(1 << 16);
     // Per-VM counter plane: every cache/TLB/cycle event charged to the
@@ -112,18 +111,16 @@ fn main() {
 
     // 6. Export the trace: a Perfetto/chrome://tracing-loadable timeline
     //    plus a top-N text summary of where the cycles went.
-    if tracer.is_enabled() {
-        let path = std::path::Path::new("target/experiments/quickstart.trace.json");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, tracer.export_chrome()).unwrap();
-        println!("\n{}", tracer.summary(10));
-        println!(
-            "wrote {} ({} events retained, {} recorded) — open in Perfetto or chrome://tracing",
-            path.display(),
-            tracer.len(),
-            tracer.total()
-        );
-    }
+    let path = std::path::Path::new("target/experiments/quickstart.trace.json");
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, tracer.export_chrome()).unwrap();
+    println!("\n{}", tracer.summary(10));
+    println!(
+        "wrote {} ({} events retained, {} recorded) — open in Perfetto or chrome://tracing",
+        path.display(),
+        tracer.len(),
+        tracer.total()
+    );
 
     // 7. Export the counter plane: the registry mnvtop renders live, as
     //    Prometheus text exposition (`mnv_<series>{vm="1"} value`).

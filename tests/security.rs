@@ -75,16 +75,15 @@ fn policy_kill_is_recorded_like_a_kernel_kill() {
     let dump = profiler.last_dump().expect("the kill dumps a post-mortem");
     let pm = mnv_profile::postmortem::parse(&dump).unwrap();
     assert_eq!(pm.reason, "vm-killed");
-    if tracer.is_enabled() {
-        let kills: Vec<_> = tracer
-            .snapshot()
-            .into_iter()
-            .filter(|(_, ev)| matches!(ev, mnv_trace::TraceEvent::VmKilled { .. }))
-            .collect();
-        assert_eq!(kills.len(), 1, "exactly one VmKilled in the ring");
-        assert_eq!(kills[0].1, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
-        assert_eq!(pm.events.last().unwrap().1, "VmKilled");
-    }
+    assert!(tracer.is_enabled());
+    let kills: Vec<_> = tracer
+        .snapshot()
+        .into_iter()
+        .filter(|(_, ev)| matches!(ev, mnv_trace::TraceEvent::VmKilled { .. }))
+        .collect();
+    assert_eq!(kills.len(), 1, "exactly one VmKilled in the ring");
+    assert_eq!(kills[0].1, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
+    assert_eq!(pm.events.last().unwrap().1, "VmKilled");
 }
 
 #[test]
