@@ -43,17 +43,16 @@ use mnv_fpga::prr::status as prr_status;
 use mnv_hal::abi::ring::{self, desc_status};
 use mnv_hal::abi::{hw_task_result, HcError, HwTaskStatus};
 use mnv_hal::{HwTaskId, IrqNum, PhysAddr, VirtAddr, VmId};
-use mnv_metrics::Label;
 use mnv_trace::event::req_stage;
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
 
 use super::service::{HwMgr, DATA_SECTION_LEN};
 use super::tables::ReqTag;
 use crate::kobj::pd::Pd;
 use crate::mem::pagetable::PtAlloc;
+use crate::obs::{Counter, Sinks};
 use crate::slo::{iface_of, FAMILIES};
-use crate::stats::KernelStats;
 
 /// The in-flight descriptor currently owning the fabric (or the PCAP
 /// channel). Its open [`ReqTag`] is *not* stored here: it travels through
@@ -135,14 +134,12 @@ impl HwMgr {
     /// `ring_va`, accept newly posted descriptors, and drive the batch as
     /// far as the fabric allows. Returns the number of descriptors
     /// accepted by this kick.
-    #[allow(clippy::too_many_arguments)]
     pub fn handle_ring_kick(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         caller: VmId,
         ring_va: u64,
     ) -> Result<u32, HcError> {
@@ -253,8 +250,8 @@ impl HwMgr {
                 id: self.next_req,
                 started: now.raw(),
             };
-            stats.reqs_minted += 1;
-            tracer.emit(
+            sinks.stats.reqs_minted += 1;
+            sinks.tracer.emit(
                 now,
                 TraceEvent::ReqSpan {
                     req: req.id,
@@ -262,22 +259,21 @@ impl HwMgr {
                     end: false,
                 },
             );
-            self.req_stamp(now, tracer, req, req_stage::RING_POST);
+            sinks.req_stamp(now, req, req_stage::RING_POST);
             let doff = ring::desc_off(self.rings[ci].size, idx);
             let _ = m.phys_write_u32(base_pa + doff + ring::DESC_REQ, req.id);
             let _ = m.phys_write_u32(base_pa + doff + ring::DESC_STATUS, desc_status::PENDING);
             self.rings[ci].queued.push_back((idx, req));
         }
         self.rings[ci].avail_seen = avail;
-        stats.hwmgr.ring_kicks += 1;
-        stats.hwmgr.ring_descs += new as u64;
-        self.metrics.inc("ring_kicks", Label::Vm(caller.0 as u8));
+        sinks.count(Counter::RingKick(caller));
+        sinks.stats.hwmgr.ring_descs += new as u64;
 
         // Drive the batch as far as the fabric allows right now; a drain
         // completed inside the kick still delivers its coalesced vIRQ
         // through the vGIC buffer (the caller is mid-hypercall).
-        if let Some((vm, line)) = self.ring_advance(m, pds, pt, stats, tracer, ci) {
-            self.ring_deliver(pds, stats, vm, line);
+        if let Some((vm, line)) = self.ring_advance(m, pds, pt, sinks, ci) {
+            self.ring_deliver(pds, sinks, vm, line);
         }
         Ok(new as u32)
     }
@@ -291,8 +287,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         ci: usize,
     ) -> Option<(VmId, IrqNum)> {
         // Nothing below re-enters the ring list, so the context can be
@@ -302,10 +297,10 @@ impl HwMgr {
         loop {
             if let Some(run) = ctx.active {
                 if run.await_pcap {
-                    match self.handle_pcap_poll(m, pds, pt, stats, tracer, ctx.vm) {
+                    match self.handle_pcap_poll(m, pds, pt, sinks, ctx.vm) {
                         Ok(1) => {
                             ctx.active = None;
-                            self.ring_start_or_complete(m, pds, stats, tracer, &mut ctx, run);
+                            self.ring_start_or_complete(m, pds, sinks, &mut ctx, run);
                             continue;
                         }
                         Ok(_) => break, // transfer still in flight
@@ -319,7 +314,7 @@ impl HwMgr {
                                 0,
                             );
                             let req = self.prrs.req_slot(run.prr).take();
-                            self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                            sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
                             continue;
                         }
                     }
@@ -330,7 +325,7 @@ impl HwMgr {
                 let disp = self.prrs.find_dispatch(ctx.vm, run.task);
                 if disp != Some(run.prr) || !self.prrs.entry(run.prr).in_service() {
                     ctx.active = None;
-                    self.ring_complete_shadow(m, pds, stats, tracer, &mut ctx, &run);
+                    self.ring_complete_shadow(m, pds, sinks, &mut ctx, &run);
                     continue;
                 }
                 let status = self.prr_status(m, run.prr);
@@ -347,8 +342,7 @@ impl HwMgr {
                     self.ring_publish(m, &mut ctx, run.idx, desc_status::OK, rl);
                     self.finish_req(
                         m.now(),
-                        tracer,
-                        stats,
+                        sinks,
                         req,
                         ctx.vm,
                         ctx.family,
@@ -370,7 +364,7 @@ impl HwMgr {
                         desc_status::ERR_DEVICE | (code << 8),
                         0,
                     );
-                    self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                    sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
                 }
                 continue;
             }
@@ -412,15 +406,14 @@ impl HwMgr {
                     desc_status::ERR_REJECTED | (hc_code(HcError::BadArg) << 8),
                     0,
                 );
-                self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
                 continue;
             }
             match self.handle_request(
                 m,
                 pds,
                 pt,
-                stats,
-                tracer,
+                sinks,
                 ctx.vm,
                 task,
                 ctx.iface_va,
@@ -441,7 +434,7 @@ impl HwMgr {
                         desc_status::ERR_REJECTED | (hc_code(e) << 8),
                         0,
                     );
-                    self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                    sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
                     continue;
                 }
                 Ok(v) => {
@@ -450,7 +443,7 @@ impl HwMgr {
                     if v & hw_task_result::DEGRADED != 0 {
                         // Shadow-backed dispatch (the request now lives in
                         // the shadow's slot): complete it synchronously.
-                        self.ring_complete_shadow(m, pds, stats, tracer, &mut ctx, &run);
+                        self.ring_complete_shadow(m, pds, sinks, &mut ctx, &run);
                         continue;
                     }
                     let line = (v >> 16) & 0xFF;
@@ -479,8 +472,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         ctx: &mut RingCtx,
         mut run: RingRun,
     ) {
@@ -494,7 +486,7 @@ impl HwMgr {
                 self.ring_program_start(m, pds, ctx, &run);
                 ctx.active = Some(run);
             }
-            _ => self.ring_complete_shadow(m, pds, stats, tracer, ctx, &run),
+            _ => self.ring_complete_shadow(m, pds, sinks, ctx, &run),
         }
     }
 
@@ -542,8 +534,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         ctx: &mut RingCtx,
         run: &RingRun,
     ) {
@@ -586,7 +577,7 @@ impl HwMgr {
                 (ds.pa.raw() + run.dst_off as u64) as u32,
             );
             w(m, prr_regs::DST_LEN, run.dst_cap);
-            self.serve_one(m, pds, stats, tracer, &mut s, prr_ctrl::START);
+            self.serve_one(m, pds, sinks, &mut s, prr_ctrl::START);
         }
         let status = m
             .phys_read_u32(s.page + 4 * prr_regs::STATUS as u64)
@@ -598,8 +589,7 @@ impl HwMgr {
             self.ring_publish(m, ctx, run.idx, desc_status::OK_DEGRADED, rl);
             self.finish_req(
                 m.now(),
-                tracer,
-                stats,
+                sinks,
                 req,
                 ctx.vm,
                 ctx.family,
@@ -610,7 +600,7 @@ impl HwMgr {
                 .phys_read_u32(s.page + 4 * prr_regs::PARAM0 as u64)
                 .unwrap_or(0);
             self.ring_publish(m, ctx, run.idx, desc_status::ERR_DEVICE | (code << 8), 0);
-            self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+            sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
         }
         self.shadows.push(s);
     }
@@ -640,12 +630,11 @@ impl HwMgr {
     fn ring_deliver(
         &mut self,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
+        sinks: &mut Sinks<'_>,
         vm: VmId,
         line: IrqNum,
     ) {
-        stats.hwmgr.ring_virqs += 1;
-        self.metrics.inc("ring_virqs", Label::Vm(vm.0 as u8));
+        sinks.count(Counter::RingVirq(vm));
         if let Some(pd) = pds.get_mut(&vm) {
             pd.vgic.buffer(line);
             if pd.vgic.is_enabled(line) {
@@ -663,16 +652,15 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         only: Option<VmId>,
     ) {
         let mut i = 0;
         while i < self.rings.len() {
             let r = &self.rings[i];
             if r.has_work() && only.is_none_or(|vm| r.vm == vm) {
-                if let Some((vm, line)) = self.ring_advance(m, pds, pt, stats, tracer, i) {
-                    self.ring_deliver(pds, stats, vm, line);
+                if let Some((vm, line)) = self.ring_advance(m, pds, pt, sinks, i) {
+                    self.ring_deliver(pds, sinks, vm, line);
                 }
             }
             i += 1;
@@ -682,12 +670,12 @@ impl HwMgr {
     /// Drop `vm`'s rings at teardown, failing every queued request. The
     /// active run's request lives in a PRR/shadow slot and is closed by
     /// [`HwMgr::forget_vm_reqs`]'s table sweeps.
-    pub(crate) fn forget_vm_rings(&mut self, now: mnv_hal::Cycles, tracer: &Tracer, vm: VmId) {
+    pub(crate) fn forget_vm_rings(&mut self, now: mnv_hal::Cycles, sinks: &Sinks<'_>, vm: VmId) {
         let rings = std::mem::take(&mut self.rings);
         for r in rings {
             if r.vm == vm {
                 for (_, req) in r.queued {
-                    self.fail_req(now, tracer, req, vm, req_stage::FAILED);
+                    sinks.end_req(now, req, vm, req_stage::FAILED);
                 }
             } else {
                 self.rings.push(r);

@@ -19,10 +19,10 @@ use mnv_fpga::prr::regs as prr_regs;
 use mnv_fpga::prr::status as prr_status;
 use mnv_hal::abi::{data_section, hw_task_result, HcError, HwTaskState, HwTaskStatus};
 use mnv_hal::{Cycles, Domain, HwTaskId, IrqNum, PhysAddr, VirtAddr, VmId};
-use mnv_metrics::{Label, Registry};
-use mnv_profile::{Profiler, SampleCtx};
+use mnv_metrics::Label;
+use mnv_profile::SampleCtx;
 use mnv_trace::event::{iface_name, req_stage};
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
 use super::irqalloc::PlIrqAllocator;
@@ -30,10 +30,8 @@ use super::tables::{HwTaskTable, PrrTable, ReqTag};
 use crate::kobj::pd::{DataSection, Pd};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
-use crate::obs;
-use crate::postmortem;
+use crate::obs::{Counter, Sinks};
 use crate::slo::{iface_of, SloTracker};
-use crate::stats::KernelStats;
 use crate::supervisor::timing;
 
 /// Fixed hardware-task data-section length (the guests' convention).
@@ -196,15 +194,6 @@ pub struct HwMgr {
     /// update stages are skipped (§V-B: "in native uCOS-II, the hardware
     /// task manager service does not need to update the page tables").
     pub native: bool,
-    /// Metrics registry handle (a disabled no-op unless the kernel's
-    /// `enable_metrics` installed a live clone); mirrors the fault-path
-    /// counters so harnesses can cross-check them against `KernelStats`.
-    pub metrics: Registry,
-    /// Profiler handle (a disabled no-op unless the kernel's
-    /// `enable_profiling` installed a live clone): samples taken inside
-    /// the allocation routine attribute to the active Fig. 7 stage, and
-    /// quarantine / watchdog aborts trigger post-mortem dumps.
-    pub profiler: Profiler,
     /// Monotonic `ReqId` mint counter. Incremented unconditionally on
     /// every HwTaskRequest hypercall — enabling tracing must not change
     /// the id sequence (lockstep bit-identity).
@@ -254,8 +243,6 @@ impl HwMgr {
             relocations: BTreeMap::new(),
             scrub_interval: timing::SCRUB_INTERVAL,
             native,
-            metrics: Registry::disabled(),
-            profiler: Profiler::disabled(),
             next_req: 0,
             slo: SloTracker::new(),
             pending_resume: Vec::new(),
@@ -317,32 +304,14 @@ impl HwMgr {
         }
     }
 
-    /// Mark entry into stage `stage` (1-6 of Fig. 7): samples taken until
-    /// the next marker attribute to it, and the open request (if any) gets
-    /// a stage stamp in its causal waterfall.
-    fn stage(&self, m: &Machine, tracer: &Tracer, req: ReqTag, stage: u8) {
-        self.profiler.swap_ctx(SampleCtx::DprStage(stage));
-        self.req_stamp(m.now(), tracer, req, stage);
-    }
-
-    /// Stamp one causal hop into an open request's waterfall (no-op for
-    /// the absent tag). Pure observation: charges nothing.
-    pub(crate) fn req_stamp(&self, now: Cycles, tracer: &Tracer, req: ReqTag, stage: u8) {
-        if req.is_open() {
-            tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
-        }
-    }
-
     /// Close an open request's root span after stamping `stage`,
     /// observing its end-to-end latency in the `req_latency` histogram
     /// (with the request id as the exemplar) and against the interface
     /// family's SLO. No-op for the absent tag.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_req(
         &mut self,
         now: Cycles,
-        tracer: &Tracer,
-        stats: &mut KernelStats,
+        sinks: &mut Sinks<'_>,
         req: ReqTag,
         vm: VmId,
         iface: u8,
@@ -351,63 +320,25 @@ impl HwMgr {
         if !req.is_open() {
             return;
         }
-        tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
-        tracer.emit(
-            now,
-            TraceEvent::ReqSpan {
-                req: req.id,
-                vm: vm.0,
-                end: true,
-            },
-        );
+        sinks.end_req(now, req, vm, stage);
         let latency = now.raw().saturating_sub(req.started);
-        self.metrics.observe(
-            "req_latency",
-            Label::Iface(iface_name(iface)),
-            latency,
-            req.id,
-        );
+        let label = Label::Iface(iface_name(iface));
+        sinks.metrics.observe("req_latency", label, latency, req.id);
         let outcome = self.slo.observe(iface, latency, now.raw());
         if outcome.violated {
-            stats.slo_violations += 1;
-            self.metrics
-                .inc("slo_violations", Label::Iface(iface_name(iface)));
+            sinks.count(Counter::SloViolation(iface));
         }
         if let Some(violations) = outcome.burned {
-            self.note(
-                now,
-                tracer,
-                stats,
-                TraceEvent::SloBurn { iface, violations },
-            );
+            sinks.note(now, TraceEvent::SloBurn { iface, violations });
         }
-    }
-
-    /// Close an open request that ended without a completion (an error
-    /// status, a release, or a superseding request). Stamps `stage`
-    /// (`FAILED` or `RELEASED`) and ends the root span; no SLO
-    /// observation — the guest did not get a service completion.
-    pub(crate) fn fail_req(&self, now: Cycles, tracer: &Tracer, req: ReqTag, vm: VmId, stage: u8) {
-        if !req.is_open() {
-            return;
-        }
-        tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
-        tracer.emit(
-            now,
-            TraceEvent::ReqSpan {
-                req: req.id,
-                vm: vm.0,
-                end: true,
-            },
-        );
     }
 
     /// Attach an open request to a PRR's completion slot. A stale request
     /// still parked there is closed as released first — its completion
     /// can no longer be told apart from the new one.
-    fn attach_req(&mut self, now: Cycles, tracer: &Tracer, prr: u8, vm: VmId, req: ReqTag) {
+    fn attach_req(&mut self, now: Cycles, sinks: &Sinks<'_>, prr: u8, vm: VmId, req: ReqTag) {
         let old = std::mem::replace(self.prrs.req_slot(prr), req);
-        self.fail_req(now, tracer, old, vm, req_stage::RELEASED);
+        sinks.end_req(now, old, vm, req_stage::RELEASED);
     }
 
     /// Interface family of the task currently resident in `prr`.
@@ -422,13 +353,7 @@ impl HwMgr {
 
     /// Close the `resume` hop of every completion buffered toward `vm` —
     /// called when the VM is switched in and its buffered vIRQs drain.
-    pub(crate) fn drain_resumes(
-        &mut self,
-        now: Cycles,
-        tracer: &Tracer,
-        stats: &mut KernelStats,
-        vm: VmId,
-    ) {
+    pub(crate) fn drain_resumes(&mut self, now: Cycles, sinks: &mut Sinks<'_>, vm: VmId) {
         // Single pass: partition out this VM's entries in posting order,
         // keep everyone else's in place. (`Vec::remove` in a scan loop
         // shifted the tail on every hit — O(n²) under completion storms.)
@@ -442,21 +367,21 @@ impl HwMgr {
             }
         }
         for p in mine {
-            self.finish_req(now, tracer, stats, p.req, vm, p.iface, req_stage::RESUME);
+            self.finish_req(now, sinks, p.req, vm, p.iface, req_stage::RESUME);
         }
     }
 
     /// Drop every open request owned by `vm` (VM teardown): buffered
     /// resumes, PRR slots and shadow dispatches all close as failed.
-    pub(crate) fn forget_vm_reqs(&mut self, now: Cycles, tracer: &Tracer, vm: VmId) {
+    pub(crate) fn forget_vm_reqs(&mut self, now: Cycles, sinks: &Sinks<'_>, vm: VmId) {
         // Ring teardown first: its queued requests are owned by the ring
         // alone; an active run's request is caught by the sweeps below.
-        self.forget_vm_rings(now, tracer, vm);
+        self.forget_vm_rings(now, sinks, vm);
         // Same single-pass FIFO drain as `drain_resumes`.
         let pending = std::mem::take(&mut self.pending_resume);
         for p in pending {
             if p.vm == vm {
-                self.fail_req(now, tracer, p.req, vm, req_stage::FAILED);
+                sinks.end_req(now, p.req, vm, req_stage::FAILED);
             } else {
                 self.pending_resume.push(p);
             }
@@ -464,13 +389,13 @@ impl HwMgr {
         for prr in 0..self.prrs.len() as u8 {
             if self.prrs.entry(prr).client == Some(vm) {
                 let old = self.prrs.req_slot(prr).take();
-                self.fail_req(now, tracer, old, vm, req_stage::FAILED);
+                sinks.end_req(now, old, vm, req_stage::FAILED);
             }
         }
         for i in 0..self.shadows.len() {
             if self.shadows[i].vm == vm {
                 let old = self.shadows[i].req.take();
-                self.fail_req(now, tracer, old, vm, req_stage::FAILED);
+                sinks.end_req(now, old, vm, req_stage::FAILED);
             }
         }
     }
@@ -537,15 +462,14 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         prr: u8,
-        stats: &mut KernelStats,
+        sinks: &mut Sinks<'_>,
     ) {
         let (old_vm, old_task, iface_va) = {
             let e = self.prrs.entry(prr);
             (e.client, e.task, e.iface_va)
         };
         let Some(old_vm) = old_vm else { return };
-        stats.hwmgr.reclaims += 1;
-        self.metrics.inc("hwmgr_reclaims", Label::Machine);
+        sinks.count(Counter::Reclaim);
 
         // Save the 16 interface registers (charged MMIO reads).
         let page = Pl::prr_page(prr);
@@ -607,8 +531,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         iface_va: VirtAddr,
@@ -618,12 +541,10 @@ impl HwMgr {
         // Stage attribution brackets the whole allocation routine; the
         // caller's context (the HwTaskRequest hypercall) is restored on
         // every exit path, early returns included.
-        let outer = self.profiler.swap_ctx(SampleCtx::DprStage(1));
-        self.req_stamp(m.now(), tracer, req, 1);
-        let r = self.request_inner(
-            m, pds, pt, stats, tracer, caller, task, iface_va, data_va, req,
-        );
-        self.profiler.swap_ctx(outer);
+        let outer = sinks.profiler.swap_ctx(SampleCtx::DprStage(1));
+        sinks.req_stamp(m.now(), req, 1);
+        let r = self.request_inner(m, pds, pt, sinks, caller, task, iface_va, data_va, req);
+        sinks.profiler.swap_ctx(outer);
         r
     }
 
@@ -633,8 +554,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         iface_va: VirtAddr,
@@ -642,7 +562,7 @@ impl HwMgr {
         req: ReqTag,
     ) -> Result<u32, HcError> {
         self.touch_code(m, 24);
-        stats.hwmgr.invocations += 1;
+        sinks.stats.hwmgr.invocations += 1;
         self.charge_allocation_work(m);
         // A fresh request opens a fresh escalation budget.
         self.relocations.remove(&(caller, task));
@@ -686,8 +606,8 @@ impl HwMgr {
                 {
                     self.shadows[i].ds = ds;
                     let old = std::mem::replace(&mut self.shadows[i].req, req);
-                    self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
-                    self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+                    sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
+                    sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
                 }
                 return Ok(HwTaskStatus::Success as u32
                     | ((prr as u32) << 8)
@@ -704,7 +624,7 @@ impl HwMgr {
                 .position(|s| s.vm == caller && s.task == task && s.promote_to == Some(prr))
             {
                 let s = self.shadows.remove(idx);
-                self.transplant(m, pds, pt, stats, tracer, &s, prr, 0);
+                self.transplant(m, pds, pt, sinks, &s, prr, 0);
             }
             // Re-establish the interface mapping: a client that reuses
             // one interface slot across tasks has since pointed this VA
@@ -713,7 +633,7 @@ impl HwMgr {
             self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
             self.prrs.entry_mut(m, prr).iface_va = Some(iface_va.raw());
             self.program_hwmmu(m, prr, ds);
-            self.attach_req(m.now(), tracer, prr, caller, req);
+            self.attach_req(m.now(), sinks, prr, caller, req);
             let line = self
                 .irqs
                 .alloc(caller, prr)
@@ -736,7 +656,7 @@ impl HwMgr {
             .any(|s| s.vm == caller && s.task == task)
         {
             if let Some(prr) = self.select_prr(m, &entry_prrs, task) {
-                self.drop_shadow_of(m, pds, tracer, caller, task);
+                self.drop_shadow_of(m, pds, sinks, caller, task);
                 if let Some(pd) = pds.get_mut(&caller) {
                     self.unmap_iface(m, pd, task);
                 }
@@ -745,7 +665,7 @@ impl HwMgr {
                     task: task.0 as u32,
                     prr,
                 };
-                self.note(m.now(), tracer, stats, ev);
+                sinks.note(m.now(), ev);
             } else if let Some(i) = self
                 .shadows
                 .iter()
@@ -753,8 +673,8 @@ impl HwMgr {
             {
                 self.shadows[i].ds = ds;
                 let old = std::mem::replace(&mut self.shadows[i].req, req);
-                self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
-                self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+                sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
+                sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
                 return Ok(HwTaskStatus::Success as u32
                     | (hw_task_result::NO_PRR << 8)
                     | (hw_task_result::NO_LINE << 16)
@@ -762,22 +682,20 @@ impl HwMgr {
             }
         }
 
-        self.stage(m, tracer, req, 2);
+        sinks.dpr_stage(m.now(), req, 2);
         let Some(prr) = self.select_prr(m, &entry_prrs, task) else {
             if !entry_prrs.is_empty()
                 && entry_prrs.iter().all(|&p| !self.prrs.entry(p).in_service())
             {
                 // Every region this task fits is out of service: degrade
                 // to a pure-software dispatch instead of failing forever.
-                return self.dispatch_software(
-                    m, pds, pt, stats, tracer, caller, task, core, iface_va, ds, req,
-                );
+                return self
+                    .dispatch_software(m, pds, pt, sinks, caller, task, core, iface_va, ds, req);
             }
             // Fig. 7 stage 2: "if no idle PRR is available, the manager
             // service would return to the applicant guest OS with a Busy
             // status".
-            stats.hwmgr.busy += 1;
-            self.metrics.inc("hwmgr_busy", Label::Machine);
+            sinks.count(Counter::Busy);
             return Err(HcError::Busy);
         };
 
@@ -785,15 +703,15 @@ impl HwMgr {
         // between stages 2 and 3).
         let needs_reconfig = self.prrs.entry(prr).task != Some(task);
         if self.prrs.entry(prr).client.is_some() {
-            self.reclaim(m, pds, prr, stats);
+            self.reclaim(m, pds, prr, sinks);
         }
 
         // Stage 3: map the interface page into the caller.
-        self.stage(m, tracer, req, 3);
+        sinks.dpr_stage(m.now(), req, 3);
         self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
 
         // Stage 4: load the hwMMU with the client's data section.
-        self.stage(m, tracer, req, 4);
+        sinks.dpr_stage(m.now(), req, 4);
         self.program_hwmmu(m, prr, ds);
 
         // §IV-D: allocate a PL IRQ line and register it in the vGIC. The
@@ -828,13 +746,12 @@ impl HwMgr {
             e.iface_va = Some(iface_va.raw());
             e.dispatches += 1;
         }
-        self.attach_req(m.now(), tracer, prr, caller, req);
+        self.attach_req(m.now(), sinks, prr, caller, req);
 
         // Stage 5: launch the PCAP download if the task is not resident.
         if needs_reconfig {
-            self.stage(m, tracer, req, 5);
-            stats.hwmgr.reconfigs += 1;
-            self.metrics.inc("hwmgr_reconfigs", Label::Machine);
+            sinks.dpr_stage(m.now(), req, 5);
+            sinks.count(Counter::Reconfig);
             // Client reconfigurations always win the channel: a background
             // scrub/relocation load in flight is aborted and rescheduled,
             // an older client job is replaced.
@@ -846,16 +763,16 @@ impl HwMgr {
             };
             self.launch_pcap(m, task, prr, kind);
             self.pcap_owner = Some(caller);
-            self.req_stamp(m.now(), tracer, req, req_stage::PCAP_LAUNCH);
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_LAUNCH);
             if let Some(pd) = pds.get_mut(&caller) {
                 pd.pcap_pending = Some(task);
             }
             // Stage 6: return immediately with the reconfig flag — the
             // manager "does not check the completion of the PCAP transfer".
-            self.stage(m, tracer, req, 6);
+            sinks.dpr_stage(m.now(), req, 6);
             return Ok(HwTaskStatus::Reconfiguring as u32 | ((prr as u32) << 8) | (line_idx << 16));
         }
-        self.stage(m, tracer, req, 6);
+        sinks.dpr_stage(m.now(), req, 6);
         Ok(HwTaskStatus::Success as u32 | ((prr as u32) << 8) | (line_idx << 16))
     }
 
@@ -917,22 +834,22 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        sinks: &Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
     ) -> Result<u32, HcError> {
         self.touch_code(m, 8);
         let Some(prr) = self.prrs.find_dispatch(caller, task) else {
-            return self.release_shadow(m, pds, tracer, caller, task);
+            return self.release_shadow(m, pds, sinks, caller, task);
         };
         // A release closes whatever request was still waiting on the
         // dispatch — its completion will never be attributed.
         let old = self.prrs.req_slot(prr).take();
-        self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
+        sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
         // A quarantined region's client was migrated to a shadow page;
         // dropping the dispatch drops the shadow too (and frees its page
         // and parked completion line).
-        self.drop_shadow_of(m, pds, tracer, caller, task);
+        self.drop_shadow_of(m, pds, sinks, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         self.unmap_iface(m, pd, task);
@@ -962,7 +879,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        sinks: &Sinks<'_>,
         vm: VmId,
         task: HwTaskId,
     ) {
@@ -974,7 +891,7 @@ impl HwMgr {
             return;
         };
         let s = self.shadows.remove(idx);
-        self.fail_req(m.now(), tracer, s.req, vm, req_stage::RELEASED);
+        sinks.end_req(m.now(), s.req, vm, req_stage::RELEASED);
         self.free_shadow_page(s.page);
         if let Some(line) = s.line {
             if let Some(li) = line.pl_index() {
@@ -993,7 +910,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        sinks: &Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
     ) -> Result<u32, HcError> {
@@ -1004,7 +921,7 @@ impl HwMgr {
         {
             return Err(HcError::NotFound);
         }
-        self.drop_shadow_of(m, pds, tracer, caller, task);
+        self.drop_shadow_of(m, pds, sinks, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         self.unmap_iface(m, pd, task);
@@ -1021,8 +938,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         core: CoreKind,
@@ -1054,12 +970,12 @@ impl HwMgr {
             promote_to: None,
             req,
         });
-        self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+        sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
         let ev = TraceEvent::SwFallback {
             vm: caller.0,
             task: task.0 as u32,
         };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         Ok(HwTaskStatus::Success as u32
             | (hw_task_result::NO_PRR << 8)
             | (hw_task_result::NO_LINE << 16)
@@ -1088,8 +1004,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
     ) {
         let now = m.now().raw();
 
@@ -1099,14 +1014,8 @@ impl HwMgr {
                 let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
                 if status == pcap_status::BUSY && now > job.stall_deadline() {
                     let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                    self.req_stamp(m.now(), tracer, req, req_stage::PCAP_ABORT);
-                    obs::dump(
-                        &self.profiler,
-                        tracer,
-                        "pcap-watchdog-abort",
-                        m.now(),
-                        || postmortem::context(m, pds, Some(vm), &self.metrics),
-                    );
+                    sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+                    sinks.dump(m, pds, Some(vm), "pcap-watchdog-abort");
                 }
             }
         }
@@ -1131,28 +1040,28 @@ impl HwMgr {
             let deadline = ladder.as_ref().map(|l| l.deadline);
             if let Some(deadline) = deadline {
                 if now > deadline {
-                    self.ladder_advance(m, pds, pt, stats, tracer, prr, now);
+                    self.ladder_advance(m, pds, pt, sinks, prr, now);
                 }
             } else if now.saturating_sub(since) > self.watchdog_timeout {
                 if self.prrs.entry(prr).client.is_some() {
-                    self.ladder_retry(m, stats, tracer, prr, now);
+                    self.ladder_retry(m, sinks, prr, now);
                 } else {
                     // No client to preserve: skip the ladder.
-                    let _ = self.quarantine(m, pds, pt, stats, tracer, prr);
+                    let _ = self.quarantine(m, pds, pt, sinks, prr);
                 }
             }
         }
 
         // 3. Shadow service.
-        self.serve_shadows(m, pds, pt, stats, tracer);
+        self.serve_shadows(m, pds, pt, sinks);
 
         // 4. Background fabric maintenance.
-        self.fabric_tick(m, pds, pt, stats, tracer);
+        self.fabric_tick(m, pds, pt, sinks);
 
         // 5. Ring service: drive shared-ring batches whose owners are
         //    descheduled or idle (a running owner's poll path drives its
         //    own rings between these passes).
-        self.ring_tick(m, pds, pt, stats, tracer, None);
+        self.ring_tick(m, pds, pt, sinks, None);
     }
 
     /// Take a hung region out of service and migrate its client to a
@@ -1168,11 +1077,10 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         prr: u8,
     ) -> bool {
-        self.take_out_of_service(m, pds, stats, tracer, prr, false);
+        self.take_out_of_service(m, pds, sinks, prr, false);
         let (client, task, iface_va) = {
             let e = self.prrs.entry(prr);
             (e.client, e.task, e.iface_va)
@@ -1231,7 +1139,7 @@ impl HwMgr {
         // The open request follows its client onto the shadow: whatever
         // completes the migrated dispatch closes it.
         let req = self.prrs.req_slot(prr).take();
-        self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+        sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
         let mut shadow = SwShadow {
             vm,
             task,
@@ -1247,14 +1155,14 @@ impl HwMgr {
         // The wedged run: the guest is polling STATUS (or waiting on the
         // completion IRQ) — finish it on the CPU now.
         if regs[prr_regs::STATUS] == prr_status::BUSY {
-            self.serve_one(m, pds, stats, tracer, &mut shadow, regs[prr_regs::CTRL]);
+            self.serve_one(m, pds, sinks, &mut shadow, regs[prr_regs::CTRL]);
         }
         self.shadows.push(shadow);
         true
     }
 
     /// The steps every quarantine shares: record it (counted, traced and
-    /// post-mortem-dumped by [`obs::note`]), move the region to quarantine
+    /// post-mortem-dumped by [`Sinks::note_dump`]), move the region to quarantine
     /// with a fresh scrub cycle and revoke its DMA rights.
     /// `detach` also drops the region's client binding — for callers that
     /// move the client elsewhere themselves, where [`HwMgr::quarantine`]
@@ -1263,21 +1171,12 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         prr: u8,
         detach: bool,
     ) {
         let vm = self.prrs.entry(prr).client;
-        obs::note(
-            m.now(),
-            TraceEvent::PrrQuarantine { prr },
-            tracer,
-            stats,
-            &self.metrics,
-            &self.profiler,
-            || postmortem::context(m, pds, vm, &self.metrics),
-        );
+        sinks.note_dump(m, pds, vm, TraceEvent::PrrQuarantine { prr });
         let e = self.prrs.entry_mut(m, prr);
         e.quarantine();
         if detach {
@@ -1297,8 +1196,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
     ) {
         let shadows = std::mem::take(&mut self.shadows);
         let mut kept = Vec::with_capacity(shadows.len());
@@ -1313,9 +1211,9 @@ impl HwMgr {
             if let Some(prr) = s.promote_to {
                 // Promoted: hand the request to the fabric and drop the
                 // shadow — the dispatch is hardware-backed from here on.
-                self.transplant(m, pds, pt, stats, tracer, &s, prr, ctrl);
+                self.transplant(m, pds, pt, sinks, &s, prr, ctrl);
             } else {
-                self.serve_one(m, pds, stats, tracer, &mut s, ctrl);
+                self.serve_one(m, pds, sinks, &mut s, ctrl);
                 kept.push(s);
             }
         }
@@ -1332,8 +1230,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         s: &mut SwShadow,
         ctrl: u32,
     ) {
@@ -1361,19 +1258,19 @@ impl HwMgr {
         let _ = m.phys_write_u32(page + 4 * prr_regs::CTRL as u64, ctrl & prr_ctrl::IRQ_EN);
         if !in_window(src, src_len) || !in_window(dst, out_len) {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            sinks.end_req(m.now(), s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         if out_len > dst_cap {
             fail(m, prr_errcode::DST_OVERFLOW);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            sinks.end_req(m.now(), s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
 
         let mut input = vec![0u8; src_len as usize];
         if m.phys_read_block(PhysAddr::new(src), &mut input).is_err() {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            sinks.end_req(m.now(), s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         // The same functional model the fabric runs — the output bytes are
@@ -1383,7 +1280,7 @@ impl HwMgr {
         m.charge(sw_cycles);
         if m.phys_write_block(PhysAddr::new(dst), &output).is_err() {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            sinks.end_req(m.now(), s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         let _ = m.phys_write_u32(page + 4 * prr_regs::RESULT_LEN as u64, output.len() as u32);
@@ -1396,7 +1293,7 @@ impl HwMgr {
             vm: s.vm.0,
             task: s.task.0 as u32,
         };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         // Completion delivery: buffer the vIRQ like the vGIC routing path
         // does for an inactive owner, and wake the VM.
         let req = s.req.take();
@@ -1413,8 +1310,8 @@ impl HwMgr {
         if buffered && req.is_open() {
             // The request stays open through the buffered delivery; the
             // owner's next switch-in closes it at the `resume` hop.
-            self.req_stamp(m.now(), tracer, req, req_stage::SW_DONE);
-            self.req_stamp(m.now(), tracer, req, req_stage::VIRQ_BUFFER);
+            sinks.req_stamp(m.now(), req, req_stage::SW_DONE);
+            sinks.req_stamp(m.now(), req, req_stage::VIRQ_BUFFER);
             self.pending_resume.push(PendingResume {
                 vm: s.vm,
                 req,
@@ -1424,8 +1321,7 @@ impl HwMgr {
             // Polling dispatch: publishing DONE is the completion.
             self.finish_req(
                 m.now(),
-                tracer,
-                stats,
+                sinks,
                 req,
                 s.vm,
                 iface_of(s.core),
@@ -1502,8 +1398,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         caller: VmId,
     ) -> Result<u32, HcError> {
         if pds
@@ -1526,8 +1421,8 @@ impl HwMgr {
                 ..
             }) = self.pcap_job
             {
-                self.req_stamp(m.now(), tracer, req, req_stage::PCAP_DONE);
-                self.metrics.observe(
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_DONE);
+                sinks.metrics.observe(
                     "pcap_latency",
                     Label::Prr(prr),
                     m.now().raw().saturating_sub(started_at),
@@ -1553,8 +1448,8 @@ impl HwMgr {
                             prr,
                             attempt: attempts,
                         };
-                        self.note(m.now(), tracer, stats, ev);
-                        self.req_stamp(m.now(), tracer, req, req_stage::PCAP_RETRY);
+                        sinks.note(m.now(), ev);
+                        sinks.req_stamp(m.now(), req, req_stage::PCAP_RETRY);
                         // Exponential backoff, then relaunch the transfer.
                         m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
                         let kind = PcapJobKind::Client { vm, attempts, req };
@@ -1565,13 +1460,13 @@ impl HwMgr {
                     // is persistently failing (e.g. a damaged bitstream
                     // store). Quarantine it and serve the client on the
                     // CPU — the reconfiguration completes, degraded.
-                    self.req_stamp(m.now(), tracer, req, req_stage::PCAP_ABORT);
+                    sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
                     self.pcap_job = None;
                     self.pcap_owner = None;
                     if let Some(pd) = pds.get_mut(&caller) {
                         pd.pcap_pending = None;
                     }
-                    let _ = self.quarantine(m, pds, pt, stats, tracer, prr);
+                    let _ = self.quarantine(m, pds, pt, sinks, prr);
                     return Ok(1);
                 }
             }
@@ -1593,6 +1488,10 @@ impl HwMgr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::KernelStats;
+    use mnv_metrics::Registry;
+    use mnv_profile::Profiler;
+    use mnv_trace::Tracer;
 
     fn tag(id: u32) -> ReqTag {
         ReqTag { id, started: 0 }
@@ -1615,11 +1514,16 @@ mod tests {
         // entries untouched and in order.
         let mut mgr = HwMgr::new(4, false);
         let tracer = Tracer::enabled(64);
-        let mut stats = KernelStats::default();
+        let mut sinks = Sinks {
+            tracer: &tracer,
+            stats: &mut KernelStats::default(),
+            metrics: &Registry::disabled(),
+            profiler: &Profiler::disabled(),
+        };
         for p in [pend(1, 1), pend(2, 10), pend(1, 2), pend(2, 11), pend(1, 3)] {
             mgr.pending_resume.push(p);
         }
-        mgr.drain_resumes(Cycles::new(0), &tracer, &mut stats, VmId(1));
+        mgr.drain_resumes(Cycles::new(0), &mut sinks, VmId(1));
 
         let resumed: Vec<u32> = tracer
             .snapshot()
@@ -1645,11 +1549,16 @@ mod tests {
     #[test]
     fn forget_vm_reqs_drops_only_the_dead_vms_resumes() {
         let mut mgr = HwMgr::new(4, false);
-        let tracer = Tracer::disabled();
+        let sinks = Sinks {
+            tracer: &Tracer::disabled(),
+            stats: &mut KernelStats::default(),
+            metrics: &Registry::disabled(),
+            profiler: &Profiler::disabled(),
+        };
         for p in [pend(3, 7), pend(4, 20), pend(3, 8)] {
             mgr.pending_resume.push(p);
         }
-        mgr.forget_vm_reqs(Cycles::new(0), &tracer, VmId(3));
+        mgr.forget_vm_reqs(Cycles::new(0), &sinks, VmId(3));
         let left: Vec<u32> = mgr.pending_resume.iter().map(|p| p.req.id).collect();
         assert_eq!(left, vec![20]);
     }

@@ -25,6 +25,7 @@ use crate::kernel::{sd_block, KernelState};
 use crate::mem::dacr::{self, GuestContext};
 use crate::mem::layout::ktext;
 use crate::mem::pagetable;
+use crate::obs::Counter;
 
 /// Charge instruction-fetch traffic on a kernel code path.
 pub(crate) fn touch_ktext(m: &mut Machine, base: PhysAddr, lines: u64) {
@@ -74,11 +75,9 @@ pub fn hypercall_from_trap(
     {
         let pd = ks.pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         pd.stats.hypercalls += 1;
-        pd.portals.check(args.nr).inspect_err(|_| {
-            ks.stats.hypercalls_denied += 1;
-            ks.metrics
-                .inc("hypercalls_denied", Label::Vm(caller.0 as u8));
-        })?;
+        pd.portals
+            .check(args.nr)
+            .inspect_err(|_| ks.sinks().count(Counter::HypercallDenied(caller)))?;
     }
     // The typed `Hypercall` can only carry in-range numbers (raw decode
     // rejects unknown ones into `hypercalls_invalid` before dispatch), but
@@ -87,8 +86,7 @@ pub fn hypercall_from_trap(
         Some(slot) => *slot += 1,
         None => ks.stats.hypercalls_invalid += 1,
     }
-    ks.stats.hypercalls_total += 1;
-    ks.metrics.inc("hypercalls", Label::Vm(caller.0 as u8));
+    ks.sinks().count(Counter::Hypercall(caller));
     ks.tracer
         .emit(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
     // Samples taken while the dispatcher runs attribute to this hypercall
@@ -309,20 +307,12 @@ fn dispatch(
                 },
             );
             let r = with_manager(m, ks, caller, req.id, |m, ks| {
-                let crate::kernel::KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = ks;
+                let (hwmgr, pds, pt, mut sinks) = ks.manager();
                 hwmgr.handle_request(
                     m,
                     pds,
                     pt,
-                    stats,
-                    tracer,
+                    &mut sinks,
                     caller,
                     HwTaskId(args.a0 as u16),
                     VirtAddr::new(args.a1 as u64),
@@ -333,8 +323,7 @@ fn dispatch(
             if r.is_err() {
                 // A refused request never produces a completion — close the
                 // span here so the waterfall shows the failure, not a leak.
-                ks.hwmgr
-                    .fail_req(m.now(), &ks.tracer, req, caller, req_stage::FAILED);
+                ks.sinks().end_req(m.now(), req, caller, req_stage::FAILED);
             }
             r
         }
@@ -343,34 +332,20 @@ fn dispatch(
             // batch — the per-descriptor hypercalls the per-call path
             // would have paid collapse into this single protocol round.
             with_manager(m, ks, caller, 0, |m, ks| {
-                let crate::kernel::KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = ks;
-                hwmgr.handle_ring_kick(m, pds, pt, stats, tracer, caller, args.a0 as u64)
+                let (hwmgr, pds, pt, mut sinks) = ks.manager();
+                hwmgr.handle_ring_kick(m, pds, pt, &mut sinks, caller, args.a0 as u64)
             })
         }
         HwTaskRelease => with_manager(m, ks, caller, 0, |m, ks| {
-            let (hwmgr, pds, tracer) = (&mut ks.hwmgr, &mut ks.pds, &ks.tracer);
-            hwmgr.handle_release(m, pds, tracer, caller, HwTaskId(args.a0 as u16))
+            let (hwmgr, pds, _, sinks) = ks.manager();
+            hwmgr.handle_release(m, pds, &sinks, caller, HwTaskId(args.a0 as u16))
         }),
         HwTaskQuery => ks
             .hwmgr
             .handle_query(m, &ks.pds, caller, HwTaskId(args.a0 as u16)),
         PcapPoll => {
-            let crate::kernel::KernelState {
-                hwmgr,
-                pds,
-                pt,
-                stats,
-                tracer,
-                ..
-            } = ks;
-            hwmgr.handle_pcap_poll(m, pds, pt, stats, tracer, caller)
+            let (hwmgr, pds, pt, mut sinks) = ks.manager();
+            hwmgr.handle_pcap_poll(m, pds, pt, &mut sinks, caller)
         }
         IpcSend => ipc::send(
             &mut ks.pds,
@@ -469,52 +444,18 @@ fn with_manager(
     m.cp15.set_asid(mnv_hal::Asid(0));
     ks.stats.vm_switches += 1;
     let t1 = m.now();
-    ks.stats.hwmgr.entry.push(Cycles::new((t1 - t0).raw()));
     let vm_label = Label::Vm(caller.0 as u8);
     ks.metrics.inc("hwmgr_invocations", vm_label);
-    ks.metrics
-        .add("hwmgr_entry_cycles", vm_label, (t1 - t0).raw());
-    ks.metrics
-        .observe("mgr_entry_latency", vm_label, (t1 - t0).raw(), exemplar);
-    ks.tracer.emit(
-        t1,
-        TraceEvent::HwMgrPhase {
-            phase: MgrPhase::Entry,
-            end: true,
-        },
-    );
+    ks.sinks()
+        .mgr_phase(MgrPhase::Entry, caller, t0, t1, exemplar);
 
     // ---- execution ----
-    ks.tracer.emit(
-        t1,
-        TraceEvent::HwMgrPhase {
-            phase: MgrPhase::Exec,
-            end: false,
-        },
-    );
     let result = body(m, ks);
     let t2 = m.now();
-    ks.stats.hwmgr.exec.push(Cycles::new((t2 - t1).raw()));
-    ks.metrics
-        .add("hwmgr_exec_cycles", vm_label, (t2 - t1).raw());
-    ks.metrics
-        .observe("mgr_exec_latency", vm_label, (t2 - t1).raw(), exemplar);
-    ks.tracer.emit(
-        t2,
-        TraceEvent::HwMgrPhase {
-            phase: MgrPhase::Exec,
-            end: true,
-        },
-    );
+    ks.sinks()
+        .mgr_phase(MgrPhase::Exec, caller, t1, t2, exemplar);
 
     // ---- exit: resume the interrupted guest ----
-    ks.tracer.emit(
-        t2,
-        TraceEvent::HwMgrPhase {
-            phase: MgrPhase::Exit,
-            end: false,
-        },
-    );
     m.charge(280);
     touch_ktext(m, ktext::MGR_EXIT, 12);
     {
@@ -530,20 +471,11 @@ fn with_manager(
     }
     ks.stats.vm_switches += 1;
     let t3 = m.now();
-    ks.stats.hwmgr.exit.push(Cycles::new((t3 - t2).raw()));
-    ks.stats.hwmgr.total.push(Cycles::new((t3 - t0).raw()));
+    let total = (t3 - t0).raw();
+    ks.stats.hwmgr.total.push(Cycles::new(total));
     ks.metrics
-        .add("hwmgr_exit_cycles", vm_label, (t3 - t2).raw());
-    ks.metrics
-        .observe("mgr_exit_latency", vm_label, (t3 - t2).raw(), exemplar);
-    ks.metrics
-        .observe("mgr_total_latency", vm_label, (t3 - t0).raw(), exemplar);
-    ks.tracer.emit(
-        t3,
-        TraceEvent::HwMgrPhase {
-            phase: MgrPhase::Exit,
-            end: true,
-        },
-    );
+        .observe("mgr_total_latency", vm_label, total, exemplar);
+    ks.sinks()
+        .mgr_phase(MgrPhase::Exit, caller, t2, t3, exemplar);
     result
 }

@@ -23,6 +23,7 @@ use crate::mem::dacr::{self, GuestContext};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
 use crate::mirguest::MirGuest;
+use crate::obs::{Counter, Sinks};
 use crate::sched::scheduler::{Scheduler, StopReason};
 use crate::sched::DEFAULT_QUANTUM;
 use crate::stats::KernelStats;
@@ -114,16 +115,38 @@ pub struct KernelState {
     /// shares its ring with [`Machine::tracer`]).
     pub tracer: Tracer,
     /// Metrics registry (disabled unless [`Kernel::enable_metrics`] is
-    /// called; shared with the Hardware Task Manager and the PL).
+    /// called; shared with the PL, lent to the Hardware Task Manager
+    /// through [`KernelState::manager`]).
     pub metrics: Registry,
     /// PMU-input sample at the last attribution boundary: the epoch
     /// accounting charges `machine.pmu_inputs() - meter_base` to whichever
     /// world ran since (the VM on switch-out, the host otherwise).
     pub meter_base: PmuInputs,
     /// Sampling profiler and post-mortem dumps (disabled unless
-    /// [`Kernel::enable_profiling`] is called; shared with the machine and
-    /// the Hardware Task Manager).
+    /// [`Kernel::enable_profiling`] is called; shared with the machine,
+    /// lent to the Hardware Task Manager through [`KernelState::manager`]).
     pub profiler: Profiler,
+}
+
+impl KernelState {
+    /// The Hardware Task Manager beside what its methods borrow: the PDs,
+    /// the page-table pool and the observability [`Sinks`].
+    #[inline]
+    pub fn manager(&mut self) -> (&mut HwMgr, &mut BTreeMap<VmId, Pd>, &mut PtAlloc, Sinks<'_>) {
+        let sinks = Sinks {
+            tracer: &self.tracer,
+            stats: &mut self.stats,
+            metrics: &self.metrics,
+            profiler: &self.profiler,
+        };
+        (&mut self.hwmgr, &mut self.pds, &mut self.pt, sinks)
+    }
+
+    /// The observability [`Sinks`] alone.
+    #[inline]
+    pub(crate) fn sinks(&mut self) -> Sinks<'_> {
+        self.manager().3
+    }
 }
 
 /// The composed kernel.
@@ -202,15 +225,14 @@ impl Kernel {
         t
     }
 
-    /// Turn on the per-VM metrics registry: the kernel, the Hardware Task
-    /// Manager and the PL peripheral share one registry (clones share
-    /// state, like the tracer's ring). Returns a handle for snapshots and
-    /// export. Until this is called every probe meets a disabled handle
-    /// and records nothing.
+    /// Turn on the per-VM metrics registry: the kernel (and through its
+    /// [`Sinks`] the Hardware Task Manager) and the PL peripheral share one
+    /// registry (clones share state, like the tracer's ring). Returns a
+    /// handle for snapshots and export. Until this is called every probe
+    /// meets a disabled handle and records nothing.
     pub fn enable_metrics(&mut self) -> Registry {
         let r = Registry::enabled();
         self.state.metrics = r.clone();
-        self.state.hwmgr.metrics = r.clone();
         self.machine
             .peripheral_mut::<Pl>()
             .expect("PL attached")
@@ -223,21 +245,21 @@ impl Kernel {
     }
 
     /// Turn on the cycle-driven sampling profiler and post-mortem dumps:
-    /// the kernel, the machine and the Hardware Task Manager share one
-    /// profiler, so samples carry the (VM, hypercall/DPR-stage)
-    /// annotations. Dumps read the newest events of the kernel's trace
-    /// ring (the flight recorder), so when tracing is off this turns it on
-    /// with a [`mnv_profile::DEFAULT_FLIGHT_CAP`] ring. `period` is the
-    /// sampling period in cycles ([`mnv_profile::DEFAULT_PERIOD`] is 10 us
-    /// of simulated time). Sampling and tracing are pure observation — a
-    /// profiled run is bit-identical to an unprofiled one.
+    /// the kernel (and through its [`Sinks`] the Hardware Task Manager) and
+    /// the machine share one profiler, so samples carry the (VM,
+    /// hypercall/DPR-stage) annotations. Dumps read the newest events of
+    /// the kernel's trace ring (the flight recorder), so when tracing is
+    /// off this turns it on with a [`mnv_profile::DEFAULT_FLIGHT_CAP`]
+    /// ring. `period` is the sampling period in cycles
+    /// ([`mnv_profile::DEFAULT_PERIOD`] is 10 us of simulated time).
+    /// Sampling and tracing are pure observation — a profiled run is
+    /// bit-identical to an unprofiled one.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
         let p = Profiler::enabled(period, self.machine.now());
         if !self.state.tracer.is_enabled() {
             self.enable_tracing(mnv_profile::DEFAULT_FLIGHT_CAP);
         }
         self.state.profiler = p.clone();
-        self.state.hwmgr.profiler = p.clone();
         self.machine.profiler = p.clone();
         p
     }
@@ -267,16 +289,14 @@ impl Kernel {
     /// (its hardware tasks released, IRQ routes closed) while every other
     /// VM keeps running — the containment boundary of §III-B.
     pub fn kill_vm(&mut self, vm: VmId) {
-        self.state
-            .note(&self.machine, vm, TraceEvent::VmKilled { vm: vm.0 });
+        let (_, pds, _, mut sinks) = self.state.manager();
+        let ev = TraceEvent::VmKilled { vm: vm.0 };
+        sinks.note_dump(&self.machine, pds, Some(vm), ev);
         // Supervised VMs get a backed-off relaunch — unless they crashed
         // too often inside the window, which makes the kill permanent.
         match self.supervisor.record_crash(vm, self.machine.now().raw()) {
             CrashDecision::Unsupervised | CrashDecision::Restart { .. } => {}
-            CrashDecision::BudgetExhausted => {
-                self.state.stats.crash_loop_kills += 1;
-                self.state.metrics.inc("crash_loop_kills", Label::Machine);
-            }
+            CrashDecision::BudgetExhausted => self.state.sinks().count(Counter::CrashLoopKill),
         }
         self.destroy_vm(vm);
     }
@@ -512,19 +532,14 @@ impl Kernel {
             .get(&vm)
             .map(|pd| pd.iface_maps.keys().copied().collect())
             .unwrap_or_default();
+        let (hwmgr, pds, _, sinks) = self.state.manager();
         for t in held {
-            let KernelState {
-                hwmgr, pds, tracer, ..
-            } = &mut self.state;
-            let _ = hwmgr.handle_release(&mut self.machine, pds, tracer, vm, t);
+            let _ = hwmgr.handle_release(&mut self.machine, pds, &sinks, vm, t);
         }
         // Close any causal requests still waiting on the dead VM (buffered
         // completions, slots the releases above did not reach): their
         // completion can never be delivered.
-        {
-            let KernelState { hwmgr, tracer, .. } = &mut self.state;
-            hwmgr.forget_vm_reqs(self.machine.now(), tracer, vm);
-        }
+        hwmgr.forget_vm_reqs(self.machine.now(), &sinks, vm);
         // An in-flight reconfiguration owned by the dead VM would otherwise
         // linger (nobody left to poll it): drop the ownership so the next
         // request can relaunch cleanly.
@@ -715,17 +730,8 @@ impl Kernel {
             // Reconfiguration watchdog: abort stalled PCAP transfers,
             // quarantine PRRs stuck BUSY past the timeout and serve any
             // software-fallback shadow interfaces.
-            {
-                let KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = &mut self.state;
-                hwmgr.watchdog(&mut self.machine, pds, pt, stats, tracer);
-            }
+            let (hwmgr, pds, pt, mut sinks) = self.state.manager();
+            hwmgr.watchdog(&mut self.machine, pds, pt, &mut sinks);
             // VM supervision: liveness kills and due relaunches.
             self.supervise();
             let now = self.machine.now().raw();
@@ -834,8 +840,7 @@ impl Kernel {
     /// restart backoff has elapsed.
     fn supervise(&mut self) {
         for vm in self.supervisor.hung_vms(&self.state.pds) {
-            self.state.stats.liveness_kills += 1;
-            self.state.metrics.inc("liveness_kills", Label::Machine);
+            self.state.sinks().count(Counter::LivenessKill);
             self.kill_vm(vm);
         }
         let now = self.machine.now().raw();
@@ -851,9 +856,8 @@ impl Kernel {
                     guest,
                 },
             );
-            self.state.note(
-                &self.machine,
-                vm,
+            self.state.sinks().note(
+                self.machine.now(),
                 TraceEvent::VmRestart { vm: vm.0, attempt },
             );
         }
@@ -888,15 +892,8 @@ impl Kernel {
         let buffered = self.switch_in(vm);
         // Buffered completion vIRQs are delivered below — close their
         // causal requests' `resume` hop at the same simulated instant.
-        {
-            let KernelState {
-                hwmgr,
-                stats,
-                tracer,
-                ..
-            } = &mut self.state;
-            hwmgr.drain_resumes(self.machine.now(), tracer, stats, vm);
-        }
+        let (hwmgr, _, _, mut sinks) = self.state.manager();
+        hwmgr.drain_resumes(self.machine.now(), &mut sinks, vm);
         let start = self.machine.now();
 
         let mut guest = self.guests.remove(&vm).expect("guest exists");

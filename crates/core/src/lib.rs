@@ -40,7 +40,7 @@ pub mod kobj;
 pub mod mem;
 pub mod mirguest;
 pub mod native;
-mod obs;
+pub mod obs;
 pub mod postmortem;
 pub mod sched;
 pub mod slo;

@@ -20,6 +20,7 @@ use mnv_ucos::kernel::RunExit;
 use crate::hypercall;
 use crate::kernel::KernelState;
 use crate::kobj::pd::PdState;
+use crate::obs::Counter;
 
 /// Value returned in r0 for a failed hypercall; r1 carries the error code.
 pub const HC_FAIL: u32 = 0xFFFF_FFFF;
@@ -131,7 +132,7 @@ impl MirGuest {
                         // slot (never index the per-call array with an
                         // out-of-range number) and report BadCall.
                         ks.stats.hypercalls_invalid += 1;
-                        ks.stats.hypercalls_total += 1;
+                        ks.sinks().count(Counter::Hypercall(vm));
                         m.cpu.set_user_reg(0, HC_FAIL);
                         m.cpu.set_user_reg(1, hc_error_code(HcError::BadCall));
                         m.exception_return(ret);
@@ -258,7 +259,9 @@ impl MirGuest {
     /// post-mortem), but the guest only halts in place.
     fn kill(&mut self, m: &Machine, ks: &mut KernelState, vm: VmId) {
         self.halted = true;
-        ks.note(m, vm, mnv_trace::TraceEvent::VmKilled { vm: vm.0 });
+        let (_, pds, _, mut sinks) = ks.manager();
+        let ev = mnv_trace::TraceEvent::VmKilled { vm: vm.0 };
+        sinks.note_dump(m, pds, Some(vm), ev);
         if let Some(pd) = ks.pds.get_mut(&vm) {
             pd.state = PdState::Halted;
         }

@@ -17,6 +17,9 @@ use mnv_fpga::fabric::FabricConfig;
 use mnv_fpga::pl::{Pl, PlConfig};
 use mnv_hal::abi::{HcError, Hypercall, HypercallArgs};
 use mnv_hal::{Cycles, HwTaskId, IrqNum, PhysAddr, Priority, VirtAddr, VmId};
+use mnv_metrics::Registry;
+use mnv_profile::Profiler;
+use mnv_trace::Tracer;
 use mnv_ucos::env::{GuestEnv, GuestFault};
 use mnv_ucos::kernel::{RunExit, Ucos};
 use std::collections::BTreeMap;
@@ -25,6 +28,7 @@ use crate::hwmgr::HwMgr;
 use crate::kobj::pd::Pd;
 use crate::mem::layout;
 use crate::mem::pagetable::PtAlloc;
+use crate::obs::Sinks;
 use crate::stats::KernelStats;
 use crate::vtimer::VTimer;
 
@@ -268,6 +272,13 @@ impl GuestEnv for NativeEnv<'_> {
         // Native: a plain function call — a couple of cycles of call
         // overhead, no trap, no world switch.
         self.m.charge(4);
+        // The manager's sinks: this harness's stats, nothing else observed.
+        let mut sinks = Sinks {
+            tracer: &Tracer::disabled(),
+            stats: self.stats,
+            metrics: &Registry::disabled(),
+            profiler: &Profiler::disabled(),
+        };
         match args.nr {
             Hypercall::HwTaskRequest => {
                 // The manager runs inline; only its execution is measured
@@ -280,13 +291,12 @@ impl GuestEnv for NativeEnv<'_> {
                     id: self.hwmgr.next_req,
                     started: t0.raw(),
                 };
-                self.stats.reqs_minted += 1;
+                sinks.stats.reqs_minted += 1;
                 let r = self.hwmgr.handle_request(
                     self.m,
                     self.pds,
                     self.pt,
-                    self.stats,
-                    &mnv_trace::Tracer::disabled(),
+                    &mut sinks,
                     NATIVE_VM,
                     HwTaskId(args.a0 as u16),
                     VirtAddr::new(args.a1 as u64),
@@ -294,13 +304,13 @@ impl GuestEnv for NativeEnv<'_> {
                     req,
                 );
                 let dt = self.m.now() - t0;
-                self.stats.hwmgr.exec.push(Cycles::new(dt.raw()));
+                sinks.stats.hwmgr.exec.push(Cycles::new(dt.raw()));
                 r
             }
             Hypercall::HwTaskRelease => self.hwmgr.handle_release(
                 self.m,
                 self.pds,
-                &mnv_trace::Tracer::disabled(),
+                &sinks,
                 NATIVE_VM,
                 HwTaskId(args.a0 as u16),
             ),
@@ -308,14 +318,9 @@ impl GuestEnv for NativeEnv<'_> {
                 self.hwmgr
                     .handle_query(self.m, self.pds, NATIVE_VM, HwTaskId(args.a0 as u16))
             }
-            Hypercall::PcapPoll => self.hwmgr.handle_pcap_poll(
-                self.m,
-                self.pds,
-                self.pt,
-                self.stats,
-                &mnv_trace::Tracer::disabled(),
-                NATIVE_VM,
-            ),
+            Hypercall::PcapPoll => self
+                .hwmgr
+                .handle_pcap_poll(self.m, self.pds, self.pt, &mut sinks, NATIVE_VM),
             Hypercall::VmInfo => match args.a1 {
                 0 => Ok(NATIVE_VM.0 as u32),
                 1 => Ok(layout::vm_region(NATIVE_VM).raw() as u32),

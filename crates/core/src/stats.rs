@@ -36,7 +36,10 @@ pub struct HwMgrStats {
     /// End-to-end manager response delay (entry + execution + exit measured
     /// per invocation, so its percentiles are real, not sums of means).
     pub total: Acc,
-    /// Manager invocations.
+    /// Allocation-routine runs: one per `HwTaskRequest` and one per ring
+    /// descriptor dispatched. Not the registry's `hwmgr_invocations`,
+    /// which counts manager invocations (requests, ring kicks and
+    /// releases alike).
     pub invocations: u64,
     /// Requests answered Busy.
     pub busy: u64,
@@ -116,7 +119,9 @@ impl HwMgrStats {
 /// Aggregate kernel statistics.
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
-    /// World switches performed.
+    /// World switches: each switch into a VM plus the two manager-space
+    /// switches (in and out) of every manager invocation. The registry's
+    /// `world_switches` counts the switches into a VM alone.
     pub vm_switches: u64,
     /// Per-hypercall invocation counts.
     pub hypercalls: [u64; HYPERCALL_COUNT],

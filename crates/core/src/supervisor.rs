@@ -25,7 +25,7 @@
 //! * **Hardware-task escalation ladder**: a hung region no longer jumps
 //!   straight to quarantine. The rungs are retry-same-PRR →
 //!   relocate-to-compatible-PRR → software fallback → error, each with its
-//!   own timeout, every transition recorded once through `obs::note`.
+//!   own timeout, every transition recorded once through `Sinks::note`.
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
@@ -37,7 +37,7 @@ use mnv_fpga::prr::status as prr_status;
 use mnv_fpga::prr::REG_COUNT;
 use mnv_hal::{Domain, HwTaskId, Priority, VmId};
 use mnv_trace::event::req_stage;
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
 use crate::hwmgr::service::{ctrl_reg, PcapJob, PcapJobKind, SwShadow, SHADOW_LINE_KEY};
@@ -46,7 +46,7 @@ use crate::hwmgr::HwMgr;
 use crate::kernel::GuestKind;
 use crate::kobj::pd::Pd;
 use crate::mem::pagetable::{self, PtAlloc};
-use crate::stats::KernelStats;
+use crate::obs::Sinks;
 
 /// Named cycle constants for every supervision timer (660 cycles = 1 µs at
 /// the platform's 660 MHz). The kernel's idle loop and the Hardware Task
@@ -319,10 +319,9 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
     ) {
-        self.poll_kernel_job(m, pds, pt, stats, tracer);
+        self.poll_kernel_job(m, pds, pt, sinks);
         if self.pcap_job.is_none() {
             self.launch_next_kernel_job(m, pds);
         }
@@ -360,8 +359,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
     ) {
         let Some(job) = self.pcap_job.filter(|j| j.client().is_none()) else {
             return;
@@ -380,7 +378,7 @@ impl HwMgr {
         };
         self.pcap_job = None;
         match (job.kind, done) {
-            (PcapJobKind::Scrub, pass) => self.scrub_done(m, pds, stats, tracer, job, pass),
+            (PcapJobKind::Scrub, pass) => self.scrub_done(m, pds, sinks, job, pass),
             (PcapJobKind::Repromote { vm }, true) => {
                 // The region now holds the client's core; keep the table
                 // honest even if the client vanished mid-load.
@@ -398,13 +396,13 @@ impl HwMgr {
             }
             (PcapJobKind::Relocate { vm, from }, true) => {
                 self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                self.finish_relocation(m, pds, pt, stats, tracer, job, vm, from);
+                self.finish_relocation(m, pds, pt, sinks, job, vm, from);
             }
             (PcapJobKind::Relocate { from, .. }, false) => {
                 // Relocation load failed: fall straight through to the
                 // software rung for the hung region.
                 self.prrs.take_ladder(from);
-                self.ladder_fallback(m, pds, pt, stats, tracer, from);
+                self.ladder_fallback(m, pds, pt, sinks, from);
             }
             (PcapJobKind::Client { .. }, _) => {
                 unreachable!("client jobs are polled by their owner")
@@ -484,8 +482,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         job: PcapJob,
         pass: bool,
     ) {
@@ -503,12 +500,12 @@ impl HwMgr {
             }
         });
         let ev = TraceEvent::PrrScrub { prr: job.prr, pass };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         if !pass {
             if streak >= SCRUB_FAILS_TO_RETIRE {
                 self.prrs.entry_mut(m, job.prr).retire();
                 let ev = TraceEvent::PrrRetire { prr: job.prr };
-                self.note(m.now(), tracer, stats, ev);
+                sinks.note(m.now(), ev);
             }
             return;
         }
@@ -526,7 +523,7 @@ impl HwMgr {
             e.task = Some(job.task);
         }
         let ev = TraceEvent::PrrReinstate { prr: job.prr };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
 
         // If the scrub bitstream was chosen for a degraded client, promote
         // that client now — the core is already resident.
@@ -600,8 +597,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         s: &SwShadow,
         prr: u8,
         ctrl: u32,
@@ -616,14 +612,14 @@ impl HwMgr {
         // The shadow's open causal request follows the client back onto
         // fabric: the completion vIRQ from the new region closes it.
         let old = std::mem::replace(self.prrs.req_slot(prr), s.req);
-        self.fail_req(m.now(), tracer, old, s.vm, req_stage::RELEASED);
+        sinks.end_req(m.now(), old, s.vm, req_stage::RELEASED);
         self.free_shadow_page(s.page);
         let ev = TraceEvent::Repromote {
             vm: s.vm.0,
             task: s.task.0 as u32,
             prr,
         };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         // Kick the hardware run with the guest's own control bits. This
         // write goes through the PL fault site like any guest start — a
         // re-hang lands back in the watchdog/ladder path.
@@ -661,8 +657,7 @@ impl HwMgr {
     pub(crate) fn ladder_retry(
         &mut self,
         m: &mut Machine,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         prr: u8,
         now: u64,
     ) {
@@ -688,20 +683,18 @@ impl HwMgr {
             });
         }
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 1 };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         let req = self.prrs.entry(prr).req;
-        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RETRY);
+        sinks.req_stamp(m.now(), req, req_stage::LADDER_RETRY);
     }
 
     /// Advance the ladder for a region whose current rung timed out.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn ladder_advance(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         prr: u8,
         now: u64,
     ) {
@@ -731,9 +724,9 @@ impl HwMgr {
                             l.deadline = now + timing::LADDER_RELOCATE_TIMEOUT;
                         }
                         let ev = TraceEvent::HwTaskEscalate { prr, rung: 2 };
-                        self.note(m.now(), tracer, stats, ev);
+                        sinks.note(m.now(), ev);
                         let req = self.prrs.entry(prr).req;
-                        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RELOCATE);
+                        sinks.req_stamp(m.now(), req, req_stage::LADDER_RELOCATE);
                         return;
                     }
                 }
@@ -747,7 +740,7 @@ impl HwMgr {
             self.cancel_kernel_job(m);
         }
         self.prrs.take_ladder(prr);
-        self.ladder_fallback(m, pds, pt, stats, tracer, prr);
+        self.ladder_fallback(m, pds, pt, sinks, prr);
     }
 
     /// Rungs 3 and 4: quarantine the region and migrate the client to a
@@ -758,15 +751,14 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         prr: u8,
     ) {
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 3 };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         let req = self.prrs.entry(prr).req;
-        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_FALLBACK);
-        if self.quarantine(m, pds, pt, stats, tracer, prr) {
+        sinks.req_stamp(m.now(), req, req_stage::LADDER_FALLBACK);
+        if self.quarantine(m, pds, pt, sinks, prr) {
             return;
         }
         // Rung 4: a client exists but could not be migrated (shadow pool
@@ -774,14 +766,14 @@ impl HwMgr {
         // wedged device page. Reset the region and latch an explicit error
         // so the guest's poll loop terminates with a diagnosable code.
         let ev = TraceEvent::HwTaskEscalate { prr, rung: 4 };
-        self.note(m.now(), tracer, stats, ev);
+        sinks.note(m.now(), ev);
         {
             // Rung 4 is terminal for the causal request: the guest gets an
             // explicit device error, never a completion vIRQ.
             let vm = self.prrs.entry(prr).client.unwrap_or(VmId(0));
             let req = self.prrs.req_slot(prr).take();
-            self.req_stamp(m.now(), tracer, req, req_stage::LADDER_ERROR);
-            self.fail_req(m.now(), tracer, req, vm, req_stage::FAILED);
+            sinks.req_stamp(m.now(), req, req_stage::LADDER_ERROR);
+            sinks.end_req(m.now(), req, vm, req_stage::FAILED);
         }
         let dev = Pl::prr_page(prr);
         let _ = m.phys_write_u32(dev + 4 * prr_regs::CTRL as u64, prr_ctrl::RESET);
@@ -801,8 +793,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        sinks: &mut Sinks<'_>,
         job: PcapJob,
         vm: VmId,
         from: u8,
@@ -822,7 +813,7 @@ impl HwMgr {
         if !still_client || ds.is_none() || iface.is_none() {
             // Client released or died while the load was in flight: leave
             // the target free, quarantine the hung source the plain way.
-            self.ladder_fallback(m, pds, pt, stats, tracer, from);
+            self.ladder_fallback(m, pds, pt, sinks, from);
             return;
         }
         let (ds, (iface_va, _)) = (ds.unwrap(), iface.unwrap());
@@ -835,7 +826,7 @@ impl HwMgr {
 
         // The hung source goes to quarantine (and the scrubber's care) —
         // without a client migration, since the client moves to hardware.
-        self.take_out_of_service(m, pds, stats, tracer, from, true);
+        self.take_out_of_service(m, pds, sinks, from, true);
 
         // Move the dispatch.
         {

@@ -20,6 +20,7 @@ use crate::hwmgr::service::{PendingResume, SHADOW_LINE_KEY};
 use crate::hypercall::{self, touch_ktext};
 use crate::kernel::KernelState;
 use crate::mem::layout::ktext;
+use crate::obs::Counter;
 
 /// The environment handed to a running guest.
 pub struct VmEnv<'a> {
@@ -102,10 +103,7 @@ impl<'a> VmEnv<'a> {
                 Some(pd) => {
                     pd.vgic.note_injected(irq);
                     pd.stats.virqs_injected += 1;
-                    self.ks.stats.virqs_injected += 1;
-                    self.ks
-                        .metrics
-                        .inc("virqs_injected", mnv_metrics::Label::Vm(self.vm.0 as u8));
+                    self.ks.sinks().count(Counter::VirqInjected(self.vm));
                     // Charge the forced jump to the VM's IRQ entry.
                     self.m.charge(mnv_arm::timing::EXC_RETURN);
                     if is_pl {
@@ -146,28 +144,16 @@ impl<'a> VmEnv<'a> {
             if let Some((owner_vm, key)) = self.ks.hwmgr.irqs.owner(irq) {
                 if key & SHADOW_LINE_KEY == 0 && (key as usize) < self.ks.hwmgr.prrs.len() {
                     let now = self.m.now();
-                    let KernelState {
-                        hwmgr,
-                        stats,
-                        tracer,
-                        ..
-                    } = &mut *self.ks;
+                    let (hwmgr, _, _, mut sinks) = self.ks.manager();
                     if result.is_some() {
                         let req = hwmgr.prrs.req_slot(key).take();
                         let iface = hwmgr.prr_iface(key);
-                        hwmgr.finish_req(
-                            now,
-                            tracer,
-                            stats,
-                            req,
-                            owner_vm,
-                            iface,
-                            req_stage::VIRQ_INJECT,
-                        );
+                        let stage = req_stage::VIRQ_INJECT;
+                        hwmgr.finish_req(now, &mut sinks, req, owner_vm, iface, stage);
                     } else if let Some(vm) = buffered_for {
                         let req = hwmgr.prrs.req_slot(key).take();
                         if req.is_open() {
-                            hwmgr.req_stamp(now, tracer, req, req_stage::VIRQ_BUFFER);
+                            sinks.req_stamp(now, req, req_stage::VIRQ_BUFFER);
                             let iface = hwmgr.prr_iface(key);
                             hwmgr.pending_resume.push(PendingResume { vm, req, iface });
                         }
@@ -333,10 +319,7 @@ impl GuestEnv for VmEnv<'_> {
             if pd.vtimer.poll(now).is_some() {
                 pd.vgic.note_injected(IrqNum(mnv_ucos::layout::TIMER_VIRQ));
                 pd.stats.virqs_injected += 1;
-                self.ks.stats.virqs_injected += 1;
-                self.ks
-                    .metrics
-                    .inc("virqs_injected", mnv_metrics::Label::Vm(self.vm.0 as u8));
+                self.ks.sinks().count(Counter::VirqInjected(self.vm));
                 self.m
                     .charge(mnv_arm::timing::EXC_ENTRY + mnv_arm::timing::EXC_RETURN);
                 self.ks.tracer.emit(
@@ -362,15 +345,8 @@ impl GuestEnv for VmEnv<'_> {
             .any(|r| r.vm == self.vm && r.has_work())
         {
             self.m.sync_devices();
-            let KernelState {
-                hwmgr,
-                pds,
-                pt,
-                stats,
-                tracer,
-                ..
-            } = &mut *self.ks;
-            hwmgr.ring_tick(self.m, pds, pt, stats, tracer, Some(self.vm));
+            let (hwmgr, pds, pt, mut sinks) = self.ks.manager();
+            hwmgr.ring_tick(self.m, pds, pt, &mut sinks, Some(self.vm));
         }
         self.gic_path()
     }

@@ -8,13 +8,15 @@
 
 mod common;
 
-use common::{chaos_run, kernel, workload_guest};
-use mini_nova::{GuestKind, VmSpec};
+use common::{chaos_kernel, chaos_run, kernel, workload_guest};
+use mini_nova::obs::Counter;
+use mini_nova::{GuestKind, Kernel, VmSpec};
 use mnv_fault::{FaultPlan, SiteCfg};
 use mnv_fpga::cores::make_core;
 use mnv_hal::{Cycles, HwTaskId, Priority};
+use mnv_metrics::Registry;
 use mnv_ucos::kernel::{Ucos, UcosConfig};
-use mnv_ucos::tasks::{AdpcmTask, THwTask, THW_SRC_OFF};
+use mnv_ucos::tasks::{AdpcmTask, BatchMode, HwBatchTask, THwTask, THW_SRC_OFF};
 
 #[test]
 fn chaos_soak_20_seeds_without_panics() {
@@ -278,4 +280,51 @@ fn fault_plane_counters_mirror_the_metrics_registry() {
         snap.get("pcap_retries", Label::Machine) > 0,
         "chaos preset must exercise the retry path"
     );
+}
+
+#[test]
+fn counter_table_pairs_agree_with_the_registry() {
+    // Every counter-table entry names a `KernelStats` field and a registry
+    // series bumped together: their values must agree, summed over labels.
+    // The check iterates the table itself, so a new entry is covered.
+    fn check(k: &Kernel, reg: &Registry, run: &str) {
+        let snap = reg.snapshot();
+        let mut stats = k.state.stats.clone();
+        for c in Counter::ALL {
+            let (value, name, _) = c.slot(&mut stats);
+            assert_eq!(snap.total(name), *value, "{run}: {name}");
+        }
+    }
+
+    // Four guests, one of them a shared-ring tenant.
+    let (mut k, ids) = kernel();
+    let reg = k.enable_metrics();
+    let qam: Vec<HwTaskId> = ids[6..].to_vec();
+    for seed in 1..=3 {
+        k.create_vm(VmSpec {
+            name: "g",
+            priority: Priority::GUEST,
+            guest: workload_guest(seed, ids[..6].to_vec()),
+        });
+    }
+    let mut os = Ucos::new(UcosConfig::default());
+    os.task_create(8, Box::new(HwBatchTask::new(qam, 1, BatchMode::Ring, 6, 4)));
+    k.create_vm(VmSpec {
+        name: "ring",
+        priority: Priority::GUEST,
+        guest: GuestKind::Ucos(Box::new(os)),
+    });
+    k.run(Cycles::from_millis(60.0));
+    let h = &k.state.stats.hwmgr;
+    assert!(
+        h.ring_kicks > 0 && h.ring_virqs > 0 && h.reconfigs > 0,
+        "{h:?}"
+    );
+    check(&k, &reg, "4 guests + ring");
+
+    // One chaos seed of the standard two-VM workload.
+    let (mut k, _) = chaos_kernel(11);
+    let reg = k.enable_metrics();
+    k.run(Cycles::from_millis(60.0));
+    check(&k, &reg, "chaos seed 11");
 }

@@ -33,6 +33,13 @@ pub fn workload_guest(seed: u64, task_set: Vec<HwTaskId>) -> GuestKind {
 /// Run one two-VM DPR scenario under the chaos preset; returns the fault
 /// records and the final kernel stats.
 pub fn chaos_run(seed: u64) -> (Vec<mnv_fault::FaultRecord>, mini_nova::KernelStats) {
+    let (mut k, plane) = chaos_kernel(seed);
+    k.run(Cycles::from_millis(60.0));
+    (plane.records(), k.state.stats.clone())
+}
+
+/// The two-VM DPR scenario of [`chaos_run`], armed but not yet run.
+pub fn chaos_kernel(seed: u64) -> (Kernel, mnv_fault::FaultPlane) {
     let (mut k, ids) = kernel();
     let qam: Vec<HwTaskId> = ids[6..].to_vec();
     let fft: Vec<HwTaskId> = ids[..6].to_vec();
@@ -47,8 +54,7 @@ pub fn chaos_run(seed: u64) -> (Vec<mnv_fault::FaultRecord>, mini_nova::KernelSt
         guest: workload_guest(seed ^ 0x5DEECE66D, fft),
     });
     let plane = k.enable_faults(mnv_fault::FaultPlan::chaos(seed));
-    k.run(Cycles::from_millis(60.0));
-    (plane.records(), k.state.stats.clone())
+    (k, plane)
 }
 
 /// A guest task that burns CPU without retiring a single instruction: it

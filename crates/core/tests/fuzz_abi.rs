@@ -159,6 +159,7 @@ fn out_of_range_svc_numbers_land_in_the_invalid_slot() {
     use mnv_arm::mir::{Cond, ProgramBuilder};
 
     let mut k = Kernel::new(KernelConfig::default());
+    let reg = k.enable_metrics();
     let mut b = ProgramBuilder::new();
     let top = b.label();
     b.bind(top);
@@ -188,6 +189,8 @@ fn out_of_range_svc_numbers_land_in_the_invalid_slot() {
     // the invalid slot — nothing leaks past the array bound.
     let valid: u64 = s.hypercalls.iter().sum();
     assert_eq!(valid + s.hypercalls_invalid, s.hypercalls_total);
+    // Invalid calls reach the registry's per-VM series too.
+    assert_eq!(reg.snapshot().total("hypercalls"), s.hypercalls_total);
     // The guest survives its own bad calls.
     assert!(k.pd(vm).stats.cpu_cycles > 0);
 }

@@ -10,7 +10,6 @@ mod common;
 use common::{healthy_guest, kernel, spinner_guest};
 use mini_nova::hwmgr::service::PcapJobKind;
 use mini_nova::hwmgr::tables::PrrService;
-use mini_nova::kernel::KernelState;
 use mini_nova::supervisor::{CRASH_BUDGET, SCRUB_FAILS_TO_RETIRE};
 use mini_nova::{GuestKind, Kernel, VmSpec};
 use mnv_fault::{FaultPlan, SiteCfg};
@@ -281,17 +280,8 @@ fn client_reconfiguration_preempts_an_inflight_scrub() {
     // transfer has completed.
     let (mut k, _) = thw_kernel(7);
     k.state.hwmgr.prrs.entry_mut(&mut k.machine, 1).quarantine();
-    {
-        let KernelState {
-            hwmgr,
-            pds,
-            pt,
-            stats,
-            tracer,
-            ..
-        } = &mut k.state;
-        hwmgr.fabric_tick(&mut k.machine, pds, pt, stats, tracer);
-    }
+    let (hwmgr, pds, pt, mut sinks) = k.state.manager();
+    hwmgr.fabric_tick(&mut k.machine, pds, pt, &mut sinks);
     let kind = |k: &Kernel| k.state.hwmgr.pcap_job.map(|j| j.kind);
     assert_eq!(
         kind(&k),
