@@ -23,7 +23,7 @@ use mnv_metrics::Label;
 use mnv_profile::SampleCtx;
 use mnv_trace::event::{iface_name, req_stage};
 use mnv_trace::TraceEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use super::irqalloc::PlIrqAllocator;
 use super::tables::{HwTaskTable, PrrTable, ReqTag};
@@ -57,11 +57,13 @@ pub const MAX_PCAP_RETRIES: u8 = 3;
 /// indices are tiny (≤15), so the namespaces cannot collide.
 pub(crate) const SHADOW_LINE_KEY: u8 = 0x80;
 
-/// What an in-flight PCAP transfer is for.
+/// What a PCAP transfer is for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PcapJobKind {
     /// A guest's stage-5 reconfiguration: it raises PCAP_DONE, completes
-    /// through the client's poll and is relaunched when it fails.
+    /// through the client's poll and is relaunched when it fails. It waits
+    /// in [`HwMgr::pcap_queue`] while another client's transfer holds the
+    /// channel.
     Client {
         /// VM waiting on the reconfiguration.
         vm: VmId,
@@ -90,10 +92,22 @@ pub enum PcapJobKind {
     },
 }
 
+impl PcapJobKind {
+    /// The VM waiting on the transfer when it is a client
+    /// reconfiguration; `None` for a kernel load.
+    pub fn client(self) -> Option<VmId> {
+        match self {
+            PcapJobKind::Client { vm, .. } => Some(vm),
+            _ => None,
+        }
+    }
+}
+
 /// The PCAP engine's one in-flight transfer: a client reconfiguration or
 /// a kernel-initiated load (scrub, re-promotion, relocation). A client
-/// launch aborts a kernel load in flight and replaces an older client job;
-/// kernel loads start only on an idle channel.
+/// launch aborts a kernel load in flight; a client job that finds another
+/// client's transfer in flight waits in [`HwMgr::pcap_queue`]. Kernel loads
+/// start only on an idle channel with no client waiting.
 #[derive(Clone, Copy, Debug)]
 pub struct PcapJob {
     /// The task whose bitstream is being loaded.
@@ -119,10 +133,7 @@ impl PcapJob {
     /// The VM waiting on the transfer when it is a client
     /// reconfiguration; `None` for a kernel load.
     pub fn client(&self) -> Option<VmId> {
-        match self.kind {
-            PcapJobKind::Client { vm, .. } => Some(vm),
-            _ => None,
-        }
+        self.kind.client()
     }
 }
 
@@ -165,13 +176,19 @@ pub struct HwMgr {
     pub prrs: PrrTable,
     /// PL interrupt-line allocator.
     pub irqs: PlIrqAllocator,
-    /// VM that launched the in-flight client reconfiguration (the PCAP
-    /// completion IRQ "is always connected to the VM which launches the
-    /// current transfer" — §IV-D). Set with a `Client` job; an error poll
-    /// by another VM clears it while the job stays in the channel.
+    /// VM whose client reconfiguration is in flight (the PCAP completion
+    /// IRQ "is always connected to the VM which launches the current
+    /// transfer" — §IV-D). Set when a `Client` job launches, cleared when
+    /// it completes, is given up or its VM dies; exactly this VM has
+    /// `Pd::pcap_pending` set (see [`HwMgr::check_invariants`]).
     pub pcap_owner: Option<VmId>,
     /// The PCAP channel's one in-flight transfer, client or kernel.
     pub pcap_job: Option<PcapJob>,
+    /// Client reconfigurations waiting for the channel, oldest first:
+    /// (task, target region, `Client` job). The head launches as soon as
+    /// the channel frees, ahead of any kernel load. A queued VM's poll
+    /// reads 0.
+    pub pcap_queue: VecDeque<(HwTaskId, u8, PcapJobKind)>,
     /// Active software-fallback dispatches.
     pub shadows: Vec<SwShadow>,
     /// Bump cursor into the shadow-page pool.
@@ -236,6 +253,7 @@ impl HwMgr {
             irqs: PlIrqAllocator::new(),
             pcap_owner: None,
             pcap_job: None,
+            pcap_queue: VecDeque::new(),
             shadows: Vec::new(),
             shadow_cursor: 0,
             shadow_free: Vec::new(),
@@ -456,7 +474,9 @@ impl HwMgr {
 
     /// The Fig. 5 reclaim path: save the interface registers into the old
     /// client's data section, flag it inconsistent, demap its interface
-    /// page and revoke its IRQ line.
+    /// page and revoke its IRQ line. A reconfiguration of the region still
+    /// queued or in flight for the old client is dropped, so the client's
+    /// next poll reads 1 and its consistency check sends it back to Pick.
     fn reclaim(
         &mut self,
         m: &mut Machine,
@@ -470,6 +490,7 @@ impl HwMgr {
         };
         let Some(old_vm) = old_vm else { return };
         sinks.count(Counter::Reclaim);
+        self.drop_client_job(m, pds, sinks, old_vm, Some(prr));
 
         // Save the 16 interface registers (charged MMIO reads).
         let page = Pl::prr_page(prr);
@@ -700,11 +721,13 @@ impl HwMgr {
         };
 
         // Reclaim from a previous client if needed (consistency handling
-        // between stages 2 and 3).
-        let needs_reconfig = self.prrs.entry(prr).task != Some(task);
+        // between stages 2 and 3). The reclaim may drop a transfer that
+        // never finished loading the region, so read the resident task
+        // after it.
         if self.prrs.entry(prr).client.is_some() {
             self.reclaim(m, pds, prr, sinks);
         }
+        let needs_reconfig = self.prrs.entry(prr).task != Some(task);
 
         // Stage 3: map the interface page into the caller.
         sinks.dpr_stage(m.now(), req, 3);
@@ -752,24 +775,29 @@ impl HwMgr {
         if needs_reconfig {
             sinks.dpr_stage(m.now(), req, 5);
             sinks.count(Counter::Reconfig);
-            // Client reconfigurations always win the channel: a background
-            // scrub/relocation load in flight is aborted and rescheduled,
-            // an older client job is replaced.
-            self.cancel_kernel_job(m);
+            // A VM waits on one reconfiguration at a time: this request
+            // supersedes any older one of the caller's.
+            self.drop_client_job(m, pds, sinks, caller, None);
+            // Client reconfigurations queue behind each other in arrival
+            // order and pre-empt background scrub/relocation loads.
             let kind = PcapJobKind::Client {
                 vm: caller,
                 attempts: 0,
                 req,
             };
-            self.launch_pcap(m, task, prr, kind);
-            self.pcap_owner = Some(caller);
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_LAUNCH);
-            if let Some(pd) = pds.get_mut(&caller) {
-                pd.pcap_pending = Some(task);
-            }
+            let wait =
+                self.pcap_job.is_some_and(|j| j.client().is_some()) || !self.pcap_queue.is_empty();
+            self.pcap_queue.push_back((task, prr, kind));
+            self.launch_queued(m, pds, sinks);
             // Stage 6: return immediately with the reconfig flag — the
             // manager "does not check the completion of the PCAP transfer".
             sinks.dpr_stage(m.now(), req, 6);
+            if wait {
+                // Stamped after stage 6, so the waterfall's `pcap:queued`
+                // row spans the wait for the channel and `pcap:launch` the
+                // transfer.
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_QUEUED);
+            }
             return Ok(HwTaskStatus::Reconfiguring as u32 | ((prr as u32) << 8) | (line_idx << 16));
         }
         sinks.dpr_stage(m.now(), req, 6);
@@ -846,6 +874,10 @@ impl HwMgr {
         // dispatch — its completion will never be attributed.
         let old = self.prrs.req_slot(prr).take();
         sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
+        // A reconfiguration still waiting for the channel is void now.
+        for p in self.take_queued(|vm, p| vm == caller && p == prr) {
+            self.prrs.entry_mut(m, p).task = None;
+        }
         // A quarantined region's client was migrated to a shadow page;
         // dropping the dispatch drops the shadow too (and frees its page
         // and parked completion line).
@@ -1177,6 +1209,9 @@ impl HwMgr {
     ) {
         let vm = self.prrs.entry(prr).client;
         sinks.note_dump(m, pds, vm, TraceEvent::PrrQuarantine { prr });
+        // A queued load into a retired region would never be served; its
+        // client stops waiting and follows the region's migration.
+        self.take_queued(|_, p| p == prr);
         let e = self.prrs.entry_mut(m, prr);
         e.quarantine();
         if detach {
@@ -1392,7 +1427,9 @@ impl HwMgr {
     /// A failed transfer (CRC reject, malformed header, watchdog abort) is
     /// relaunched with backoff up to [`MAX_PCAP_RETRIES`] times;
     /// past that the target region is quarantined and the client degrades
-    /// to the software fallback — the poll still reports completion.
+    /// to the software fallback — the poll still reports completion. A
+    /// queued caller reads 0 until its job has launched and completed.
+    /// Either way the channel then passes to the next queued client.
     pub fn handle_pcap_poll(
         &mut self,
         m: &mut Machine,
@@ -1401,82 +1438,217 @@ impl HwMgr {
         sinks: &mut Sinks<'_>,
         caller: VmId,
     ) -> Result<u32, HcError> {
-        if pds
-            .get(&caller)
-            .ok_or(HcError::BadArg)?
-            .pcap_pending
-            .is_none()
-        {
+        let pending = pds.get(&caller).ok_or(HcError::BadArg)?.pcap_pending;
+        if self.pcap_queue.iter().any(|q| q.2.client() == Some(caller)) {
+            // The owner may be descheduled with its transfer long done:
+            // a waiting client's poll passes the channel on.
+            self.reap_finished(m, pds, sinks);
+            return Ok(0);
+        }
+        if pending.is_none() {
             return Ok(1);
+        }
+        let job = self.pcap_job.filter(|_| self.pcap_owner == Some(caller));
+        let Some(PcapJob {
+            task,
+            prr,
+            kind: PcapJobKind::Client { vm, attempts, req },
+            ..
+        }) = job
+        else {
+            // A wait with no transfer of its own behind it
+            // (`check_invariants` rules this out): end it with an error
+            // instead of polling forever.
+            if let Some(pd) = pds.get_mut(&caller) {
+                pd.pcap_pending = None;
+            }
+            return Err(HcError::BadArg);
+        };
+        let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
+        if status == pcap_status::DONE {
+            self.finish_client_job(m, pds, sinks);
+            return Ok(1);
+        }
+        if status != pcap_status::ERROR {
+            return Ok(0);
+        }
+        if attempts < MAX_PCAP_RETRIES {
+            let attempts = attempts + 1;
+            let ev = TraceEvent::PcapRetry {
+                prr,
+                attempt: attempts,
+            };
+            sinks.note(m.now(), ev);
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_RETRY);
+            // Exponential backoff, then relaunch the transfer.
+            m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
+            let kind = PcapJobKind::Client { vm, attempts, req };
+            self.launch_pcap(m, task, prr, kind);
+            return Ok(0);
+        }
+        // Retries exhausted: the transfer path to this region is
+        // persistently failing (e.g. a damaged bitstream store). Quarantine
+        // it and serve the client on the CPU — the reconfiguration
+        // completes, degraded.
+        sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+        self.pcap_job = None;
+        self.pcap_owner = None;
+        if let Some(pd) = pds.get_mut(&caller) {
+            pd.pcap_pending = None;
+        }
+        let _ = self.quarantine(m, pds, pt, sinks, prr);
+        self.launch_queued(m, pds, sinks);
+        Ok(1)
+    }
+
+    /// Complete the owner's finished transfer: the owner stops waiting (its
+    /// next poll reads 1) and the channel passes to the next queued client.
+    fn finish_client_job(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+    ) {
+        if let Some(pd) = self.pcap_owner.and_then(|vm| pds.get_mut(&vm)) {
+            pd.pcap_pending = None;
+        }
+        if let Some(PcapJob {
+            prr,
+            started_at,
+            kind: PcapJobKind::Client { req, .. },
+            ..
+        }) = self.pcap_job
+        {
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_DONE);
+            sinks.metrics.observe(
+                "pcap_latency",
+                Label::Prr(prr),
+                m.now().raw().saturating_sub(started_at),
+                req.id,
+            );
+        }
+        self.pcap_owner = None;
+        self.pcap_job = None;
+        self.launch_queued(m, pds, sinks);
+    }
+
+    /// With clients queued, finish an in-flight client transfer the engine
+    /// reports DONE without waiting for its owner's poll (the owner may not
+    /// run again for several quanta). A failed transfer is left to the
+    /// owner's retry path.
+    pub(crate) fn reap_finished(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+    ) {
+        if self.pcap_queue.is_empty() || self.pcap_owner.is_none() {
+            return;
         }
         let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
-        if self.pcap_owner == Some(caller) && status == pcap_status::DONE {
-            if let Some(pd) = pds.get_mut(&caller) {
-                pd.pcap_pending = None;
+        if status == pcap_status::DONE {
+            self.finish_client_job(m, pds, sinks);
+        }
+    }
+
+    /// Start the oldest queued client job unless another client's transfer
+    /// holds the channel; a kernel load in flight is aborted (clients
+    /// pre-empt kernel loads). The launched job's VM becomes the PCAP owner
+    /// and waits on it. Returns whether a job started.
+    pub(crate) fn launch_queued(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+    ) -> bool {
+        if self.pcap_job.is_some_and(|j| j.client().is_some()) {
+            return false;
+        }
+        let Some((task, prr, kind)) = self.pcap_queue.pop_front() else {
+            return false;
+        };
+        self.cancel_kernel_job(m);
+        self.launch_pcap(m, task, prr, kind);
+        if let PcapJobKind::Client { vm, req, .. } = kind {
+            self.pcap_owner = Some(vm);
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_LAUNCH);
+            if let Some(pd) = pds.get_mut(&vm) {
+                pd.pcap_pending = Some(task);
             }
-            if let Some(PcapJob {
-                prr,
-                started_at,
-                kind: PcapJobKind::Client { req, .. },
-                ..
-            }) = self.pcap_job
-            {
-                sinks.req_stamp(m.now(), req, req_stage::PCAP_DONE);
-                sinks.metrics.observe(
-                    "pcap_latency",
-                    Label::Prr(prr),
-                    m.now().raw().saturating_sub(started_at),
-                    req.id,
-                );
+        }
+        true
+    }
+
+    /// Remove the queued jobs `hit(vm, prr)` selects; returns their target
+    /// regions.
+    fn take_queued(&mut self, hit: impl Fn(VmId, u8) -> bool) -> Vec<u8> {
+        let mut taken = Vec::new();
+        self.pcap_queue.retain(|&(_, prr, kind)| {
+            let drop = kind.client().is_some_and(|vm| hit(vm, prr));
+            if drop {
+                taken.push(prr);
             }
+            !drop
+        });
+        taken
+    }
+
+    /// Drop `vm`'s client reconfiguration into `prr` (into any region when
+    /// `None`): a queued job leaves the FIFO; an in-flight one is aborted
+    /// and `vm` stops waiting on it. The region's task entry is cleared,
+    /// since its bitstream never finished loading. The next queued job is
+    /// left for the caller to launch.
+    fn drop_client_job(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+        vm: VmId,
+        prr: Option<u8>,
+    ) {
+        let hit = |v: VmId, p: u8| v == vm && prr.is_none_or(|x| x == p);
+        for p in self.take_queued(hit) {
+            self.prrs.entry_mut(m, p).task = None;
+        }
+        let Some(job) = self
+            .pcap_job
+            .filter(|j| j.client().is_some_and(|v| hit(v, j.prr)))
+        else {
+            return;
+        };
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+        if let PcapJobKind::Client { req, .. } = job.kind {
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+        }
+        self.pcap_job = None;
+        self.pcap_owner = None;
+        if let Some(pd) = pds.get_mut(&vm) {
+            pd.pcap_pending = None;
+        }
+        self.prrs.entry_mut(m, job.prr).task = None;
+    }
+
+    /// VM teardown: remove `vm`'s queued jobs and give up its in-flight
+    /// one, then hand the channel to the next queued client. The dead VM's
+    /// transfer is aborted only when a client is waiting for the channel.
+    pub(crate) fn forget_vm_pcap(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+        vm: VmId,
+    ) {
+        self.take_queued(|v, _| v == vm);
+        if self.pcap_owner == Some(vm) {
             self.pcap_owner = None;
+        }
+        if self.pcap_job.and_then(|j| j.client()) == Some(vm) {
             self.pcap_job = None;
-            return Ok(1);
-        }
-        if status == pcap_status::ERROR {
-            if self.pcap_owner == Some(caller) {
-                if let Some(PcapJob {
-                    task,
-                    prr,
-                    kind: PcapJobKind::Client { vm, attempts, req },
-                    ..
-                }) = self.pcap_job
-                {
-                    if attempts < MAX_PCAP_RETRIES {
-                        let attempts = attempts + 1;
-                        let ev = TraceEvent::PcapRetry {
-                            prr,
-                            attempt: attempts,
-                        };
-                        sinks.note(m.now(), ev);
-                        sinks.req_stamp(m.now(), req, req_stage::PCAP_RETRY);
-                        // Exponential backoff, then relaunch the transfer.
-                        m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
-                        let kind = PcapJobKind::Client { vm, attempts, req };
-                        self.launch_pcap(m, task, prr, kind);
-                        return Ok(0);
-                    }
-                    // Retries exhausted: the transfer path to this region
-                    // is persistently failing (e.g. a damaged bitstream
-                    // store). Quarantine it and serve the client on the
-                    // CPU — the reconfiguration completes, degraded.
-                    sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
-                    self.pcap_job = None;
-                    self.pcap_owner = None;
-                    if let Some(pd) = pds.get_mut(&caller) {
-                        pd.pcap_pending = None;
-                    }
-                    let _ = self.quarantine(m, pds, pt, sinks, prr);
-                    return Ok(1);
-                }
+            if !self.pcap_queue.is_empty() {
+                let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
             }
-            if let Some(pd) = pds.get_mut(&caller) {
-                pd.pcap_pending = None;
-            }
-            self.pcap_owner = None;
-            return Err(HcError::BadArg);
         }
-        Ok(0)
+        self.launch_queued(m, pds, sinks);
     }
 
     /// Convenience for tests: PRR interface page physical address.
@@ -1488,10 +1660,16 @@ impl HwMgr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypercall::hypercall;
+    use crate::kernel::{GuestKind, Kernel, KernelConfig, VmSpec};
     use crate::stats::KernelStats;
+    use mnv_hal::abi::{Hypercall, HypercallArgs};
+    use mnv_hal::Priority;
     use mnv_metrics::Registry;
     use mnv_profile::Profiler;
     use mnv_trace::Tracer;
+    use mnv_ucos::kernel::{Ucos, UcosConfig};
+    use mnv_ucos::layout::{hwiface_slot, HWDATA_BASE};
 
     fn tag(id: u32) -> ReqTag {
         ReqTag { id, started: 0 }
@@ -1544,6 +1722,206 @@ mod tests {
             vec![(VmId(2), 10), (VmId(2), 11)],
             "other VMs keep their entries, in order"
         );
+    }
+
+    /// A kernel with `n` idle uC/OS guests (their OSes never run: the
+    /// tests issue hypercalls on their behalf) and the paper task set.
+    fn pcap_kernel(n: usize) -> (Kernel, Vec<HwTaskId>, Vec<VmId>) {
+        let mut k = Kernel::new(KernelConfig::default());
+        let ids = k.register_paper_task_set();
+        let vms = (0..n)
+            .map(|_| {
+                k.create_vm(VmSpec {
+                    name: "g",
+                    priority: Priority::GUEST,
+                    guest: GuestKind::Ucos(Box::new(Ucos::new(UcosConfig::default()))),
+                })
+            })
+            .collect();
+        (k, ids, vms)
+    }
+
+    fn call(k: &mut Kernel, vm: VmId, args: HypercallArgs) -> Result<u32, HcError> {
+        hypercall(&mut k.machine, &mut k.state, vm, args)
+    }
+
+    /// HwTaskRequest; returns (status, region).
+    fn request(k: &mut Kernel, vm: VmId, task: HwTaskId) -> (HwTaskStatus, u8) {
+        let args = HypercallArgs::new(Hypercall::HwTaskRequest)
+            .a0(task.0 as u32)
+            .a1(hwiface_slot(0).raw() as u32)
+            .a2(HWDATA_BASE.raw() as u32);
+        let r = call(k, vm, args).expect("request granted");
+        (HwTaskStatus::from_u32(r & 0xFF).unwrap(), (r >> 8) as u8)
+    }
+
+    fn poll(k: &mut Kernel, vm: VmId) -> u32 {
+        call(k, vm, HypercallArgs::new(Hypercall::PcapPoll)).unwrap()
+    }
+
+    /// Let simulated time pass until the in-flight transfer has finished.
+    fn finish_transfer(k: &mut Kernel) {
+        for _ in 0..10_000 {
+            let st = k
+                .machine
+                .phys_read_u32(ctrl_reg(plregs::PCAP_STATUS))
+                .unwrap();
+            if st != pcap_status::BUSY {
+                return;
+            }
+            k.machine.charge(20_000);
+            k.machine.sync_devices();
+        }
+        panic!("PCAP transfer never finished");
+    }
+
+    fn queued_vms(k: &Kernel) -> Vec<VmId> {
+        let q = &k.state.hwmgr.pcap_queue;
+        q.iter().filter_map(|j| j.2.client()).collect()
+    }
+
+    fn invariants(k: &Kernel) {
+        k.check_recovery_invariants().unwrap();
+    }
+
+    #[test]
+    fn queued_clients_are_served_in_arrival_order() {
+        let (mut k, ids, vms) = pcap_kernel(3);
+        let (v1, v2, v3) = (vms[0], vms[1], vms[2]);
+        for (&vm, &task) in vms.iter().zip(&ids[6..9]) {
+            assert_eq!(request(&mut k, vm, task).0, HwTaskStatus::Reconfiguring);
+            invariants(&k);
+        }
+        assert_eq!(k.state.hwmgr.pcap_owner, Some(v1));
+        assert_eq!(queued_vms(&k), vec![v2, v3]);
+        // Queued VMs wait; only the owner holds `pcap_pending`.
+        assert_eq!((poll(&mut k, v2), poll(&mut k, v3)), (0, 0));
+        assert!(k.pd(v2).pcap_pending.is_none());
+        for (i, &vm) in vms.iter().enumerate() {
+            finish_transfer(&mut k);
+            // The channel passes on at the owner's DONE poll, not before.
+            for &later in &vms[i + 1..] {
+                assert_eq!(poll(&mut k, later), 0);
+            }
+            assert_eq!(poll(&mut k, vm), 1);
+            invariants(&k);
+            assert_eq!(k.state.hwmgr.pcap_owner, vms.get(i + 1).copied());
+        }
+        assert!(k.state.hwmgr.pcap_queue.is_empty());
+        assert_eq!(k.pl().pcap_transfers(), 3);
+    }
+
+    #[test]
+    fn a_queued_request_stamps_its_wait_apart_from_its_transfer() {
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let tracer = k.enable_tracing(4096);
+        request(&mut k, vms[0], ids[6]);
+        request(&mut k, vms[1], ids[7]);
+        finish_transfer(&mut k);
+        assert_eq!(poll(&mut k, vms[0]), 1);
+        let events = tracer.snapshot();
+        let req = events
+            .iter()
+            .find_map(|(_, ev)| match *ev {
+                TraceEvent::ReqSpan {
+                    req,
+                    vm,
+                    end: false,
+                } if vm == vms[1].0 => Some(req),
+                _ => None,
+            })
+            .expect("second request minted");
+        let stamps: Vec<(u64, u8)> = events
+            .iter()
+            .filter_map(|(t, ev)| match *ev {
+                TraceEvent::ReqStage { req: r, stage } if r == req && stage >= 5 => {
+                    Some((t.raw(), stage))
+                }
+                _ => None,
+            })
+            .collect();
+        let order: Vec<u8> = stamps.iter().map(|s| s.1).collect();
+        use req_stage::{PCAP_LAUNCH, PCAP_QUEUED};
+        assert_eq!(order, vec![5, 6, PCAP_QUEUED, PCAP_LAUNCH], "{stamps:?}");
+        // The launch waits out the first client's whole transfer (every
+        // bitstream is over 32 KB).
+        let wait = stamps[3].0 - stamps[2].0;
+        assert!(wait > pcap_transfer_cycles(32 << 10), "{stamps:?}");
+    }
+
+    #[test]
+    fn reclaiming_a_queued_region_sends_its_client_back_to_pick() {
+        let (mut k, ids, vms) = pcap_kernel(3);
+        let (v1, v2, v3) = (vms[0], vms[1], vms[2]);
+        // FFTs fit PRR0 and PRR1 only. v1 loads PRR0; v2 waits for PRR1.
+        let (_, p1) = request(&mut k, v1, ids[0]);
+        let (_, p2) = request(&mut k, v2, ids[1]);
+        assert_ne!(p1, p2);
+        finish_transfer(&mut k);
+        assert_eq!(poll(&mut k, v1), 1);
+        // v2's job now holds the channel; v3 reclaims v1's idle region and
+        // queues behind it.
+        assert_eq!(k.state.hwmgr.pcap_owner, Some(v2));
+        let (st, p3) = request(&mut k, v3, ids[2]);
+        assert_eq!((st, p3), (HwTaskStatus::Reconfiguring, p1));
+        assert_eq!(queued_vms(&k), vec![v3]);
+        assert_eq!(poll(&mut k, v3), 0);
+        // v1 takes the region back before v3's load ever started, asking
+        // for the task v3 queued: it was never loaded, so v1 reconfigures.
+        let (st, p) = request(&mut k, v1, ids[2]);
+        assert_eq!((st, p), (HwTaskStatus::Reconfiguring, p1));
+        assert_eq!(queued_vms(&k), vec![v1]);
+        invariants(&k);
+        // The victim stops waiting and finds its dispatch inconsistent.
+        assert_eq!(poll(&mut k, v3), 1);
+        let ds = k.pd(v3).data_section.unwrap();
+        let flag = k.machine.phys_read_u32(ds.pa + data_section::STATE_FLAG);
+        assert_eq!(flag.ok(), Some(HwTaskState::Inconsistent as u32));
+    }
+
+    #[test]
+    fn killing_a_queued_vm_or_the_owner_passes_the_channel_on() {
+        let (mut k, ids, vms) = pcap_kernel(3);
+        let (v1, v2, v3) = (vms[0], vms[1], vms[2]);
+        for (&vm, &task) in vms.iter().zip(&ids[6..9]) {
+            request(&mut k, vm, task);
+        }
+        k.destroy_vm(v2);
+        invariants(&k);
+        assert_eq!(queued_vms(&k), vec![v3]);
+        assert_eq!(k.state.hwmgr.pcap_owner, Some(v1));
+        k.destroy_vm(v1);
+        invariants(&k);
+        assert_eq!(k.state.hwmgr.pcap_owner, Some(v3));
+        assert!(k.pd(v3).pcap_pending.is_some());
+        finish_transfer(&mut k);
+        assert_eq!(poll(&mut k, v3), 1);
+        invariants(&k);
+    }
+
+    #[test]
+    fn a_displaced_pcap_owner_breaks_the_invariant() {
+        // The state stage 5 used to leave behind: a second client's job
+        // replaced the first's and took `pcap_owner`, while the first VM
+        // still waited on a transfer no poll could ever complete.
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let (v1, v2) = (vms[0], vms[1]);
+        request(&mut k, v1, ids[6]);
+        invariants(&k);
+        let mgr = &mut k.state.hwmgr;
+        let job = mgr.pcap_job.as_mut().unwrap();
+        let PcapJobKind::Client { attempts, req, .. } = job.kind else {
+            panic!("client job expected");
+        };
+        job.kind = PcapJobKind::Client {
+            vm: v2,
+            attempts,
+            req,
+        };
+        mgr.pcap_owner = Some(v2);
+        k.state.pds.get_mut(&v2).unwrap().pcap_pending = Some(ids[7]);
+        let err = k.check_recovery_invariants().unwrap_err();
+        assert!(err.contains(&format!("vm{} pcap_pending", v1.0)), "{err}");
     }
 
     #[test]

@@ -541,14 +541,9 @@ impl Kernel {
         // completion can never be delivered.
         hwmgr.forget_vm_reqs(self.machine.now(), &sinks, vm);
         // An in-flight reconfiguration owned by the dead VM would otherwise
-        // linger (nobody left to poll it): drop the ownership so the next
-        // request can relaunch cleanly.
-        if self.state.hwmgr.pcap_owner == Some(vm) {
-            self.state.hwmgr.pcap_owner = None;
-        }
-        if self.state.hwmgr.pcap_job.and_then(|j| j.client()) == Some(vm) {
-            self.state.hwmgr.pcap_job = None;
-        }
+        // hold the channel (nobody left to poll it): drop it and its queued
+        // jobs, and pass the channel to the next waiting client.
+        hwmgr.forget_vm_pcap(&mut self.machine, pds, &sinks, vm);
         if let Some(pd) = self.state.pds.remove(&vm) {
             self.state.asids.free(pd.asid);
         }

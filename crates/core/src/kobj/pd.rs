@@ -103,7 +103,9 @@ pub struct Pd {
     /// Hardware-task interfaces currently mapped into this VM:
     /// task id → (interface VA, PRR id).
     pub iface_maps: BTreeMap<HwTaskId, (VirtAddr, u8)>,
-    /// A PCAP reconfiguration this VM is waiting on (task id).
+    /// The in-flight PCAP reconfiguration this VM owns (task id). Set when
+    /// its job launches, cleared when the job completes or is given up; a
+    /// job still queued for the channel leaves it `None`.
     pub pcap_pending: Option<HwTaskId>,
     /// Inter-VM message queue (bounded).
     pub ipc_queue: VecDeque<IpcMsg>,

@@ -313,7 +313,8 @@ const STAGING_REGS: [usize; 5] = [
 impl HwMgr {
     /// One supervision pass over the fabric, run at the tail of the
     /// manager's watchdog: poll the in-flight kernel transfer, and when the
-    /// PCAP channel is free launch the next scrub or re-promotion load.
+    /// PCAP channel is free launch the next queued client job, or else the
+    /// next scrub or re-promotion load.
     pub fn fabric_tick(
         &mut self,
         m: &mut Machine,
@@ -321,8 +322,9 @@ impl HwMgr {
         pt: &mut PtAlloc,
         sinks: &mut Sinks<'_>,
     ) {
+        self.reap_finished(m, pds, sinks);
         self.poll_kernel_job(m, pds, pt, sinks);
-        if self.pcap_job.is_none() {
+        if self.pcap_job.is_none() && !self.launch_queued(m, pds, sinks) {
             self.launch_next_kernel_job(m, pds);
         }
     }
@@ -716,7 +718,10 @@ impl HwMgr {
                     })
                     .flatten();
                 if let Some(target) = target {
-                    if self.pcap_job.is_none() && self.prr_status(m, target) != prr_status::BUSY {
+                    if self.pcap_job.is_none()
+                        && self.pcap_queue.is_empty()
+                        && self.prr_status(m, target) != prr_status::BUSY
+                    {
                         let kind = PcapJobKind::Relocate { vm, from: prr };
                         self.launch_pcap(m, task, target, kind);
                         if let Some((_, Some(l))) = self.prrs.watch_slot(prr) {
@@ -880,8 +885,10 @@ impl HwMgr {
 impl HwMgr {
     /// Structural invariants that must hold at any quiescent point (no VM
     /// mid-hypercall): no fabric resource may reference a missing VM, a
-    /// PCAP owner's client job must be in the channel, and shadow-pool
-    /// accounting must balance.
+    /// PCAP owner's client job must be in the channel, exactly the owner
+    /// waits on a transfer, every queued job belongs to its region's
+    /// client (once per VM, never the owner's), and shadow-pool accounting
+    /// must balance.
     pub fn check_invariants(&self, pds: &BTreeMap<VmId, Pd>) -> Result<(), String> {
         for (i, s) in self.shadows.iter().enumerate() {
             if !pds.contains_key(&s.vm) {
@@ -917,6 +924,41 @@ impl HwMgr {
             }
             if self.pcap_job.and_then(|j| j.client()) != Some(vm) {
                 return Err(format!("pcap owner vm{} has no client job", vm.0));
+            }
+        }
+        for (vm, pd) in pds {
+            if pd.pcap_pending.is_some() != (self.pcap_owner == Some(*vm)) {
+                return Err(format!(
+                    "vm{} pcap_pending {:?} but pcap owner {:?}",
+                    vm.0,
+                    pd.pcap_pending.map(|t| t.0),
+                    self.pcap_owner.map(|v| v.0)
+                ));
+            }
+        }
+        for (i, &(task, prr, kind)) in self.pcap_queue.iter().enumerate() {
+            let Some(vm) = kind.client() else {
+                return Err(format!("pcap queue slot {i} holds a kernel load"));
+            };
+            if !pds.contains_key(&vm) {
+                return Err(format!("pcap queue slot {i} leaked to dead vm{}", vm.0));
+            }
+            if self.pcap_owner == Some(vm) {
+                return Err(format!("vm{} is both pcap owner and queued", vm.0));
+            }
+            let mut later = self.pcap_queue.iter().skip(i + 1);
+            if later.any(|q| q.2.client() == Some(vm)) {
+                return Err(format!("vm{} is queued twice for the pcap", vm.0));
+            }
+            let e = self.prrs.entry(prr);
+            if e.client != Some(vm) || e.task != Some(task) {
+                return Err(format!(
+                    "queued job vm{} task{} names prr{prr}, whose entry is {:?}/{:?}",
+                    vm.0,
+                    task.0,
+                    e.client.map(|v| v.0),
+                    e.task.map(|t| t.0)
+                ));
             }
         }
         let live = self.shadow_pages_live();

@@ -17,17 +17,61 @@ pub const BITSTREAM_MAGIC: u32 = 0x4D4E_5642; // "MNVB"
 /// header checksum).
 pub const HEADER_LEN: usize = 24;
 
-/// Bitwise CRC-32 (IEEE 802.3 polynomial, reflected). Table-free: the
-/// payloads are hundreds of KB at most and verification happens once per
-/// PCAP transfer, so simplicity wins over a lookup table.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time. `CRC_TABLES[0][b]` is
+/// the CRC register after shifting byte `b` through it; each further table
+/// shifts one more zero byte, so `CRC_TABLES[k][b]` is byte `b`'s
+/// contribution from `k` bytes further back in an 8-byte word.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step over
+/// `CRC_TABLES`. Every PCAP transfer verifies a payload of up to 750 KB
+/// with it, and every guest's reconfiguration is one transfer, so it runs
+/// on the simulator's hot path under multi-guest load.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -225,6 +269,50 @@ pub fn paper_task_set() -> Vec<CoreKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bitwise CRC-32, one bit per step: the reference [`crc32`] must
+    /// equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bitwise_reference() {
+        // Every length through eight full words plus each remainder.
+        let data: Vec<u8> = (0..64u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+        // Random buffers at unaligned offsets and odd lengths.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..4096).map(|_| next() as u8).collect();
+        for _ in 0..200 {
+            let off = (next() % 64) as usize;
+            let len = (next() % 4000) as usize;
+            let s = &buf[off..off + len];
+            assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} len {len}");
+        }
+    }
 
     #[test]
     fn core_kind_encoding_round_trips() {

@@ -253,8 +253,12 @@ pub mod req_stage {
     pub const PCAP_RETRY: u8 = 11;
     /// The PCAP transfer completed and the region is configured.
     pub const PCAP_DONE: u8 = 12;
-    /// The PCAP transfer was aborted (retries exhausted or watchdog).
+    /// The PCAP transfer was aborted (retries exhausted, watchdog, or the
+    /// region was reclaimed before the load finished).
     pub const PCAP_ABORT: u8 = 13;
+    /// The request's PCAP job waits behind another client's transfer; its
+    /// `pcap:launch` stamp follows when the channel frees.
+    pub const PCAP_QUEUED: u8 = 14;
     /// Escalation ladder rung 1: restart in place.
     pub const LADDER_RETRY: u8 = 20;
     /// Escalation ladder rung 2: relocate to a compatible region.
@@ -298,6 +302,7 @@ pub fn req_stage_name(stage: u8) -> &'static str {
         req_stage::PCAP_RETRY => "pcap:retry",
         req_stage::PCAP_DONE => "pcap:done",
         req_stage::PCAP_ABORT => "pcap:abort",
+        req_stage::PCAP_QUEUED => "pcap:queued",
         req_stage::LADDER_RETRY => "ladder:retry",
         req_stage::LADDER_RELOCATE => "ladder:relocate",
         req_stage::LADDER_FALLBACK => "ladder:fallback",

@@ -5,6 +5,9 @@
 use mini_nova::hypercall::hypercall;
 use mini_nova_repro::prelude::*;
 use mnv_hal::abi::{data_section, HcError};
+use mnv_ucos::tasks::THwStats;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Issue a hypercall from `vm` as if it trapped from that guest.
 fn hc(k: &mut Kernel, vm: VmId, args: HypercallArgs) -> Result<u32, HcError> {
@@ -286,4 +289,76 @@ fn manager_phases_are_measured_for_every_request() {
         h.exec.mean_cycles() > h.entry.mean_cycles(),
         "execution dominates"
     );
+}
+
+/// Forwards to a [`THwTask`] and publishes its statistics after every step,
+/// so the test can read them while the task lives inside its guest.
+struct ThwProbe {
+    inner: THwTask,
+    out: Rc<Cell<THwStats>>,
+}
+
+impl GuestTask for ThwProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskAction {
+        let action = self.inner.step(ctx);
+        self.out.set(self.inner.stats);
+        action
+    }
+}
+
+#[test]
+fn every_requester_is_served_with_four_guests() {
+    // §V-B's setup: four guests, each running T_hw + GSM + ADPCM over the
+    // paper task set, 4 ms quantum. Every stage-5 launch used to take the
+    // one PCAP slot from the client before it, which then polled forever;
+    // with the channel's FIFO every requester keeps completing runs.
+    const GUESTS: u64 = 4;
+    for seed in [11u64, 227] {
+        let mut k = Kernel::new(KernelConfig {
+            quantum: Cycles::from_millis(4.0),
+            ..Default::default()
+        });
+        let ids = k.register_paper_task_set();
+        let probes: Vec<Rc<Cell<THwStats>>> = (0..GUESTS)
+            .map(|i| {
+                let guest_seed = seed + i * 7919;
+                let out = Rc::new(Cell::new(THwStats::default()));
+                let mut os = Ucos::new(UcosConfig::default());
+                let inner = THwTask::new(ids.clone(), guest_seed);
+                let probe = ThwProbe {
+                    inner,
+                    out: out.clone(),
+                };
+                os.task_create(8, Box::new(probe));
+                os.task_create(12, Box::new(GsmTask::new(guest_seed, 1)));
+                os.task_create(20, Box::new(AdpcmTask::new(guest_seed + 99)));
+                k.create_vm(VmSpec {
+                    name: "guest",
+                    priority: Priority::GUEST,
+                    guest: GuestKind::Ucos(Box::new(os)),
+                });
+                out
+            })
+            .collect();
+        k.run(Cycles::from_millis(40.0 * GUESTS as f64)); // warm-up
+        let mut last: Vec<u64> = probes.iter().map(|p| p.get().completions).collect();
+        for slice in 0..4 {
+            k.run(Cycles::from_millis(100.0));
+            k.check_recovery_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed} slice {slice}: {e}"));
+            let now: Vec<u64> = probes.iter().map(|p| p.get().completions).collect();
+            for (g, (a, b)) in last.iter().zip(&now).enumerate() {
+                assert!(
+                    b > a,
+                    "seed {seed} slice {slice}: guest {g} completed nothing \
+                     ({a} -> {b}; all guests {last:?} -> {now:?})"
+                );
+            }
+            last = now;
+        }
+    }
 }
