@@ -62,8 +62,8 @@ pub(crate) const SHADOW_LINE_KEY: u8 = 0x80;
 pub enum PcapJobKind {
     /// A guest's stage-5 reconfiguration: it raises PCAP_DONE, completes
     /// through the client's poll and is relaunched when it fails. It waits
-    /// in [`HwMgr::pcap_queue`] while another client's transfer holds the
-    /// channel.
+    /// in [`HwMgr::pcap_queue`] as a [`QueuedPcap`] while another client's
+    /// transfer holds the channel.
     Client {
         /// VM waiting on the reconfiguration.
         vm: VmId,
@@ -137,6 +137,21 @@ impl PcapJob {
     }
 }
 
+/// A client reconfiguration waiting in [`HwMgr::pcap_queue`] for the
+/// channel. It launches as a [`PcapJobKind::Client`] job with no attempts
+/// made.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueuedPcap {
+    /// The task whose bitstream will be loaded.
+    pub task: HwTaskId,
+    /// Target region.
+    pub prr: u8,
+    /// The client that will wait on the transfer.
+    pub vm: VmId,
+    /// The request the reconfiguration belongs to.
+    pub req: ReqTag,
+}
+
 /// A software-fallback dispatch: the client's interface VA is backed by a
 /// kernel-owned RAM page (the "shadow register group") which the kernel
 /// services in software instead of fabric.
@@ -184,11 +199,10 @@ pub struct HwMgr {
     pub pcap_owner: Option<VmId>,
     /// The PCAP channel's one in-flight transfer, client or kernel.
     pub pcap_job: Option<PcapJob>,
-    /// Client reconfigurations waiting for the channel, oldest first:
-    /// (task, target region, `Client` job). The head launches as soon as
-    /// the channel frees, ahead of any kernel load. A queued VM's poll
-    /// reads 0.
-    pub pcap_queue: VecDeque<(HwTaskId, u8, PcapJobKind)>,
+    /// Client reconfigurations waiting for the channel, oldest first. The
+    /// head launches as soon as the channel frees, ahead of any kernel
+    /// load. A queued VM's poll reads 0.
+    pub pcap_queue: VecDeque<QueuedPcap>,
     /// Active software-fallback dispatches.
     pub shadows: Vec<SwShadow>,
     /// Bump cursor into the shadow-page pool.
@@ -490,7 +504,7 @@ impl HwMgr {
         };
         let Some(old_vm) = old_vm else { return };
         sinks.count(Counter::Reclaim);
-        self.drop_client_job(m, pds, sinks, old_vm, Some(prr));
+        self.drop_client_job(m, pds, sinks, old_vm, Some(prr), false);
 
         // Save the 16 interface registers (charged MMIO reads).
         let page = Pl::prr_page(prr);
@@ -777,17 +791,17 @@ impl HwMgr {
             sinks.count(Counter::Reconfig);
             // A VM waits on one reconfiguration at a time: this request
             // supersedes any older one of the caller's.
-            self.drop_client_job(m, pds, sinks, caller, None);
+            self.drop_client_job(m, pds, sinks, caller, None, false);
             // Client reconfigurations queue behind each other in arrival
             // order and pre-empt background scrub/relocation loads.
-            let kind = PcapJobKind::Client {
-                vm: caller,
-                attempts: 0,
-                req,
-            };
             let wait =
                 self.pcap_job.is_some_and(|j| j.client().is_some()) || !self.pcap_queue.is_empty();
-            self.pcap_queue.push_back((task, prr, kind));
+            self.pcap_queue.push_back(QueuedPcap {
+                task,
+                prr,
+                vm: caller,
+                req,
+            });
             self.launch_queued(m, pds, sinks);
             // Stage 6: return immediately with the reconfig flag — the
             // manager "does not check the completion of the PCAP transfer".
@@ -1439,7 +1453,7 @@ impl HwMgr {
         caller: VmId,
     ) -> Result<u32, HcError> {
         let pending = pds.get(&caller).ok_or(HcError::BadArg)?.pcap_pending;
-        if self.pcap_queue.iter().any(|q| q.2.client() == Some(caller)) {
+        if self.pcap_queue.iter().any(|q| q.vm == caller) {
             // The owner may be descheduled with its transfer long done:
             // a waiting client's poll passes the channel on.
             self.reap_finished(m, pds, sinks);
@@ -1564,17 +1578,20 @@ impl HwMgr {
         if self.pcap_job.is_some_and(|j| j.client().is_some()) {
             return false;
         }
-        let Some((task, prr, kind)) = self.pcap_queue.pop_front() else {
+        let Some(QueuedPcap { task, prr, vm, req }) = self.pcap_queue.pop_front() else {
             return false;
         };
         self.cancel_kernel_job(m);
+        let kind = PcapJobKind::Client {
+            vm,
+            attempts: 0,
+            req,
+        };
         self.launch_pcap(m, task, prr, kind);
-        if let PcapJobKind::Client { vm, req, .. } = kind {
-            self.pcap_owner = Some(vm);
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_LAUNCH);
-            if let Some(pd) = pds.get_mut(&vm) {
-                pd.pcap_pending = Some(task);
-            }
+        self.pcap_owner = Some(vm);
+        sinks.req_stamp(m.now(), req, req_stage::PCAP_LAUNCH);
+        if let Some(pd) = pds.get_mut(&vm) {
+            pd.pcap_pending = Some(task);
         }
         true
     }
@@ -1583,10 +1600,10 @@ impl HwMgr {
     /// regions.
     fn take_queued(&mut self, hit: impl Fn(VmId, u8) -> bool) -> Vec<u8> {
         let mut taken = Vec::new();
-        self.pcap_queue.retain(|&(_, prr, kind)| {
-            let drop = kind.client().is_some_and(|vm| hit(vm, prr));
+        self.pcap_queue.retain(|q| {
+            let drop = hit(q.vm, q.prr);
             if drop {
-                taken.push(prr);
+                taken.push(q.prr);
             }
             !drop
         });
@@ -1594,10 +1611,13 @@ impl HwMgr {
     }
 
     /// Drop `vm`'s client reconfiguration into `prr` (into any region when
-    /// `None`): a queued job leaves the FIFO; an in-flight one is aborted
-    /// and `vm` stops waiting on it. The region's task entry is cleared,
-    /// since its bitstream never finished loading. The next queued job is
-    /// left for the caller to launch.
+    /// `None`): a queued job leaves the FIFO, and `vm` stops waiting on an
+    /// in-flight one, which is aborted. Either way the region's task entry
+    /// is cleared, since its bitstream never finished loading. A dead VM's
+    /// transfer (`dead`) is aborted only when another client waits for the
+    /// channel: otherwise it runs to completion unattended and the region
+    /// keeps the task it loads. The next queued job is left for the caller
+    /// to launch.
     fn drop_client_job(
         &mut self,
         m: &mut Machine,
@@ -1605,6 +1625,7 @@ impl HwMgr {
         sinks: &Sinks<'_>,
         vm: VmId,
         prr: Option<u8>,
+        dead: bool,
     ) {
         let hit = |v: VmId, p: u8| v == vm && prr.is_none_or(|x| x == p);
         for p in self.take_queued(hit) {
@@ -1616,21 +1637,23 @@ impl HwMgr {
         else {
             return;
         };
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-        if let PcapJobKind::Client { req, .. } = job.kind {
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
-        }
         self.pcap_job = None;
         self.pcap_owner = None;
         if let Some(pd) = pds.get_mut(&vm) {
             pd.pcap_pending = None;
         }
+        if dead && self.pcap_queue.is_empty() {
+            return;
+        }
+        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+        if let PcapJobKind::Client { req, .. } = job.kind {
+            sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+        }
         self.prrs.entry_mut(m, job.prr).task = None;
     }
 
-    /// VM teardown: remove `vm`'s queued jobs and give up its in-flight
-    /// one, then hand the channel to the next queued client. The dead VM's
-    /// transfer is aborted only when a client is waiting for the channel.
+    /// VM teardown: drop `vm`'s queued and in-flight client jobs, then hand
+    /// the channel to the next queued client.
     pub(crate) fn forget_vm_pcap(
         &mut self,
         m: &mut Machine,
@@ -1638,16 +1661,7 @@ impl HwMgr {
         sinks: &Sinks<'_>,
         vm: VmId,
     ) {
-        self.take_queued(|v, _| v == vm);
-        if self.pcap_owner == Some(vm) {
-            self.pcap_owner = None;
-        }
-        if self.pcap_job.and_then(|j| j.client()) == Some(vm) {
-            self.pcap_job = None;
-            if !self.pcap_queue.is_empty() {
-                let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-            }
-        }
+        self.drop_client_job(m, pds, sinks, vm, None, true);
         self.launch_queued(m, pds, sinks);
     }
 
@@ -1776,8 +1790,7 @@ mod tests {
     }
 
     fn queued_vms(k: &Kernel) -> Vec<VmId> {
-        let q = &k.state.hwmgr.pcap_queue;
-        q.iter().filter_map(|j| j.2.client()).collect()
+        k.state.hwmgr.pcap_queue.iter().map(|q| q.vm).collect()
     }
 
     fn invariants(k: &Kernel) {
@@ -1890,13 +1903,35 @@ mod tests {
         invariants(&k);
         assert_eq!(queued_vms(&k), vec![v3]);
         assert_eq!(k.state.hwmgr.pcap_owner, Some(v1));
+        let p1 = k.state.hwmgr.pcap_job.unwrap().prr;
         k.destroy_vm(v1);
         invariants(&k);
         assert_eq!(k.state.hwmgr.pcap_owner, Some(v3));
         assert!(k.pd(v3).pcap_pending.is_some());
+        // v1's load was aborted for v3's: its region must not claim the
+        // task, or the next request for it would skip the reconfiguration.
+        assert_eq!(k.state.hwmgr.prrs.entry(p1).task, None);
         finish_transfer(&mut k);
         assert_eq!(poll(&mut k, v3), 1);
         invariants(&k);
+        let (st, _) = request(&mut k, v3, ids[6]);
+        assert_eq!(st, HwTaskStatus::Reconfiguring);
+    }
+
+    #[test]
+    fn a_killed_sole_client_leaves_its_load_running() {
+        // With nobody waiting for the channel, the dead VM's transfer runs
+        // to completion unattended and its region keeps the task.
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let (_, p) = request(&mut k, vms[0], ids[6]);
+        k.destroy_vm(vms[0]);
+        invariants(&k);
+        assert!(k.state.hwmgr.pcap_job.is_none());
+        assert_eq!(k.state.hwmgr.prrs.entry(p).task, Some(ids[6]));
+        finish_transfer(&mut k);
+        assert_eq!(k.pl().pcap_transfers(), 1);
+        let (st, q) = request(&mut k, vms[1], ids[6]);
+        assert_eq!((st, q), (HwTaskStatus::Success, p));
     }
 
     #[test]

@@ -40,7 +40,9 @@ use mnv_trace::event::req_stage;
 use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
-use crate::hwmgr::service::{ctrl_reg, PcapJob, PcapJobKind, SwShadow, SHADOW_LINE_KEY};
+use crate::hwmgr::service::{
+    ctrl_reg, PcapJob, PcapJobKind, QueuedPcap, SwShadow, SHADOW_LINE_KEY,
+};
 use crate::hwmgr::tables::{Ladder, PrrService};
 use crate::hwmgr::HwMgr;
 use crate::kernel::GuestKind;
@@ -936,10 +938,7 @@ impl HwMgr {
                 ));
             }
         }
-        for (i, &(task, prr, kind)) in self.pcap_queue.iter().enumerate() {
-            let Some(vm) = kind.client() else {
-                return Err(format!("pcap queue slot {i} holds a kernel load"));
-            };
+        for (i, &QueuedPcap { task, prr, vm, .. }) in self.pcap_queue.iter().enumerate() {
             if !pds.contains_key(&vm) {
                 return Err(format!("pcap queue slot {i} leaked to dead vm{}", vm.0));
             }
@@ -947,7 +946,7 @@ impl HwMgr {
                 return Err(format!("vm{} is both pcap owner and queued", vm.0));
             }
             let mut later = self.pcap_queue.iter().skip(i + 1);
-            if later.any(|q| q.2.client() == Some(vm)) {
+            if later.any(|q| q.vm == vm) {
                 return Err(format!("vm{} is queued twice for the pcap", vm.0));
             }
             let e = self.prrs.entry(prr);

@@ -132,9 +132,6 @@ struct PcapEngine {
     stalled: bool,
     /// Transfers completed (diagnostics / reconfiguration counting).
     transfers: u64,
-    /// The last payload streamed out of DDR; kept so each transfer reuses
-    /// the allocation.
-    payload: Vec<u8>,
 }
 
 /// The programmable logic peripheral.
@@ -175,7 +172,6 @@ impl Pl {
                 remaining: 0,
                 stalled: false,
                 transfers: 0,
-                payload: Vec::new(),
             },
             routes: vec![None; n],
             sel: 0,
@@ -300,21 +296,19 @@ impl Pl {
         );
     }
 
-    /// Stream the payload out of DDR into the engine's payload buffer,
-    /// applying any injected transfer corruption. `Err(())` means the
-    /// length field or source address do not describe readable memory.
-    fn fetch_payload(&mut self, bs: &Bitstream, ctx: &mut PeriphCtx<'_>) -> Result<(), ()> {
+    /// Stream the payload out of DDR, applying any injected transfer
+    /// corruption. `Err(())` means the length field or source address do
+    /// not describe readable memory.
+    fn fetch_payload(&mut self, bs: &Bitstream, ctx: &mut PeriphCtx<'_>) -> Result<Vec<u8>, ()> {
         let plen = bs.payload_len as usize;
         if crate::bitstream::HEADER_LEN + plen > self.pcap.len as usize {
             return Err(()); // length field exceeds the programmed transfer
         }
-        // Every byte is overwritten by the read below.
-        let payload = &mut self.pcap.payload;
-        payload.resize(plen, 0);
+        let mut payload = vec![0u8; plen];
         ctx.mem
             .read(
                 PhysAddr::new(self.pcap.src as u64 + crate::bitstream::HEADER_LEN as u64),
-                payload,
+                &mut payload,
             )
             .map_err(|_| ())?;
         if plen > 0
@@ -324,7 +318,7 @@ impl Pl {
         {
             let byte = self.fault.pick(FaultSite::PcapCorrupt, plen as u64) as usize;
             let bit = self.fault.pick(FaultSite::PcapCorrupt, 8) as u32;
-            self.pcap.payload[byte] ^= 1u8 << bit;
+            payload[byte] ^= 1u8 << bit;
             ctx.log.push(ctx.now, SimEvent::Marker("pcap-corrupt"));
             ctx.tracer.emit(
                 ctx.now,
@@ -333,7 +327,7 @@ impl Pl {
                 },
             );
         }
-        Ok(())
+        Ok(payload)
     }
 
     fn finish_pcap(&mut self, ctx: &mut PeriphCtx<'_>) {
@@ -374,7 +368,7 @@ impl Pl {
                 self.pcap.err = pcap_err::TOO_LARGE;
             }
             Ok(bs) => match self.fetch_payload(&bs, ctx) {
-                Ok(()) if bs.verify_payload(&self.pcap.payload) => {
+                Ok(payload) if bs.verify_payload(&payload) => {
                     self.prrs[target as usize].load_core(make_core(bs.core));
                     self.pcap.status = pcap_status::DONE;
                     self.pcap.transfers += 1;
