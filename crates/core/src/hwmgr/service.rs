@@ -60,8 +60,9 @@ pub(crate) const SHADOW_LINE_KEY: u8 = 0x80;
 /// What a PCAP transfer is for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PcapJobKind {
-    /// A guest's stage-5 reconfiguration: it raises PCAP_DONE, completes
-    /// through the client's poll and is relaunched when it fails. It waits
+    /// A guest's stage-5 reconfiguration: it raises PCAP_DONE and is
+    /// settled by a waiting client's poll or the fabric tick, which
+    /// relaunch it when it fails. It waits
     /// in [`HwMgr::pcap_queue`] as a [`QueuedPcap`] while another client's
     /// transfer holds the channel.
     Client {
@@ -90,17 +91,6 @@ pub enum PcapJobKind {
         /// The hung region it is leaving.
         from: u8,
     },
-}
-
-impl PcapJobKind {
-    /// The VM waiting on the transfer when it is a client
-    /// reconfiguration; `None` for a kernel load.
-    pub fn client(self) -> Option<VmId> {
-        match self {
-            PcapJobKind::Client { vm, .. } => Some(vm),
-            _ => None,
-        }
-    }
 }
 
 /// The PCAP engine's one in-flight transfer: a client reconfiguration or
@@ -133,7 +123,10 @@ impl PcapJob {
     /// The VM waiting on the transfer when it is a client
     /// reconfiguration; `None` for a kernel load.
     pub fn client(&self) -> Option<VmId> {
-        self.kind.client()
+        match self.kind {
+            PcapJobKind::Client { vm, .. } => Some(vm),
+            _ => None,
+        }
     }
 }
 
@@ -504,7 +497,7 @@ impl HwMgr {
         };
         let Some(old_vm) = old_vm else { return };
         sinks.count(Counter::Reclaim);
-        self.drop_client_job(m, pds, sinks, old_vm, Some(prr), false);
+        self.drop_jobs(m, pds, sinks, |vm, p| vm == old_vm && p == prr);
 
         // Save the 16 interface registers (charged MMIO reads).
         let page = Pl::prr_page(prr);
@@ -791,7 +784,7 @@ impl HwMgr {
             sinks.count(Counter::Reconfig);
             // A VM waits on one reconfiguration at a time: this request
             // supersedes any older one of the caller's.
-            self.drop_client_job(m, pds, sinks, caller, None, false);
+            self.drop_jobs(m, pds, sinks, |vm, _| vm == caller);
             // Client reconfigurations queue behind each other in arrival
             // order and pre-empt background scrub/relocation loads.
             let wait =
@@ -884,14 +877,13 @@ impl HwMgr {
         let Some(prr) = self.prrs.find_dispatch(caller, task) else {
             return self.release_shadow(m, pds, sinks, caller, task);
         };
+        // A reconfiguration of the region still queued or loading is void
+        // now; it is aborted before the request closes.
+        self.drop_jobs(m, pds, sinks, |vm, p| vm == caller && p == prr);
         // A release closes whatever request was still waiting on the
         // dispatch — its completion will never be attributed.
         let old = self.prrs.req_slot(prr).take();
         sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
-        // A reconfiguration still waiting for the channel is void now.
-        for p in self.take_queued(|vm, p| vm == caller && p == prr) {
-            self.prrs.entry_mut(m, p).task = None;
-        }
         // A quarantined region's client was migrated to a shadow page;
         // dropping the dispatch drops the shadow too (and frees its page
         // and parked completion line).
@@ -899,19 +891,44 @@ impl HwMgr {
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         self.unmap_iface(m, pd, task);
+        self.free_region(m, Some(pd), prr);
+        Ok(0)
+    }
+
+    /// Free `prr` from its client: revoke the completion line and clear
+    /// the hwMMU window (nothing may DMA on behalf of a released task).
+    fn free_region(&mut self, m: &mut Machine, pd: Option<&mut Pd>, prr: u8) {
         if let Some(line) = self.irqs.free_prr(prr) {
             let _ = m.phys_write_u32(ctrl_reg(plregs::IRQ_ROUTE), ((prr as u32) << 8) | 0xFF);
-            pd.vgic.remove(line);
+            if let Some(pd) = pd {
+                pd.vgic.remove(line);
+            }
             m.gic.disable(line);
         }
-        // Clear the hwMMU window: nothing may DMA on behalf of a released
-        // task.
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
         let e = self.prrs.entry_mut(m, prr);
         e.client = None;
         e.iface_va = None;
-        Ok(0)
+    }
+
+    /// VM teardown, after its tasks were released: drop its remaining
+    /// reconfigurations and free the regions it still holds. A superseded
+    /// load leaves its region held with no task, which no release by task
+    /// reaches.
+    pub(crate) fn forget_vm_fabric(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+        vm: VmId,
+    ) {
+        self.drop_jobs(m, pds, sinks, |v, _| v == vm);
+        for prr in 0..self.prrs.len() as u8 {
+            if self.prrs.entry(prr).client == Some(vm) {
+                self.free_region(m, pds.get_mut(&vm), prr);
+            }
+        }
     }
 
     /// Tear down the shadow dispatch of (`vm`, `task`), if one exists:
@@ -1032,18 +1049,16 @@ impl HwMgr {
     /// Called from the kernel's main loop between scheduling slices; the
     /// kernel has the CPU, so everything here is charged kernel time.
     ///
-    /// Five duties:
-    /// 1. abort a PCAP transfer that has been BUSY past its deadline (the
-    ///    guest's next PcapPoll then takes the retry path);
-    /// 2. escalate a region whose STATUS has been BUSY for longer than
+    /// Four duties:
+    /// 1. escalate a region whose STATUS has been BUSY for longer than
     ///    [`HwMgr::watchdog_timeout`] onto the hardware-task escalation
     ///    ladder (retry → relocate → software fallback → error), and
     ///    advance any open ladder past its rung deadline;
-    /// 3. serve start requests the guests wrote into shadow pages
+    /// 2. serve start requests the guests wrote into shadow pages
     ///    (transplanting promoted ones back onto fabric);
-    /// 4. drive the supervisor's background fabric work (scrubs,
-    ///    re-promotion and relocation loads);
-    /// 5. service shared-ring batches whose owners are descheduled (see
+    /// 3. settle the PCAP channel and drive the supervisor's background
+    ///    fabric work (scrubs, re-promotion and relocation loads);
+    /// 4. service shared-ring batches whose owners are descheduled (see
     ///    [`super::ring`]).
     pub fn watchdog(
         &mut self,
@@ -1054,19 +1069,7 @@ impl HwMgr {
     ) {
         let now = m.now().raw();
 
-        // 1. PCAP stall abort of a client transfer (step 4 polls kernel loads).
-        if let Some(job) = self.pcap_job {
-            if let PcapJobKind::Client { vm, req, .. } = job.kind {
-                let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
-                if status == pcap_status::BUSY && now > job.stall_deadline() {
-                    let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                    sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
-                    sinks.dump(m, pds, Some(vm), "pcap-watchdog-abort");
-                }
-            }
-        }
-
-        // 2. Hang detection and ladder advancement.
+        // 1. Hang detection and ladder advancement.
         for prr in 0..self.prrs.len() as u8 {
             if !self.prrs.entry(prr).in_service() {
                 continue;
@@ -1098,13 +1101,13 @@ impl HwMgr {
             }
         }
 
-        // 3. Shadow service.
+        // 2. Shadow service.
         self.serve_shadows(m, pds, pt, sinks);
 
-        // 4. Background fabric maintenance.
+        // 3. The PCAP channel and background fabric maintenance.
         self.fabric_tick(m, pds, pt, sinks);
 
-        // 5. Ring service: drive shared-ring batches whose owners are
+        // 4. Ring service: drive shared-ring batches whose owners are
         //    descheduled or idle (a running owner's poll path drives its
         //    own rings between these passes).
         self.ring_tick(m, pds, pt, sinks, None);
@@ -1216,16 +1219,13 @@ impl HwMgr {
     pub(crate) fn take_out_of_service(
         &mut self,
         m: &mut Machine,
-        pds: &BTreeMap<VmId, Pd>,
+        pds: &mut BTreeMap<VmId, Pd>,
         sinks: &mut Sinks<'_>,
         prr: u8,
         detach: bool,
     ) {
         let vm = self.prrs.entry(prr).client;
         sinks.note_dump(m, pds, vm, TraceEvent::PrrQuarantine { prr });
-        // A queued load into a retired region would never be served; its
-        // client stops waiting and follows the region's migration.
-        self.take_queued(|_, p| p == prr);
         let e = self.prrs.entry_mut(m, prr);
         e.quarantine();
         if detach {
@@ -1235,6 +1235,9 @@ impl HwMgr {
         // A wedged region must not keep DMA rights.
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
+        // A load into a region out of service would never be served; its
+        // client stops waiting and follows the region's migration.
+        self.drop_jobs(m, pds, sinks, |_, p| p == prr);
     }
 
     /// Serve pending start requests written into shadow register pages. A
@@ -1436,14 +1439,19 @@ impl HwMgr {
         });
     }
 
-    /// PcapPoll: 1 when the caller's pending reconfiguration completed.
-    ///
-    /// A failed transfer (CRC reject, malformed header, watchdog abort) is
-    /// relaunched with backoff up to [`MAX_PCAP_RETRIES`] times;
-    /// past that the target region is quarantined and the client degrades
-    /// to the software fallback — the poll still reports completion. A
-    /// queued caller reads 0 until its job has launched and completed.
-    /// Either way the channel then passes to the next queued client.
+    /// Empty the channel's slot. The PCAP owner, if any, stops waiting:
+    /// the slot, `pcap_owner` and `Pd::pcap_pending` change together.
+    fn vacate(&mut self, pds: &mut BTreeMap<VmId, Pd>) {
+        if let Some(pd) = self.pcap_owner.take().and_then(|vm| pds.get_mut(&vm)) {
+            pd.pcap_pending = None;
+        }
+        self.pcap_job = None;
+    }
+
+    /// PcapPoll: 1 once the caller waits on no reconfiguration. A waiting
+    /// caller (the PCAP owner or a queued client) settles the channel
+    /// first, so a queued client's poll also moves a descheduled owner's
+    /// transfer on.
     pub fn handle_pcap_poll(
         &mut self,
         m: &mut Machine,
@@ -1452,117 +1460,98 @@ impl HwMgr {
         sinks: &mut Sinks<'_>,
         caller: VmId,
     ) -> Result<u32, HcError> {
-        let pending = pds.get(&caller).ok_or(HcError::BadArg)?.pcap_pending;
-        if self.pcap_queue.iter().any(|q| q.vm == caller) {
-            // The owner may be descheduled with its transfer long done:
-            // a waiting client's poll passes the channel on.
-            self.reap_finished(m, pds, sinks);
-            return Ok(0);
-        }
-        if pending.is_none() {
-            return Ok(1);
-        }
-        let job = self.pcap_job.filter(|_| self.pcap_owner == Some(caller));
-        let Some(PcapJob {
-            task,
-            prr,
-            kind: PcapJobKind::Client { vm, attempts, req },
-            ..
-        }) = job
-        else {
-            // A wait with no transfer of its own behind it
-            // (`check_invariants` rules this out): end it with an error
-            // instead of polling forever.
-            if let Some(pd) = pds.get_mut(&caller) {
-                pd.pcap_pending = None;
-            }
-            return Err(HcError::BadArg);
+        pds.get(&caller).ok_or(HcError::BadArg)?;
+        let waiting = |mgr: &Self| {
+            mgr.pcap_owner == Some(caller) || mgr.pcap_queue.iter().any(|q| q.vm == caller)
         };
-        let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
-        if status == pcap_status::DONE {
-            self.finish_client_job(m, pds, sinks);
+        if !waiting(self) {
             return Ok(1);
         }
-        if status != pcap_status::ERROR {
-            return Ok(0);
-        }
-        if attempts < MAX_PCAP_RETRIES {
-            let attempts = attempts + 1;
-            let ev = TraceEvent::PcapRetry {
-                prr,
-                attempt: attempts,
-            };
-            sinks.note(m.now(), ev);
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_RETRY);
-            // Exponential backoff, then relaunch the transfer.
-            m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
-            let kind = PcapJobKind::Client { vm, attempts, req };
-            self.launch_pcap(m, task, prr, kind);
-            return Ok(0);
-        }
-        // Retries exhausted: the transfer path to this region is
-        // persistently failing (e.g. a damaged bitstream store). Quarantine
-        // it and serve the client on the CPU — the reconfiguration
-        // completes, degraded.
-        sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
-        self.pcap_job = None;
-        self.pcap_owner = None;
-        if let Some(pd) = pds.get_mut(&caller) {
-            pd.pcap_pending = None;
-        }
-        let _ = self.quarantine(m, pds, pt, sinks, prr);
-        self.launch_queued(m, pds, sinks);
-        Ok(1)
+        self.settle(m, pds, pt, sinks, false);
+        Ok(!waiting(self) as u32)
     }
 
-    /// Complete the owner's finished transfer: the owner stops waiting (its
-    /// next poll reads 1) and the channel passes to the next queued client.
-    fn finish_client_job(
+    /// Resolve whatever the channel's slot holds from one PCAP_STATUS read
+    /// — the channel's one way forward, called by a waiting client's poll
+    /// and by the fabric tick (`tick`).
+    ///
+    /// The tick is the channel's watchdog: a transfer past its stall
+    /// deadline is aborted and handled as failed. A DONE client transfer
+    /// completes; a failed one is relaunched with backoff up to
+    /// [`MAX_PCAP_RETRIES`] times, after which its region is quarantined
+    /// and the client degrades to the software fallback (its poll still
+    /// reads 1). A kernel load completes or fails by kind. The tick leaves
+    /// a client transfer with nobody queued behind it to its owner's poll.
+    /// Once the slot empties, the next queued client job launches.
+    pub(crate) fn settle(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        sinks: &Sinks<'_>,
+        pt: &mut PtAlloc,
+        sinks: &mut Sinks<'_>,
+        tick: bool,
     ) {
-        if let Some(pd) = self.pcap_owner.and_then(|vm| pds.get_mut(&vm)) {
-            pd.pcap_pending = None;
+        let Some(job) = self.pcap_job else { return };
+        let mut status = m
+            .phys_read_u32(ctrl_reg(plregs::PCAP_STATUS))
+            .unwrap_or(pcap_status::ERROR);
+        if status != pcap_status::DONE && status != pcap_status::ERROR {
+            if !tick || m.now().raw() <= job.stall_deadline() {
+                return; // still in flight
+            }
+            let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+            status = pcap_status::ERROR;
+            if let PcapJobKind::Client { vm, req, .. } = job.kind {
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+                sinks.dump(m, pds, Some(vm), "pcap-watchdog-abort");
+            }
         }
-        if let Some(PcapJob {
-            prr,
-            started_at,
-            kind: PcapJobKind::Client { req, .. },
-            ..
-        }) = self.pcap_job
-        {
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_DONE);
-            sinks.metrics.observe(
-                "pcap_latency",
-                Label::Prr(prr),
-                m.now().raw().saturating_sub(started_at),
-                req.id,
-            );
+        let done = status == pcap_status::DONE;
+        if let PcapJobKind::Client { vm, attempts, req } = job.kind {
+            if tick && self.pcap_queue.is_empty() {
+                // Left to the owner's poll, which keeps every simulated
+                // count of a single-client run unchanged.
+                return;
+            }
+            if !done && attempts < MAX_PCAP_RETRIES {
+                let attempts = attempts + 1;
+                let ev = TraceEvent::PcapRetry {
+                    prr: job.prr,
+                    attempt: attempts,
+                };
+                sinks.note(m.now(), ev);
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_RETRY);
+                // Exponential backoff, then relaunch the transfer.
+                m.charge(timing::PCAP_RETRY_BACKOFF_BASE << attempts);
+                let kind = PcapJobKind::Client { vm, attempts, req };
+                self.launch_pcap(m, job.task, job.prr, kind);
+                return;
+            }
         }
-        self.pcap_owner = None;
-        self.pcap_job = None;
+        self.vacate(pds);
+        match job.kind {
+            PcapJobKind::Client { req, .. } if done => {
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_DONE);
+                let latency = m.now().raw().saturating_sub(job.started_at);
+                sinks
+                    .metrics
+                    .observe("pcap_latency", Label::Prr(job.prr), latency, req.id);
+            }
+            PcapJobKind::Client { req, .. } => {
+                // Retries exhausted: the transfer path to this region is
+                // persistently failing (e.g. a damaged bitstream store).
+                // Quarantine it and serve the client on the CPU — the
+                // reconfiguration completes, degraded.
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+                let _ = self.quarantine(m, pds, pt, sinks, job.prr);
+            }
+            PcapJobKind::Scrub => self.scrub_done(m, pds, sinks, job, done),
+            PcapJobKind::Repromote { vm } => self.repromote_load_done(m, pds, job, vm, done),
+            PcapJobKind::Relocate { vm, from } => {
+                self.relocation_load_done(m, pds, pt, sinks, job, vm, from, done)
+            }
+        }
         self.launch_queued(m, pds, sinks);
-    }
-
-    /// With clients queued, finish an in-flight client transfer the engine
-    /// reports DONE without waiting for its owner's poll (the owner may not
-    /// run again for several quanta). A failed transfer is left to the
-    /// owner's retry path.
-    pub(crate) fn reap_finished(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        sinks: &Sinks<'_>,
-    ) {
-        if self.pcap_queue.is_empty() || self.pcap_owner.is_none() {
-            return;
-        }
-        let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
-        if status == pcap_status::DONE {
-            self.finish_client_job(m, pds, sinks);
-        }
     }
 
     /// Start the oldest queued client job unless another client's transfer
@@ -1596,72 +1585,46 @@ impl HwMgr {
         true
     }
 
-    /// Remove the queued jobs `hit(vm, prr)` selects; returns their target
-    /// regions.
-    fn take_queued(&mut self, hit: impl Fn(VmId, u8) -> bool) -> Vec<u8> {
-        let mut taken = Vec::new();
+    /// Give up the client jobs `hit(vm, prr)` selects, queued or in flight
+    /// — the channel's one drop path (stage-5 supersede, reclaim, release,
+    /// quarantine, teardown). An in-flight job is aborted and stamped
+    /// `pcap:abort`, and the channel passes to the next queued client. A
+    /// dropped job's region no longer claims its task, since the bitstream
+    /// never finished loading; a region already out of service keeps it,
+    /// as it names the dispatch the quarantine migrates.
+    pub(crate) fn drop_jobs(
+        &mut self,
+        m: &mut Machine,
+        pds: &mut BTreeMap<VmId, Pd>,
+        sinks: &Sinks<'_>,
+        hit: impl Fn(VmId, u8) -> bool,
+    ) {
+        let mut regions = Vec::new();
         self.pcap_queue.retain(|q| {
             let drop = hit(q.vm, q.prr);
             if drop {
-                taken.push(q.prr);
+                regions.push(q.prr);
             }
             !drop
         });
-        taken
-    }
-
-    /// Drop `vm`'s client reconfiguration into `prr` (into any region when
-    /// `None`): a queued job leaves the FIFO, and `vm` stops waiting on an
-    /// in-flight one, which is aborted. Either way the region's task entry
-    /// is cleared, since its bitstream never finished loading. A dead VM's
-    /// transfer (`dead`) is aborted only when another client waits for the
-    /// channel: otherwise it runs to completion unattended and the region
-    /// keeps the task it loads. The next queued job is left for the caller
-    /// to launch.
-    fn drop_client_job(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        sinks: &Sinks<'_>,
-        vm: VmId,
-        prr: Option<u8>,
-        dead: bool,
-    ) {
-        let hit = |v: VmId, p: u8| v == vm && prr.is_none_or(|x| x == p);
-        for p in self.take_queued(hit) {
-            self.prrs.entry_mut(m, p).task = None;
+        if let Some(PcapJob {
+            prr,
+            kind: PcapJobKind::Client { vm, req, .. },
+            ..
+        }) = self.pcap_job
+        {
+            if hit(vm, prr) {
+                self.vacate(pds);
+                let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+                sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
+                regions.push(prr);
+            }
         }
-        let Some(job) = self
-            .pcap_job
-            .filter(|j| j.client().is_some_and(|v| hit(v, j.prr)))
-        else {
-            return;
-        };
-        self.pcap_job = None;
-        self.pcap_owner = None;
-        if let Some(pd) = pds.get_mut(&vm) {
-            pd.pcap_pending = None;
+        for p in regions {
+            if self.prrs.entry(p).in_service() {
+                self.prrs.entry_mut(m, p).task = None;
+            }
         }
-        if dead && self.pcap_queue.is_empty() {
-            return;
-        }
-        let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-        if let PcapJobKind::Client { req, .. } = job.kind {
-            sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
-        }
-        self.prrs.entry_mut(m, job.prr).task = None;
-    }
-
-    /// VM teardown: drop `vm`'s queued and in-flight client jobs, then hand
-    /// the channel to the next queued client.
-    pub(crate) fn forget_vm_pcap(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        sinks: &Sinks<'_>,
-        vm: VmId,
-    ) {
-        self.drop_client_job(m, pds, sinks, vm, None, true);
         self.launch_queued(m, pds, sinks);
     }
 
@@ -1918,20 +1881,100 @@ mod tests {
         assert_eq!(st, HwTaskStatus::Reconfiguring);
     }
 
+    /// The core `task` loads into a region.
+    fn core_of(k: &Kernel, task: HwTaskId) -> CoreKind {
+        k.state.hwmgr.tasks.get(task).unwrap().core
+    }
+
+    /// After v1's load of `task` into `p` was given up, v2 asks for the
+    /// same task: it must reconfigure the region, and its poll must read 1
+    /// only once the region really holds the task's core.
+    fn second_requester_waits_for_the_core(k: &mut Kernel, v2: VmId, task: HwTaskId, p: u8) {
+        assert_eq!(request(k, v2, task), (HwTaskStatus::Reconfiguring, p));
+        invariants(k);
+        assert_ne!(k.pl().prr(p).loaded_kind(), Some(core_of(k, task)));
+        assert_eq!(poll(k, v2), 0);
+        finish_transfer(k);
+        assert_eq!(poll(k, v2), 1);
+        assert_eq!(k.pl().prr(p).loaded_kind(), Some(core_of(k, task)));
+        invariants(k);
+    }
+
     #[test]
-    fn a_killed_sole_client_leaves_its_load_running() {
-        // With nobody waiting for the channel, the dead VM's transfer runs
-        // to completion unattended and its region keeps the task.
+    fn releasing_a_loading_task_aborts_its_transfer() {
         let (mut k, ids, vms) = pcap_kernel(2);
-        let (_, p) = request(&mut k, vms[0], ids[6]);
+        let (st, p) = request(&mut k, vms[0], ids[6]);
+        assert_eq!(st, HwTaskStatus::Reconfiguring);
+        let args = HypercallArgs::new(Hypercall::HwTaskRelease).a0(ids[6].0 as u32);
+        call(&mut k, vms[0], args).unwrap();
+        invariants(&k);
+        assert!(k.state.hwmgr.pcap_job.is_none());
+        assert_eq!(k.state.hwmgr.prrs.entry(p).task, None);
+        second_requester_waits_for_the_core(&mut k, vms[1], ids[6], p);
+    }
+
+    #[test]
+    fn killing_the_sole_client_mid_load_aborts_its_transfer() {
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let (st, p) = request(&mut k, vms[0], ids[6]);
+        assert_eq!(st, HwTaskStatus::Reconfiguring);
         k.destroy_vm(vms[0]);
         invariants(&k);
         assert!(k.state.hwmgr.pcap_job.is_none());
-        assert_eq!(k.state.hwmgr.prrs.entry(p).task, Some(ids[6]));
+        assert_eq!(k.state.hwmgr.prrs.entry(p).task, None);
+        second_requester_waits_for_the_core(&mut k, vms[1], ids[6], p);
+    }
+
+    #[test]
+    fn a_busy_engine_outside_the_slot_breaks_the_invariant() {
+        // The state a dead sole client's teardown used to leave behind: the
+        // slot emptied while its transfer kept running.
+        let (mut k, ids, vms) = pcap_kernel(1);
+        request(&mut k, vms[0], ids[6]);
+        invariants(&k);
+        let mgr = &mut k.state.hwmgr;
+        mgr.pcap_job = None;
+        mgr.pcap_owner = None;
+        k.state.pds.get_mut(&vms[0]).unwrap().pcap_pending = None;
+        let err = k.check_recovery_invariants().unwrap_err();
+        assert!(err.contains("PCAP engine busy"), "{err}");
+    }
+
+    #[test]
+    fn a_failing_transfer_behind_a_descheduled_owner_passes_the_channel_on() {
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let (v1, v2) = (vms[0], vms[1]);
+        // Damage v1's bitstream payload in RAM: every attempt fails its CRC.
+        let bits = k.state.hwmgr.tasks.get(ids[6]).unwrap().bit_addr;
+        let word = bits + mnv_fpga::bitstream::HEADER_LEN as u64 + 16;
+        let v = k.machine.phys_read_u32(word).unwrap();
+        k.machine.phys_write_u32(word, !v).unwrap();
+        let (_, p1) = request(&mut k, v1, ids[6]);
+        request(&mut k, v2, ids[7]);
+        assert_eq!(queued_vms(&k), vec![v2]);
+        // v1 is never polled: only the fabric tick drives the channel.
+        for _ in 0..2_000 {
+            if k.state.hwmgr.pcap_owner == Some(v2) {
+                break;
+            }
+            k.machine.charge(20_000);
+            let (hwmgr, pds, pt, mut sinks) = k.state.manager();
+            hwmgr.watchdog(&mut k.machine, pds, pt, &mut sinks);
+            invariants(&k);
+        }
+        assert_eq!(
+            k.state.hwmgr.pcap_owner,
+            Some(v2),
+            "v2's job never launched"
+        );
+        assert_eq!(k.state.stats.hwmgr.pcap_retries, MAX_PCAP_RETRIES as u64);
+        assert!(!k.state.hwmgr.prrs.entry(p1).in_service());
+        // The owner degraded to the software fallback; its poll reads 1.
+        assert!(k.state.hwmgr.shadows.iter().any(|s| s.vm == v1));
+        assert_eq!(poll(&mut k, v1), 1);
         finish_transfer(&mut k);
-        assert_eq!(k.pl().pcap_transfers(), 1);
-        let (st, q) = request(&mut k, vms[1], ids[6]);
-        assert_eq!((st, q), (HwTaskStatus::Success, p));
+        assert_eq!(poll(&mut k, v2), 1);
+        invariants(&k);
     }
 
     #[test]

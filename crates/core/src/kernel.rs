@@ -5,10 +5,10 @@ use mnv_arm::cp15::Cp15Reg;
 use mnv_arm::machine::{Machine, MachineConfig};
 use mnv_arm::tlb::Ap;
 use mnv_arm::PmuInputs;
-use mnv_fault::{FaultPlan, FaultPlane};
+use mnv_fault::{FaultPlan, FaultPlane, FaultSite};
 use mnv_fpga::bitstream::{Bitstream, CoreKind};
 use mnv_fpga::fabric::FabricConfig;
-use mnv_fpga::pl::{Pl, PlConfig};
+use mnv_fpga::pl::{pcap_status, plregs, Pl, PlConfig, PL_GP_BASE};
 use mnv_hal::{Cycles, Domain, HwTaskId, PhysAddr, Priority, VirtAddr, VmId};
 use mnv_metrics::{Label, Registry};
 use mnv_profile::Profiler;
@@ -540,10 +540,9 @@ impl Kernel {
         // completions, slots the releases above did not reach): their
         // completion can never be delivered.
         hwmgr.forget_vm_reqs(self.machine.now(), &sinks, vm);
-        // An in-flight reconfiguration owned by the dead VM would otherwise
-        // hold the channel (nobody left to poll it): drop it and its queued
-        // jobs, and pass the channel to the next waiting client.
-        hwmgr.forget_vm_pcap(&mut self.machine, pds, &sinks, vm);
+        // Nobody is left to poll the dead VM's reconfigurations or use its
+        // regions: drop and free what the releases above did not reach.
+        hwmgr.forget_vm_fabric(&mut self.machine, pds, &sinks, vm);
         if let Some(pd) = self.state.pds.remove(&vm) {
             self.state.asids.free(pd.asid);
         }
@@ -859,11 +858,35 @@ impl Kernel {
     }
 
     /// Debug invariant check: no fabric resource may reference a dead VM,
-    /// a PCAP owner's transfer must be in the channel and the shadow-page
-    /// pool must balance. [`Kernel::run`] asserts it at the head of every
-    /// loop iteration in debug builds; soak harnesses call it too.
+    /// a PCAP owner's transfer must be in the channel, a busy PCAP engine
+    /// must be loading the region the channel's slot names, and the
+    /// shadow-page pool must balance. [`Kernel::run`] asserts it at the
+    /// head of every loop iteration in debug builds; soak harnesses call it
+    /// too.
     pub fn check_recovery_invariants(&self) -> Result<(), String> {
-        self.state.hwmgr.check_invariants(&self.state.pds)
+        self.state.hwmgr.check_invariants(&self.state.pds)?;
+        let (status, target) = self.pl().pcap_engine();
+        let slot = self.state.hwmgr.pcap_job.map(|j| j.prr as u32);
+        if status == pcap_status::BUSY && slot != Some(target) && !self.pcap_write_dropped() {
+            return Err(format!(
+                "PCAP engine busy loading prr{target}, but the slot names {slot:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Has the fault plane dropped a write to PCAP_TARGET or PCAP_CTRL?
+    /// The kernel does not read its launch and abort writes back, so such
+    /// a drop leaves the engine loading another region, or running with
+    /// the slot empty, which the engine check cannot tell from a kernel
+    /// bug.
+    fn pcap_write_dropped(&self) -> bool {
+        let regs = [plregs::PCAP_TARGET, plregs::PCAP_CTRL].map(|r| PL_GP_BASE + r);
+        self.machine
+            .fault
+            .records()
+            .iter()
+            .any(|r| r.site == FaultSite::AxiWriteError && regs.contains(&r.arg))
     }
 
     /// Highest-priority runnable VM that is awake at `now`, honouring the

@@ -29,7 +29,7 @@
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
-use mnv_fpga::pl::{pcap_status, plregs, Pl};
+use mnv_fpga::pl::{plregs, Pl};
 use mnv_fpga::prr::ctrl as prr_ctrl;
 use mnv_fpga::prr::errcode as prr_errcode;
 use mnv_fpga::prr::regs as prr_regs;
@@ -313,10 +313,9 @@ const STAGING_REGS: [usize; 5] = [
 ];
 
 impl HwMgr {
-    /// One supervision pass over the fabric, run at the tail of the
-    /// manager's watchdog: poll the in-flight kernel transfer, and when the
-    /// PCAP channel is free launch the next queued client job, or else the
-    /// next scrub or re-promotion load.
+    /// One supervision pass over the fabric, run by the manager's
+    /// watchdog: settle the PCAP channel, and when it is free launch the
+    /// next queued client job, or else the next scrub or re-promotion load.
     pub fn fabric_tick(
         &mut self,
         m: &mut Machine,
@@ -324,8 +323,7 @@ impl HwMgr {
         pt: &mut PtAlloc,
         sinks: &mut Sinks<'_>,
     ) {
-        self.reap_finished(m, pds, sinks);
-        self.poll_kernel_job(m, pds, pt, sinks);
+        self.settle(m, pds, pt, sinks, true);
         if self.pcap_job.is_none() && !self.launch_queued(m, pds, sinks) {
             self.launch_next_kernel_job(m, pds);
         }
@@ -356,61 +354,27 @@ impl HwMgr {
         }
     }
 
-    /// Poll the in-flight kernel transfer and act on its outcome; one past
-    /// its stall deadline is aborted and handled as failed.
-    fn poll_kernel_job(
+    /// A re-promotion load for `vm` ended. On success the region holds the
+    /// client's core (the table stays honest even if the client vanished
+    /// mid-load) and the client is reserved onto it. On failure the target
+    /// stays in service and free: the candidate scan reads no scrub timing,
+    /// so its next pass retries the load at once; the delay only applies to
+    /// a target quarantined while its load was in flight.
+    pub(crate) fn repromote_load_done(
         &mut self,
         m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        pt: &mut PtAlloc,
-        sinks: &mut Sinks<'_>,
+        pds: &BTreeMap<VmId, Pd>,
+        job: PcapJob,
+        vm: VmId,
+        pass: bool,
     ) {
-        let Some(job) = self.pcap_job.filter(|j| j.client().is_none()) else {
+        if !pass {
+            self.delay_scrub(m, job.prr);
             return;
-        };
-        let status = m
-            .phys_read_u32(ctrl_reg(plregs::PCAP_STATUS))
-            .unwrap_or(pcap_status::ERROR);
-        let done = match status {
-            pcap_status::DONE => true,
-            pcap_status::ERROR => false,
-            _ if m.now().raw() > job.stall_deadline() => {
-                let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                false
-            }
-            _ => return,
-        };
-        self.pcap_job = None;
-        match (job.kind, done) {
-            (PcapJobKind::Scrub, pass) => self.scrub_done(m, pds, sinks, job, pass),
-            (PcapJobKind::Repromote { vm }, true) => {
-                // The region now holds the client's core; keep the table
-                // honest even if the client vanished mid-load.
-                self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                if pds.contains_key(&vm) {
-                    self.repromote_prep(m, pds, job.prr, vm, job.task);
-                }
-            }
-            (PcapJobKind::Repromote { .. }, false) => {
-                // The target stays in service and free. The candidate scan
-                // reads no scrub timing, so its next pass retries the load
-                // at once; the delay only applies to a target quarantined
-                // while its load was in flight.
-                self.delay_scrub(m, job.prr);
-            }
-            (PcapJobKind::Relocate { vm, from }, true) => {
-                self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                self.finish_relocation(m, pds, pt, sinks, job, vm, from);
-            }
-            (PcapJobKind::Relocate { from, .. }, false) => {
-                // Relocation load failed: fall straight through to the
-                // software rung for the hung region.
-                self.prrs.take_ladder(from);
-                self.ladder_fallback(m, pds, pt, sinks, from);
-            }
-            (PcapJobKind::Client { .. }, _) => {
-                unreachable!("client jobs are polled by their owner")
-            }
+        }
+        self.prrs.entry_mut(m, job.prr).task = Some(job.task);
+        if pds.contains_key(&vm) {
+            self.repromote_prep(m, pds, job.prr, vm, job.task);
         }
     }
 
@@ -482,7 +446,7 @@ impl HwMgr {
     /// Record a scrub's outcome in the region's health and schedule the
     /// next one: [`SCRUB_PASSES_TO_REINSTATE`] consecutive passes reinstate
     /// the region, [`SCRUB_FAILS_TO_RETIRE`] consecutive failures retire it.
-    fn scrub_done(
+    pub(crate) fn scrub_done(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
@@ -791,11 +755,12 @@ impl HwMgr {
         );
     }
 
-    /// Finish a rung-2 relocation after its PCAP load completed: quarantine
-    /// the hung source, move the client's mapping/hwMMU/IRQ route to the
-    /// target and restart the staged run there.
+    /// A rung-2 relocation load ended. A failed load falls straight through
+    /// to the software rung for the hung region. A completed one quarantines
+    /// the hung source, moves the client's mapping/hwMMU/IRQ route to the
+    /// target and restarts the staged run there.
     #[allow(clippy::too_many_arguments)]
-    fn finish_relocation(
+    pub(crate) fn relocation_load_done(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
@@ -804,7 +769,14 @@ impl HwMgr {
         job: PcapJob,
         vm: VmId,
         from: u8,
+        pass: bool,
     ) {
+        if !pass {
+            self.prrs.take_ladder(from);
+            self.ladder_fallback(m, pds, pt, sinks, from);
+            return;
+        }
+        self.prrs.entry_mut(m, job.prr).task = Some(job.task);
         let Some(ladder) = self.prrs.take_ladder(from) else {
             // The ladder already resolved another way (e.g. the run
             // completed right before the load finished); the load just
@@ -886,11 +858,12 @@ impl HwMgr {
 
 impl HwMgr {
     /// Structural invariants that must hold at any quiescent point (no VM
-    /// mid-hypercall): no fabric resource may reference a missing VM, a
-    /// PCAP owner's client job must be in the channel, exactly the owner
-    /// waits on a transfer, every queued job belongs to its region's
-    /// client (once per VM, never the owner's), and shadow-pool accounting
-    /// must balance.
+    /// mid-hypercall): no fabric resource may reference a missing VM, the
+    /// PCAP owner is exactly the VM whose client job is in the channel and
+    /// exactly the owner waits on a transfer, the FIFO waits only behind a
+    /// client transfer, every queued job belongs to its region's client
+    /// (once per VM, never the owner's), and shadow-pool accounting must
+    /// balance.
     pub fn check_invariants(&self, pds: &BTreeMap<VmId, Pd>) -> Result<(), String> {
         for (i, s) in self.shadows.iter().enumerate() {
             if !pds.contains_key(&s.vm) {
@@ -924,9 +897,17 @@ impl HwMgr {
             if !pds.contains_key(&vm) {
                 return Err(format!("pcap owner is dead vm{}", vm.0));
             }
-            if self.pcap_job.and_then(|j| j.client()) != Some(vm) {
-                return Err(format!("pcap owner vm{} has no client job", vm.0));
-            }
+        }
+        let client = self.pcap_job.and_then(|j| j.client());
+        if self.pcap_owner != client {
+            return Err(format!(
+                "pcap owner {:?} but the slot's client is {:?}",
+                self.pcap_owner.map(|v| v.0),
+                client.map(|v| v.0)
+            ));
+        }
+        if client.is_none() && !self.pcap_queue.is_empty() {
+            return Err("the pcap queue waits behind no client transfer".into());
         }
         for (vm, pd) in pds {
             if pd.pcap_pending.is_some() != (self.pcap_owner == Some(*vm)) {

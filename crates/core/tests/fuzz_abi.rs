@@ -194,3 +194,89 @@ fn out_of_range_svc_numbers_land_in_the_invalid_slot() {
     // The guest survives its own bad calls.
     assert!(k.pd(vm).stats.cpu_cycles > 0);
 }
+
+#[test]
+fn two_vm_spray_reports_success_only_on_a_loaded_region() {
+    // Two guests request, release and poll hardware tasks, and die, in a
+    // seeded mix while simulated time passes. A region may be reported
+    // loaded (a non-degraded Success) only once the task's core is really
+    // in it — unless the caller's own reconfiguration of that region is
+    // still in the channel's slot or its FIFO.
+    use mnv_hal::abi::{hw_task_result, HwTaskStatus};
+    use mnv_ucos::layout::{hwiface_slot, HWDATA_BASE};
+
+    let mut k = Kernel::new(KernelConfig::default());
+    let ids = k.register_paper_task_set();
+    let spawn = |k: &mut Kernel| {
+        k.create_vm(VmSpec {
+            name: "spray",
+            priority: Priority::GUEST,
+            guest: GuestKind::Ucos(Box::new(Ucos::new(UcosConfig::default()))),
+        })
+    };
+    let mut vms = [spawn(&mut k), spawn(&mut k)];
+    let mut rng = Lcg::new(0x5EED);
+    let (mut granted, mut reconfiguring, mut deaths) = (0, 0, 0);
+    for step in 0..3_000 {
+        let i = rng.next_bounded(2) as usize;
+        let vm = vms[i];
+        let task = ids[rng.next_bounded(ids.len() as u64) as usize];
+        let call =
+            |k: &mut Kernel, args| hypercall::hypercall(&mut k.machine, &mut k.state, vm, args);
+        match rng.next_bounded(100) {
+            0..=39 => {
+                let args = HypercallArgs::new(Hypercall::HwTaskRequest)
+                    .a0(task.0 as u32)
+                    .a1(hwiface_slot(rng.next_bounded(2)).raw() as u32)
+                    .a2(HWDATA_BASE.raw() as u32);
+                let Ok(r) = call(&mut k, args) else { continue };
+                match HwTaskStatus::from_u32(r & 0xFF) {
+                    Some(HwTaskStatus::Reconfiguring) => reconfiguring += 1,
+                    Some(HwTaskStatus::Success) if r & hw_task_result::DEGRADED == 0 => {
+                        granted += 1;
+                        let prr = (r >> 8) as u8;
+                        let mgr = &k.state.hwmgr;
+                        let own = mgr
+                            .pcap_job
+                            .is_some_and(|j| j.client() == Some(vm) && j.prr == prr)
+                            || mgr.pcap_queue.iter().any(|q| q.vm == vm && q.prr == prr);
+                        let core = mgr.tasks.get(task).unwrap().core;
+                        assert!(
+                            own || k.pl().prr(prr).loaded_kind() == Some(core),
+                            "step {step}: vm{} granted task{} on prr{prr}, which holds {:?}",
+                            vm.0,
+                            task.0,
+                            k.pl().prr(prr).loaded_kind()
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            40..=59 => {
+                let _ = call(
+                    &mut k,
+                    HypercallArgs::new(Hypercall::HwTaskRelease).a0(task.0 as u32),
+                );
+            }
+            60..=97 => {
+                let _ = call(&mut k, HypercallArgs::new(Hypercall::PcapPoll));
+            }
+            // VM ids are never reused: the layout has room for 16.
+            _ if deaths == 14 => {}
+            _ => {
+                k.destroy_vm(vm);
+                vms[i] = spawn(&mut k);
+                deaths += 1;
+            }
+        }
+        k.check_recovery_invariants()
+            .unwrap_or_else(|e| panic!("step {step}: {e}"));
+        k.run(Cycles::new(1 + rng.next_bounded(80_000)));
+        k.check_recovery_invariants()
+            .unwrap_or_else(|e| panic!("step {step}, after running: {e}"));
+    }
+    assert!(
+        granted > 50 && reconfiguring > 50 && deaths == 14,
+        "{granted}/{reconfiguring}/{deaths}"
+    );
+}

@@ -230,6 +230,13 @@ impl Pl {
         self.pcap.transfers
     }
 
+    /// The PCAP engine's status (a [`pcap_status`] value) and target
+    /// region as of the last device sync: an uncharged look for invariant
+    /// checks, which must not move simulated time.
+    pub fn pcap_engine(&self) -> (u32, u32) {
+        (self.pcap.status, self.pcap.target)
+    }
+
     /// Physical address of PRR `id`'s register page.
     pub fn prr_page(id: u8) -> PhysAddr {
         PhysAddr::new(PL_GP_BASE + (1 + id as u64) * PAGE)
