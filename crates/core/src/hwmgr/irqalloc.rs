@@ -55,10 +55,10 @@ impl PlIrqAllocator {
     }
 
     /// Re-key the line a PRR holds onto another region, preserving the
-    /// owner VM and the line number. Used when a client is migrated
-    /// between regions (escalation-ladder relocation, shadow-fallback
-    /// re-promotion): the guest keeps receiving completions on the line it
-    /// was originally assigned. Returns the moved line, if one existed.
+    /// owner VM and the line number. Used when a client is migrated off a
+    /// region (escalation-ladder relocation, quarantine onto a shadow
+    /// page): the guest keeps receiving completions on the line it was
+    /// originally assigned. Returns the moved line, if one existed.
     pub fn retarget_prr(&mut self, from: u8, to: u8) -> Option<IrqNum> {
         let i = self
             .lines

@@ -30,9 +30,9 @@
 //!
 //! Escalation interop: a descriptor whose dispatch degrades (quarantined
 //! region, pure-software fallback) completes bit-identically through the
-//! shadow-service path and is published `OK_DEGRADED`; re-promotion is
-//! picked up naturally because every descriptor re-enters
-//! `handle_request`.
+//! shadow-service path and is published `OK_DEGRADED`; the return to
+//! hardware is picked up naturally because every descriptor re-enters
+//! `handle_request`, the one way back.
 
 use mnv_arm::machine::Machine;
 use mnv_fpga::pl::Pl;

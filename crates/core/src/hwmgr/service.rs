@@ -77,12 +77,6 @@ pub enum PcapJobKind {
     /// Background scrub of a quarantined region: a test-bitstream load
     /// whose CRC-checked ingest doubles as configuration readback.
     Scrub,
-    /// Load a degraded client's task onto a healthy free region so the
-    /// client can be promoted back to hardware.
-    Repromote {
-        /// The shadow-fallback client being promoted.
-        vm: VmId,
-    },
     /// Escalation-ladder rung 2: load the hung client's task onto a
     /// compatible region, then move the client across.
     Relocate {
@@ -94,7 +88,7 @@ pub enum PcapJobKind {
 }
 
 /// The PCAP engine's one in-flight transfer: a client reconfiguration or
-/// a kernel-initiated load (scrub, re-promotion, relocation). A client
+/// a kernel-initiated load (scrub or relocation). A client
 /// launch aborts a kernel load in flight; a client job that finds another
 /// client's transfer in flight waits in [`HwMgr::pcap_queue`]. Kernel loads
 /// start only on an idle channel with no client waiting.
@@ -147,7 +141,9 @@ pub struct QueuedPcap {
 
 /// A software-fallback dispatch: the client's interface VA is backed by a
 /// kernel-owned RAM page (the "shadow register group") which the kernel
-/// services in software instead of fabric.
+/// services in software instead of fabric. It is the dispatch's only
+/// record: no PRR-table entry names a degraded client, and its way back to
+/// hardware is the six-stage routine at its next request.
 #[derive(Clone, Copy, Debug)]
 pub struct SwShadow {
     /// Owning VM.
@@ -163,13 +159,6 @@ pub struct SwShadow {
     /// Completion IRQ line, when the dispatch inherited one from a
     /// quarantined region (pure-software dispatches poll).
     pub line: Option<IrqNum>,
-    /// The region this dispatch was migrated off (None for pure-software
-    /// dispatches that never had hardware).
-    pub from_prr: Option<u8>,
-    /// Set by the supervisor when a healthy region has been reserved and
-    /// programmed for this client: the next START is transplanted onto it
-    /// instead of being served in software.
-    pub promote_to: Option<u8>,
     /// The open causal request this dispatch will complete (migrated off
     /// the quarantined region's PRR entry, or minted by the request that
     /// created the pure-software dispatch).
@@ -200,7 +189,7 @@ pub struct HwMgr {
     pub shadows: Vec<SwShadow>,
     /// Bump cursor into the shadow-page pool.
     shadow_cursor: u64,
-    /// Shadow pages returned by released/promoted dispatches, reused before
+    /// Shadow pages returned by dropped dispatches, reused before
     /// the cursor advances.
     shadow_free: Vec<PhysAddr>,
     /// Escalate a hung region's run after this many cycles of continuous
@@ -459,9 +448,6 @@ impl HwMgr {
             if matches!(self.pcap_job, Some(j) if j.prr == p && j.client().is_none()) {
                 continue; // a kernel-initiated load holds the region
             }
-            if self.shadows.iter().any(|s| s.promote_to == Some(p)) {
-                continue; // reserved as a pending re-promotion target
-            }
             let status = self.prr_status(m, p);
             if status == prr_status::BUSY {
                 continue;
@@ -544,9 +530,7 @@ impl HwMgr {
                 m.gic.disable(line);
             }
         }
-        let e = self.prrs.entry_mut(m, prr);
-        e.client = None;
-        e.iface_va = None;
+        self.prrs.entry_mut(m, prr).detach();
     }
 
     /// The HwTaskRequest hypercall body — stages 1..6 of Fig. 7. Returns
@@ -622,66 +606,36 @@ impl HwMgr {
 
         // Fast path: the caller already holds this task.
         if let Some(prr) = self.prrs.find_dispatch(caller, task) {
-            if !self.prrs.entry(prr).in_service() {
-                // Migrated to the software fallback when its region was
-                // quarantined: refresh the data section and re-report the
-                // degraded dispatch — the interface mapping already points
-                // at the shadow page.
-                if let Some(i) = self
-                    .shadows
-                    .iter()
-                    .position(|s| s.vm == caller && s.task == task)
-                {
-                    self.shadows[i].ds = ds;
-                    let old = std::mem::replace(&mut self.shadows[i].req, req);
-                    sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
-                    sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
-                }
-                return Ok(HwTaskStatus::Success as u32
-                    | ((prr as u32) << 8)
-                    | (hw_task_result::NO_LINE << 16)
-                    | hw_task_result::DEGRADED);
+            if self.prrs.entry(prr).in_service() {
+                // Re-establish the interface mapping: a client that reuses
+                // one interface slot across tasks has since pointed this VA
+                // at another region's page, and the held dispatch would be
+                // programmed through the wrong window.
+                self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
+                self.prrs.entry_mut(m, prr).iface_va = Some(iface_va.raw());
+                self.program_hwmmu(m, prr, ds);
+                self.attach_req(m.now(), sinks, prr, caller, req);
+                let line = self
+                    .irqs
+                    .alloc(caller, prr)
+                    .ok()
+                    .and_then(|l| l.pl_index())
+                    .unwrap_or(0xFF) as u32;
+                return Ok(HwTaskStatus::Success as u32 | ((prr as u32) << 8) | (line << 16));
             }
-            // A pending re-promotion completes here: at request time the
-            // guest is provably not mid-poll on the shadow page, so the
-            // mapping can switch to the reserved region immediately (the
-            // guest programs the run after this returns).
-            if let Some(idx) = self
-                .shadows
-                .iter()
-                .position(|s| s.vm == caller && s.task == task && s.promote_to == Some(prr))
-            {
-                let s = self.shadows.remove(idx);
-                self.transplant(m, pds, pt, sinks, &s, prr, 0);
-            }
-            // Re-establish the interface mapping: a client that reuses
-            // one interface slot across tasks has since pointed this VA
-            // at another region's page, and the held dispatch would be
-            // programmed through the wrong window.
-            self.map_iface(m, pds, pt, caller, task, iface_va, Pl::prr_page(prr), prr)?;
-            self.prrs.entry_mut(m, prr).iface_va = Some(iface_va.raw());
-            self.program_hwmmu(m, prr, ds);
-            self.attach_req(m.now(), sinks, prr, caller, req);
-            let line = self
-                .irqs
-                .alloc(caller, prr)
-                .ok()
-                .and_then(|l| l.pl_index())
-                .unwrap_or(0xFF) as u32;
-            return Ok(HwTaskStatus::Success as u32 | ((prr as u32) << 8) | (line << 16));
+            // Ladder rung 4 left the client bound to a region out of
+            // service: release that dispatch and allocate afresh.
+            self.handle_release(m, pds, sinks, caller, task)?;
         }
 
-        // A pure-software dispatch (made when every compatible region was
-        // quarantined) has no PRR-table entry; it lives in the shadow list.
-        // Probe for recovered hardware before settling for the shadow: if a
-        // compatible region has come back into service (reinstated by the
-        // scrubber, or merely reclaimable again), the degraded client is
-        // re-promoted on this very request — the shadow is torn down and
-        // the normal stages below rebuild a real hardware dispatch.
-        if self
+        // A degraded dispatch lives only in the shadow list. Probe for
+        // hardware before settling for the shadow: if a compatible region
+        // is idle or reclaimable, the shadow is torn down and the stages
+        // below rebuild a real hardware dispatch (the one way back).
+        if let Some(i) = self
             .shadows
             .iter()
-            .any(|s| s.vm == caller && s.task == task)
+            .position(|s| s.vm == caller && s.task == task)
         {
             if let Some(prr) = self.select_prr(m, &entry_prrs, task) {
                 self.drop_shadow_of(m, pds, sinks, caller, task);
@@ -694,11 +648,13 @@ impl HwMgr {
                     prr,
                 };
                 sinks.note(m.now(), ev);
-            } else if let Some(i) = self
-                .shadows
-                .iter()
-                .position(|s| s.vm == caller && s.task == task)
-            {
+            } else {
+                // Still degraded: point the interface VA back at the
+                // shadow page, which another task's dispatch through the
+                // same slot may have replaced.
+                let page = self.shadows[i].page;
+                let no_prr = hw_task_result::NO_PRR as u8;
+                self.map_iface(m, pds, pt, caller, task, iface_va, page, no_prr)?;
                 self.shadows[i].ds = ds;
                 let old = std::mem::replace(&mut self.shadows[i].req, req);
                 sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
@@ -735,6 +691,24 @@ impl HwMgr {
             self.reclaim(m, pds, prr, sinks);
         }
         let needs_reconfig = self.prrs.entry(prr).task != Some(task);
+        if needs_reconfig {
+            // A VM waits on one reconfiguration at a time: this request
+            // supersedes an older one of the caller's, on another region,
+            // whose dispatch is released as HwTaskRelease would release it
+            // (before stage 3, as both may use one interface VA).
+            let older = self
+                .pcap_queue
+                .iter()
+                .find(|q| q.vm == caller)
+                .map(|q| q.task)
+                .or(self
+                    .pcap_job
+                    .filter(|j| j.client() == Some(caller))
+                    .map(|j| j.task));
+            if let Some(older) = older {
+                self.handle_release(m, pds, sinks, caller, older)?;
+            }
+        }
 
         // Stage 3: map the interface page into the caller.
         sinks.dpr_stage(m.now(), req, 3);
@@ -782,9 +756,6 @@ impl HwMgr {
         if needs_reconfig {
             sinks.dpr_stage(m.now(), req, 5);
             sinks.count(Counter::Reconfig);
-            // A VM waits on one reconfiguration at a time: this request
-            // supersedes any older one of the caller's.
-            self.drop_jobs(m, pds, sinks, |vm, _| vm == caller);
             // Client reconfigurations queue behind each other in arrival
             // order and pre-empt background scrub/relocation loads.
             let wait =
@@ -817,7 +788,7 @@ impl HwMgr {
     /// slot across tasks): the remap must shoot the stale translation down,
     /// or the guest's register writes keep reaching the old page.
     #[allow(clippy::too_many_arguments)]
-    fn map_iface(
+    pub(crate) fn map_iface(
         &self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
@@ -884,10 +855,6 @@ impl HwMgr {
         // dispatch — its completion will never be attributed.
         let old = self.prrs.req_slot(prr).take();
         sinks.end_req(m.now(), old, caller, req_stage::RELEASED);
-        // A quarantined region's client was migrated to a shadow page;
-        // dropping the dispatch drops the shadow too (and frees its page
-        // and parked completion line).
-        self.drop_shadow_of(m, pds, sinks, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         self.unmap_iface(m, pd, task);
@@ -907,37 +874,13 @@ impl HwMgr {
         }
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
-        let e = self.prrs.entry_mut(m, prr);
-        e.client = None;
-        e.iface_va = None;
-    }
-
-    /// VM teardown, after its tasks were released: drop its remaining
-    /// reconfigurations and free the regions it still holds. A superseded
-    /// load leaves its region held with no task, which no release by task
-    /// reaches.
-    pub(crate) fn forget_vm_fabric(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        sinks: &Sinks<'_>,
-        vm: VmId,
-    ) {
-        self.drop_jobs(m, pds, sinks, |v, _| v == vm);
-        for prr in 0..self.prrs.len() as u8 {
-            if self.prrs.entry(prr).client == Some(vm) {
-                self.free_region(m, pds.get_mut(&vm), prr);
-            }
-        }
+        self.prrs.entry_mut(m, prr).detach();
     }
 
     /// Tear down the shadow dispatch of (`vm`, `task`), if one exists:
     /// remove it from the service list, return its page to the pool and
-    /// free its parked completion line. Lines parked under the
-    /// [`SHADOW_LINE_KEY`] pseudo-region are freed here; a line already
-    /// re-keyed back onto a real region (promoted shadow) is left for the
-    /// normal release path, so the vGIC/GIC teardown only runs when the
-    /// pseudo-key actually held it.
+    /// free its completion line, parked under the [`SHADOW_LINE_KEY`]
+    /// pseudo-region.
     fn drop_shadow_of(
         &mut self,
         m: &mut Machine,
@@ -968,7 +911,7 @@ impl HwMgr {
         }
     }
 
-    /// Release a pure-software dispatch (no PRR-table entry backs it).
+    /// Release a degraded dispatch (its shadow is its only record).
     fn release_shadow(
         &mut self,
         m: &mut Machine,
@@ -1029,8 +972,6 @@ impl HwMgr {
             page,
             ds,
             line: None,
-            from_prr: None,
-            promote_to: None,
             req,
         });
         sinks.req_stamp(m.now(), req, req_stage::SW_DISPATCH);
@@ -1054,10 +995,9 @@ impl HwMgr {
     ///    [`HwMgr::watchdog_timeout`] onto the hardware-task escalation
     ///    ladder (retry → relocate → software fallback → error), and
     ///    advance any open ladder past its rung deadline;
-    /// 2. serve start requests the guests wrote into shadow pages
-    ///    (transplanting promoted ones back onto fabric);
+    /// 2. serve start requests the guests wrote into shadow pages;
     /// 3. settle the PCAP channel and drive the supervisor's background
-    ///    fabric work (scrubs, re-promotion and relocation loads);
+    ///    fabric work (scrub and relocation loads);
     /// 4. service shared-ring batches whose owners are descheduled (see
     ///    [`super::ring`]).
     pub fn watchdog(
@@ -1102,7 +1042,7 @@ impl HwMgr {
         }
 
         // 2. Shadow service.
-        self.serve_shadows(m, pds, pt, sinks);
+        self.serve_shadows(m, pds, sinks);
 
         // 3. The PCAP channel and background fabric maintenance.
         self.fabric_tick(m, pds, pt, sinks);
@@ -1116,11 +1056,13 @@ impl HwMgr {
     /// Take a hung region out of service and migrate its client to a
     /// shadow page, completing the wedged run in software (bit-identical
     /// output — the shadow runs the same functional model as the fabric).
+    /// The migrated client is detached from the region: from here on the
+    /// shadow is the dispatch's only record.
     ///
     /// Returns `true` when the region had no client, or its client was
     /// migrated successfully; `false` when a client exists but could not
     /// be migrated (the escalation ladder's final rung then reports the
-    /// error to the guest).
+    /// error to the guest, and the client stays bound to the region).
     pub(crate) fn quarantine(
         &mut self,
         m: &mut Machine,
@@ -1129,11 +1071,13 @@ impl HwMgr {
         sinks: &mut Sinks<'_>,
         prr: u8,
     ) -> bool {
-        self.take_out_of_service(m, pds, sinks, prr, false);
+        // Read the dispatch first: a load given up with the region no
+        // longer leaves it claiming the task.
         let (client, task, iface_va) = {
             let e = self.prrs.entry(prr);
             (e.client, e.task, e.iface_va)
         };
+        self.take_out_of_service(m, pds, sinks, prr);
         let (Some(vm), Some(task), Some(iface_va)) = (client, task, iface_va) else {
             return true; // nobody was using it — just retired
         };
@@ -1146,43 +1090,28 @@ impl HwMgr {
         let Some(page) = self.alloc_shadow_page(m) else {
             return false; // pool exhausted: region stays retired, no migration
         };
+        self.prrs.entry_mut(m, prr).detach();
 
         // Copy the register group so the client's programming survives the
-        // migration, then swing its interface mapping onto the shadow.
+        // migration, then swing its interface mapping onto the shadow. A
+        // map failure leaves the VA on the wedged device page, which is
+        // still contained.
         let dev = Pl::prr_page(prr);
         let mut regs = [0u32; 16];
         for (i, r) in regs.iter_mut().enumerate() {
             *r = m.phys_read_u32(dev + (i as u64) * 4).unwrap_or(0);
             let _ = m.phys_write_u32(page + (i as u64) * 4, *r);
         }
-        if !self.native {
-            if let Some(pd) = pds.get_mut(&vm) {
-                let _ = pagetable::unmap_page(m, pd.l1, VirtAddr::new(iface_va), pd.asid);
-                // The shadow keeps the interface VA alive; a map failure
-                // leaves the VA unmapped and the guest takes a fault, which
-                // is still contained.
-                let _ = pagetable::map_page(
-                    m,
-                    pd.l1,
-                    VirtAddr::new(iface_va),
-                    page,
-                    Domain::DEVICE,
-                    Ap::Full,
-                    true,
-                    false,
-                    pt,
-                );
-            }
-        }
+        let va = VirtAddr::new(iface_va);
+        let no_prr = hw_task_result::NO_PRR as u8;
+        let _ = self.map_iface(m, pds, pt, vm, task, va, page, no_prr);
         // Keep (or take) a completion line for the shadow service, then
         // park it under the pseudo-region key so the real region key is
-        // free for reinstatement. The fabric route is cleared either way —
-        // a wedged region must not raise completions.
+        // free for reinstatement and reuse. The fabric route is cleared
+        // either way — a wedged region must not raise completions.
         let line = self.irqs.alloc(vm, prr).ok();
-        if line.is_some() {
-            if let Some(li) = line.and_then(|l| l.pl_index()) {
-                self.irqs.retarget_prr(prr, SHADOW_LINE_KEY | li as u8);
-            }
+        if let Some(li) = line.and_then(|l| l.pl_index()) {
+            self.irqs.retarget_prr(prr, SHADOW_LINE_KEY | li as u8);
         }
         let _ = m.phys_write_u32(ctrl_reg(plregs::IRQ_ROUTE), ((prr as u32) << 8) | 0xFF);
         // The open request follows its client onto the shadow: whatever
@@ -1196,8 +1125,6 @@ impl HwMgr {
             page,
             ds,
             line,
-            from_prr: Some(prr),
-            promote_to: None,
             req,
         };
 
@@ -1212,26 +1139,18 @@ impl HwMgr {
 
     /// The steps every quarantine shares: record it (counted, traced and
     /// post-mortem-dumped by [`Sinks::note_dump`]), move the region to quarantine
-    /// with a fresh scrub cycle and revoke its DMA rights.
-    /// `detach` also drops the region's client binding — for callers that
-    /// move the client elsewhere themselves, where [`HwMgr::quarantine`]
-    /// keeps it to migrate.
+    /// with a fresh scrub cycle, revoke its DMA rights and drop the loads
+    /// into it. The client binding is the caller's to move.
     pub(crate) fn take_out_of_service(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         sinks: &mut Sinks<'_>,
         prr: u8,
-        detach: bool,
     ) {
         let vm = self.prrs.entry(prr).client;
         sinks.note_dump(m, pds, vm, TraceEvent::PrrQuarantine { prr });
-        let e = self.prrs.entry_mut(m, prr);
-        e.quarantine();
-        if detach {
-            e.client = None;
-            e.iface_va = None;
-        }
+        self.prrs.entry_mut(m, prr).quarantine();
         // A wedged region must not keep DMA rights.
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_SEL), prr as u32);
         let _ = m.phys_write_u32(ctrl_reg(plregs::HWMMU_LEN), 0);
@@ -1240,39 +1159,23 @@ impl HwMgr {
         self.drop_jobs(m, pds, sinks, |_, p| p == prr);
     }
 
-    /// Serve pending start requests written into shadow register pages. A
-    /// shadow flagged for re-promotion is transplanted onto its reserved
-    /// region at its next START instead of being served in software.
+    /// Serve pending start requests written into shadow register pages.
     fn serve_shadows(
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        pt: &mut PtAlloc,
         sinks: &mut Sinks<'_>,
     ) {
-        let shadows = std::mem::take(&mut self.shadows);
-        let mut kept = Vec::with_capacity(shadows.len());
-        for mut s in shadows {
+        for i in 0..self.shadows.len() {
+            let mut s = self.shadows[i];
             let ctrl = m
                 .phys_read_u32(s.page + 4 * prr_regs::CTRL as u64)
                 .unwrap_or(0);
-            if ctrl & prr_ctrl::START == 0 {
-                kept.push(s);
-                continue;
-            }
-            if let Some(prr) = s.promote_to {
-                // Promoted: hand the request to the fabric and drop the
-                // shadow — the dispatch is hardware-backed from here on.
-                self.transplant(m, pds, pt, sinks, &s, prr, ctrl);
-            } else {
+            if ctrl & prr_ctrl::START != 0 {
                 self.serve_one(m, pds, sinks, &mut s, ctrl);
-                kept.push(s);
+                self.shadows[i] = s;
             }
         }
-        // serve_one/transplant never re-enter the shadow list, but restore
-        // anything a future path might have pushed, defensively.
-        kept.append(&mut self.shadows);
-        self.shadows = kept;
     }
 
     /// Run one software-fallback request to completion: validate the DMA
@@ -1545,8 +1448,7 @@ impl HwMgr {
                 sinks.req_stamp(m.now(), req, req_stage::PCAP_ABORT);
                 let _ = self.quarantine(m, pds, pt, sinks, job.prr);
             }
-            PcapJobKind::Scrub => self.scrub_done(m, pds, sinks, job, done),
-            PcapJobKind::Repromote { vm } => self.repromote_load_done(m, pds, job, vm, done),
+            PcapJobKind::Scrub => self.scrub_done(m, sinks, job, done),
             PcapJobKind::Relocate { vm, from } => {
                 self.relocation_load_done(m, pds, pt, sinks, job, vm, from, done)
             }
@@ -1590,8 +1492,7 @@ impl HwMgr {
     /// quarantine, teardown). An in-flight job is aborted and stamped
     /// `pcap:abort`, and the channel passes to the next queued client. A
     /// dropped job's region no longer claims its task, since the bitstream
-    /// never finished loading; a region already out of service keeps it,
-    /// as it names the dispatch the quarantine migrates.
+    /// never finished loading.
     pub(crate) fn drop_jobs(
         &mut self,
         m: &mut Machine,
@@ -1621,9 +1522,7 @@ impl HwMgr {
             }
         }
         for p in regions {
-            if self.prrs.entry(p).in_service() {
-                self.prrs.entry_mut(m, p).task = None;
-            }
+            self.prrs.entry_mut(m, p).task = None;
         }
         self.launch_queued(m, pds, sinks);
     }
@@ -2000,6 +1899,86 @@ mod tests {
         k.state.pds.get_mut(&v2).unwrap().pcap_pending = Some(ids[7]);
         let err = k.check_recovery_invariants().unwrap_err();
         assert!(err.contains(&format!("vm{} pcap_pending", v1.0)), "{err}");
+    }
+
+    #[test]
+    fn a_degraded_answer_remaps_the_interface() {
+        let (mut k, ids, vms) = pcap_kernel(1);
+        let vm = vms[0];
+        for p in [0, 1] {
+            k.state.hwmgr.prrs.entry_mut(&mut k.machine, p).quarantine();
+        }
+        let raw = |k: &mut Kernel, task: HwTaskId| {
+            let args = HypercallArgs::new(Hypercall::HwTaskRequest)
+                .a0(task.0 as u32)
+                .a1(hwiface_slot(0).raw() as u32)
+                .a2(HWDATA_BASE.raw() as u32);
+            call(k, vm, args).expect("request answered")
+        };
+        let walk = |k: &mut Kernel| {
+            let l1 = k.pd(vm).l1;
+            pagetable::walk(&mut k.machine, l1, hwiface_slot(0)).map(|pa| pa.raw())
+        };
+        // FFTs fit PRR0 and PRR1 only: a pure-software shadow.
+        assert_ne!(raw(&mut k, ids[0]) & hw_task_result::DEGRADED, 0);
+        let page = k.state.hwmgr.shadows[0].page;
+        // QAM-4 through the same interface slot lands on PRR2.
+        assert_eq!(
+            request(&mut k, vm, ids[6]),
+            (HwTaskStatus::Reconfiguring, 2)
+        );
+        assert_eq!(walk(&mut k), Some(0x4000_3000));
+        // Asking for the FFT again is answered degraded, so the slot must
+        // lead back to the shadow page, not to PRR2's QAM core.
+        assert_ne!(raw(&mut k, ids[0]) & hw_task_result::DEGRADED, 0);
+        assert_eq!(walk(&mut k), Some(page.raw()));
+        invariants(&k);
+    }
+
+    #[test]
+    fn a_binding_left_on_a_region_out_of_service_is_released_on_request() {
+        // Ladder rung 4 leaves a client bound to its quarantined region
+        // (no shadow could be made). Its next request must not be answered
+        // degraded with no shadow behind it: the binding is released and
+        // the routine allocates afresh.
+        let (mut k, ids, vms) = pcap_kernel(1);
+        let vm = vms[0];
+        assert_eq!(
+            request(&mut k, vm, ids[6]),
+            (HwTaskStatus::Reconfiguring, 0)
+        );
+        finish_transfer(&mut k);
+        assert_eq!(poll(&mut k, vm), 1);
+        k.state.hwmgr.prrs.entry_mut(&mut k.machine, 0).quarantine();
+        assert_eq!(
+            request(&mut k, vm, ids[6]),
+            (HwTaskStatus::Reconfiguring, 1)
+        );
+        assert_eq!(k.state.hwmgr.prrs.entry(0).client, None);
+        assert!(k.state.hwmgr.shadows.is_empty());
+        invariants(&k);
+    }
+
+    #[test]
+    fn a_superseded_dispatch_frees_its_region() {
+        let (mut k, ids, vms) = pcap_kernel(2);
+        let (v1, v2) = (vms[0], vms[1]);
+        assert_eq!(
+            request(&mut k, v1, ids[0]),
+            (HwTaskStatus::Reconfiguring, 0)
+        );
+        // v1's QAM request supersedes its FFT load on PRR0.
+        assert_eq!(
+            request(&mut k, v1, ids[6]),
+            (HwTaskStatus::Reconfiguring, 1)
+        );
+        invariants(&k);
+        assert_eq!(k.state.hwmgr.prrs.entry(0).client, None);
+        assert!(!k.pd(v1).iface_maps.contains_key(&ids[0]));
+        // Another VM takes PRR0 without reclaiming it from v1.
+        assert_eq!(request(&mut k, v2, ids[1]).1, 0);
+        assert_eq!(k.state.stats.hwmgr.reclaims, 0);
+        invariants(&k);
     }
 
     #[test]

@@ -229,6 +229,12 @@ impl PrrEntry {
         }
     }
 
+    /// Drop the region's client binding (the task stays resident).
+    pub fn detach(&mut self) {
+        self.client = None;
+        self.iface_va = None;
+    }
+
     /// Take the region out of service with a fresh scrub cycle, due
     /// immediately. Quarantining a quarantined region restarts its cycle;
     /// a retired region stays retired.

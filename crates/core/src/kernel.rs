@@ -540,9 +540,9 @@ impl Kernel {
         // completions, slots the releases above did not reach): their
         // completion can never be delivered.
         hwmgr.forget_vm_reqs(self.machine.now(), &sinks, vm);
-        // Nobody is left to poll the dead VM's reconfigurations or use its
-        // regions: drop and free what the releases above did not reach.
-        hwmgr.forget_vm_fabric(&mut self.machine, pds, &sinks, vm);
+        // Nobody is left to poll the dead VM's reconfigurations: drop what
+        // the releases above did not reach.
+        hwmgr.drop_jobs(&mut self.machine, pds, &sinks, |v, _| v == vm);
         if let Some(pd) = self.state.pds.remove(&vm) {
             self.state.asids.free(pd.asid);
         }

@@ -18,36 +18,33 @@
 //!   get periodic background scrubs — a full test-bitstream PCAP load whose
 //!   CRC-checked ingest doubles as configuration readback. After
 //!   [`SCRUB_PASSES_TO_REINSTATE`] consecutive passes the region returns to
-//!   the first-fit pool and shadow-fallback clients are *re-promoted* onto
-//!   it (the exact reverse of the quarantine migration, bit-identical
-//!   results either way); [`SCRUB_FAILS_TO_RETIRE`] consecutive failures
-//!   retire it permanently.
+//!   the first-fit pool, preferably with a degraded client's core resident;
+//!   [`SCRUB_FAILS_TO_RETIRE`] consecutive failures retire it permanently.
+//!   A degraded client returns to hardware one way only: the six-stage
+//!   routine at its next request (bit-identical results either way).
 //! * **Hardware-task escalation ladder**: a hung region no longer jumps
 //!   straight to quarantine. The rungs are retry-same-PRR →
 //!   relocate-to-compatible-PRR → software fallback → error, each with its
 //!   own timeout, every transition recorded once through `Sinks::note`.
 
 use mnv_arm::machine::Machine;
-use mnv_arm::tlb::Ap;
 use mnv_fpga::pl::{plregs, Pl};
 use mnv_fpga::prr::ctrl as prr_ctrl;
 use mnv_fpga::prr::errcode as prr_errcode;
 use mnv_fpga::prr::regs as prr_regs;
 use mnv_fpga::prr::status as prr_status;
 use mnv_fpga::prr::REG_COUNT;
-use mnv_hal::{Domain, HwTaskId, Priority, VmId};
+use mnv_hal::{HwTaskId, Priority, VmId};
 use mnv_trace::event::req_stage;
 use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
-use crate::hwmgr::service::{
-    ctrl_reg, PcapJob, PcapJobKind, QueuedPcap, SwShadow, SHADOW_LINE_KEY,
-};
+use crate::hwmgr::service::{ctrl_reg, PcapJob, PcapJobKind, QueuedPcap};
 use crate::hwmgr::tables::{Ladder, PrrService};
 use crate::hwmgr::HwMgr;
 use crate::kernel::GuestKind;
 use crate::kobj::pd::Pd;
-use crate::mem::pagetable::{self, PtAlloc};
+use crate::mem::pagetable::PtAlloc;
 use crate::obs::Sinks;
 
 /// Named cycle constants for every supervision timer (660 cycles = 1 µs at
@@ -299,10 +296,10 @@ impl Supervisor {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric recovery: scrub-and-reinstate, escalation ladder, re-promotion
+// Fabric recovery: scrub-and-reinstate, escalation ladder
 // ---------------------------------------------------------------------------
 
-/// The DMA-staging registers replayed across retry/relocation/transplant
+/// The DMA-staging registers replayed across retry and relocation
 /// (SRC_ADDR, SRC_LEN, DST_ADDR, DST_LEN, PARAM0).
 const STAGING_REGS: [usize; 5] = [
     prr_regs::SRC_ADDR,
@@ -315,7 +312,7 @@ const STAGING_REGS: [usize; 5] = [
 impl HwMgr {
     /// One supervision pass over the fabric, run by the manager's
     /// watchdog: settle the PCAP channel, and when it is free launch the
-    /// next queued client job, or else the next scrub or re-promotion load.
+    /// next queued client job, or else the next due scrub.
     pub fn fabric_tick(
         &mut self,
         m: &mut Machine,
@@ -325,7 +322,7 @@ impl HwMgr {
     ) {
         self.settle(m, pds, pt, sinks, true);
         if self.pcap_job.is_none() && !self.launch_queued(m, pds, sinks) {
-            self.launch_next_kernel_job(m, pds);
+            self.launch_next_scrub(m, pds);
         }
     }
 
@@ -338,56 +335,23 @@ impl HwMgr {
         };
         self.pcap_job = None;
         let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
+        // A cancelled scrub moves its region's next scrub one interval out.
         // A cancelled relocation leaves the ladder in place; its deadline
         // escalates the hung region to the software rung.
-        if !matches!(job.kind, PcapJobKind::Relocate { .. }) {
-            self.delay_scrub(m, job.prr);
+        if job.kind == PcapJobKind::Scrub {
+            let at = m.now().raw() + self.scrub_interval;
+            if let Some(h) = self.prrs.health_slot(job.prr) {
+                h.next_scrub_at = at;
+            }
         }
     }
 
-    /// Move a quarantined region's next scrub one interval out (a region in
-    /// service has no scrub to move).
-    fn delay_scrub(&mut self, m: &Machine, prr: u8) {
-        let at = m.now().raw() + self.scrub_interval;
-        if let Some(h) = self.prrs.health_slot(prr) {
-            h.next_scrub_at = at;
-        }
-    }
-
-    /// A re-promotion load for `vm` ended. On success the region holds the
-    /// client's core (the table stays honest even if the client vanished
-    /// mid-load) and the client is reserved onto it. On failure the target
-    /// stays in service and free: the candidate scan reads no scrub timing,
-    /// so its next pass retries the load at once; the delay only applies to
-    /// a target quarantined while its load was in flight.
-    pub(crate) fn repromote_load_done(
-        &mut self,
-        m: &mut Machine,
-        pds: &BTreeMap<VmId, Pd>,
-        job: PcapJob,
-        vm: VmId,
-        pass: bool,
-    ) {
-        if !pass {
-            self.delay_scrub(m, job.prr);
-            return;
-        }
-        self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-        if pds.contains_key(&vm) {
-            self.repromote_prep(m, pds, job.prr, vm, job.task);
-        }
-    }
-
-    /// Pick and launch the next kernel PCAP transfer: a due scrub of a
-    /// quarantined region first, else a re-promotion load for a degraded
-    /// client with a healthy compatible region free.
-    fn launch_next_kernel_job(&mut self, m: &mut Machine, pds: &BTreeMap<VmId, Pd>) {
+    /// Launch the scrub of the first quarantined region that is due. The
+    /// scrub bitstream is chosen to be useful: prefer the task of a
+    /// degraded client that could use this region, so the reinstating pass
+    /// leaves the core that client's next request needs resident.
+    fn launch_next_scrub(&mut self, m: &mut Machine, pds: &BTreeMap<VmId, Pd>) {
         let now = m.now().raw();
-
-        // Scrubs. The scrub bitstream is chosen to be useful: prefer the
-        // task of a degraded client that could use this region, so the
-        // reinstating pass leaves the right core resident and the
-        // subsequent re-promotion needs no extra transfer.
         for prr in 0..self.prrs.len() as u8 {
             let due = matches!(
                 self.prrs.entry(prr).service,
@@ -420,27 +384,6 @@ impl HwMgr {
             self.launch_pcap(m, task, prr, PcapJobKind::Scrub);
             return;
         }
-
-        // Re-promotion loads: a degraded client whose task fits a healthy
-        // free region. When the core is already resident no transfer is
-        // needed — promote directly.
-        let candidate = self.shadows.iter().find_map(|s| {
-            if s.promote_to.is_some() || !pds.contains_key(&s.vm) {
-                return None;
-            }
-            let prr = (0..self.prrs.len() as u8).find(|&p| self.free_target(s.task, p))?;
-            Some((s.vm, s.task, prr))
-        });
-        if let Some((vm, task, prr)) = candidate {
-            if self.prr_status(m, prr) == prr_status::BUSY {
-                return;
-            }
-            if self.prrs.entry(prr).task == Some(task) {
-                self.repromote_prep(m, pds, prr, vm, task);
-            } else {
-                self.launch_pcap(m, task, prr, PcapJobKind::Repromote { vm });
-            }
-        }
     }
 
     /// Record a scrub's outcome in the region's health and schedule the
@@ -449,7 +392,6 @@ impl HwMgr {
     pub(crate) fn scrub_done(
         &mut self,
         m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
         sinks: &mut Sinks<'_>,
         job: PcapJob,
         pass: bool,
@@ -486,137 +428,11 @@ impl HwMgr {
         {
             let e = self.prrs.entry_mut(m, job.prr);
             e.reinstate();
-            e.client = None;
-            e.iface_va = None;
+            e.detach();
             e.task = Some(job.task);
         }
         let ev = TraceEvent::PrrReinstate { prr: job.prr };
         sinks.note(m.now(), ev);
-
-        // If the scrub bitstream was chosen for a degraded client, promote
-        // that client now — the core is already resident.
-        let client = self
-            .shadows
-            .iter()
-            .find(|s| s.promote_to.is_none() && s.task == job.task && pds.contains_key(&s.vm))
-            .map(|s| s.vm);
-        if let Some(vm) = client {
-            self.repromote_prep(m, pds, job.prr, vm, job.task);
-        }
-    }
-
-    /// Prepare a shadow client's return to hardware: reserve the region,
-    /// reprogram the hwMMU and move the completion IRQ route over, but keep
-    /// the guest's interface mapped to the shadow page. The actual switch
-    /// (the "transplant") happens at the client's next START, so an
-    /// unconsumed shadow completion can never be lost.
-    fn repromote_prep(
-        &mut self,
-        m: &mut Machine,
-        pds: &BTreeMap<VmId, Pd>,
-        prr: u8,
-        vm: VmId,
-        task: HwTaskId,
-    ) {
-        let Some(idx) = self
-            .shadows
-            .iter()
-            .position(|s| s.vm == vm && s.task == task && s.promote_to.is_none())
-        else {
-            return;
-        };
-        let Some(&(iface_va, _)) = pds.get(&vm).and_then(|pd| pd.iface_maps.get(&task)) else {
-            return;
-        };
-        let ds = self.shadows[idx].ds;
-        {
-            let e = self.prrs.entry_mut(m, prr);
-            e.client = Some(vm);
-            e.task = Some(task);
-            e.iface_va = Some(iface_va.raw());
-        }
-        self.program_hwmmu(m, prr, ds);
-        if let Some(line) = self.shadows[idx].line {
-            // The client kept its original line through the quarantine
-            // (parked under the shadow pseudo-key); re-key it onto the new
-            // region and restore the hardware route.
-            if let Some(li) = line.pl_index() {
-                if self
-                    .irqs
-                    .retarget_prr(SHADOW_LINE_KEY | li as u8, prr)
-                    .is_some()
-                {
-                    let _ = m.phys_write_u32(
-                        ctrl_reg(plregs::IRQ_ROUTE),
-                        ((prr as u32) << 8) | li as u32,
-                    );
-                }
-            }
-        }
-        self.shadows[idx].promote_to = Some(prr);
-    }
-
-    /// Complete the transplant at the client's START: stage the run the
-    /// guest just programmed into the real region, swap the interface
-    /// mapping back to the device page and start the hardware run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn transplant(
-        &mut self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        pt: &mut PtAlloc,
-        sinks: &mut Sinks<'_>,
-        s: &SwShadow,
-        prr: u8,
-        ctrl: u32,
-    ) {
-        let dev = Pl::prr_page(prr);
-        for idx in STAGING_REGS {
-            let v = m.phys_read_u32(s.page + 4 * idx as u64).unwrap_or(0);
-            let _ = m.phys_write_u32(dev + 4 * idx as u64, v);
-        }
-        self.move_iface(m, pds, pt, s.vm, s.task, prr);
-        self.prrs.entry_mut(m, prr).dispatches += 1;
-        // The shadow's open causal request follows the client back onto
-        // fabric: the completion vIRQ from the new region closes it.
-        let old = std::mem::replace(self.prrs.req_slot(prr), s.req);
-        sinks.end_req(m.now(), old, s.vm, req_stage::RELEASED);
-        self.free_shadow_page(s.page);
-        let ev = TraceEvent::Repromote {
-            vm: s.vm.0,
-            task: s.task.0 as u32,
-            prr,
-        };
-        sinks.note(m.now(), ev);
-        // Kick the hardware run with the guest's own control bits. This
-        // write goes through the PL fault site like any guest start — a
-        // re-hang lands back in the watchdog/ladder path.
-        let _ = m.phys_write_u32(dev + 4 * prr_regs::CTRL as u64, ctrl);
-    }
-
-    /// Swing `vm`'s interface mapping for `task` over to `prr`'s register
-    /// page and record the new region in its interface map.
-    fn move_iface(
-        &self,
-        m: &mut Machine,
-        pds: &mut BTreeMap<VmId, Pd>,
-        pt: &mut PtAlloc,
-        vm: VmId,
-        task: HwTaskId,
-        prr: u8,
-    ) {
-        let Some(pd) = pds.get_mut(&vm) else { return };
-        let Some(entry) = pd.iface_maps.get_mut(&task) else {
-            return;
-        };
-        entry.1 = prr;
-        let va = entry.0;
-        if !self.native {
-            let _ = pagetable::unmap_page(m, pd.l1, va, pd.asid);
-            let dev = Pl::prr_page(prr);
-            let _ =
-                pagetable::map_page(m, pd.l1, va, dev, Domain::DEVICE, Ap::Full, true, false, pt);
-        }
     }
 
     /// Escalation-ladder entry: a region exceeded the hang watchdog with a
@@ -805,7 +621,8 @@ impl HwMgr {
 
         // The hung source goes to quarantine (and the scrubber's care) —
         // without a client migration, since the client moves to hardware.
-        self.take_out_of_service(m, pds, sinks, from, true);
+        self.take_out_of_service(m, pds, sinks, from);
+        self.prrs.entry_mut(m, from).detach();
 
         // Move the dispatch.
         {
@@ -816,7 +633,8 @@ impl HwMgr {
             e.dispatches += 1;
         }
         *self.prrs.req_slot(target) = moved;
-        self.move_iface(m, pds, pt, vm, job.task, target);
+        let page = Pl::prr_page(target);
+        let _ = self.map_iface(m, pds, pt, vm, job.task, iface_va, page, target);
         self.program_hwmmu(m, target, ds);
         if let Some(line) = self.irqs.retarget_prr(from, target) {
             let _ = m.phys_write_u32(ctrl_reg(plregs::IRQ_ROUTE), ((from as u32) << 8) | 0xFF);
@@ -844,8 +662,8 @@ impl HwMgr {
         self.tasks.get(task).is_some_and(|e| e.prrs.contains(&prr))
     }
 
-    /// Can a re-promotion or relocation load target `prr` for `task`? The
-    /// region must be in service with no client and no open ladder.
+    /// Can a relocation load target `prr` for `task`? The region must be in
+    /// service with no client and no open ladder.
     fn free_target(&self, task: HwTaskId, prr: u8) -> bool {
         let e = self.prrs.entry(prr);
         e.in_service() && e.client.is_none() && e.ladder().is_none() && self.task_fits(task, prr)
@@ -861,9 +679,9 @@ impl HwMgr {
     /// mid-hypercall): no fabric resource may reference a missing VM, the
     /// PCAP owner is exactly the VM whose client job is in the channel and
     /// exactly the owner waits on a transfer, the FIFO waits only behind a
-    /// client transfer, every queued job belongs to its region's client
-    /// (once per VM, never the owner's), and shadow-pool accounting must
-    /// balance.
+    /// client transfer, every client job belongs to its region's client
+    /// (a queued one once per VM, never the owner's), a shadow is the only
+    /// record of its dispatch, and shadow-pool accounting must balance.
     pub fn check_invariants(&self, pds: &BTreeMap<VmId, Pd>) -> Result<(), String> {
         for (i, s) in self.shadows.iter().enumerate() {
             if !pds.contains_key(&s.vm) {
@@ -872,6 +690,12 @@ impl HwMgr {
             if !pds[&s.vm].iface_maps.contains_key(&s.task) {
                 return Err(format!(
                     "shadow {i} (vm{} task{}) has no interface mapping",
+                    s.vm.0, s.task.0
+                ));
+            }
+            if let Some(prr) = self.prrs.find_dispatch(s.vm, s.task) {
+                return Err(format!(
+                    "vm{} task{} is both a shadow and dispatched on prr{prr}",
                     s.vm.0, s.task.0
                 ));
             }
@@ -919,7 +743,7 @@ impl HwMgr {
                 ));
             }
         }
-        for (i, &QueuedPcap { task, prr, vm, .. }) in self.pcap_queue.iter().enumerate() {
+        for (i, &QueuedPcap { vm, .. }) in self.pcap_queue.iter().enumerate() {
             if !pds.contains_key(&vm) {
                 return Err(format!("pcap queue slot {i} leaked to dead vm{}", vm.0));
             }
@@ -930,10 +754,16 @@ impl HwMgr {
             if later.any(|q| q.vm == vm) {
                 return Err(format!("vm{} is queued twice for the pcap", vm.0));
             }
+        }
+        let in_flight = self
+            .pcap_job
+            .and_then(|j| Some((j.task, j.prr, j.client()?)));
+        let queued = self.pcap_queue.iter().map(|q| (q.task, q.prr, q.vm));
+        for (task, prr, vm) in in_flight.into_iter().chain(queued) {
             let e = self.prrs.entry(prr);
             if e.client != Some(vm) || e.task != Some(task) {
                 return Err(format!(
-                    "queued job vm{} task{} names prr{prr}, whose entry is {:?}/{:?}",
+                    "client job vm{} task{} names prr{prr}, whose entry is {:?}/{:?}",
                     vm.0,
                     task.0,
                     e.client.map(|v| v.0),
@@ -953,29 +783,11 @@ impl HwMgr {
     }
 
     /// Convergence check for soak tests: after faults stop, the fabric must
-    /// drain back to full hardware service — no degraded clients (unless
-    /// every region their task fits was retired for good, in which case the
-    /// shadow path *is* the best reachable state), no
-    /// quarantined-but-scrubbable regions, no open ladders.
+    /// drain back to full hardware service — no open ladders and no
+    /// quarantined-but-scrubbable regions. A degraded client is not the
+    /// fabric's to converge: it returns to hardware at its next request
+    /// (the recovery soak checks that by issuing one).
     pub fn check_converged(&self) -> Result<(), String> {
-        for s in &self.shadows {
-            if s.promote_to.is_some() {
-                // Hardware is reserved; the switch itself is lazy (it
-                // completes at the client's next request or START) — the
-                // supervision plane has nothing left to do.
-                continue;
-            }
-            let repromotable = self
-                .tasks
-                .get(s.task)
-                .is_some_and(|e| e.prrs.iter().any(|&p| !self.prrs.entry(p).is_retired()));
-            if repromotable {
-                return Err(format!(
-                    "vm{} task{} still degraded with un-retired compatible regions",
-                    s.vm.0, s.task.0
-                ));
-            }
-        }
         let open = (0..self.prrs.len() as u8)
             .filter(|&p| self.prrs.entry(p).ladder().is_some())
             .count();

@@ -192,45 +192,27 @@ fn crash_looping_guest_is_permanently_killed_after_the_budget() {
 
 #[test]
 fn persistent_pcap_corruption_retires_the_region_and_the_shadow_stays_exact() {
-    // Every PCAP transfer is corrupted, for ever: the client's
-    // reconfiguration exhausts its retries and quarantines its region, and
-    // no scrub can pass. The task is confined to region 0, so retiring it
-    // leaves the shadow as the best reachable service (with spare
-    // compatible regions the scrubber keeps retrying re-promotion loads
-    // onto them and the fabric cannot converge).
+    // Every PCAP transfer is corrupted, for ever: each reconfiguration
+    // exhausts its retries and quarantines its region, the client's next
+    // request tries the next compatible region, and no scrub can pass.
+    // QAM-4 fits all four regions, so the fabric converges once every one
+    // of them has retired, and the shadow is the best reachable service.
     let (mut k, task) = thw_kernel(42);
-    let e = k
-        .state
-        .hwmgr
-        .tasks
-        .get(task)
-        .cloned()
-        .expect("task registered");
-    k.state
-        .hwmgr
-        .tasks
-        .register(task, e.core, e.bit_addr, e.bit_len, vec![0]);
+    let core = k.state.hwmgr.tasks.get(task).expect("task registered").core;
     let mut plan = FaultPlan::none(42);
     plan.pcap_corrupt = SiteCfg::new(1_000_000, u32::MAX);
     k.enable_faults(plan);
     let tracer = k.enable_tracing(1 << 18);
-    k.run(Cycles::from_millis(20.0));
+    k.run(Cycles::from_millis(40.0));
 
     let h = k.state.stats.hwmgr;
-    assert!(
-        k.state.hwmgr.prrs.entry(0).is_retired(),
-        "region 0 must retire: {h:?}"
-    );
-    assert_eq!(h.prrs_retired, 1, "{h:?}");
+    assert_eq!(h.prrs_retired, 4, "every region must retire: {h:?}");
     assert!(h.sw_fallbacks >= 1, "the shadow must serve: {h:?}");
-    // Each retired region saw exactly the failure budget of scrubs, then
-    // none: the scrubber never touches a retired region again.
+    // Each region saw exactly the failure budget of scrubs, then none: the
+    // scrubber never touches a retired region again.
     assert_eq!(tracer.dropped(), 0, "the scrub history must be complete");
     let events = tracer.snapshot();
     for p in 0..k.state.hwmgr.prrs.len() as u8 {
-        if !k.state.hwmgr.prrs.entry(p).is_retired() {
-            continue;
-        }
         let history: Vec<&str> = events
             .iter()
             .filter_map(|(_, ev)| match *ev {
@@ -253,7 +235,7 @@ fn persistent_pcap_corruption_retires_the_region_and_the_shadow_stays_exact() {
 
     // The shadow-served output is still the IP core's.
     let (input, _) = thw_io(&mut k, 1);
-    let expected = make_core(e.core).process(&input);
+    let expected = make_core(core).process(&input);
     let (_, out) = thw_io(&mut k, expected.len());
     assert_eq!(out, expected, "shadow output must match the IP core");
 }

@@ -191,8 +191,9 @@ pub enum TraceEvent {
         /// The retired region.
         prr: u8,
     },
-    /// A software-fallback client was promoted back onto fabric hardware
-    /// (the reverse of the quarantine migration).
+    /// A software-fallback client's request found a compatible region:
+    /// its shadow is dropped and the six-stage routine dispatches it on
+    /// fabric again.
     Repromote {
         /// Owning VM.
         vm: u16,
