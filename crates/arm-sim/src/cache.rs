@@ -96,23 +96,48 @@ impl Cache {
 
     /// Look up `pa`; on miss, fill (LRU eviction). Returns `true` on hit.
     pub fn access(&mut self, pa: PhysAddr) -> bool {
+        // The L1s' 4 ways and the L2's 8 get a lookup the compiler
+        // unrolls; any other geometry runs the same code with a run-time
+        // bound.
+        match self.ways {
+            4 => self.lookup(pa, 4),
+            8 => self.lookup(pa, 8),
+            w => self.lookup(pa, w),
+        }
+    }
+
+    /// [`Cache::access`] in a set of `ways` ways. The hit search compares
+    /// every way, with no early exit; only a miss looks at the stamps,
+    /// and it evicts the first way with the oldest one, the way
+    /// `Iterator::min_by_key` picks.
+    #[inline(always)]
+    fn lookup(&mut self, pa: PhysAddr, ways: usize) -> bool {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(pa);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == tag {
-                self.stamps[base + w] = self.tick;
-                self.stats.hits += 1;
-                return true;
+        let base = set * ways;
+        let tags = &mut self.tags[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        let mut hit = ways;
+        for (w, &t) in tags.iter().enumerate() {
+            if t == tag {
+                hit = w;
             }
         }
-        // Miss: evict LRU way.
+        if hit < ways {
+            stamps[hit] = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        let (mut victim, mut oldest) = (0, stamps[0]);
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            if s < oldest {
+                victim = w;
+                oldest = s;
+            }
+        }
+        tags[victim] = tag;
+        stamps[victim] = self.tick;
         self.epoch += 1;
-        let victim = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways >= 1");
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.tick;
         self.stats.misses += 1;
         false
     }
@@ -376,6 +401,132 @@ mod tests {
         assert!(c.invalidate_line(pa(0x40)));
         assert!(!c.invalidate_line(pa(0x40)));
         assert!(!c.probe(pa(0x40)));
+    }
+
+    /// The set scan as it stood before the unrolled lookup: an
+    /// early-exit hit search, then `min_by_key` over the stamps.
+    fn reference_access(c: &mut Cache, pa: PhysAddr) -> bool {
+        c.tick += 1;
+        let (set, tag) = c.set_and_tag(pa);
+        let base = set * c.ways;
+        for w in 0..c.ways {
+            if c.tags[base + w] == tag {
+                c.stamps[base + w] = c.tick;
+                c.stats.hits += 1;
+                return true;
+            }
+        }
+        c.epoch += 1;
+        let victim = (0..c.ways)
+            .min_by_key(|&w| c.stamps[base + w])
+            .expect("ways >= 1");
+        c.tags[base + victim] = tag;
+        c.stamps[base + victim] = c.tick;
+        c.stats.misses += 1;
+        false
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Drive `access` and the reference scan with the same seeded stream
+    /// of fills, hits, invalidations and replayed hits, and require the
+    /// same answer, statistics, epoch and replacement state after every
+    /// operation. Addresses come from a few sets and twice as many tags
+    /// as ways, so hits, evictions and stamp ties (fresh sets, replayed
+    /// hits sharing an order) are all frequent. The digest folds every
+    /// slot, so `steps` stays small enough for a debug build.
+    fn differential(size: usize, ways: usize, seed: u64, steps: usize) {
+        let mut fast = Cache::new("fast", size, ways);
+        let mut slow = Cache::new("slow", size, ways);
+        let way_bytes = (size / ways) as u64;
+        let mut rng = seed;
+        let addr = |rng: &mut u64| {
+            let r = splitmix(rng);
+            let tag = r % (2 * ways as u64 + 1);
+            let set = (r >> 16) % 4;
+            pa(tag * way_bytes + set * 32 + (r >> 32) % 32)
+        };
+        for step in 0..steps {
+            let op = splitmix(&mut rng) % 100;
+            let (a, b) = match op {
+                0..=69 => {
+                    let p = addr(&mut rng);
+                    (fast.access(p) as u64, reference_access(&mut slow, p) as u64)
+                }
+                70..=79 => {
+                    let p = addr(&mut rng);
+                    (
+                        fast.invalidate_line(p) as u64,
+                        slow.invalidate_line(p) as u64,
+                    )
+                }
+                80 => (fast.invalidate_all() as u64, slow.invalidate_all() as u64),
+                81..=92 => {
+                    let p = addr(&mut rng);
+                    let slot = fast.probe_slot(p);
+                    assert_eq!(slot, slow.probe_slot(p), "step {step}");
+                    if let Some(slot) = slot {
+                        fast.replay_hit(slot);
+                        slow.replay_hit(slot);
+                    }
+                    (0, 0)
+                }
+                _ => {
+                    let n = 1 + splitmix(&mut rng) % 6;
+                    let mut stamped = Vec::new();
+                    for _ in 0..n {
+                        if let Some(slot) = fast.probe_slot(addr(&mut rng)) {
+                            stamped.push((slot, 1 + splitmix(&mut rng) % n));
+                        }
+                    }
+                    fast.replay_hits(n, &stamped);
+                    slow.replay_hits(n, &stamped);
+                    (0, 0)
+                }
+            };
+            assert_eq!(a, b, "{ways}-way seed {seed} step {step}: op {op}");
+            assert_eq!(
+                fast.stats(),
+                slow.stats(),
+                "{ways}-way seed {seed} step {step}"
+            );
+            assert_eq!(
+                fast.epoch(),
+                slow.epoch(),
+                "{ways}-way seed {seed} step {step}"
+            );
+            assert_eq!(
+                fast.state_digest(),
+                slow.state_digest(),
+                "{ways}-way seed {seed} step {step}"
+            );
+        }
+        assert!(fast.stats().hits > 0 && fast.stats().misses > 0);
+    }
+
+    #[test]
+    fn unrolled_lookup_matches_reference_scan_l1() {
+        for seed in [1, 11, 227] {
+            differential(32 * 1024, 4, seed, 4_000);
+        }
+    }
+
+    #[test]
+    fn unrolled_lookup_matches_reference_scan_l2() {
+        for seed in [1, 11, 227] {
+            differential(512 * 1024, 8, seed, 1_500);
+        }
+    }
+
+    #[test]
+    fn unrolled_lookup_matches_reference_scan_other_geometry() {
+        differential(4 * 1024, 2, 5, 4_000);
     }
 
     #[test]

@@ -122,16 +122,23 @@ fn dequant_pulse(q: i32, scale: f32) -> f32 {
 
 // -- LPC ----------------------------------------------------------------------
 
-/// Levinson-Durbin: autocorrelation → reflection coefficients.
-fn reflection_coeffs(samples: &[f32]) -> [f32; LPC_ORDER] {
-    let mut r = [0.0f64; LPC_ORDER + 1];
-    for (lag, slot) in r.iter_mut().enumerate() {
-        *slot = samples
-            .iter()
-            .zip(samples.iter().skip(lag))
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
+/// Autocorrelation at lags 0..=LPC_ORDER. The samples are widened once
+/// and every lag's sum is built in one pass over them; each sum still
+/// adds its terms in sample order from `-0.0` (where `Iterator::sum`
+/// starts), so the result is bit-identical to summing lag by lag.
+fn autocorrelation(samples: &[f32]) -> [f64; LPC_ORDER + 1] {
+    let x: Vec<f64> = samples.iter().map(|&v| v as f64).collect();
+    let mut r = [-0.0f64; LPC_ORDER + 1];
+    for (i, &a) in x.iter().enumerate() {
+        for (slot, &b) in r.iter_mut().zip(&x[i..]) {
+            *slot += a * b;
+        }
     }
+    r
+}
+
+/// Levinson-Durbin: autocorrelation → reflection coefficients.
+fn reflection_coeffs(r: &[f64; LPC_ORDER + 1]) -> [f32; LPC_ORDER] {
     let mut k = [0.0f32; LPC_ORDER];
     if r[0] < 1e-9 {
         return k;
@@ -174,6 +181,55 @@ fn k_to_lpc(k: &[f32; LPC_ORDER]) -> [f32; LPC_ORDER] {
     a
 }
 
+// -- LTP lag search ---------------------------------------------------------
+
+/// Lags per block of the search: a block's correlation and energy sums
+/// stay in registers while the subframe streams past them once.
+const LAG_BLOCK: usize = 8;
+const LAGS: usize = LAG_MAX - LAG_MIN + 1;
+
+/// An LTP lag search, as [`ltp_search`]: (lag, correlation, energy).
+type LtpSearch = fn(&[f32; SUBFRAME], &[f32; LAG_MAX]) -> (usize, f64, f64);
+
+/// Long-term-prediction lag search for subframe `d` against the
+/// `LAG_MAX` newest samples of the reconstructed residual `hist`: the lag
+/// whose correlation explains most energy, with that correlation and
+/// energy. The history is widened once (and squared in `f32`, as each
+/// lag would), reversed so a block of consecutive lags reads one
+/// contiguous run, and every lag's sums still add in subframe order, so
+/// the result is bit-identical to searching lag by lag.
+fn ltp_search(d: &[f32; SUBFRAME], hist: &[f32; LAG_MAX]) -> (usize, f64, f64) {
+    // Lag LAG_MIN + j pairs d[n] with h[LAG_MIN - 1 - n + j].
+    let mut h = [0.0f64; LAG_MAX + LAG_BLOCK];
+    let mut h2 = [0.0f64; LAG_MAX + LAG_BLOCK];
+    for (i, &x) in hist.iter().rev().enumerate() {
+        h[i] = x as f64;
+        h2[i] = (x * x) as f64;
+    }
+    let df = d.map(|x| x as f64);
+    let (mut best_lag, mut best_corr, mut best_energy) = (LAG_MIN, 0.0f64, 1.0f64);
+    for j0 in (0..LAGS).step_by(LAG_BLOCK) {
+        let mut corr = [0.0f64; LAG_BLOCK];
+        let mut energy = [1e-6f64; LAG_BLOCK];
+        for (n, &dn) in df.iter().enumerate() {
+            let at = LAG_MIN - 1 - n + j0;
+            let (hb, h2b) = (&h[at..at + LAG_BLOCK], &h2[at..at + LAG_BLOCK]);
+            for b in 0..LAG_BLOCK {
+                corr[b] += dn * hb[b];
+                energy[b] += h2b[b];
+            }
+        }
+        for b in 0..LAG_BLOCK.min(LAGS - j0) {
+            if corr[b] * corr[b] * best_energy > best_corr * best_corr * energy[b] {
+                best_lag = LAG_MIN + j0 + b;
+                best_corr = corr[b];
+                best_energy = energy[b];
+            }
+        }
+    }
+    (best_lag, best_corr, best_energy)
+}
+
 // -- the codec ------------------------------------------------------------------
 
 /// Streaming GSM encoder (keeps filter and LTP history across frames).
@@ -214,6 +270,17 @@ impl GsmEncoder {
 
     /// Encode one 160-sample frame into 33 bytes.
     pub fn encode_frame(&mut self, pcm: &[i16]) -> [u8; GSM_FRAME_BYTES] {
+        self.encode_frame_with(pcm, autocorrelation, ltp_search)
+    }
+
+    /// [`GsmEncoder::encode_frame`] over the given autocorrelation and
+    /// LTP search kernels (the tests pass the scalar reference forms).
+    fn encode_frame_with(
+        &mut self,
+        pcm: &[i16],
+        autocorr: fn(&[f32]) -> [f64; LPC_ORDER + 1],
+        ltp: LtpSearch,
+    ) -> [u8; GSM_FRAME_BYTES] {
         assert_eq!(pcm.len(), GSM_FRAME_SAMPLES, "GSM frames are 160 samples");
         // Preprocess: offset compensation + preemphasis.
         let mut s = [0.0f32; GSM_FRAME_SAMPLES];
@@ -227,7 +294,7 @@ impl GsmEncoder {
         }
 
         // LPC analysis on the preprocessed frame; quantise reflections.
-        let k = reflection_coeffs(&s);
+        let k = reflection_coeffs(&autocorr(&s));
         let mut w = BitWriter::new();
         let mut kq = [0.0f32; LPC_ORDER];
         for i in 0..LPC_ORDER {
@@ -261,22 +328,14 @@ impl GsmEncoder {
         for sf in 0..4 {
             let base = sf * SUBFRAME;
             // LTP lag search against reconstructed residual history.
-            let (mut best_lag, mut best_corr, mut best_energy) = (LAG_MIN, 0.0f64, 1.0f64);
-            for lag in LAG_MIN..=LAG_MAX {
-                let mut corr = 0.0f64;
-                let mut energy = 1e-6f64;
-                for n in 0..SUBFRAME {
-                    let idx = hist_len + base + n - lag;
-                    let h = self.dprime[idx];
-                    corr += d[base + n] as f64 * h as f64;
-                    energy += (h * h) as f64;
-                }
-                if corr * corr * best_energy > best_corr * best_corr * energy {
-                    best_lag = lag;
-                    best_corr = corr;
-                    best_energy = energy;
-                }
-            }
+            let (best_lag, best_corr, best_energy) = ltp(
+                d[base..base + SUBFRAME]
+                    .try_into()
+                    .expect("a subframe is SUBFRAME samples"),
+                self.dprime[hist_len + base - LAG_MAX..hist_len + base]
+                    .try_into()
+                    .expect("the LTP history is LAG_MAX samples"),
+            );
             let gain = (best_corr / best_energy).clamp(0.0, 1.2) as f32;
             let gain_code = LTP_GAINS
                 .iter()
@@ -467,6 +526,119 @@ pub fn test_utterance(frames: usize, seed: u64) -> Vec<i16> {
 mod tests {
     use super::*;
 
+    /// The scalar kernels the encoder ran before its search was blocked:
+    /// one autocorrelation sum per lag, and the lag search one lag at a
+    /// time with each sample widened where it is used.
+    fn scalar_autocorrelation(samples: &[f32]) -> [f64; LPC_ORDER + 1] {
+        let mut r = [0.0f64; LPC_ORDER + 1];
+        for (lag, slot) in r.iter_mut().enumerate() {
+            *slot = samples
+                .iter()
+                .zip(samples.iter().skip(lag))
+                .map(|(&a, &b)| a as f64 * b as f64)
+                .sum();
+        }
+        r
+    }
+
+    fn scalar_ltp_search(d: &[f32; SUBFRAME], hist: &[f32; LAG_MAX]) -> (usize, f64, f64) {
+        let (mut best_lag, mut best_corr, mut best_energy) = (LAG_MIN, 0.0f64, 1.0f64);
+        for lag in LAG_MIN..=LAG_MAX {
+            let mut corr = 0.0f64;
+            let mut energy = 1e-6f64;
+            for n in 0..SUBFRAME {
+                let h = hist[LAG_MAX + n - lag];
+                corr += d[n] as f64 * h as f64;
+                energy += (h * h) as f64;
+            }
+            if corr * corr * best_energy > best_corr * best_corr * energy {
+                best_lag = lag;
+                best_corr = corr;
+                best_energy = energy;
+            }
+        }
+        (best_lag, best_corr, best_energy)
+    }
+
+    /// Encode `frames` with the encoder's kernels and with the scalar
+    /// ones, side by side, and require every byte to agree.
+    fn assert_bit_exact(frames: &[[i16; GSM_FRAME_SAMPLES]], what: &str) {
+        let (mut fast, mut scalar) = (GsmEncoder::new(), GsmEncoder::new());
+        for (i, f) in frames.iter().enumerate() {
+            let want = scalar.encode_frame_with(f, scalar_autocorrelation, scalar_ltp_search);
+            assert_eq!(fast.encode_frame(f), want, "{what}: frame {i}");
+        }
+    }
+
+    fn frames_of(pcm: &[i16]) -> Vec<[i16; GSM_FRAME_SAMPLES]> {
+        pcm.chunks_exact(GSM_FRAME_SAMPLES)
+            .map(|c| c.try_into().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn blocked_kernels_match_scalar_forms_bit_for_bit() {
+        // The encoded bytes quantise away a last-bit difference; compare
+        // the kernels' own results, every f64 by its bits.
+        let x: Vec<f32> = Signal::speech_like(4_000, 9)
+            .iter()
+            .map(|&v| v as f32 * 0.37)
+            .collect();
+        let bits = |r: [f64; LPC_ORDER + 1]| r.map(f64::to_bits);
+        for len in (0..=20).chain([159, 160, 161, 1000]) {
+            let s = &x[len..2 * len];
+            assert_eq!(
+                bits(autocorrelation(s)),
+                bits(scalar_autocorrelation(s)),
+                "autocorrelation of {len} samples"
+            );
+        }
+        // A nearly silent history (a fresh encoder's, with one small
+        // sample) leaves the energies' 1e-6 floor as their main term.
+        let mut quiet = [0.0f32; LAG_MAX];
+        quiet[LAG_MAX - 50] = 1e-3;
+        let windows = (0..x.len() - LAG_MAX - SUBFRAME)
+            .step_by(37)
+            .map(|at| &x[at..]);
+        for (i, w) in windows.chain([&quiet[..]]).enumerate() {
+            let hist: &[f32; LAG_MAX] = w[..LAG_MAX].try_into().unwrap();
+            let d: &[f32; SUBFRAME] = x[i..i + SUBFRAME].try_into().unwrap();
+            let (lag, corr, energy) = ltp_search(d, hist);
+            let (want_lag, want_corr, want_energy) = scalar_ltp_search(d, hist);
+            assert_eq!(
+                (lag, corr.to_bits(), energy.to_bits()),
+                (want_lag, want_corr.to_bits(), want_energy.to_bits()),
+                "ltp search, window {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_are_bit_exact_on_speech() {
+        // Three passes over a 2 s utterance, as GsmTask loops its buffer,
+        // so the LTP history is warm for most of the run.
+        for seed in [1, 11, 227] {
+            let once = frames_of(&Signal::speech_like(16_000, seed));
+            assert_bit_exact(&once.repeat(3), &format!("speech seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_are_bit_exact_on_silence_and_full_scale() {
+        let silent = [0i16; GSM_FRAME_SAMPLES];
+        let square: [i16; GSM_FRAME_SAMPLES] =
+            std::array::from_fn(|i| if i % 2 == 0 { i16::MAX } else { i16::MIN });
+        let rail = [i16::MAX; GSM_FRAME_SAMPLES];
+        let speech = frames_of(&Signal::speech_like(8 * GSM_FRAME_SAMPLES, 3));
+        // A fresh encoder on silence takes the `r[0] < 1e-9` path; the
+        // rest switch between silence, full scale and speech mid-stream.
+        let mut frames = vec![silent, silent, square, rail, square];
+        frames.extend_from_slice(&speech);
+        frames.extend([silent, rail, silent, square]);
+        frames.extend_from_slice(&speech);
+        assert_bit_exact(&frames, "silence and full scale");
+    }
+
     #[test]
     fn frame_is_exactly_260_bits() {
         let pcm = test_utterance(1, 1);
@@ -575,7 +747,7 @@ mod tests {
         for i in 1..x.len() {
             x[i] = 0.8 * x[i - 1] + rng.next_f32();
         }
-        let k = reflection_coeffs(&x[1000..]);
+        let k = reflection_coeffs(&autocorrelation(&x[1000..]));
         assert!((k[0] - 0.8).abs() < 0.05, "k0={}", k[0]);
     }
 }
