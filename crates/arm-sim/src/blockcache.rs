@@ -550,7 +550,7 @@ fn lower(instr: Instr, va: u32, flags_dead: bool) -> Uop {
 ///   re-stamp LRU state ⇒ every slot holds the same entry ⇒ the same probes
 ///   match, and each matched entry translates and checks identically —
 ///   *given* the same ASID, DACR word (domain rights), privilege level and
-///   MMU enable, which the stamp carries explicitly because `mmu.check`
+///   MMU enable, which the stamp carries explicitly because `mmu::hit`
 ///   reads them afresh on every access.
 /// * `l1i_epoch` unchanged ⇒ no I-cache fill or invalidate happened ⇒ the
 ///   same lines are resident in the same slots.

@@ -57,6 +57,7 @@ pub enum DomainAccess {
 
 impl DomainAccess {
     /// Decode a 2-bit field (0b10 is reserved and reads as NoAccess here).
+    #[inline]
     pub fn from_bits(b: u32) -> Self {
         match b & 0b11 {
             0b01 => DomainAccess::Client,
@@ -176,6 +177,7 @@ impl Cp15 {
     }
 
     /// MMU enabled?
+    #[inline]
     pub fn mmu_enabled(&self) -> bool {
         self.sctlr & SCTLR_M != 0
     }
@@ -186,6 +188,7 @@ impl Cp15 {
     }
 
     /// The current ASID from CONTEXTIDR\[7:0\].
+    #[inline]
     pub fn asid(&self) -> Asid {
         Asid((self.contextidr & 0xFF) as u8)
     }
@@ -196,6 +199,7 @@ impl Cp15 {
     }
 
     /// Access field for MMU domain `d` from the DACR.
+    #[inline]
     pub fn domain_access(&self, d: mnv_hal::Domain) -> DomainAccess {
         DomainAccess::from_bits(self.dacr >> (2 * d.0 as u32))
     }

@@ -47,7 +47,7 @@ pub use gic::Gic;
 pub use machine::{Machine, MachineConfig};
 pub use memory::PhysMemory;
 pub use mir::{AluOp, Cond, Instr, Program, ProgramBuilder};
-pub use mmu::{AccessKind, Fault, FaultKind, Mmu, TranslationResult};
+pub use mmu::{AccessKind, Fault, FaultKind};
 pub use pmu::{Pmu, PmuInputs, PmuReg, PmuState};
 pub use psr::{Mode, Psr};
 pub use timer::{GlobalTimer, PrivateTimer};

@@ -25,7 +25,7 @@ use crate::gic::Gic;
 use crate::memory::PhysMemory;
 use crate::mir::FastClass;
 use crate::mir::{AluOp, Cond, Instr, MirCp15, Program, INSTR_SIZE};
-use crate::mmu::{AccessKind, Fault, Mmu};
+use crate::mmu::{self, AccessKind, Fault};
 use crate::pmu::{Pmu, PmuInputs};
 use crate::psr::Psr;
 use crate::timer::{GlobalTimer, PrivateTimer};
@@ -226,8 +226,6 @@ pub struct Machine {
     pub caches: CacheHierarchy,
     /// Main TLB.
     pub tlb: Tlb,
-    /// Table walker.
-    pub mmu: Mmu,
     /// System coprocessor registers.
     pub cp15: Cp15,
     /// Core registers, modes, exception machinery.
@@ -295,7 +293,6 @@ impl Machine {
             mem: PhysMemory::new(),
             caches: CacheHierarchy::new(),
             tlb: Tlb::new(cfg.tlb_entries),
-            mmu: Mmu,
             cp15: Cp15::reset(),
             cpu: Cpu::new(),
             vfp: Vfp::new(),
@@ -644,7 +641,9 @@ impl Machine {
 
     // -- virtual access -------------------------------------------------------
 
-    fn record_fault(&mut self, fault: Fault) {
+    /// Record `fault` into the fault registers and hand it back.
+    #[cold]
+    fn record_fault(&mut self, fault: Fault) -> Fault {
         self.last_fault = Some(fault);
         match fault.access {
             AccessKind::Execute => {
@@ -656,37 +655,48 @@ impl Machine {
                 self.cp15.write(Cp15Reg::Dfsr, fault.fsr());
             }
         }
+        fault
     }
 
     /// Translate only (charges walk traffic). Faults are recorded into the
-    /// fault registers as a side effect.
+    /// fault registers as a side effect. A TLB hit costs nothing beyond the
+    /// access itself and runs inline: the lookup, then [`mmu::hit`]'s live
+    /// DACR/AP check. A miss walks the tables ([`mmu::walk`]).
+    /// With the MMU off the translation is a free identity, no TLB traffic.
+    #[inline]
     pub fn translate(
         &mut self,
         va: VirtAddr,
         access: AccessKind,
         privileged: bool,
     ) -> Result<PhysAddr, Fault> {
-        let Machine {
-            ref mmu,
-            ref cp15,
-            ref mut tlb,
-            ref mem,
-            ref mut caches,
-            ..
-        } = *self;
-        match mmu.translate(va, access, privileged, cp15, tlb, mem, caches) {
-            Ok(r) => {
-                self.charge(r.cost);
-                if r.walked {
-                    self.pt_walks += 1;
-                }
-                Ok(r.pa)
-            }
-            Err(f) => {
-                self.record_fault(f);
-                Err(f)
-            }
+        if !self.cp15.mmu_enabled() {
+            return Ok(PhysAddr::new(va.raw()));
         }
+        let Some(e) = self.tlb.lookup(va, self.cp15.asid()) else {
+            return self.translate_walk(va, access, privileged);
+        };
+        mmu::hit(&e, va, access, privileged, &self.cp15).map_err(|f| self.record_fault(f))
+    }
+
+    /// The miss half of [`Machine::translate`]: walk, check the walked
+    /// entry with the hit routine, insert it, then charge the walk and
+    /// count it. A faulting walk or check charges nothing and inserts
+    /// nothing.
+    #[inline(never)]
+    fn translate_walk(
+        &mut self,
+        va: VirtAddr,
+        access: AccessKind,
+        privileged: bool,
+    ) -> Result<PhysAddr, Fault> {
+        let walked = mmu::walk(va, access, &self.cp15, &self.mem, &mut self.caches)
+            .and_then(|(e, cost)| Ok((e, cost, mmu::hit(&e, va, access, privileged, &self.cp15)?)));
+        let (entry, cost, pa) = walked.map_err(|f| self.record_fault(f))?;
+        self.tlb.insert(entry);
+        self.charge(cost);
+        self.pt_walks += 1;
+        Ok(pa)
     }
 
     /// Charged virtual 32-bit read at the given privilege.
@@ -999,8 +1009,8 @@ impl Machine {
     /// path's `translate(va, Execute, ..)` does, but without the TLB set
     /// scan in the common case: the replay carries a `(slot, entry)` hint,
     /// and while the hinted slot still holds the hinted entry a hit is
-    /// credited directly ([`Tlb::replay_hits`]) followed by the same live
-    /// DACR/AP re-check a hitting `Mmu::translate` performs. The hint cannot
+    /// credited directly ([`Tlb::replay_hits`]) followed by the same hit
+    /// routine `translate` runs on a hit ([`mmu::hit`]). The hint cannot
     /// go stale silently — an entry matching this VA can only be displaced
     /// by an insert, and inserts for a VA the TLB already translates never
     /// happen (the lookup would have hit) — but it is still verified by a
@@ -1020,21 +1030,8 @@ impl Machine {
         if let Some((slot, e)) = *hint {
             if self.tlb.entry_at(slot) == Some(e) && e.matches(va, asid) {
                 self.tlb.replay_hits(slot, 1);
-                let level = if e.kind == PageKind::Section { 1 } else { 2 };
-                return match self.mmu.check(
-                    &e,
-                    va,
-                    AccessKind::Execute,
-                    privileged,
-                    &self.cp15,
-                    level,
-                ) {
-                    Ok(()) => Ok(PhysAddr::new(e.translate(va))),
-                    Err(f) => {
-                        self.record_fault(f);
-                        Err(f)
-                    }
-                };
+                return mmu::hit(&e, va, AccessKind::Execute, privileged, &self.cp15)
+                    .map_err(|f| self.record_fault(f));
             }
             *hint = None;
         }
@@ -1156,16 +1153,13 @@ impl Machine {
                 {
                     return None;
                 }
-                let level = if e.kind == PageKind::Section { 1 } else { 2 };
                 let access = if write {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
                 };
-                self.mmu
-                    .check(&e, va, access, privileged, &self.cp15, level)
-                    .ok()?;
-                (e.translate(va), Some(slot))
+                let pa = mmu::hit(&e, va, access, privileged, &self.cp15).ok()?;
+                (pa.raw(), Some(slot))
             }
             None if self.cp15.mmu_enabled() => return None,
             None => (va.raw(), None),
@@ -1497,19 +1491,10 @@ impl Machine {
                         let Some((slot, entry)) = hit else {
                             break 'batch;
                         };
-                        let level = if entry.kind == PageKind::Section {
-                            1
-                        } else {
-                            2
-                        };
                         let exec = AccessKind::Execute;
-                        if self
-                            .mmu
-                            .check(&entry, sva, exec, privileged, &self.cp15, level)
-                            .is_err()
-                            || entry.translate(sva) != spa
-                        {
-                            break 'batch;
+                        match mmu::hit(&entry, sva, exec, privileged, &self.cp15) {
+                            Ok(pa) if pa.raw() == spa => {}
+                            _ => break 'batch,
                         }
                         last_hint = Some((slot, entry));
                         seg_slots.push((slot, (hi - lo) as u64));

@@ -14,7 +14,6 @@
 //! exercises the same machinery real guest code would.
 
 use mnv_hal::VirtAddr;
-use std::collections::HashMap;
 
 /// Arithmetic/logic operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -600,8 +599,7 @@ impl ProgramBuilder {
             addr_of(idx) as u32
         };
         let mut bytes = Vec::with_capacity(self.slots.len() * INSTR_SIZE as usize);
-        let mut index = HashMap::new();
-        for (i, slot) in self.slots.iter().enumerate() {
+        for slot in &self.slots {
             let ins = match slot {
                 Slot::Fixed(i) => *i,
                 Slot::BranchTo { cond, label } => Instr::B {
@@ -612,7 +610,6 @@ impl ProgramBuilder {
                     target: resolve(*label),
                 },
             };
-            index.insert(addr_of(i), ins);
             bytes.extend_from_slice(&ins.encode());
         }
         Program {

@@ -11,8 +11,9 @@
 //! Geometry: one unified 128-entry, 2-way set-associative main TLB with
 //! per-set LRU replacement, matching the Cortex-A9's main TLB
 //! organisation. Small pages index by VA bits above the page offset,
-//! sections by bits above the section offset; a lookup probes both
-//! candidate sets (the hardware resolves this in the micro-TLBs).
+//! sections by bits above the section offset, both masked to the
+//! power-of-two set count; a lookup probes both candidate sets, the
+//! small-page set first (the hardware resolves this in the micro-TLBs).
 //! Entries carry the decoded descriptor attributes so a hit skips the
 //! page-table walk entirely.
 
@@ -46,6 +47,7 @@ pub enum PageKind {
 
 impl PageKind {
     /// log2 of the mapping size.
+    #[inline]
     pub fn shift(self) -> u32 {
         match self {
             PageKind::Small => PAGE_SHIFT,
@@ -77,12 +79,14 @@ pub struct TlbEntry {
 
 impl TlbEntry {
     /// True when this entry translates `va` under `asid`.
+    #[inline]
     pub fn matches(&self, va: VirtAddr, asid: Asid) -> bool {
         let mask = !((1u64 << self.kind.shift()) - 1);
         (va.raw() & mask) == self.va_base && (self.global || self.asid == asid)
     }
 
     /// Translate an address that matches this entry.
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> u64 {
         let off_mask = (1u64 << self.kind.shift()) - 1;
         self.pa_base | (va.raw() & off_mask)
@@ -119,7 +123,9 @@ pub const TLB_WAYS: usize = 2;
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
     stamps: Vec<u64>,
-    sets: usize,
+    /// Set count minus one: the set index of a VA is its page (or section)
+    /// number masked with this.
+    set_mask: usize,
     tick: u64,
     stats: TlbStats,
     /// Bumped on every mutation of entry *presence* (insert or flush).
@@ -138,66 +144,74 @@ impl Default for Tlb {
 
 impl Tlb {
     /// Build a TLB with `capacity` entries (128 on the A9), organised as
-    /// `capacity / 2` sets of [`TLB_WAYS`] ways.
+    /// `capacity / 2` sets of [`TLB_WAYS`] ways; the set count must be a
+    /// power of two.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= TLB_WAYS && capacity.is_multiple_of(TLB_WAYS));
+        let sets = capacity / TLB_WAYS;
+        assert!(
+            sets.is_power_of_two(),
+            "TLB set count must be a power of two"
+        );
         Tlb {
             entries: vec![None; capacity],
             stamps: vec![0; capacity],
-            sets: capacity / TLB_WAYS,
+            set_mask: sets - 1,
             tick: 0,
             stats: TlbStats::default(),
             epoch: 0,
         }
     }
 
-    /// Slot range of the set a VA indexes under the given granularity.
-    fn set_slots(&self, va_base: u64, kind: PageKind) -> std::ops::Range<usize> {
-        let x = (va_base >> kind.shift()) as usize;
-        // The standard geometries are powers of two; masking spares the
-        // integer division on the translation hot path.
-        let set = if self.sets.is_power_of_two() {
-            x & (self.sets - 1)
-        } else {
-            x % self.sets
-        };
-        set * TLB_WAYS..(set + 1) * TLB_WAYS
+    /// First slot of the set a VA indexes under the given granularity.
+    #[inline(always)]
+    fn set_base(&self, va: u64, kind: PageKind) -> usize {
+        ((va >> kind.shift()) as usize & self.set_mask) * TLB_WAYS
+    }
+
+    /// The one candidate-slot search behind [`Tlb::lookup`] and
+    /// [`Tlb::probe_slot`]: the small-page set's ways, then the section
+    /// set's, first match wins.
+    #[inline(always)]
+    fn find(&self, va: VirtAddr, asid: Asid) -> Option<(usize, TlbEntry)> {
+        let small = self.set_base(va.raw(), PageKind::Small);
+        let sect = self.set_base(va.raw(), PageKind::Section);
+        for base in [small, sect] {
+            for i in base..base + TLB_WAYS {
+                if let Some(e) = self.entries[i] {
+                    if e.matches(va, asid) {
+                        return Some((i, e));
+                    }
+                }
+            }
+        }
+        None
     }
 
     /// Look up a translation; counts a hit or a miss. Probes the candidate
     /// set under both granularities (small-page and section indexing).
+    #[inline]
     pub fn lookup(&mut self, va: VirtAddr, asid: Asid) -> Option<TlbEntry> {
         self.tick += 1;
-        let small = self.set_slots(va.raw(), PageKind::Small);
-        let sect = self.set_slots(va.raw(), PageKind::Section);
-        for i in small.chain(sect) {
-            if let Some(e) = self.entries[i] {
-                if e.matches(va, asid) {
-                    self.stamps[i] = self.tick;
-                    self.stats.hits += 1;
-                    return Some(e);
-                }
+        match self.find(va, asid) {
+            Some((i, e)) => {
+                self.stamps[i] = self.tick;
+                self.stats.hits += 1;
+                Some(e)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        self.stats.misses += 1;
-        None
     }
 
     /// Probe for the slot a [`Tlb::lookup`] of `(va, asid)` would hit,
-    /// without counting or re-stamping: the same sets in the same order.
+    /// without counting or re-stamping: the same search.
     /// The decoded-block executor resolves the slot once and then credits
     /// hits in bulk via [`Tlb::replay_hits`].
     pub fn probe_slot(&self, va: VirtAddr, asid: Asid) -> Option<(usize, TlbEntry)> {
-        let small = self.set_slots(va.raw(), PageKind::Small);
-        let sect = self.set_slots(va.raw(), PageKind::Section);
-        for i in small.chain(sect) {
-            if let Some(e) = self.entries[i] {
-                if e.matches(va, asid) {
-                    return Some((i, e));
-                }
-            }
-        }
-        None
+        self.find(va, asid)
     }
 
     /// Entry currently held by `slot` (replay-hint verification).
@@ -221,7 +235,8 @@ impl Tlb {
     pub fn insert(&mut self, entry: TlbEntry) {
         self.tick += 1;
         self.epoch += 1;
-        let slots = self.set_slots(entry.va_base, entry.kind);
+        let base = self.set_base(entry.va_base, entry.kind);
+        let slots = base..base + TLB_WAYS;
         // Overwrite a matching entry if present (walk after explicit
         // invalidate-by-MVA, or permission upgrade).
         for i in slots.clone() {
@@ -428,5 +443,152 @@ mod tests {
         tlb.flush_all();
         assert_eq!(tlb.valid_entries(), 0);
         assert_eq!(tlb.stats().flushed_entries, 2);
+    }
+
+    /// The chained two-set scan `lookup` and `probe_slot` each ran before
+    /// the one candidate-slot search, with its `%` set index, kept as the
+    /// differential oracle.
+    fn reference_slots(tlb: &Tlb, va_base: u64, kind: PageKind) -> std::ops::Range<usize> {
+        let set = (va_base >> kind.shift()) as usize % (tlb.set_mask + 1);
+        set * TLB_WAYS..(set + 1) * TLB_WAYS
+    }
+
+    fn reference_lookup(tlb: &mut Tlb, va: VirtAddr, asid: Asid) -> Option<TlbEntry> {
+        tlb.tick += 1;
+        let small = reference_slots(tlb, va.raw(), PageKind::Small);
+        let sect = reference_slots(tlb, va.raw(), PageKind::Section);
+        for i in small.chain(sect) {
+            if let Some(e) = tlb.entries[i] {
+                if e.matches(va, asid) {
+                    tlb.stamps[i] = tlb.tick;
+                    tlb.stats.hits += 1;
+                    return Some(e);
+                }
+            }
+        }
+        tlb.stats.misses += 1;
+        None
+    }
+
+    fn reference_probe_slot(tlb: &Tlb, va: VirtAddr, asid: Asid) -> Option<(usize, TlbEntry)> {
+        let small = reference_slots(tlb, va.raw(), PageKind::Small);
+        let sect = reference_slots(tlb, va.raw(), PageKind::Section);
+        small.chain(sect).find_map(|i| {
+            tlb.entries[i]
+                .filter(|e| e.matches(va, asid))
+                .map(|e| (i, e))
+        })
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Drive `lookup`/`probe_slot` and the reference scan on two TLBs with
+    /// the same seeded stream of inserts, lookups, probes, replayed hits
+    /// and flushes, and require the same entry and slot, statistics, epoch
+    /// and replacement state after every operation. Addresses come from
+    /// a few sections and pages chosen so that small-page and section sets
+    /// collide and a small entry and a section entry often both match one
+    /// VA: then only the probe order decides which one hits.
+    fn differential(capacity: usize, seed: u64, steps: usize) {
+        let mut fast = Tlb::new(capacity);
+        let mut slow = Tlb::new(capacity);
+        let mut rng = seed;
+        let va = |rng: &mut u64| {
+            let r = splitmix(rng);
+            let section = [0u64, 1, 2, 64, 65, 0x800][(r % 6) as usize];
+            let page = [0u64, 1, 2, 3, 64, 65, 255][((r >> 8) % 7) as usize];
+            VirtAddr::new((section << SECTION_SHIFT) | (page << PAGE_SHIFT) | ((r >> 16) & 0xFFF))
+        };
+        let asid = |rng: &mut u64| Asid(1 + (splitmix(rng) % 3) as u8);
+        for step in 0..steps {
+            let op = splitmix(&mut rng) % 100;
+            let ctx = format!("capacity {capacity} seed {seed} step {step} op {op}");
+            match op {
+                0..=34 => {
+                    let (v, a) = (va(&mut rng), asid(&mut rng));
+                    assert_eq!(
+                        fast.lookup(v, a),
+                        reference_lookup(&mut slow, v, a),
+                        "{ctx}"
+                    );
+                }
+                35..=49 => {
+                    let (v, a) = (va(&mut rng), asid(&mut rng));
+                    assert_eq!(
+                        fast.probe_slot(v, a),
+                        reference_probe_slot(&slow, v, a),
+                        "{ctx}"
+                    );
+                }
+                50..=79 => {
+                    let v = va(&mut rng);
+                    let r = splitmix(&mut rng);
+                    let kind = if r.is_multiple_of(3) {
+                        PageKind::Section
+                    } else {
+                        PageKind::Small
+                    };
+                    let base = v.raw() & !((1u64 << kind.shift()) - 1);
+                    let e = TlbEntry {
+                        va_base: base,
+                        pa_base: ((r >> 32) << kind.shift()) & 0xFFFF_FFFF,
+                        kind,
+                        asid: asid(&mut rng),
+                        global: (r >> 8) & 3 == 0,
+                        ap: [Ap::None, Ap::PrivOnly, Ap::Full][((r >> 12) % 3) as usize],
+                        domain: Domain(((r >> 16) % 4) as u8),
+                        xn: (r >> 20) & 1 == 0,
+                    };
+                    fast.insert(e);
+                    slow.insert(e);
+                }
+                80..=91 => {
+                    let (v, a) = (va(&mut rng), asid(&mut rng));
+                    if let Some((slot, _)) = fast.probe_slot(v, a) {
+                        let n = 1 + splitmix(&mut rng) % 5;
+                        fast.replay_hits(slot, n);
+                        slow.replay_hits(slot, n);
+                    }
+                }
+                92..=93 => {
+                    fast.flush_all();
+                    slow.flush_all();
+                }
+                94..=96 => {
+                    let a = asid(&mut rng);
+                    fast.flush_asid(a);
+                    slow.flush_asid(a);
+                }
+                _ => {
+                    let (v, a) = (va(&mut rng), asid(&mut rng));
+                    fast.flush_mva(v, a);
+                    slow.flush_mva(v, a);
+                }
+            }
+            assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+            assert_eq!(fast.epoch(), slow.epoch(), "{ctx}");
+            assert_eq!(fast.state_digest(), slow.state_digest(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn lookup_matches_reference_scan() {
+        for capacity in [128, 32, 8, 4, 2] {
+            for seed in 1..=4 {
+                differential(capacity, seed, 3_000);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn set_count_must_be_a_power_of_two() {
+        Tlb::new(6);
     }
 }
