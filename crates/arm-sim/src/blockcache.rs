@@ -74,7 +74,6 @@ use std::rc::{Rc, Weak};
 
 use crate::mir::{AluOp, Cond, FastClass, Instr, INSTR_SIZE};
 use crate::timing;
-use crate::tlb::TlbEntry;
 
 /// Maximum instructions per cached block (superblocks included).
 pub const MAX_BLOCK_LEN: usize = 64;
@@ -580,12 +579,6 @@ pub struct VerifyStamp {
 pub struct RunVerify {
     /// The state this verification is conditioned on.
     pub stamp: VerifyStamp,
-    /// Fetch-translation hint after the run: the last segment's TLB slot
-    /// and entry (`None` when the MMU was off).
-    pub tlb_hint: Option<(usize, TlbEntry)>,
-    /// I-cache hint after the run: (line number, L1I slot) of the run's
-    /// last fetch.
-    pub line_hint: Option<(u64, usize)>,
     /// Per-segment `(TLB slot, fetch count)` for the bulk TLB credit
     /// (empty when the MMU was off).
     pub seg_slots: Box<[(usize, u64)]>,

@@ -874,6 +874,17 @@ impl Machine {
         Some(CpuEvent::Exception(ExceptionKind::Irq))
     }
 
+    /// Charge an instruction fetch from `pa`: its I-cache access and the
+    /// base instruction cost. Every fetch runs this, reference and replay
+    /// alike.
+    #[inline]
+    fn charge_fetch(&mut self, pa: PhysAddr) {
+        let cost = self
+            .caches
+            .access(pa, MemAccessKind::Fetch, self.mem.is_ocm(pa));
+        self.charge(cost + timing::INSTR_BASE);
+    }
+
     /// Execute one MIR instruction at the current PC. Devices are synced and
     /// pending IRQs are taken first.
     pub fn step(&mut self) -> CpuEvent {
@@ -901,10 +912,7 @@ impl Machine {
             self.deliver_exception(ExceptionKind::PrefetchAbort, pc);
             return CpuEvent::Exception(ExceptionKind::PrefetchAbort);
         }
-        let cost = self
-            .caches
-            .access(pa, MemAccessKind::Fetch, self.mem.is_ocm(pa));
-        self.charge(cost + timing::INSTR_BASE);
+        self.charge_fetch(pa);
 
         let instr = match Instr::decode(bytes) {
             Some(i) => i,
@@ -1005,74 +1013,11 @@ impl Machine {
         CpuEvent::Retired
     }
 
-    /// Fetch translation during replay, bit-identical to what the reference
-    /// path's `translate(va, Execute, ..)` does, but without the TLB set
-    /// scan in the common case: the replay carries a `(slot, entry)` hint,
-    /// and while the hinted slot still holds the hinted entry a hit is
-    /// credited directly ([`Tlb::replay_hits`]) followed by the same hit
-    /// routine `translate` runs on a hit ([`mmu::hit`]). The hint cannot
-    /// go stale silently — an entry matching this VA can only be displaced
-    /// by an insert, and inserts for a VA the TLB already translates never
-    /// happen (the lookup would have hit) — but it is still verified by a
-    /// direct slot compare every time. With the MMU off the reference
-    /// translation is a free identity with no TLB traffic, reproduced here
-    /// as exactly that.
-    fn replay_translate(
-        &mut self,
-        va: VirtAddr,
-        privileged: bool,
-        hint: &mut Option<(usize, TlbEntry)>,
-    ) -> Result<PhysAddr, Fault> {
-        if !self.cp15.mmu_enabled() {
-            return Ok(PhysAddr::new(va.raw()));
-        }
-        let asid = self.cp15.asid();
-        if let Some((slot, e)) = *hint {
-            if self.tlb.entry_at(slot) == Some(e) && e.matches(va, asid) {
-                self.tlb.replay_hits(slot, 1);
-                return mmu::hit(&e, va, AccessKind::Execute, privileged, &self.cp15)
-                    .map_err(|f| self.record_fault(f));
-            }
-            *hint = None;
-        }
-        let pa = self.translate(va, AccessKind::Execute, privileged)?;
-        *hint = self.tlb.probe_slot(va, asid);
-        Ok(pa)
-    }
-
-    /// I-cache cost of a replayed fetch, bit-identical to
-    /// `caches.access(pa, Fetch, ..)`. The hint is the line (and L1I slot)
-    /// of the previous replayed fetch; a fetch from the same line is a
-    /// guaranteed hit — nothing but instruction fetches touches L1I tags
-    /// inside a slice, and a hit never evicts — credited without the way
-    /// scan. Line changes, misses and disabled caches take the full model
-    /// (which refreshes the hint, keeping the invariant that the hint
-    /// always describes the most recent fill state of its slot).
-    fn replay_fetch_cost(&mut self, pa: PhysAddr, hint: &mut Option<(u64, usize)>) -> u64 {
-        if self.caches.enabled {
-            let line = pa.raw() >> self.caches.l1i.line_shift();
-            if let Some((hl, slot)) = *hint {
-                if hl == line {
-                    self.caches.l1i.replay_hit(slot);
-                    return timing::L1_HIT;
-                }
-            }
-            let cost = self
-                .caches
-                .access(pa, MemAccessKind::Fetch, self.mem.is_ocm(pa));
-            *hint = self.caches.l1i.probe_slot(pa).map(|s| (line, s));
-            cost
-        } else {
-            self.caches
-                .access(pa, MemAccessKind::Fetch, self.mem.is_ocm(pa))
-        }
-    }
-
     /// Replayed `Ldr`/`Str`: bit-identical to the [`Machine::execute`]
     /// arms, with a validated-by-value fast path for the common case — a
     /// TLB-hitting, permission-passing access to plain RAM whose line sits
     /// in L1D ([`Machine::mem_guard`]). The guard mutates nothing, so a
-    /// failure cleanly takes the full model (reference sequence) and
+    /// failure cleanly runs the [`Machine::execute`] arm itself and then
     /// refreshes the hint. A passing access commits the reference
     /// bookkeeping in reference order: TLB hit credit, L1D hit credit and
     /// charge, then the RAM access.
@@ -1103,32 +1048,11 @@ impl Machine {
             self.instructions_retired += 1;
             return CpuEvent::Retired;
         }
-        let access = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let pa = match self.translate(va, access, privileged) {
-            Ok(pa) => pa,
-            Err(_) => {
-                self.deliver_exception(ExceptionKind::DataAbort, pc);
-                return CpuEvent::Exception(ExceptionKind::DataAbort);
-            }
-        };
-        match instr {
-            Instr::Ldr { rd, .. } => {
-                let v = self.phys_read_u32(pa).unwrap_or(0);
-                self.cpu.set_reg(rd, v);
-            }
-            Instr::Str { rs, .. } => {
-                let _ = self.phys_write_u32(pa, self.cpu.reg(rs));
-            }
-            _ => unreachable!(),
+        let ev = self.execute(instr, pc, privileged);
+        if ev == CpuEvent::Retired {
+            self.dhint[write as usize] = self.make_data_hint(va);
         }
-        self.dhint[write as usize] = self.make_data_hint(va, pa);
-        self.cpu.pc = pc.wrapping_add(INSTR_SIZE as u32);
-        self.instructions_retired += 1;
-        CpuEvent::Retired
+        ev
     }
 
     /// The side-effect-free guard of the replayed data fast path: the
@@ -1183,8 +1107,10 @@ impl Machine {
     /// Build a [`DataHint`] for a just-completed data access, or `None`
     /// when the fast path can't serve this page (MMIO in range, cold L1D
     /// line, no TLB entry, caches disabled) — meaning the next access
-    /// simply takes the full model again.
-    fn make_data_hint(&self, va: VirtAddr, pa: PhysAddr) -> Option<DataHint> {
+    /// simply takes the full model again. The access's physical address
+    /// comes from the TLB entry that translated it (the VA with the MMU
+    /// off).
+    fn make_data_hint(&self, va: VirtAddr) -> Option<DataHint> {
         if !self.caches.enabled {
             return None;
         }
@@ -1193,19 +1119,20 @@ impl Machine {
         } else {
             None
         };
-        let (ram_lo, ram_hi) = match tlb {
+        let (pa, ram_lo, ram_hi) = match tlb {
             Some((_, e)) => {
                 let size = match e.kind {
                     PageKind::Section => mnv_hal::SECTION_SIZE,
                     PageKind::Small => mnv_hal::PAGE_SIZE,
                 };
-                (e.pa_base, e.pa_base + size)
+                (e.translate(va), e.pa_base, e.pa_base + size)
             }
             None => {
-                let lo = pa.raw() & !(mnv_hal::PAGE_SIZE - 1);
-                (lo, lo + mnv_hal::PAGE_SIZE)
+                let lo = va.raw() & !(mnv_hal::PAGE_SIZE - 1);
+                (va.raw(), lo, lo + mnv_hal::PAGE_SIZE)
             }
         };
+        let pa = PhysAddr::new(pa);
         let disjoint = |lo: u64, len: u64| ram_hi <= lo || lo + len <= ram_lo;
         if !disjoint(GIC_BASE, GIC_SIZE) || !disjoint(PTIMER_BASE, PTIMER_SIZE) {
             return None;
@@ -1233,9 +1160,10 @@ impl Machine {
     /// access behind [`Machine::mem_guard`]), and the cycles and the
     /// TLB/L1I hit bookkeeping the reference path would have done per
     /// fetch are settled in one exact bulk update for exactly the
-    /// instructions that ran. Everything else replays per instruction
-    /// through hint-verified fetch paths, and recording / uncached
-    /// execution keeps the reference path's full fetch pipeline.
+    /// instructions that ran. Everything else fetches per instruction
+    /// through the reference path's translation and I-cache model
+    /// ([`Machine::translate`], [`CacheHierarchy::access`]); a replayed
+    /// instruction skips only the bus read and the decode.
     ///
     /// Block transitions follow chain links where possible: when a block
     /// finishes, its successor is resolved through the lazily patched link
@@ -1252,7 +1180,7 @@ impl Machine {
     fn run_slice_fast(&mut self, deadline: Cycles) -> CpuEvent {
         use std::rc::Rc;
 
-        /// Replay cursor: the block being replayed plus the fetch hints.
+        /// Replay cursor: the block being replayed.
         struct Replay {
             block: Rc<CachedBlock>,
             idx: usize,
@@ -1260,12 +1188,6 @@ impl Machine {
             /// entering a run mid-way — after a deadline split — skips its
             /// batch).
             next_run: usize,
-            /// Fetch-translation hint: TLB slot + entry of the last
-            /// replayed fetch.
-            tlb_hint: Option<(usize, TlbEntry)>,
-            /// I-cache hint: (line number, L1I slot) of the last replayed
-            /// fetch.
-            line_hint: Option<(u64, usize)>,
         }
 
         // Starts at `clock` so the first iteration syncs + polls exactly
@@ -1379,8 +1301,6 @@ impl Machine {
                             block,
                             idx: 0,
                             next_run: 0,
-                            tlb_hint: None,
-                            line_hint: None,
                         })
                     }
                     // On a miss the predecessor rides along in the
@@ -1458,7 +1378,6 @@ impl Machine {
                     // contiguous within one page — so one TLB entry check
                     // per segment covers every fetch in the run.
                     seg_slots.clear();
-                    let mut last_hint = None;
                     let asid = self.cp15.asid();
                     let mut base = 0;
                     for seg in block.segs.iter() {
@@ -1478,17 +1397,7 @@ impl Machine {
                             }
                             continue;
                         }
-                        let hit = match r.tlb_hint {
-                            Some((slot, e))
-                                if seg_slots.is_empty()
-                                    && self.tlb.entry_at(slot) == Some(e)
-                                    && e.matches(sva, asid) =>
-                            {
-                                Some((slot, e))
-                            }
-                            _ => self.tlb.probe_slot(sva, asid),
-                        };
-                        let Some((slot, entry)) = hit else {
+                        let Some((slot, entry)) = self.tlb.probe_slot(sva, asid) else {
                             break 'batch;
                         };
                         let exec = AccessKind::Execute;
@@ -1496,7 +1405,6 @@ impl Machine {
                             Ok(pa) if pa.raw() == spa => {}
                             _ => break 'batch,
                         }
-                        last_hint = Some((slot, entry));
                         seg_slots.push((slot, (hi - lo) as u64));
                     }
                     // Every line resident ⇒ every fetch is a plain L1I hit
@@ -1518,7 +1426,6 @@ impl Machine {
                             None => break 'batch,
                         }
                     }
-                    let line_hint = line_slots.last().map(|&(slot, _)| (line, slot));
                     // The memo is allocated by a block's first successful
                     // verification: most blocks of code larger than the
                     // caches never get one.
@@ -1527,16 +1434,11 @@ impl Machine {
                     }
                     memo[r.next_run] = Some(RunVerify {
                         stamp,
-                        tlb_hint: last_hint,
-                        line_hint,
                         seg_slots: seg_slots.as_slice().into(),
                         line_slots: line_slots.as_slice().into(),
                     });
                 }
                 let v = memo[r.next_run].as_ref().expect("verified above");
-                if let Some(h) = v.tlb_hint {
-                    r.tlb_hint = Some(h);
-                }
                 // Committed. Run the micro-ops (lowered at the block's
                 // first successful verification), then charge and settle
                 // what ran: nothing in a run observes the clock or the
@@ -1544,8 +1446,7 @@ impl Machine {
                 // matter.
                 let exit = self.run_uops(&block.uops()[start..start + len], run, privileged);
                 let done = exit.done as u64;
-                let last_pa = exit.done.checked_sub(1).map(|k| block.instrs[start + k].0);
-                r.line_hint = self.settle_batch(run, v, &exit, last_pa, &mut line_slots);
+                self.settle_batch(run, v, &exit, &mut line_slots);
                 r.idx += exit.done;
                 r.next_run += 1;
                 self.charge(exit.cycles);
@@ -1565,7 +1466,7 @@ impl Machine {
             let instr = 'fetch: {
                 if let Some(r) = replay.as_mut() {
                     let (blk_pa, instr) = r.block.instrs[r.idx];
-                    let pa = match self.replay_translate(va, privileged, &mut r.tlb_hint) {
+                    let pa = match self.translate(va, AccessKind::Execute, privileged) {
                         Ok(pa) => pa,
                         Err(_) => {
                             self.deliver_exception(ExceptionKind::PrefetchAbort, pc);
@@ -1579,8 +1480,7 @@ impl Machine {
                         // the charges.
                         r.idx += 1;
                         self.bcache.stats.replayed_instrs += 1;
-                        let cost = self.replay_fetch_cost(pa, &mut r.line_hint);
-                        self.charge(cost + timing::INSTR_BASE);
+                        self.charge_fetch(pa);
                         break 'fetch instr;
                     }
                     // The mapping moved under the block (remap without TLB
@@ -1823,17 +1723,14 @@ impl Machine {
     /// run's data hit right after its own instruction's fetch, so fetch
     /// and data stamps interleave as the reference's lookups do) and L1I
     /// hits with each line's stamp clipped to the prefix (built in the
-    /// reused `clipped` buffer). `last_pa` is the physical PC of the last
-    /// instruction that ran. Returns the L1I hint for the next replayed
-    /// fetch.
+    /// reused `clipped` buffer).
     fn settle_batch(
         &mut self,
         run: &Run,
         v: &RunVerify,
         exit: &BatchExit,
-        last_pa: Option<u64>,
         clipped: &mut Vec<(usize, u64)>,
-    ) -> Option<(u64, usize)> {
+    ) {
         let done = exit.done as u64;
         let mut data = exit
             .data_tlb
@@ -1860,7 +1757,7 @@ impl Machine {
         }
         if exit.done == run.len as usize {
             self.caches.l1i.replay_hits(done, &v.line_slots);
-            return v.line_hint;
+            return;
         }
         clipped.clear();
         let mut prev = 0;
@@ -1872,10 +1769,6 @@ impl Machine {
             prev = ord;
         }
         self.caches.l1i.replay_hits(done, clipped);
-        let shift = self.caches.l1i.line_shift();
-        last_pa
-            .zip(clipped.last())
-            .map(|(pa, &(slot, _))| (pa >> shift, slot))
     }
 
     /// Slow fetch for the block executor: bus read + decode with the same
@@ -1896,10 +1789,7 @@ impl Machine {
             self.deliver_exception(ExceptionKind::PrefetchAbort, pc);
             return Err(CpuEvent::Exception(ExceptionKind::PrefetchAbort));
         }
-        let cost = self
-            .caches
-            .access(pa, MemAccessKind::Fetch, self.mem.is_ocm(pa));
-        self.charge(cost + timing::INSTR_BASE);
+        self.charge_fetch(pa);
         let instr = match Instr::decode(bytes) {
             Some(i) => i,
             None => {

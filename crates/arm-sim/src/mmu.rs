@@ -151,8 +151,8 @@ fn decode_ap(apx: u32, ap10: u32) -> Ap {
 /// makes Mini-NOVA's DACR trick (Table II) work without TLB flushes when
 /// switching between guest kernel and guest user — and on every freshly
 /// walked entry before it is inserted. [`crate::machine::Machine::translate`]
-/// inlines it behind the TLB lookup, and the decoded-block executor's
-/// hinted fetch and data paths call it on their hinted entries.
+/// inlines it behind the TLB lookup; the decoded-block executor's batch
+/// verification and replayed data guard call it on the entries they probe.
 #[inline]
 pub fn hit(
     entry: &TlbEntry,

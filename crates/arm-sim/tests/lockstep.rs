@@ -137,6 +137,9 @@ struct MmuCoverage {
     data_aborts: u64,
     store_invalidations: u64,
     batched: u64,
+    /// Instructions replayed from a cached block one at a time, outside
+    /// a batch: the per-instruction fetch through `translate` and the L1I.
+    replayed_alone: u64,
     pt_walks: u64,
 }
 
@@ -160,8 +163,10 @@ fn mmu_lockstep(seed: u64, total_cycles: u64, cov: &mut MmuCoverage) {
     let mut slow = make(false);
     let service = service_skipping_data_aborts;
     cov.data_aborts += drive(seed, total_cycles, &mut fast, &mut slow, service);
-    cov.store_invalidations += fast.bcache.stats.store_invalidations;
-    cov.batched += fast.bcache.stats.batched_instrs;
+    let stats = &fast.bcache.stats;
+    cov.store_invalidations += stats.store_invalidations;
+    cov.batched += stats.batched_instrs;
+    cov.replayed_alone += stats.replayed_instrs - stats.batched_instrs;
     cov.pt_walks += fast.pt_walks;
 }
 
@@ -175,6 +180,10 @@ fn mmu_on_programs_run_bit_identical() {
     assert!(cov.data_aborts > 0, "no store hit the read-only page");
     assert!(cov.store_invalidations > 0, "no store dirtied the text");
     assert!(cov.batched > 0, "no run batched");
+    assert!(
+        cov.replayed_alone > 0,
+        "no instruction replayed outside a batch"
+    );
     assert!(
         cov.pt_walks > 1_000,
         "the data pointer stayed in the TLB's reach"

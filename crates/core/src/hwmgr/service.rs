@@ -10,8 +10,9 @@
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
-use mnv_fpga::bitstream::CoreKind;
+use mnv_fpga::bitstream::{Bitstream, CoreKind};
 use mnv_fpga::cores::make_core;
+use mnv_fpga::fabric::FabricConfig;
 use mnv_fpga::pl::{pcap_status, pcap_transfer_cycles, plregs, Pl, PAGE, PL_GP_BASE};
 use mnv_fpga::prr::ctrl as prr_ctrl;
 use mnv_fpga::prr::errcode as prr_errcode;
@@ -189,6 +190,8 @@ pub struct HwMgr {
     pub shadows: Vec<SwShadow>,
     /// Bump cursor into the shadow-page pool.
     shadow_cursor: u64,
+    /// Bump cursor into the bitstream store (see [`HwMgr::register_task`]).
+    store_cursor: u64,
     /// Shadow pages returned by dropped dispatches, reused before
     /// the cursor advances.
     shadow_free: Vec<PhysAddr>,
@@ -252,6 +255,7 @@ impl HwMgr {
             pcap_queue: VecDeque::new(),
             shadows: Vec::new(),
             shadow_cursor: 0,
+            store_cursor: layout::BITSTREAM_BASE.raw(),
             shadow_free: Vec::new(),
             watchdog_timeout: DEFAULT_WATCHDOG_TIMEOUT,
             relocations: BTreeMap::new(),
@@ -262,6 +266,27 @@ impl HwMgr {
             pending_resume: Vec::new(),
             rings: Vec::new(),
         }
+    }
+
+    /// Register a hardware task: encode its bitstream into the store and
+    /// enter it into the lookup table. Returns the task id. Panics when
+    /// the task fits no region of the paper fabric or the store is full.
+    pub(crate) fn register_task(&mut self, m: &mut Machine, core: CoreKind) -> HwTaskId {
+        let compat = FabricConfig::paper_fabric().compatible_prrs(core);
+        assert!(!compat.is_empty(), "{} fits no PRR", core.name());
+        let bytes = Bitstream::for_core(core, &compat).encode();
+        let addr = PhysAddr::new(self.store_cursor);
+        assert!(
+            self.store_cursor + bytes.len() as u64
+                <= layout::BITSTREAM_BASE.raw() + layout::BITSTREAM_LEN,
+            "bitstream store full"
+        );
+        m.load_bytes(addr, &bytes).expect("store is RAM");
+        self.store_cursor += (bytes.len() as u64).next_multiple_of(0x1000);
+        let id = HwTaskId(self.tasks.len() as u16);
+        self.tasks
+            .register(id, core, addr, bytes.len() as u32, compat);
+        id
     }
 
     /// Carve (or recycle) one zeroed 4 KB shadow page from the pool.

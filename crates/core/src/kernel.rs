@@ -6,7 +6,7 @@ use mnv_arm::machine::{Machine, MachineConfig};
 use mnv_arm::tlb::Ap;
 use mnv_arm::PmuInputs;
 use mnv_fault::{FaultPlan, FaultPlane, FaultSite};
-use mnv_fpga::bitstream::{Bitstream, CoreKind};
+use mnv_fpga::bitstream::CoreKind;
 use mnv_fpga::fabric::FabricConfig;
 use mnv_fpga::pl::{pcap_status, plregs, Pl, PlConfig, PL_GP_BASE};
 use mnv_hal::{Cycles, Domain, HwTaskId, PhysAddr, Priority, VirtAddr, VmId};
@@ -160,7 +160,6 @@ pub struct Kernel {
     pub supervisor: Supervisor,
     guests: BTreeMap<VmId, GuestKind>,
     next_vm: u16,
-    bitstream_cursor: u64,
 }
 
 /// Synthetic SD-card block content (deterministic; the "external 4 GB SD
@@ -211,7 +210,6 @@ impl Kernel {
             supervisor: Supervisor::new(),
             guests: BTreeMap::new(),
             next_vm: 1,
-            bitstream_cursor: layout::BITSTREAM_BASE.raw(),
         }
     }
 
@@ -304,26 +302,7 @@ impl Kernel {
     /// Register a hardware task: encode its bitstream into the store and
     /// enter it into the manager's lookup table. Returns the task id.
     pub fn register_hw_task(&mut self, core: CoreKind) -> HwTaskId {
-        let fabric = FabricConfig::paper_fabric();
-        let compat = fabric.compatible_prrs(core);
-        assert!(!compat.is_empty(), "{} fits no PRR", core.name());
-        let bs = Bitstream::for_core(core, &compat);
-        let bytes = bs.encode();
-        let addr = PhysAddr::new(self.bitstream_cursor);
-        assert!(
-            self.bitstream_cursor + bytes.len() as u64
-                <= layout::BITSTREAM_BASE.raw() + layout::BITSTREAM_LEN,
-            "bitstream store full"
-        );
-        self.machine.load_bytes(addr, &bytes).expect("store is RAM");
-        self.bitstream_cursor += (bytes.len() as u64).next_multiple_of(0x1000);
-
-        let id = HwTaskId(self.state.hwmgr.tasks.len() as u16);
-        self.state
-            .hwmgr
-            .tasks
-            .register(id, core, addr, bytes.len() as u32, compat);
-        id
+        self.state.hwmgr.register_task(&mut self.machine, core)
     }
 
     /// Register the paper's full evaluation task set (FFT-256…FFT-8192,

@@ -30,6 +30,7 @@ use crate::mem::layout;
 use crate::mem::pagetable::PtAlloc;
 use crate::obs::Sinks;
 use crate::stats::KernelStats;
+use crate::vmenv::guest_traffic;
 use crate::vtimer::VTimer;
 
 /// The bare-metal harness: machine + PL + the manager as a library
@@ -49,7 +50,6 @@ pub struct NativeHarness {
     /// The OS instance.
     pub os: Ucos,
     vtimer: VTimer,
-    bitstream_cursor: u64,
     text_cursor: u64,
     data_rng: u64,
 }
@@ -89,26 +89,14 @@ impl NativeHarness {
             pt: PtAlloc::new(),
             os,
             vtimer: VTimer::default(),
-            bitstream_cursor: layout::BITSTREAM_BASE.raw(),
             text_cursor: 0,
             data_rng: 0x243F_6A88_85A3_08D3,
         }
     }
 
-    /// Register a hardware task (same store layout as the kernel's).
+    /// Register a hardware task (the kernel's routine and store).
     pub fn register_hw_task(&mut self, core: CoreKind) -> HwTaskId {
-        let fabric = FabricConfig::paper_fabric();
-        let compat = fabric.compatible_prrs(core);
-        let bs = mnv_fpga::bitstream::Bitstream::for_core(core, &compat);
-        let bytes = bs.encode();
-        let addr = PhysAddr::new(self.bitstream_cursor);
-        self.machine.load_bytes(addr, &bytes).expect("store is RAM");
-        self.bitstream_cursor += (bytes.len() as u64).next_multiple_of(0x1000);
-        let id = HwTaskId(self.hwmgr.tasks.len() as u16);
-        self.hwmgr
-            .tasks
-            .register(id, core, addr, bytes.len() as u32, compat);
-        id
+        self.hwmgr.register_task(&mut self.machine, core)
     }
 
     /// Register the paper's evaluation task set.
@@ -199,45 +187,15 @@ impl GuestEnv for NativeEnv<'_> {
     fn compute(&mut self, cycles: u64) {
         self.m.charge(cycles);
         // Same instruction-retired and traffic models as the virtualized
-        // guests (`VmEnv::compute`) — the workload is identical, only the
+        // guests (`VmEnv::compute`): the workload is identical, only the
         // hosting differs. Natively the MMU is off, so the data sweep is
         // physically addressed and exercises no TLB.
         self.m.instructions_retired += cycles / 2;
-        const CODE_WS: u64 = 256 * 1024;
-        let touches = (cycles / 160).min(256);
-        let base = layout::vm_region(NATIVE_VM) + mnv_ucos::layout::CODE_BASE.raw();
-        for _ in 0..touches {
-            let pa = base + *self.text_cursor;
-            *self.text_cursor = (*self.text_cursor + 32) % CODE_WS;
-            let cost = self
-                .m
-                .caches
-                .access(pa, mnv_arm::cache::MemAccessKind::Fetch, false);
-            self.m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
-        }
-        const DATA_SLOTS: u64 = 384;
-        const DATA_PAGES: u64 = 64;
-        let data_touches = (cycles / 128).min(256);
-        let work = layout::vm_region(NATIVE_VM) + mnv_ucos::layout::WORK_BASE.raw();
-        let vm_salt = (NATIVE_VM.0 as u64) << 10;
-        for _ in 0..data_touches {
-            *self.data_rng = self
-                .data_rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = (*self.data_rng >> 33) % DATA_SLOTS;
-            let slot = r * r / DATA_SLOTS;
-            let hp = ((slot % DATA_PAGES) + vm_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let hl = (slot + vm_salt).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            let page = (hp >> 16) % 256;
-            let line = (hl >> 40) % 128;
-            let pa = work + page * mnv_hal::PAGE_SIZE + line * 32;
-            let cost = self
-                .m
-                .caches
-                .access(pa, mnv_arm::cache::MemAccessKind::Read, false);
-            self.m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
-        }
+        let region = layout::vm_region(NATIVE_VM);
+        let code = region + mnv_ucos::layout::CODE_BASE.raw();
+        let work = region.raw() + mnv_ucos::layout::WORK_BASE.raw();
+        let (cursor, rng) = (&mut *self.text_cursor, &mut *self.data_rng);
+        guest_traffic(self.m, cycles, NATIVE_VM, code, work, cursor, rng);
     }
 
     fn read_u32(&mut self, va: VirtAddr) -> Result<u32, GuestFault> {
@@ -430,6 +388,18 @@ mod tests {
         // Execution lands near the paper's ~15 us scale.
         let us = s.exec.mean_us();
         assert!((8.0..25.0).contains(&us), "exec {us:.2} us");
+    }
+
+    #[test]
+    #[should_panic(expected = "bitstream store full")]
+    fn overfilling_the_bitstream_store_panics_natively() {
+        // Every bitstream takes at least one 4 KB page of the store, so
+        // this many registrations overrun it; the page-table pool lies
+        // right behind it.
+        let mut h = NativeHarness::new(Ucos::new(UcosConfig::default()));
+        for _ in 0..=layout::BITSTREAM_LEN / 0x1000 {
+            h.register_hw_task(CoreKind::Fft { log2_points: 13 });
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! exception vector table and ends when the vGIC injects the virtual
 //! interrupt to the VM."
 
+use mnv_arm::cache::MemAccessKind;
 use mnv_arm::machine::Machine;
+use mnv_arm::mmu::AccessKind;
 use mnv_hal::abi::{HcError, HypercallArgs};
-use mnv_hal::{Cycles, IrqNum, VirtAddr, VmId};
+use mnv_hal::{Cycles, IrqNum, PhysAddr, VirtAddr, VmId};
 use mnv_trace::event::req_stage;
 use mnv_trace::{TraceEvent, TrapKind};
 use mnv_ucos::env::{GuestEnv, GuestFault};
@@ -186,68 +188,11 @@ impl GuestEnv for VmEnv<'_> {
         // IPC near 0.5 of the charged budget. MIR guests retire for real
         // in the interpreter; this covers the uC/OS-II task bodies.
         self.m.instructions_retired += cycles / 2;
-        // Instruction-fetch traffic model: a guest burning CPU is fetching
-        // code from its own region. Each VM sweeps a private code working
-        // set, so caches genuinely fill with per-VM lines — the mechanism
-        // behind Table III's growth with guest count ("the related cache
-        // and TLB list of the Hardware Task Manager hypercall and entry
-        // code can be easily flushed when multiple OSes exist").
-        const CODE_WS: u64 = 256 * 1024; // per-VM code+library working set
-        let touches = (cycles / 160).min(256);
-        if touches == 0 {
-            return;
-        }
-        let Some(pd) = self.ks.pds.get_mut(&self.vm) else {
-            return;
-        };
-        let base = pd.region + mnv_ucos::layout::CODE_BASE.raw();
-        for _ in 0..touches {
-            let pa = base + pd.text_cursor;
-            pd.text_cursor = (pd.text_cursor + 32) % CODE_WS;
-            let cost = self
-                .m
-                .caches
-                .access(pa, mnv_arm::cache::MemAccessKind::Fetch, false);
-            // The base `cycles` already covers the hit-case fetch; charge
-            // only the miss penalty on top.
-            self.m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
-        }
-        // Data-side traffic model: loads from the page-mapped work
-        // megabyte with a hot-head/cold-tail reuse profile (a squared
-        // uniform draw skews toward small slot numbers, like real heap
-        // traffic reuses a few hot structures and streams over the rest).
-        // Each VM's heap layout differs, so the slot→(page, line)
-        // placement is a per-VM hash over the megabyte's 256 frames.
-        // Running alone, the hot slots stay L1/TLB-resident between
-        // activations; every additional multiplexed VM drops its own
-        // lines and page entries into the same cache/TLB sets in between,
-        // pushing progressively colder slots out — so per-VM refill
-        // counts rise smoothly with guest count instead of jumping at a
-        // capacity cliff.
-        const DATA_SLOTS: u64 = 384; // distinct hot+cold addresses per VM
-        const DATA_PAGES: u64 = 64; // page aliasing classes per VM
-        let data_touches = (cycles / 128).min(256);
-        let work = mnv_ucos::layout::WORK_BASE.raw();
-        let vm_salt = (self.vm.0 as u64) << 10;
-        for _ in 0..data_touches {
-            pd.data_rng = pd
-                .data_rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = (pd.data_rng >> 33) % DATA_SLOTS;
-            let slot = r * r / DATA_SLOTS;
-            let hp = ((slot % DATA_PAGES) + vm_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let hl = (slot + vm_salt).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            let page = (hp >> 16) % 256;
-            let line = (hl >> 40) % 128;
-            let va = VirtAddr::new(work + page * mnv_hal::PAGE_SIZE + line * 32);
-            if let Ok(pa) = self.m.translate(va, mnv_arm::mmu::AccessKind::Read, false) {
-                let cost = self
-                    .m
-                    .caches
-                    .access(pa, mnv_arm::cache::MemAccessKind::Read, false);
-                self.m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
-            }
+        if let Some(pd) = self.ks.pds.get_mut(&self.vm) {
+            let code = pd.region + mnv_ucos::layout::CODE_BASE.raw();
+            let work = mnv_ucos::layout::WORK_BASE.raw();
+            let (cursor, rng) = (&mut pd.text_cursor, &mut pd.data_rng);
+            guest_traffic(self.m, cycles, self.vm, code, work, cursor, rng);
         }
     }
 
@@ -356,5 +301,72 @@ impl Drop for VmEnv<'_> {
     fn drop(&mut self) {
         // A Yield consumes the rest of the slice only once.
         self.ks.yield_requested = false;
+    }
+}
+
+/// The memory traffic of a uC/OS-II guest's compute burst of `cycles`, for
+/// a virtualized guest and the native baseline alike: the workload is
+/// identical, only the hosting differs. `code` is the physical base of the
+/// guest's code working set, `work` the base of its data megabyte as the
+/// guest addresses it (translated by [`Machine::translate`]: the guest's
+/// page table in a VM, the free identity natively, where the MMU is off).
+/// `cursor` and `rng` carry the code sweep's position and the data
+/// sweep's draw from one burst to the next.
+pub(crate) fn guest_traffic(
+    m: &mut Machine,
+    cycles: u64,
+    vm: VmId,
+    code: PhysAddr,
+    work: u64,
+    cursor: &mut u64,
+    rng: &mut u64,
+) {
+    // Instruction-fetch traffic model: a guest burning CPU is fetching
+    // code from its own region. Each VM sweeps a private code working
+    // set, so caches genuinely fill with per-VM lines — the mechanism
+    // behind Table III's growth with guest count ("the related cache
+    // and TLB list of the Hardware Task Manager hypercall and entry
+    // code can be easily flushed when multiple OSes exist").
+    const CODE_WS: u64 = 256 * 1024; // per-VM code+library working set
+    let touches = (cycles / 160).min(256);
+    for _ in 0..touches {
+        let pa = code + *cursor;
+        *cursor = (*cursor + 32) % CODE_WS;
+        let cost = m.caches.access(pa, MemAccessKind::Fetch, false);
+        // The base `cycles` already covers the hit-case fetch; charge
+        // only the miss penalty on top.
+        m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
+    }
+    // Data-side traffic model: loads from the page-mapped work
+    // megabyte with a hot-head/cold-tail reuse profile (a squared
+    // uniform draw skews toward small slot numbers, like real heap
+    // traffic reuses a few hot structures and streams over the rest).
+    // Each VM's heap layout differs, so the slot→(page, line)
+    // placement is a per-VM hash over the megabyte's 256 frames.
+    // Running alone, the hot slots stay L1/TLB-resident between
+    // activations; every additional multiplexed VM drops its own
+    // lines and page entries into the same cache/TLB sets in between,
+    // pushing progressively colder slots out — so per-VM refill
+    // counts rise smoothly with guest count instead of jumping at a
+    // capacity cliff.
+    const DATA_SLOTS: u64 = 384; // distinct hot+cold addresses per VM
+    const DATA_PAGES: u64 = 64; // page aliasing classes per VM
+    let data_touches = (cycles / 128).min(256);
+    let vm_salt = (vm.0 as u64) << 10;
+    for _ in 0..data_touches {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (*rng >> 33) % DATA_SLOTS;
+        let slot = r * r / DATA_SLOTS;
+        let hp = ((slot % DATA_PAGES) + vm_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let hl = (slot + vm_salt).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        let page = (hp >> 16) % 256;
+        let line = (hl >> 40) % 128;
+        let va = VirtAddr::new(work + page * mnv_hal::PAGE_SIZE + line * 32);
+        if let Ok(pa) = m.translate(va, AccessKind::Read, false) {
+            let cost = m.caches.access(pa, MemAccessKind::Read, false);
+            m.charge(cost.saturating_sub(mnv_arm::timing::L1_HIT));
+        }
     }
 }
