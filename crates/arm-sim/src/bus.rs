@@ -11,7 +11,6 @@ use mnv_hal::{Cycles, PhysAddr};
 use mnv_trace::Tracer;
 use std::any::Any;
 
-use crate::event::EventLog;
 use crate::gic::Gic;
 use crate::memory::PhysMemory;
 
@@ -28,17 +27,12 @@ pub struct PeriphCtx<'a> {
     pub gic: &'a mut Gic,
     /// Current simulated time.
     pub now: Cycles,
-    /// Event log for diagnostics.
-    pub log: &'a mut EventLog,
     /// Event tracer shared with the machine (emitting is `&self`).
     pub tracer: &'a Tracer,
 }
 
 /// A memory-mapped platform device.
 pub trait Peripheral: Any {
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// The device's MMIO window (base, length in bytes).
     fn window(&self) -> (PhysAddr, u64);
 
@@ -78,9 +72,6 @@ mod tests {
     }
 
     impl Peripheral for Dummy {
-        fn name(&self) -> &'static str {
-            "dummy"
-        }
         fn window(&self) -> (PhysAddr, u64) {
             (PhysAddr::new(0x4000_0000), 0x1000)
         }
@@ -110,14 +101,12 @@ mod tests {
     fn peripheral_ctx_allows_dma() {
         let mut mem = PhysMemory::new();
         let mut gic = Gic::new();
-        let mut log = EventLog::default();
         let mut d = Dummy { reg: 0 };
         let tracer = Tracer::disabled();
         let mut ctx = PeriphCtx {
             mem: &mut mem,
             gic: &mut gic,
             now: Cycles::ZERO,
-            log: &mut log,
             tracer: &tracer,
         };
         d.write32(0, 0xAB, &mut ctx);

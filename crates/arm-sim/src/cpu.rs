@@ -54,19 +54,6 @@ impl ExceptionKind {
             ExceptionKind::Fiq => Mode::Fiq,
         }
     }
-
-    /// Short name for event logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExceptionKind::Reset => "reset",
-            ExceptionKind::Undefined => "und",
-            ExceptionKind::Svc => "svc",
-            ExceptionKind::PrefetchAbort => "pabt",
-            ExceptionKind::DataAbort => "dabt",
-            ExceptionKind::Irq => "irq",
-            ExceptionKind::Fiq => "fiq",
-        }
-    }
 }
 
 /// Events the execution loop reports upward after a step.

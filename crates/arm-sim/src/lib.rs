@@ -24,7 +24,6 @@ pub mod bus;
 pub mod cache;
 pub mod cp15;
 pub mod cpu;
-pub mod event;
 pub mod gic;
 pub mod machine;
 pub mod memory;
@@ -42,7 +41,6 @@ pub use bus::{PeriphCtx, Peripheral};
 pub use cache::{Cache, CacheHierarchy, CacheStats};
 pub use cp15::Cp15;
 pub use cpu::{Cpu, CpuEvent, ExceptionKind};
-pub use event::{EventLog, SimEvent};
 pub use gic::Gic;
 pub use machine::{Machine, MachineConfig};
 pub use memory::PhysMemory;

@@ -20,7 +20,6 @@ use crate::bus::{PeriphCtx, Peripheral};
 use crate::cache::{CacheHierarchy, MemAccessKind};
 use crate::cp15::{Cp15, Cp15Reg};
 use crate::cpu::{Cpu, CpuEvent, ExceptionKind};
-use crate::event::{EventLog, SimEvent};
 use crate::gic::Gic;
 use crate::memory::PhysMemory;
 use crate::mir::FastClass;
@@ -205,16 +204,11 @@ struct BatchExit {
 pub struct MachineConfig {
     /// Main-TLB capacity (128 on the A9).
     pub tlb_entries: usize,
-    /// Event-log retention.
-    pub log_capacity: usize,
 }
 
 impl Default for MachineConfig {
     fn default() -> Self {
-        MachineConfig {
-            tlb_entries: 128,
-            log_capacity: 4096,
-        }
+        MachineConfig { tlb_entries: 128 }
     }
 }
 
@@ -238,8 +232,6 @@ pub struct Machine {
     pub ptimer: PrivateTimer,
     /// Global free-running counter.
     pub gtimer: GlobalTimer,
-    /// Event log.
-    pub log: EventLog,
     /// Event tracer (disabled by default; the kernel installs a shared one).
     pub tracer: Tracer,
     /// Fault-injection plane (disabled by default; the kernel arms a shared
@@ -299,7 +291,6 @@ impl Machine {
             gic: Gic::new(),
             ptimer: PrivateTimer::new(),
             gtimer: GlobalTimer::default(),
-            log: EventLog::new(cfg.log_capacity),
             tracer: Tracer::disabled(),
             fault: FaultPlane::disabled(),
             last_und: None,
@@ -347,14 +338,11 @@ impl Machine {
         let fired = self.ptimer.advance(dt);
         for _ in 0..fired {
             self.gic.raise(self.ptimer.irq());
-            self.log
-                .push(self.clock, SimEvent::IrqRaised(self.ptimer.irq()));
         }
         let Machine {
             ref mut periphs,
             ref mut mem,
             ref mut gic,
-            ref mut log,
             ref tracer,
             clock,
             ..
@@ -363,7 +351,6 @@ impl Machine {
             mem,
             gic,
             now: clock,
-            log,
             tracer,
         };
         for p in periphs.iter_mut() {
@@ -385,7 +372,6 @@ impl Machine {
                     .pick(FaultSite::IrqSpurious, IrqNum::PL_COUNT as u64) as u16;
             let irq = IrqNum::pl(line);
             self.gic.raise(irq);
-            self.log.push(now, SimEvent::IrqRaised(irq));
             self.tracer.emit(
                 now,
                 TraceEvent::FaultInjected {
@@ -399,7 +385,6 @@ impl Machine {
             for line in 0..IrqNum::PL_COUNT {
                 self.gic.raise(IrqNum::pl(line));
             }
-            self.log.push(now, SimEvent::Marker("irq-storm"));
             self.tracer.emit(
                 now,
                 TraceEvent::FaultInjected {
@@ -416,7 +401,6 @@ impl Machine {
                     let pa = PhysAddr::new(base + word);
                     if let Ok(v) = self.mem.read_u32(pa) {
                         let _ = self.mem.write_u32(pa, v ^ (1 << bit));
-                        self.log.push(now, SimEvent::Marker("mem-flip"));
                         self.tracer.emit(
                             now,
                             TraceEvent::FaultInjected {
@@ -515,7 +499,6 @@ impl Machine {
             if self.fault.trip(FaultSite::AxiReadError, self.clock, a) {
                 // AXI DECERR: the interconnect answers with the error
                 // pattern instead of reaching the device.
-                self.log.push(self.clock, SimEvent::Marker("axi-read-err"));
                 self.tracer.emit(
                     self.clock,
                     TraceEvent::FaultInjected {
@@ -528,7 +511,6 @@ impl Machine {
                 ref mut periphs,
                 ref mut mem,
                 ref mut gic,
-                ref mut log,
                 ref tracer,
                 clock,
                 ..
@@ -538,7 +520,6 @@ impl Machine {
                 mem,
                 gic,
                 now: clock,
-                log,
                 tracer,
             };
             return Ok(periphs[i].read32(pa - base, &mut ctx));
@@ -571,7 +552,6 @@ impl Machine {
             if self.fault.trip(FaultSite::AxiWriteError, self.clock, a) {
                 // The interconnect drops the write (SLVERR on the response
                 // channel; the store itself never reaches the device).
-                self.log.push(self.clock, SimEvent::Marker("axi-write-err"));
                 self.tracer.emit(
                     self.clock,
                     TraceEvent::FaultInjected {
@@ -584,7 +564,6 @@ impl Machine {
                 ref mut periphs,
                 ref mut mem,
                 ref mut gic,
-                ref mut log,
                 ref tracer,
                 clock,
                 ..
@@ -594,7 +573,6 @@ impl Machine {
                 mem,
                 gic,
                 now: clock,
-                log,
                 tracer,
             };
             periphs[i].write32(pa - base, val, &mut ctx);
@@ -757,7 +735,7 @@ impl Machine {
 
     // -- exceptions ------------------------------------------------------------
 
-    /// Deliver an exception: architectural entry + cycle cost + logging.
+    /// Deliver an exception: architectural entry + cycle cost + trace event.
     pub fn deliver_exception(&mut self, kind: ExceptionKind, return_pc: u32) {
         self.exceptions_taken += 1;
         self.charge(timing::EXC_ENTRY);
@@ -767,16 +745,8 @@ impl Machine {
                 kind: trap_kind(kind),
             },
         );
-        let pc = VirtAddr::new(self.cpu.pc as u64);
         self.cpu
             .take_exception(kind, return_pc, self.cp15.read(Cp15Reg::Vbar));
-        self.log.push(
-            self.clock,
-            SimEvent::Exception {
-                kind: kind.name(),
-                pc,
-            },
-        );
     }
 
     /// Return from the current exception to `pc`.
@@ -784,12 +754,6 @@ impl Machine {
         self.charge(timing::EXC_RETURN);
         self.tracer.emit(self.clock, TraceEvent::TrapExit);
         self.cpu.exception_return(pc);
-        self.log.push(
-            self.clock,
-            SimEvent::ExceptionReturn {
-                pc: VirtAddr::new(pc as u64),
-            },
-        );
     }
 
     // -- performance monitoring --------------------------------------------------

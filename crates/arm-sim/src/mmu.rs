@@ -290,10 +290,7 @@ mod tests {
     ///     page VA 0x0000_2000 -> PA 0x0060_1000 (PrivOnly)
     ///     page VA 0x0000_3000 -> PA 0x0060_2000 (Full, XN, non-global)
     fn fixture() -> Machine {
-        let mut m = Machine::new(MachineConfig {
-            tlb_entries: 32,
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig { tlb_entries: 32 });
         let l1 = PhysAddr::new(0x4000);
         let l2 = PhysAddr::new(0x8000);
         let mem = &mut m.mem;
@@ -686,15 +683,9 @@ mod tests {
     #[test]
     fn translate_matches_reference_path() {
         for seed in 1..=6u64 {
-            let mut fast = Machine::new(MachineConfig {
-                tlb_entries: 8,
-                ..MachineConfig::default()
-            });
+            let mut fast = Machine::new(MachineConfig { tlb_entries: 8 });
             let spaces = two_spaces(&mut fast);
-            let mut slow = Machine::new(MachineConfig {
-                tlb_entries: 8,
-                ..MachineConfig::default()
-            });
+            let mut slow = Machine::new(MachineConfig { tlb_entries: 8 });
             two_spaces(&mut slow);
             for m in [&mut fast, &mut slow] {
                 m.cp15.sctlr = SCTLR_M | SCTLR_C;

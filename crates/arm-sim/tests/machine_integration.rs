@@ -1,12 +1,12 @@
 //! Machine-level integration tests: peripheral window rules, block
-//! transfers, idle waiting, event logging and interpreter/device interplay.
+//! transfers, idle waiting, trap tracing and interpreter/device interplay.
 
 use mnv_arm::bus::{PeriphCtx, Peripheral};
-use mnv_arm::event::SimEvent;
 use mnv_arm::machine::{Machine, GIC_BASE, PTIMER_BASE};
 use mnv_arm::mir::ProgramBuilder;
 use mnv_arm::psr::Psr;
 use mnv_hal::{Cycles, IrqNum, PhysAddr};
+use mnv_trace::{TraceEvent, Tracer, TrapKind};
 use std::any::Any;
 
 struct Dummy {
@@ -17,9 +17,6 @@ struct Dummy {
 }
 
 impl Peripheral for Dummy {
-    fn name(&self) -> &'static str {
-        "dummy"
-    }
     fn window(&self) -> (PhysAddr, u64) {
         (PhysAddr::new(self.base), self.len)
     }
@@ -141,6 +138,7 @@ fn wait_for_irq_times_out_without_sources() {
 #[test]
 fn exceptions_and_irqs_are_logged() {
     let mut m = Machine::default();
+    m.tracer = Tracer::enabled(64);
     let mut b = ProgramBuilder::new();
     b.svc(3);
     b.halt();
@@ -150,19 +148,19 @@ fn exceptions_and_irqs_are_logged() {
     m.cpu.cpsr = Psr::user();
     m.run(10);
     assert!(
-        m.log
-            .find(|e| matches!(e, SimEvent::Exception { kind: "svc", .. }))
-            .is_some(),
-        "SVC exception must be logged"
+        m.tracer.snapshot().iter().any(|(_, e)| *e
+            == TraceEvent::TrapEnter {
+                kind: TrapKind::Svc
+            }),
+        "SVC exception must be traced"
     );
-    // Timer expiry raises and logs an IRQ event.
+    // Timer expiry leaves its line pending in the GIC, the one record of
+    // a raised interrupt.
+    assert!(!m.gic.is_pending(IrqNum::PRIVATE_TIMER));
     m.ptimer.program_periodic(Cycles::new(100));
     m.charge(250);
     m.sync_devices();
-    assert!(m
-        .log
-        .find(|e| matches!(e, SimEvent::IrqRaised(irq) if *irq == IrqNum::PRIVATE_TIMER))
-        .is_some());
+    assert!(m.gic.is_pending(IrqNum::PRIVATE_TIMER));
 }
 
 #[test]

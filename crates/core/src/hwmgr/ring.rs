@@ -44,7 +44,6 @@ use mnv_hal::abi::ring::{self, desc_status};
 use mnv_hal::abi::{hw_task_result, HcError, HwTaskStatus};
 use mnv_hal::{HwTaskId, IrqNum, PhysAddr, VirtAddr, VmId};
 use mnv_trace::event::req_stage;
-use mnv_trace::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
 
 use super::service::{HwMgr, DATA_SECTION_LEN};
@@ -118,14 +117,25 @@ impl RingCtx {
     }
 }
 
-fn hc_code(e: HcError) -> u32 {
-    match e {
-        HcError::BadCall => 1,
-        HcError::BadArg => 2,
-        HcError::Denied => 3,
-        HcError::NotFound => 4,
-        HcError::Busy => 5,
-        HcError::NoResource => 6,
+/// Write a descriptor's transfer into the staging registers of `page` (a
+/// region's fabric page or a shadow page), in register order: SRC_ADDR,
+/// SRC_LEN, DST_ADDR, DST_LEN. Offsets are relative to the data section
+/// at `ds_pa`.
+fn stage_transfer(m: &mut Machine, page: PhysAddr, ds_pa: PhysAddr, run: &RingRun) {
+    let regs = [
+        (
+            prr_regs::SRC_ADDR,
+            (ds_pa + run.src_off as u64).raw() as u32,
+        ),
+        (prr_regs::SRC_LEN, run.src_len),
+        (
+            prr_regs::DST_ADDR,
+            (ds_pa + run.dst_off as u64).raw() as u32,
+        ),
+        (prr_regs::DST_LEN, run.dst_cap),
+    ];
+    for (idx, val) in regs {
+        let _ = m.phys_write_u32(page + 4 * idx as u64, val);
     }
 }
 
@@ -242,23 +252,7 @@ impl HwMgr {
         let now = m.now();
         for i in 0..new {
             let idx = avail_seen.wrapping_add(i);
-            // Mint the causal request exactly like HwTaskRequest does —
-            // the id sequence and stat bumps are unconditional so lockstep
-            // runs agree on kernel state.
-            self.next_req = self.next_req.wrapping_add(1).max(1);
-            let req = ReqTag {
-                id: self.next_req,
-                started: now.raw(),
-            };
-            sinks.stats.reqs_minted += 1;
-            sinks.tracer.emit(
-                now,
-                TraceEvent::ReqSpan {
-                    req: req.id,
-                    vm: caller.0,
-                    end: false,
-                },
-            );
+            let req = self.mint_req(now, sinks, caller);
             sinks.req_stamp(now, req, req_stage::RING_POST);
             let doff = ring::desc_off(self.rings[ci].size, idx);
             let _ = m.phys_write_u32(base_pa + doff + ring::DESC_REQ, req.id);
@@ -310,7 +304,7 @@ impl HwMgr {
                                 m,
                                 &mut ctx,
                                 run.idx,
-                                desc_status::ERR_REJECTED | (hc_code(e) << 8),
+                                desc_status::ERR_REJECTED | ((e as u32) << 8),
                                 0,
                             );
                             let req = self.prrs.req_slot(run.prr).take();
@@ -403,7 +397,7 @@ impl HwMgr {
                     m,
                     &mut ctx,
                     idx,
-                    desc_status::ERR_REJECTED | (hc_code(HcError::BadArg) << 8),
+                    desc_status::ERR_REJECTED | ((HcError::BadArg as u32) << 8),
                     0,
                 );
                 sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
@@ -431,7 +425,7 @@ impl HwMgr {
                         m,
                         &mut ctx,
                         idx,
-                        desc_status::ERR_REJECTED | (hc_code(e) << 8),
+                        desc_status::ERR_REJECTED | ((e as u32) << 8),
                         0,
                     );
                     sinks.end_req(m.now(), req, ctx.vm, req_stage::FAILED);
@@ -504,24 +498,10 @@ impl HwMgr {
             return;
         };
         let dev = Pl::prr_page(run.prr);
-        let w = |m: &mut Machine, idx: usize, val: u32| {
-            let _ = m.phys_write_u32(dev + 4 * idx as u64, val);
-        };
-        w(
-            m,
-            prr_regs::SRC_ADDR,
-            (ds.pa.raw() + run.src_off as u64) as u32,
-        );
-        w(m, prr_regs::SRC_LEN, run.src_len);
-        w(
-            m,
-            prr_regs::DST_ADDR,
-            (ds.pa.raw() + run.dst_off as u64) as u32,
-        );
-        w(m, prr_regs::DST_LEN, run.dst_cap);
+        stage_transfer(m, dev, ds.pa, run);
         // Pre-mark BUSY (the guest driver's race guard) then pulse START.
-        w(m, prr_regs::STATUS, prr_status::BUSY);
-        w(m, prr_regs::CTRL, prr_ctrl::START);
+        let _ = m.phys_write_u32(dev + 4 * prr_regs::STATUS as u64, prr_status::BUSY);
+        let _ = m.phys_write_u32(dev + 4 * prr_regs::CTRL as u64, prr_ctrl::START);
     }
 
     /// Complete a descriptor through the shadow service: program the
@@ -560,23 +540,7 @@ impl HwMgr {
             // Fresh degraded dispatch: program and serve it now. Taking
             // the request first makes serve_one's own delivery a no-op, so
             // the completion is attributed here with the ring stages.
-            let p = s.page;
-            let ds = s.ds;
-            let w = |m: &mut Machine, idx: usize, val: u32| {
-                let _ = m.phys_write_u32(p + 4 * idx as u64, val);
-            };
-            w(
-                m,
-                prr_regs::SRC_ADDR,
-                (ds.pa.raw() + run.src_off as u64) as u32,
-            );
-            w(m, prr_regs::SRC_LEN, run.src_len);
-            w(
-                m,
-                prr_regs::DST_ADDR,
-                (ds.pa.raw() + run.dst_off as u64) as u32,
-            );
-            w(m, prr_regs::DST_LEN, run.dst_cap);
+            stage_transfer(m, s.page, s.ds.pa, run);
             self.serve_one(m, pds, sinks, &mut s, prr_ctrl::START);
         }
         let status = m

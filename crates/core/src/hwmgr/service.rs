@@ -210,9 +210,8 @@ pub struct HwMgr {
     /// update stages are skipped (§V-B: "in native uCOS-II, the hardware
     /// task manager service does not need to update the page tables").
     pub native: bool,
-    /// Monotonic `ReqId` mint counter. Incremented unconditionally on
-    /// every HwTaskRequest hypercall — enabling tracing must not change
-    /// the id sequence (lockstep bit-identity).
+    /// Monotonic `ReqId` mint counter, advanced only by
+    /// `HwMgr::mint_req`.
     pub next_req: u32,
     /// Per-interface-family latency objectives and windowed burn state.
     /// Unconditional like the mint counter: its counters feed
@@ -266,6 +265,29 @@ impl HwMgr {
             pending_resume: Vec::new(),
             rings: Vec::new(),
         }
+    }
+
+    /// Mint the causal request for one hardware-task request (a
+    /// `HwTaskRequest` hypercall or one ring descriptor) and open its
+    /// span. The counter and the stat advance whether or not tracing is
+    /// enabled, so instrumented and bare lockstep runs agree on every
+    /// piece of kernel state.
+    pub(crate) fn mint_req(&mut self, now: Cycles, sinks: &mut Sinks<'_>, vm: VmId) -> ReqTag {
+        self.next_req = self.next_req.wrapping_add(1).max(1);
+        let req = ReqTag {
+            id: self.next_req,
+            started: now.raw(),
+        };
+        sinks.stats.reqs_minted += 1;
+        sinks.tracer.emit(
+            now,
+            TraceEvent::ReqSpan {
+                req: req.id,
+                vm: vm.0,
+                end: false,
+            },
+        );
+        req
     }
 
     /// Register a hardware task: encode its bitstream into the store and
@@ -773,7 +795,6 @@ impl HwMgr {
             e.client = Some(caller);
             e.task = Some(task);
             e.iface_va = Some(iface_va.raw());
-            e.dispatches += 1;
         }
         self.attach_req(m.now(), sinks, prr, caller, req);
 

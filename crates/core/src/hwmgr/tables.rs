@@ -201,8 +201,6 @@ pub struct PrrEntry {
     pub task: Option<HwTaskId>,
     /// Interface VA in the client's space (for demapping at reclaim).
     pub iface_va: Option<u64>,
-    /// Completed dispatches through this region.
-    pub dispatches: u64,
     /// Service state: in the allocator pool, quarantined or retired.
     pub service: PrrService,
     /// The open causal request awaiting its first completion through this

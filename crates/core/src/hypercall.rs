@@ -19,7 +19,6 @@ use mnv_profile::SampleCtx;
 use mnv_trace::event::req_stage;
 use mnv_trace::{MgrPhase, TraceEvent, TrapKind};
 
-use crate::hwmgr::tables::ReqTag;
 use crate::ipc;
 use crate::kernel::{sd_block, KernelState};
 use crate::mem::dacr::{self, GuestContext};
@@ -289,23 +288,10 @@ fn dispatch(
             Ok(0)
         }
         HwTaskRequest => {
-            // Mint the causal request id. The counter advances and the stat
-            // bumps whether or not tracing is enabled, so instrumented and
-            // bare lockstep runs agree on every piece of kernel state.
-            ks.hwmgr.next_req = ks.hwmgr.next_req.wrapping_add(1).max(1);
-            let req = ReqTag {
-                id: ks.hwmgr.next_req,
-                started: m.now().raw(),
+            let req = {
+                let (hwmgr, _, _, mut sinks) = ks.manager();
+                hwmgr.mint_req(m.now(), &mut sinks, caller)
             };
-            ks.stats.reqs_minted += 1;
-            ks.tracer.emit(
-                m.now(),
-                TraceEvent::ReqSpan {
-                    req: req.id,
-                    vm: caller.0,
-                    end: false,
-                },
-            );
             let r = with_manager(m, ks, caller, req.id, |m, ks| {
                 let (hwmgr, pds, pt, mut sinks) = ks.manager();
                 hwmgr.handle_request(

@@ -25,17 +25,6 @@ use crate::obs::Counter;
 /// Value returned in r0 for a failed hypercall; r1 carries the error code.
 pub const HC_FAIL: u32 = 0xFFFF_FFFF;
 
-fn hc_error_code(e: HcError) -> u32 {
-    match e {
-        HcError::BadCall => 1,
-        HcError::BadArg => 2,
-        HcError::Denied => 3,
-        HcError::NotFound => 4,
-        HcError::Busy => 5,
-        HcError::NoResource => 6,
-    }
-}
-
 /// A MIR guest: its program plus run-time bookkeeping.
 pub struct MirGuest {
     /// The assembled program (loaded at its base VA in the VM's region).
@@ -134,7 +123,7 @@ impl MirGuest {
                         ks.stats.hypercalls_invalid += 1;
                         ks.sinks().count(Counter::Hypercall(vm));
                         m.cpu.set_user_reg(0, HC_FAIL);
-                        m.cpu.set_user_reg(1, hc_error_code(HcError::BadCall));
+                        m.cpu.set_user_reg(1, HcError::BadCall as u32);
                         m.exception_return(ret);
                         return true;
                     }
@@ -145,7 +134,7 @@ impl MirGuest {
                     }
                     Err(e) => {
                         m.cpu.set_user_reg(0, HC_FAIL);
-                        m.cpu.set_user_reg(1, hc_error_code(e));
+                        m.cpu.set_user_reg(1, e as u32);
                     }
                 }
                 m.exception_return(ret);

@@ -244,12 +244,7 @@ impl GuestEnv for NativeEnv<'_> {
                 let t0 = self.m.now();
                 // Requests are minted on the native path too — the counter
                 // is kernel state, so the baseline stays comparable.
-                self.hwmgr.next_req = self.hwmgr.next_req.wrapping_add(1).max(1);
-                let req = crate::hwmgr::tables::ReqTag {
-                    id: self.hwmgr.next_req,
-                    started: t0.raw(),
-                };
-                sinks.stats.reqs_minted += 1;
+                let req = self.hwmgr.mint_req(t0, &mut sinks, NATIVE_VM);
                 let r = self.hwmgr.handle_request(
                     self.m,
                     self.pds,

@@ -630,7 +630,6 @@ impl HwMgr {
             e.client = Some(vm);
             e.task = Some(job.task);
             e.iface_va = Some(iface_va.raw());
-            e.dispatches += 1;
         }
         *self.prrs.req_slot(target) = moved;
         let page = Pl::prr_page(target);

@@ -11,10 +11,11 @@ mod common;
 use common::{chaos_kernel, chaos_run, kernel, workload_guest};
 use mini_nova::obs::Counter;
 use mini_nova::{GuestKind, Kernel, VmSpec};
-use mnv_fault::{FaultPlan, SiteCfg};
+use mnv_fault::{FaultPlan, FaultSite, SiteCfg, SITE_COUNT};
 use mnv_fpga::cores::make_core;
 use mnv_hal::{Cycles, HwTaskId, Priority};
 use mnv_metrics::Registry;
+use mnv_trace::TraceEvent;
 use mnv_ucos::kernel::{Ucos, UcosConfig};
 use mnv_ucos::tasks::{AdpcmTask, BatchMode, HwBatchTask, THwTask, THW_SRC_OFF};
 
@@ -242,6 +243,42 @@ fn fault_trace_events_reach_the_tracer() {
     assert!(has("PrrQuarantine"), "quarantine event missing");
     assert!(has("SwFallback"), "fallback event missing");
     assert!(has("FaultInjected"), "injection event missing");
+}
+
+#[test]
+fn trace_records_every_injected_fault() {
+    // The trace ring is the one event record below the kernel: every trip
+    // the fault plane counts must appear as exactly one `FaultInjected`
+    // event for its site. Only `MemFlip` can trip without injecting:
+    // mnv-arm's `Machine::inject_time_faults` skips the flip when the
+    // window is shorter than a word or lies outside physical memory. The
+    // kernel points the window at the bitstream store, which is RAM, so
+    // the counts agree there too.
+    let mut tripped = [0u32; SITE_COUNT];
+    for seed in [3u64, 11, 17, 227] {
+        let (mut k, plane) = chaos_kernel(seed);
+        let tracer = k.enable_tracing(1 << 18);
+        k.run(Cycles::from_millis(120.0));
+        assert_eq!(tracer.dropped(), 0, "seed {seed}: the ring wrapped");
+        let events = tracer.snapshot();
+        for site in FaultSite::ALL {
+            let traced = events
+                .iter()
+                .filter(|(_, e)| *e == TraceEvent::FaultInjected { site: site as u8 })
+                .count() as u32;
+            assert_eq!(
+                traced,
+                plane.count(site),
+                "seed {seed}: {} trips and trace disagree",
+                site.name()
+            );
+            tripped[site as usize] += traced;
+        }
+    }
+    // The seeds cover every site, so no site's agreement is vacuous.
+    for site in FaultSite::ALL {
+        assert!(tripped[site as usize] > 0, "{} never tripped", site.name());
+    }
 }
 
 #[test]

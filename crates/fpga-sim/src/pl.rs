@@ -19,7 +19,6 @@ use mnv_hal::{Cycles, IrqNum, PhysAddr};
 use std::any::Any;
 
 use mnv_arm::bus::{PeriphCtx, Peripheral};
-use mnv_arm::event::SimEvent;
 use mnv_fault::{FaultPlane, FaultSite};
 use mnv_metrics::{Label, Registry};
 use mnv_trace::TraceEvent;
@@ -267,7 +266,6 @@ impl Pl {
             // The transfer wedges: status stays BUSY until a CTRL abort.
             self.pcap.stalled = true;
             self.metrics.inc("pcap_stalls", Label::Machine);
-            ctx.log.push(ctx.now, SimEvent::Marker("pcap-stall"));
             ctx.tracer.emit(
                 ctx.now,
                 TraceEvent::FaultInjected {
@@ -293,7 +291,6 @@ impl Pl {
         self.pcap.err = pcap_err::ABORTED;
         self.pcap.remaining = 0;
         self.pcap.stalled = false;
-        ctx.log.push(ctx.now, SimEvent::Marker("pcap-abort"));
         ctx.tracer.emit(
             ctx.now,
             TraceEvent::PcapDma {
@@ -326,7 +323,6 @@ impl Pl {
             let byte = self.fault.pick(FaultSite::PcapCorrupt, plen as u64) as usize;
             let bit = self.fault.pick(FaultSite::PcapCorrupt, 8) as u32;
             payload[byte] ^= 1u8 << bit;
-            ctx.log.push(ctx.now, SimEvent::Marker("pcap-corrupt"));
             ctx.tracer.emit(
                 ctx.now,
                 TraceEvent::FaultInjected {
@@ -382,7 +378,6 @@ impl Pl {
                     self.metrics.inc("pcap_transfers", Label::Machine);
                     self.metrics
                         .add("pcap_bytes", Label::Machine, self.pcap.len as u64);
-                    ctx.log.push(ctx.now, SimEvent::Marker("pcap-reconfigured"));
                     ctx.tracer.emit(
                         ctx.now,
                         TraceEvent::PrrReconfig {
@@ -392,14 +387,11 @@ impl Pl {
                     );
                     if self.pcap.irq_en {
                         ctx.gic.raise(IrqNum::PCAP_DONE);
-                        ctx.log
-                            .push(ctx.now, SimEvent::IrqRaised(IrqNum::PCAP_DONE));
                     }
                 }
                 Ok(_) => {
                     self.pcap.status = pcap_status::ERROR;
                     self.pcap.err = pcap_err::CRC_MISMATCH;
-                    ctx.log.push(ctx.now, SimEvent::Marker("pcap-crc-mismatch"));
                 }
                 Err(()) => {
                     self.pcap.status = pcap_status::ERROR;
@@ -488,10 +480,6 @@ impl Pl {
 }
 
 impl Peripheral for Pl {
-    fn name(&self) -> &'static str {
-        "pl"
-    }
-
     fn window(&self) -> (PhysAddr, u64) {
         (
             PhysAddr::new(PL_GP_BASE),
@@ -520,14 +508,6 @@ impl Peripheral for Pl {
         let page = off / PAGE;
         if page == 0 {
             self.ctrl_write(off, val, ctx);
-            ctx.log.push(
-                ctx.now,
-                SimEvent::MmioWrite {
-                    dev: "pl-ctrl",
-                    off,
-                    val,
-                },
-            );
         } else {
             let prr = (page - 1) as usize;
             if prr < self.prrs.len() {
@@ -540,7 +520,6 @@ impl Peripheral for Pl {
                     && self.fault.trip(FaultSite::PrrHang, ctx.now, prr as u64)
                 {
                     self.prrs[prr].hang();
-                    ctx.log.push(ctx.now, SimEvent::Marker("prr-hang"));
                     ctx.tracer.emit(
                         ctx.now,
                         TraceEvent::FaultInjected {
@@ -590,7 +569,6 @@ impl Peripheral for Pl {
             if completed && irq_en {
                 if let Some(line) = prr.irq_line {
                     ctx.gic.raise(line);
-                    ctx.log.push(ctx.now, SimEvent::IrqRaised(line));
                 }
             }
         }

@@ -373,7 +373,6 @@ mod tests {
     use crate::bitstream::CoreKind;
     use crate::cores::make_core;
     use crate::fabric::PrrResources;
-    use mnv_arm::event::EventLog;
     use mnv_arm::gic::Gic;
     use mnv_arm::memory::PhysMemory;
     use mnv_hal::Cycles;
@@ -391,7 +390,6 @@ mod tests {
 
     fn run_to_completion(prr: &mut Prr, mem: &mut PhysMemory) -> u64 {
         let mut gic = Gic::new();
-        let mut log = EventLog::default();
         let tracer = mnv_trace::Tracer::disabled();
         let mut cycles = 0u64;
         for _ in 0..1_000_000 {
@@ -399,7 +397,6 @@ mod tests {
                 mem,
                 gic: &mut gic,
                 now: Cycles::new(cycles),
-                log: &mut log,
                 tracer: &tracer,
             };
             cycles += 100;

@@ -202,23 +202,26 @@ impl HypercallArgs {
     }
 }
 
-/// Hypercall error codes (returned in r1 with the failure sentinel in r0).
+/// Hypercall error codes (returned in r1 with the failure sentinel in r0,
+/// and in a rejected ring descriptor's status bits 15:8). The wire value
+/// is the discriminant: `e as u32`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u32)]
 pub enum HcError {
     /// The call number is outside the provided set.
-    BadCall,
+    BadCall = 1,
     /// An argument was invalid (address, id, flag…).
-    BadArg,
+    BadArg = 2,
     /// The caller lacks the capability for this operation.
-    Denied,
+    Denied = 3,
     /// The referenced object does not exist.
-    NotFound,
+    NotFound = 4,
     /// Resource temporarily unavailable — the Busy status of Fig. 7
     /// stage 2 ("if no idle PRR is available, the manager service would
     /// return to the applicant guest OS with a Busy status").
-    Busy,
+    Busy = 5,
     /// Out of kernel resources (ASIDs, IRQ lines, table slots…).
-    NoResource,
+    NoResource = 6,
 }
 
 /// Status values returned by [`Hypercall::HwTaskRequest`] (§IV-E stage 6:
@@ -445,6 +448,21 @@ mod tests {
         assert_eq!(Hypercall::VmStats.nr(), 25);
         assert_eq!(Hypercall::RingKick.nr(), 26);
         assert_eq!(Hypercall::SdRead.nr(), 24, "the paper set stays 0..=24");
+    }
+
+    #[test]
+    fn error_wire_codes_are_pinned() {
+        let codes = [
+            (HcError::BadCall, 1),
+            (HcError::BadArg, 2),
+            (HcError::Denied, 3),
+            (HcError::NotFound, 4),
+            (HcError::Busy, 5),
+            (HcError::NoResource, 6),
+        ];
+        for (e, code) in codes {
+            assert_eq!(e as u32, code, "{e:?}");
+        }
     }
 
     #[test]
