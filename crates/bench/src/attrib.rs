@@ -64,7 +64,8 @@ impl AttribRow {
         100.0 * self.dcache_refill as f64 / self.dcache_access as f64
     }
 
-    fn from_snapshot(s: &Snapshot, label: Label) -> AttribRow {
+    /// The row of `label` in snapshot (or window) `s`.
+    pub fn from_snapshot(s: &Snapshot, label: Label) -> AttribRow {
         AttribRow {
             vm: match label {
                 Label::Vm(v) => Some(v),
@@ -155,11 +156,11 @@ impl AttribReport {
 pub fn measure_attrib(n: usize, cfg: &Table3Config) -> AttribReport {
     let seed = cfg.seeds.first().copied().unwrap_or(11);
     let mut k = build_kernel(n, seed, cfg);
-    let reg = k.enable_metrics();
+    k.enable_metrics();
     k.run(Cycles::from_millis(cfg.warmup_ms_per_guest * n as f64));
-    let before = reg.snapshot();
+    let before = k.metrics();
     k.run(Cycles::from_millis(cfg.measure_ms_per_guest * n as f64));
-    let window = reg.snapshot().delta(&before);
+    let window = k.metrics().delta(&before);
     report_from(n as u32, &k, window)
 }
 

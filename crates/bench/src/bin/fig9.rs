@@ -129,8 +129,8 @@ fn main() {
             println!(
                 "SLO: {} requests minted, {} violations, {} burns (objective {:.1} ms)",
                 s.reqs_minted,
-                s.slo_violations,
-                s.slo_burns,
+                s.slo_violations.iter().sum::<u64>(),
+                s.slo_burns.iter().sum::<u64>(),
                 Cycles::new(k.state.hwmgr.slo.objective(0)).as_millis()
             );
             // Show the slowest completed request end-to-end.

@@ -50,34 +50,28 @@ fn main() {
 
     let cfg = quick_config();
     let mut k = build_kernel(guests.clamp(1, 8), 11, &cfg);
-    let reg = k.enable_metrics();
+    k.enable_metrics();
     let tracer = k.enable_tracing(1 << 20);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
 
     // Short warm-up so caches/TLBs and the scheduler reach steady state.
     k.run(Cycles::from_millis(5.0 * guests as f64));
-    let mut prev = reg.snapshot();
+    let mut prev = k.metrics();
     let mut prev_pcs = counts_map(&profiler.top_k(usize::MAX));
     let mut prev_ctxs = counts_map(&profiler.hot_contexts());
 
     for frame in 0..frames {
         let window_start = k.machine.now().raw();
         k.run(Cycles::from_millis(interval_ms));
-        let snap = reg.snapshot();
+        let snap = k.metrics();
         let d = snap.delta(&prev);
-        prev = snap;
         if clear {
             print!("\x1b[2J\x1b[H");
         }
-        render(frame, interval_ms, &d, &k.state.metrics.snapshot());
+        render(frame, interval_ms, &d, &snap);
         render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
-        render_reqs(
-            &tracer,
-            &d,
-            &k.state.metrics.snapshot(),
-            k.state.stats.reqs_minted,
-            window_start,
-        );
+        render_reqs(&tracer, &d, &snap, k.state.stats.reqs_minted, window_start);
+        prev = snap;
     }
 }
 
@@ -184,26 +178,6 @@ fn render_hot(
     println!();
 }
 
-fn row_of(d: &Snapshot, label: Label) -> AttribRow {
-    AttribRow {
-        vm: match label {
-            Label::Vm(v) => Some(v),
-            _ => None,
-        },
-        cycles: d.get("pmu_cycles", label),
-        instr: d.get("instr_retired", label),
-        dcache_access: d.get("dcache_access", label),
-        dcache_refill: d.get("dcache_refill", label),
-        icache_refill: d.get("icache_refill", label),
-        tlb_refill: d.get("tlb_refill", label),
-        hypercalls: d.get("hypercalls", label),
-        virqs: d.get("virqs_injected", label),
-        hwmgr: d.get("hwmgr_invocations", label),
-        restarts: d.get("vm_restarts", label),
-        repromotions: d.get("vm_repromotions", label),
-    }
-}
-
 fn render(frame: usize, interval_ms: f64, d: &Snapshot, lifetime: &Snapshot) {
     let vms = {
         let mut v: Vec<u8> = d
@@ -240,10 +214,13 @@ fn render(frame: usize, interval_ms: f64, d: &Snapshot, lifetime: &Snapshot) {
         );
     };
     for id in &vms {
-        let r = row_of(d, Label::Vm(*id));
+        let r = AttribRow::from_snapshot(d, Label::Vm(*id));
         print_row(format!("vm{id}"), &r);
     }
-    print_row("host".to_string(), &row_of(d, Label::Host));
+    print_row(
+        "host".to_string(),
+        &AttribRow::from_snapshot(d, Label::Host),
+    );
 
     // Fabric / machine-wide counters over the same window.
     println!(

@@ -235,14 +235,21 @@ pub fn measure_virtualized(n: usize, cfg: &Table3Config) -> Row {
         }
         k.run(Cycles::from_millis(cfg.warmup_ms_per_guest * n as f64));
         k.state.stats.reset_hwmgr();
+        let slo = |k: &Kernel| {
+            let s = &k.state.stats;
+            (
+                s.slo_violations.iter().sum::<u64>(),
+                s.slo_burns.iter().sum::<u64>(),
+            )
+        };
         let restarts_before = k.state.stats.vm_restarts;
-        let slo_v_before = k.state.stats.slo_violations;
-        let slo_b_before = k.state.stats.slo_burns;
+        let (slo_v_before, slo_b_before) = slo(&k);
         k.run(Cycles::from_millis(cfg.measure_ms_per_guest * n as f64));
         agg.merge(&k.state.stats.hwmgr);
         restarts += k.state.stats.vm_restarts - restarts_before;
-        slo_violations += k.state.stats.slo_violations - slo_v_before;
-        slo_burns += k.state.stats.slo_burns - slo_b_before;
+        let (slo_v, slo_b) = slo(&k);
+        slo_violations += slo_v - slo_v_before;
+        slo_burns += slo_b - slo_b_before;
     }
     let mut row = Row::from_stats(n as u32, &agg);
     row.vm_restarts = restarts;

@@ -50,7 +50,7 @@ use super::service::{HwMgr, DATA_SECTION_LEN};
 use super::tables::ReqTag;
 use crate::kobj::pd::Pd;
 use crate::mem::pagetable::PtAlloc;
-use crate::obs::{Counter, Sinks};
+use crate::obs::Sinks;
 use crate::slo::{iface_of, FAMILIES};
 
 /// The in-flight descriptor currently owning the fabric (or the PCAP
@@ -260,7 +260,10 @@ impl HwMgr {
             self.rings[ci].queued.push_back((idx, req));
         }
         self.rings[ci].avail_seen = avail;
-        sinks.count(Counter::RingKick(caller));
+        sinks.stats.hwmgr.ring_kicks += 1;
+        if let Some(pd) = pds.get_mut(&caller) {
+            pd.stats.ring_kicks += 1;
+        }
         sinks.stats.hwmgr.ring_descs += new as u64;
 
         // Drive the batch as far as the fabric allows right now; a drain
@@ -598,8 +601,9 @@ impl HwMgr {
         vm: VmId,
         line: IrqNum,
     ) {
-        sinks.count(Counter::RingVirq(vm));
+        sinks.stats.hwmgr.ring_virqs += 1;
         if let Some(pd) = pds.get_mut(&vm) {
+            pd.stats.ring_virqs += 1;
             pd.vgic.buffer(line);
             if pd.vgic.is_enabled(line) {
                 pd.wake_at = 0;

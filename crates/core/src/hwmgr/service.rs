@@ -31,7 +31,7 @@ use super::tables::{HwTaskTable, PrrTable, ReqTag};
 use crate::kobj::pd::{DataSection, Pd};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
-use crate::obs::{Counter, Sinks};
+use crate::obs::Sinks;
 use crate::slo::{iface_of, SloTracker};
 use crate::supervisor::timing;
 
@@ -387,7 +387,7 @@ impl HwMgr {
         sinks.metrics.observe("req_latency", label, latency, req.id);
         let outcome = self.slo.observe(iface, latency, now.raw());
         if outcome.violated {
-            sinks.count(Counter::SloViolation(iface));
+            sinks.stats.slo_violations[iface as usize] += 1;
         }
         if let Some(violations) = outcome.burned {
             sinks.note(now, TraceEvent::SloBurn { iface, violations });
@@ -529,7 +529,7 @@ impl HwMgr {
             (e.client, e.task, e.iface_va)
         };
         let Some(old_vm) = old_vm else { return };
-        sinks.count(Counter::Reclaim);
+        sinks.stats.hwmgr.reclaims += 1;
         self.drop_jobs(m, pds, sinks, |vm, p| vm == old_vm && p == prr);
 
         // Save the 16 interface registers (charged MMIO reads).
@@ -688,6 +688,7 @@ impl HwMgr {
                 self.drop_shadow_of(m, pds, sinks, caller, task);
                 if let Some(pd) = pds.get_mut(&caller) {
                     self.unmap_iface(m, pd, task);
+                    pd.stats.repromotions += 1;
                 }
                 let ev = TraceEvent::Repromote {
                     vm: caller.0,
@@ -726,7 +727,7 @@ impl HwMgr {
             // Fig. 7 stage 2: "if no idle PRR is available, the manager
             // service would return to the applicant guest OS with a Busy
             // status".
-            sinks.count(Counter::Busy);
+            sinks.stats.hwmgr.busy += 1;
             return Err(HcError::Busy);
         };
 
@@ -801,7 +802,7 @@ impl HwMgr {
         // Stage 5: launch the PCAP download if the task is not resident.
         if needs_reconfig {
             sinks.dpr_stage(m.now(), req, 5);
-            sinks.count(Counter::Reconfig);
+            sinks.stats.hwmgr.reconfigs += 1;
             // Client reconfigurations queue behind each other in arrival
             // order and pre-empt background scrub/relocation loads.
             let wait =

@@ -24,7 +24,6 @@ use crate::kernel::{sd_block, KernelState};
 use crate::mem::dacr::{self, GuestContext};
 use crate::mem::layout::ktext;
 use crate::mem::pagetable;
-use crate::obs::Counter;
 
 /// Charge instruction-fetch traffic on a kernel code path.
 pub(crate) fn touch_ktext(m: &mut Machine, base: PhysAddr, lines: u64) {
@@ -74,18 +73,19 @@ pub fn hypercall_from_trap(
     {
         let pd = ks.pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         pd.stats.hypercalls += 1;
-        pd.portals
-            .check(args.nr)
-            .inspect_err(|_| ks.sinks().count(Counter::HypercallDenied(caller)))?;
+        if let Err(e) = pd.portals.check(args.nr) {
+            pd.stats.hypercalls_denied += 1;
+            return Err(e);
+        }
     }
     // The typed `Hypercall` can only carry in-range numbers (raw decode
-    // rejects unknown ones into `hypercalls_invalid` before dispatch), but
-    // never let a stats index become an out-of-bounds write regardless.
-    match ks.stats.hypercalls.get_mut(args.nr.nr() as usize) {
-        Some(slot) => *slot += 1,
-        None => ks.stats.hypercalls_invalid += 1,
+    // counts unknown ones in `PdStats::hypercalls_invalid` before
+    // dispatch), but never let a stats index become an out-of-bounds
+    // write regardless.
+    if let Some(slot) = ks.stats.hypercalls.get_mut(args.nr.nr() as usize) {
+        *slot += 1;
     }
-    ks.sinks().count(Counter::Hypercall(caller));
+    ks.stats.hypercalls_total += 1;
     ks.tracer
         .emit(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
     // Samples taken while the dispatcher runs attribute to this hypercall

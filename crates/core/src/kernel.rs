@@ -10,7 +10,7 @@ use mnv_fpga::bitstream::CoreKind;
 use mnv_fpga::fabric::FabricConfig;
 use mnv_fpga::pl::{pcap_status, plregs, Pl, PlConfig, PL_GP_BASE};
 use mnv_hal::{Cycles, Domain, HwTaskId, PhysAddr, Priority, VirtAddr, VmId};
-use mnv_metrics::{Label, Registry};
+use mnv_metrics::{Registry, Snapshot};
 use mnv_profile::Profiler;
 use mnv_trace::{TraceEvent, Tracer};
 use mnv_ucos::kernel::{RunExit, Ucos};
@@ -23,7 +23,7 @@ use crate::mem::dacr::{self, GuestContext};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
 use crate::mirguest::MirGuest;
-use crate::obs::{Counter, Sinks};
+use crate::obs::{self, Sinks};
 use crate::sched::scheduler::{Scheduler, StopReason};
 use crate::sched::DEFAULT_QUANTUM;
 use crate::stats::KernelStats;
@@ -225,21 +225,26 @@ impl Kernel {
 
     /// Turn on the per-VM metrics registry: the kernel (and through its
     /// [`Sinks`] the Hardware Task Manager) and the PL peripheral share one
-    /// registry (clones share state, like the tracer's ring). Returns a
-    /// handle for snapshots and export. Until this is called every probe
-    /// meets a disabled handle and records nothing.
-    pub fn enable_metrics(&mut self) -> Registry {
-        let r = Registry::enabled();
-        self.state.metrics = r.clone();
-        self.machine
-            .peripheral_mut::<Pl>()
-            .expect("PL attached")
-            .set_metrics(r.clone());
-        // Epoch accounting starts here: whatever ran before enablement is
-        // outside the measurement window.
+    /// registry for the series only it keeps; [`Kernel::metrics`] reads
+    /// the rest from the kernel's own counters. Call it before the first
+    /// [`Kernel::run`]: those counters run from boot, so metrics count
+    /// from here only while nothing has run yet.
+    pub fn enable_metrics(&mut self) {
+        debug_assert_eq!(self.state.stats.vm_switches, 0, "enabled after a run");
+        self.state.metrics = Registry::enabled();
+        let pl = self.machine.peripheral_mut::<Pl>().expect("PL attached");
+        pl.set_metrics(self.state.metrics.clone());
+        // Epoch accounting starts here: the boot work before enablement is
+        // in no epoch.
         self.state.meter_base = self.machine.pmu_inputs();
-        r.set("vm_count", Label::Machine, self.guests.len() as u64);
-        r
+    }
+
+    /// A metrics snapshot: the registry's series and a view of every
+    /// kernel, block-cache and PL counter (see [`obs::snapshot`]). Empty
+    /// until [`Kernel::enable_metrics`].
+    pub fn metrics(&self) -> Snapshot {
+        let s = &self.state;
+        obs::snapshot(&self.machine, &s.pds, &s.stats, &s.metrics)
     }
 
     /// Turn on the cycle-driven sampling profiler and post-mortem dumps:
@@ -294,7 +299,7 @@ impl Kernel {
         // too often inside the window, which makes the kill permanent.
         match self.supervisor.record_crash(vm, self.machine.now().raw()) {
             CrashDecision::Unsupervised | CrashDecision::Restart { .. } => {}
-            CrashDecision::BudgetExhausted => self.state.sinks().count(Counter::CrashLoopKill),
+            CrashDecision::BudgetExhausted => self.state.stats.crash_loop_kills += 1,
         }
         self.destroy_vm(vm);
     }
@@ -448,9 +453,6 @@ impl Kernel {
         self.state.sched.add(vm, spec.priority);
         self.state.pds.insert(vm, pd);
         self.guests.insert(vm, spec.guest);
-        self.state
-            .metrics
-            .set("vm_count", Label::Machine, self.guests.len() as u64);
     }
 
     /// Number of guest VMs.
@@ -524,13 +526,12 @@ impl Kernel {
         hwmgr.drop_jobs(&mut self.machine, pds, &sinks, |v, _| v == vm);
         if let Some(pd) = self.state.pds.remove(&vm) {
             self.state.asids.free(pd.asid);
+            let retired = self.state.stats.retired.entry(vm).or_default();
+            retired.merge(&pd.stats);
         }
         if self.state.current == Some(vm) {
             self.state.current = None;
         }
-        self.state
-            .metrics
-            .set("vm_count", Label::Machine, self.guests.len() as u64);
     }
 
     // -- world switch ---------------------------------------------------------
@@ -538,9 +539,8 @@ impl Kernel {
     /// Close the current attribution epoch: everything the machine counted
     /// since the last boundary (cycles, instructions, cache/TLB refills,
     /// walks, exceptions) is charged to `vm` — or to the host (kernel,
-    /// world-switch code, idle loop) when `vm` is `None`. The per-PD
-    /// accounting is unconditional (it backs the VmStats hypercall); the
-    /// registry mirror is one `is_enabled` branch when metrics are off.
+    /// world-switch code, idle loop) when `vm` is `None`. The VM's share
+    /// backs the VmStats hypercall; the metrics snapshot reads both.
     fn account_epoch(&mut self, vm: Option<VmId>) {
         let now = self.machine.pmu_inputs();
         let d = now.delta(&self.state.meter_base);
@@ -549,44 +549,8 @@ impl Kernel {
             if let Some(pd) = self.state.pds.get_mut(&vm) {
                 pd.stats.pmu.accumulate(&d);
             }
-        }
-        let r = &self.state.metrics;
-        if r.is_enabled() {
-            let label = match vm {
-                Some(v) => Label::Vm(v.0 as u8),
-                None => Label::Host,
-            };
-            r.add("pmu_cycles", label, d.cycles);
-            r.add("instr_retired", label, d.instr_retired);
-            r.add("icache_access", label, d.l1i_access);
-            r.add("icache_refill", label, d.l1i_refill);
-            r.add("dcache_access", label, d.l1d_access);
-            r.add("dcache_refill", label, d.l1d_refill);
-            r.add("tlb_refill", label, d.tlb_refill);
-            r.add("pt_walks", label, d.pt_walks);
-            r.add("exc_taken", label, d.exc_taken);
-            // Decoded-block cache counters are machine-global (blocks are
-            // keyed by ASID, not owned by the scheduled VM), so they mirror
-            // as gauges rather than per-label deltas.
-            let s = &self.machine.bcache.stats;
-            r.set("bcache_hits", Label::Machine, s.hits);
-            r.set("bcache_misses", Label::Machine, s.misses);
-            r.set("bcache_chain_follows", Label::Machine, s.chain_follows);
-            r.set("bcache_replayed_instrs", Label::Machine, s.replayed_instrs);
-            r.set("bcache_batched_instrs", Label::Machine, s.batched_instrs);
-            r.set("bcache_evictions", Label::Machine, s.evictions);
-            r.set("bcache_superblocks", Label::Machine, s.superblocks);
-            r.set("bcache_fused_segs", Label::Machine, s.fused_segs);
-            r.set(
-                "bcache_store_invalidations",
-                Label::Machine,
-                s.store_invalidations,
-            );
-            r.set(
-                "bcache_maint_invalidations",
-                Label::Machine,
-                s.maint_invalidations,
-            );
+        } else {
+            self.state.stats.host_pmu.accumulate(&d);
         }
     }
 
@@ -610,9 +574,6 @@ impl Kernel {
         self.account_epoch(None);
         self.touch_ktext(ktext::WORLD_SWITCH, 16);
         self.state.stats.vm_switches += 1;
-        self.state
-            .metrics
-            .inc("world_switches", Label::Vm(vm.0 as u8));
         self.state.tracer.emit(
             self.machine.now(),
             TraceEvent::VmSwitch { from: 0, to: vm.0 },
@@ -756,7 +717,11 @@ impl Kernel {
                 .state
                 .pds
                 .values()
-                .filter(|p| p.state == PdState::Runnable && p.priority > my_prio && p.vm != vm)
+                .filter(|p| {
+                    p.state == PdState::Runnable
+                        && Scheduler::preempts(p.priority, my_prio)
+                        && p.vm != vm
+                })
                 .map(|p| p.wake_at)
                 .min()
                 .unwrap_or(u64::MAX);
@@ -777,9 +742,6 @@ impl Kernel {
             // (§III-D: "its total execution time slice is constant").
             let left = self.state.sched.stopped(vm, full, used, reason);
             let end = self.machine.now().raw();
-            self.state
-                .metrics
-                .add("cpu_cycles", Label::Vm(vm.0 as u8), used.raw());
             let pd = self.state.pds.get_mut(&vm).expect("vm exists");
             pd.quantum_left = left;
             pd.stats.cpu_cycles += used.raw();
@@ -813,7 +775,7 @@ impl Kernel {
     /// restart backoff has elapsed.
     fn supervise(&mut self) {
         for vm in self.supervisor.hung_vms(&self.state.pds) {
-            self.state.sinks().count(Counter::LivenessKill);
+            self.state.stats.liveness_kills += 1;
             self.kill_vm(vm);
         }
         let now = self.machine.now().raw();
@@ -829,6 +791,9 @@ impl Kernel {
                     guest,
                 },
             );
+            if let Some(pd) = self.state.pds.get_mut(&vm) {
+                pd.stats.restarts += 1;
+            }
             self.state.sinks().note(
                 self.machine.now(),
                 TraceEvent::VmRestart { vm: vm.0, attempt },
@@ -844,6 +809,7 @@ impl Kernel {
     /// too.
     pub fn check_recovery_invariants(&self) -> Result<(), String> {
         self.state.hwmgr.check_invariants(&self.state.pds)?;
+        self.state.stats.check_vm_totals(&self.state.pds)?;
         let (status, target) = self.pl().pcap_engine();
         let slot = self.state.hwmgr.pcap_job.map(|j| j.prr as u32);
         if status == pcap_status::BUSY && slot != Some(target) && !self.pcap_write_dropped() {

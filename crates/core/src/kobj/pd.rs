@@ -45,13 +45,20 @@ pub struct IpcMsg {
     pub payload: [u32; 3],
 }
 
-/// Per-PD accounting.
+/// Per-PD accounting: the one store of every per-VM counter. The metrics
+/// snapshot reads it (see [`crate::obs::snapshot`]) and the machine-wide
+/// totals in [`crate::stats::KernelStats`] must equal its sums.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PdStats {
     /// Cycles of CPU time consumed.
     pub cpu_cycles: u64,
-    /// Hypercalls issued.
+    /// Hypercalls issued with a known number, portal-denied ones included
+    /// (what the VmStats hypercall serves).
     pub hypercalls: u64,
+    /// Hypercalls refused by the portal check.
+    pub hypercalls_denied: u64,
+    /// SVC numbers that decode to no hypercall.
+    pub hypercalls_invalid: u64,
     /// Times scheduled in.
     pub activations: u64,
     /// Times preempted with quantum remaining.
@@ -60,12 +67,44 @@ pub struct PdStats {
     pub faults_forwarded: u64,
     /// Virtual IRQs injected into this VM.
     pub virqs_injected: u64,
+    /// `RingKick` drains of this VM's rings.
+    pub ring_kicks: u64,
+    /// Coalesced ring-completion vIRQs delivered to this VM.
+    pub ring_virqs: u64,
+    /// Supervised relaunches of this VM.
+    pub restarts: u64,
+    /// This VM's degraded clients promoted back onto fabric hardware.
+    pub repromotions: u64,
     /// Machine events attributed to this VM by the kernel's epoch
     /// accounting: everything the PMU saw between this VM's switch-in and
     /// switch-out (cycles, instructions, cache/TLB refills…). Always
-    /// maintained — this is what the VmStats hypercall serves — while the
-    /// `metrics` registry mirrors it per label when enabled.
+    /// maintained — this is what the VmStats hypercall serves.
     pub pmu: PmuInputs,
+}
+
+impl PdStats {
+    /// Hypercalls that reached the dispatcher or decoded to no call: the
+    /// `hypercalls` metric, whose sum is `KernelStats::hypercalls_total`.
+    pub fn hypercalls_served(&self) -> u64 {
+        self.hypercalls - self.hypercalls_denied + self.hypercalls_invalid
+    }
+
+    /// Fold another incarnation's accounting into this one.
+    pub fn merge(&mut self, o: &PdStats) {
+        self.cpu_cycles += o.cpu_cycles;
+        self.hypercalls += o.hypercalls;
+        self.hypercalls_denied += o.hypercalls_denied;
+        self.hypercalls_invalid += o.hypercalls_invalid;
+        self.activations += o.activations;
+        self.preemptions += o.preemptions;
+        self.faults_forwarded += o.faults_forwarded;
+        self.virqs_injected += o.virqs_injected;
+        self.ring_kicks += o.ring_kicks;
+        self.ring_virqs += o.ring_virqs;
+        self.restarts += o.restarts;
+        self.repromotions += o.repromotions;
+        self.pmu.accumulate(&o.pmu);
+    }
 }
 
 /// A protection domain.

@@ -20,7 +20,6 @@ use mnv_ucos::kernel::RunExit;
 use crate::hypercall;
 use crate::kernel::KernelState;
 use crate::kobj::pd::PdState;
-use crate::obs::Counter;
 
 /// Value returned in r0 for a failed hypercall; r1 carries the error code.
 pub const HC_FAIL: u32 = 0xFFFF_FFFF;
@@ -117,11 +116,13 @@ impl MirGuest {
                         a3: m.cpu.user_reg(3),
                     },
                     None => {
-                        // Unknown call: count it in the dedicated invalid
-                        // slot (never index the per-call array with an
+                        // Unknown call: count it in the VM's invalid slot
+                        // (never index the per-call array with an
                         // out-of-range number) and report BadCall.
-                        ks.stats.hypercalls_invalid += 1;
-                        ks.sinks().count(Counter::Hypercall(vm));
+                        ks.stats.hypercalls_total += 1;
+                        if let Some(pd) = ks.pds.get_mut(&vm) {
+                            pd.stats.hypercalls_invalid += 1;
+                        }
                         m.cpu.set_user_reg(0, HC_FAIL);
                         m.cpu.set_user_reg(1, HcError::BadCall as u32);
                         m.exception_return(ret);

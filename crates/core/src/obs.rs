@@ -1,5 +1,4 @@
-//! One event stream: every kernel lifecycle event is recorded once, and
-//! every counter the registry mirrors is named once.
+//! One event stream and one store per counter.
 //!
 //! The four observability sinks — the trace ring, [`KernelStats`], the
 //! metrics registry and the profiler — travel as one borrowed [`Sinks`]
@@ -9,20 +8,26 @@
 //!
 //! A VM kill, a PRR quarantine or an escalation rung is a [`TraceEvent`]
 //! handed to `Sinks::note`. One `match` on the event kind derives
-//! everything else from it: the [`KernelStats`] counter it bumps, the
-//! registry series it mirrors into and — for the terminal kinds — the
-//! post-mortem it dumps. The event itself lands in the kernel's one trace
-//! ring, whose newest events are the flight recorder a dump reads, so the
-//! counters, the trace and the dump can no longer drift apart.
+//! everything else from it: the [`KernelStats`] counter it bumps and — for
+//! the terminal kinds — the post-mortem it dumps. The event itself lands
+//! in the kernel's one trace ring, whose newest events are the flight
+//! recorder a dump reads, so the counters, the trace and the dump can no
+//! longer drift apart. A hot-path event with no trace record of its own (a
+//! hypercall, a vIRQ, a Busy answer) bumps its field where it happens.
+//! Table III's manager phases go through `Sinks::mgr_phase`.
 //!
-//! A hot-path event with no trace record of its own (a hypercall, a vIRQ,
-//! a Busy answer) is a [`Counter`] handed to `Sinks::count`;
-//! [`Counter::slot`] is the one `match` naming each pair's field, series
-//! and label. Table III's manager phases go through `Sinks::mgr_phase`.
+//! Every counter lives in one place: a [`KernelStats`] or `PdStats` field,
+//! the block cache's statistics or the PL. The metrics registry keeps only
+//! what nobody else has (the latency histograms, the per-VM manager
+//! invocations and phase cycles, PCAP bytes and stalls, AXI traffic);
+//! [`snapshot`] adds a view of everything else when a snapshot is taken.
 
 use mnv_arm::machine::Machine;
+use mnv_arm::PmuInputs;
+use mnv_fpga::pl::Pl;
+use mnv_fpga::prr::{regs, status};
 use mnv_hal::{Cycles, VmId};
-use mnv_metrics::{Label, Registry};
+use mnv_metrics::{Entry, Label, Registry, Snapshot};
 use mnv_profile::{Profiler, SampleCtx};
 use mnv_trace::event::iface_name;
 use mnv_trace::{MgrPhase, TraceEvent, Tracer};
@@ -31,6 +36,7 @@ use std::collections::BTreeMap;
 use crate::hwmgr::tables::ReqTag;
 use crate::kobj::pd::Pd;
 use crate::postmortem;
+use crate::slo::FAMILIES;
 use crate::stats::KernelStats;
 
 /// The kernel's four observability sinks, borrowed together.
@@ -45,95 +51,7 @@ pub struct Sinks<'a> {
     pub(crate) profiler: &'a Profiler,
 }
 
-/// A hot-path event counted in [`KernelStats`] and mirrored into the
-/// registry. Each variant carries what its registry label needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Counter {
-    /// A hypercall dispatched, or an SVC number that decodes to none.
-    Hypercall(VmId),
-    /// A hypercall refused by the portal check.
-    HypercallDenied(VmId),
-    /// A vIRQ injected into the running VM.
-    VirqInjected(VmId),
-    /// A VM killed for good after exhausting its crash-loop budget.
-    CrashLoopKill,
-    /// A VM killed by the liveness watchdog.
-    LivenessKill,
-    /// A completed request over its interface family's latency objective.
-    SloViolation(u8),
-    /// A hardware task reclaimed from its previous client.
-    Reclaim,
-    /// A hardware-task request answered Busy.
-    Busy,
-    /// A client PCAP reconfiguration launched.
-    Reconfig,
-    /// A `RingKick` drain.
-    RingKick(VmId),
-    /// A coalesced ring-completion vIRQ.
-    RingVirq(VmId),
-}
-
-impl Counter {
-    /// Every counter (payloads are placeholders).
-    pub const ALL: [Counter; 11] = [
-        Counter::Hypercall(VmId(0)),
-        Counter::HypercallDenied(VmId(0)),
-        Counter::VirqInjected(VmId(0)),
-        Counter::CrashLoopKill,
-        Counter::LivenessKill,
-        Counter::SloViolation(0),
-        Counter::Reclaim,
-        Counter::Busy,
-        Counter::Reconfig,
-        Counter::RingKick(VmId(0)),
-        Counter::RingVirq(VmId(0)),
-    ];
-
-    /// The pair behind the counter: its [`KernelStats`] field, its
-    /// registry series and its label.
-    #[inline]
-    pub fn slot(self, s: &mut KernelStats) -> (&mut u64, &'static str, Label) {
-        use Counter as C;
-        const M: Label = Label::Machine;
-        let vm = |v: VmId| Label::Vm(v.0 as u8);
-        let h = &mut s.hwmgr;
-        match self {
-            C::Hypercall(v) => (&mut s.hypercalls_total, "hypercalls", vm(v)),
-            C::HypercallDenied(v) => (&mut s.hypercalls_denied, "hypercalls_denied", vm(v)),
-            C::VirqInjected(v) => (&mut s.virqs_injected, "virqs_injected", vm(v)),
-            C::CrashLoopKill => (&mut s.crash_loop_kills, "crash_loop_kills", M),
-            C::LivenessKill => (&mut s.liveness_kills, "liveness_kills", M),
-            C::SloViolation(i) => (
-                &mut s.slo_violations,
-                "slo_violations",
-                Label::Iface(iface_name(i)),
-            ),
-            C::Reclaim => (&mut h.reclaims, "hwmgr_reclaims", M),
-            C::Busy => (&mut h.busy, "hwmgr_busy", M),
-            C::Reconfig => (&mut h.reconfigs, "hwmgr_reconfigs", M),
-            C::RingKick(v) => (&mut h.ring_kicks, "ring_kicks", vm(v)),
-            C::RingVirq(v) => (&mut h.ring_virqs, "ring_virqs", vm(v)),
-        }
-    }
-}
-
 impl Sinks<'_> {
-    /// Bump `c` in [`KernelStats`] and in the registry.
-    #[inline]
-    pub(crate) fn count(&mut self, c: Counter) {
-        let (n, name, label) = c.slot(self.stats);
-        *n += 1;
-        self.metrics.inc(name, label);
-    }
-
-    /// Record lifecycle event `ev` at `now`: trace it and bump its
-    /// [`KernelStats`] counter and registry series. Other event kinds are
-    /// traced and nothing else. For the kinds that dump a post-mortem use
-    /// [`Sinks::note_dump`].
-    pub(crate) fn note(&mut self, now: Cycles, ev: TraceEvent) {
-        self.record(now, ev);
-    }
-
     /// [`Sinks::note`] a terminal event and dump its post-mortem, whose
     /// context is `m`, `pds` and the implicated `vm`.
     pub(crate) fn note_dump(
@@ -143,58 +61,39 @@ impl Sinks<'_> {
         vm: Option<VmId>,
         ev: TraceEvent,
     ) {
-        if let Some(reason) = self.record(m.now(), ev) {
+        if let Some(reason) = self.note(m.now(), ev) {
             self.dump(m, pds, vm, reason);
         }
     }
 
-    /// The one `match`: trace `ev`, bump its pair and return its dump
-    /// reason when the kind is terminal.
-    fn record(&mut self, now: Cycles, ev: TraceEvent) -> Option<&'static str> {
+    /// Record lifecycle event `ev` at `now` — the one `match`: trace it,
+    /// bump its [`KernelStats`] counter and return its post-mortem reason
+    /// when the kind is terminal (which [`Sinks::note_dump`] dumps). Other
+    /// event kinds are traced and nothing else.
+    pub(crate) fn note(&mut self, now: Cycles, ev: TraceEvent) -> Option<&'static str> {
         use TraceEvent as E;
-        const M: Label = Label::Machine;
         self.tracer.emit(now, ev);
-        let stats = &mut *self.stats;
-        let h = &mut stats.hwmgr;
-        let (counter, name, label, dump_reason) = match ev {
-            E::VmKilled { .. } => (&mut stats.vms_killed, "vms_killed", M, Some("vm-killed")),
-            E::VmRestart { vm, .. } => (
-                &mut stats.vm_restarts,
-                "vm_restarts",
-                Label::Vm(vm as u8),
-                None,
-            ),
-            E::PrrQuarantine { .. } => {
-                (&mut h.quarantines, "quarantines", M, Some("prr-quarantine"))
-            }
-            E::PrrScrub { pass: true, .. } => (&mut h.scrubs, "prr_scrubs", M, None),
-            E::PrrScrub { pass: false, .. } => (&mut h.scrub_fails, "prr_scrub_fails", M, None),
-            E::PrrReinstate { .. } => (&mut h.reinstates, "prr_reinstates", M, None),
-            E::PrrRetire { .. } => (&mut h.prrs_retired, "prrs_retired", M, None),
-            E::Repromote { vm, .. } => {
-                self.metrics.inc("vm_repromotions", Label::Vm(vm as u8));
-                (&mut h.repromotions, "repromotions", M, None)
-            }
-            E::HwTaskEscalate { rung: 1, .. } => (&mut h.ladder_retries, "ladder_retries", M, None),
-            E::HwTaskEscalate { rung: 2, .. } => {
-                (&mut h.ladder_relocations, "ladder_relocations", M, None)
-            }
-            E::HwTaskEscalate { rung: 3, .. } => {
-                (&mut h.ladder_fallbacks, "ladder_fallbacks", M, None)
-            }
-            E::HwTaskEscalate { .. } => (&mut h.ladder_errors, "ladder_errors", M, None),
-            E::SwFallback { .. } => (&mut h.sw_fallbacks, "sw_fallbacks", M, None),
-            E::PcapRetry { .. } => (&mut h.pcap_retries, "pcap_retries", M, None),
-            E::SloBurn { iface, .. } => (
-                &mut stats.slo_burns,
-                "slo_burns",
-                Label::Iface(iface_name(iface)),
-                None,
-            ),
+        let s = &mut *self.stats;
+        let h = &mut s.hwmgr;
+        let (counter, dump_reason) = match ev {
+            E::VmKilled { .. } => (&mut s.vms_killed, Some("vm-killed")),
+            E::VmRestart { .. } => (&mut s.vm_restarts, None),
+            E::PrrQuarantine { .. } => (&mut h.quarantines, Some("prr-quarantine")),
+            E::PrrScrub { pass: true, .. } => (&mut h.scrubs, None),
+            E::PrrScrub { pass: false, .. } => (&mut h.scrub_fails, None),
+            E::PrrReinstate { .. } => (&mut h.reinstates, None),
+            E::PrrRetire { .. } => (&mut h.prrs_retired, None),
+            E::Repromote { .. } => (&mut h.repromotions, None),
+            E::HwTaskEscalate { rung: 1, .. } => (&mut h.ladder_retries, None),
+            E::HwTaskEscalate { rung: 2, .. } => (&mut h.ladder_relocations, None),
+            E::HwTaskEscalate { rung: 3, .. } => (&mut h.ladder_fallbacks, None),
+            E::HwTaskEscalate { .. } => (&mut h.ladder_errors, None),
+            E::SwFallback { .. } => (&mut h.sw_fallbacks, None),
+            E::PcapRetry { .. } => (&mut h.pcap_retries, None),
+            E::SloBurn { iface, .. } => (&mut s.slo_burns[iface as usize], None),
             _ => return None,
         };
         *counter += 1;
-        self.metrics.inc(name, label);
         dump_reason
     }
 
@@ -205,10 +104,10 @@ impl Sinks<'_> {
         m: &Machine,
         pds: &BTreeMap<VmId, Pd>,
         vm: Option<VmId>,
-        reason: &str,
+        reason: &'static str,
     ) {
         if self.profiler.is_enabled() {
-            let context = postmortem::context(m, pds, vm, self.metrics);
+            let context = postmortem::context(m, pds, vm, self.stats, self.metrics);
             self.profiler
                 .trigger_dump(reason, m.now(), self.tracer, context);
         }
@@ -291,4 +190,119 @@ impl Sinks<'_> {
             },
         );
     }
+}
+
+/// A metrics snapshot: `registry`'s own series plus a view of every
+/// counter the kernel (`stats`, the PDs), the block cache and the PL
+/// keep, under the series names and labels of the registry's text and
+/// JSON exports. An event counter shows once it is non-zero; a gauge, and
+/// the PMU series of a VM (or the host) that has run, always show. Empty
+/// while `registry` is disabled. The counters run from boot, which is
+/// where [`crate::Kernel::enable_metrics`] must be called.
+pub fn snapshot(
+    m: &Machine,
+    pds: &BTreeMap<VmId, Pd>,
+    stats: &KernelStats,
+    registry: &Registry,
+) -> Snapshot {
+    let mut snap = registry.snapshot();
+    if !registry.is_enabled() {
+        return snap;
+    }
+    const M: Label = Label::Machine;
+    let (c, g) = (Entry::counter, Entry::gauge);
+    // The first switch-in closes the first host epoch: from then on the
+    // host PMU, block-cache and PRR-status series exist.
+    let ran = stats.vm_switches > 0;
+    let pl = m.peripheral::<Pl>().expect("PL attached");
+    let h = stats.hwmgr_lifetime();
+    // Event counters: shown once non-zero.
+    let mut events = vec![
+        c("vms_killed", M, stats.vms_killed),
+        c("crash_loop_kills", M, stats.crash_loop_kills),
+        c("liveness_kills", M, stats.liveness_kills),
+        c("hwmgr_reclaims", M, h.reclaims),
+        c("hwmgr_busy", M, h.busy),
+        c("hwmgr_reconfigs", M, h.reconfigs),
+        c("quarantines", M, h.quarantines),
+        c("prr_scrubs", M, h.scrubs),
+        c("prr_scrub_fails", M, h.scrub_fails),
+        c("prr_reinstates", M, h.reinstates),
+        c("prrs_retired", M, h.prrs_retired),
+        c("repromotions", M, h.repromotions),
+        c("ladder_retries", M, h.ladder_retries),
+        c("ladder_relocations", M, h.ladder_relocations),
+        c("ladder_fallbacks", M, h.ladder_fallbacks),
+        c("ladder_errors", M, h.ladder_errors),
+        c("sw_fallbacks", M, h.sw_fallbacks),
+        c("pcap_retries", M, h.pcap_retries),
+        c("pcap_transfers", M, pl.pcap_transfers()),
+    ];
+    // Gauges, and the PMU series of every label that has run.
+    let mut shown = vec![g("vm_count", M, pds.len() as u64)];
+    for i in 0..FAMILIES {
+        let label = Label::Iface(iface_name(i as u8));
+        events.push(c("slo_violations", label, stats.slo_violations[i]));
+        events.push(c("slo_burns", label, stats.slo_burns[i]));
+    }
+    for p in 0..pl.num_prrs() as u8 {
+        let prr = pl.prr(p);
+        events.push(c("prr_occupancy_cycles", Label::Prr(p), prr.busy_cycles));
+        if ran {
+            let busy = prr.regs.r[regs::STATUS] == status::BUSY;
+            shown.push(g("prr_busy", Label::Prr(p), busy as u64));
+        }
+    }
+    for (vm, s) in stats.per_vm(pds) {
+        let l = Label::Vm(vm.0 as u8);
+        events.extend([
+            c("world_switches", l, s.activations),
+            c("cpu_cycles", l, s.cpu_cycles),
+            c("hypercalls", l, s.hypercalls_served()),
+            c("hypercalls_denied", l, s.hypercalls_denied),
+            c("virqs_injected", l, s.virqs_injected),
+            c("ring_kicks", l, s.ring_kicks),
+            c("ring_virqs", l, s.ring_virqs),
+            c("vm_restarts", l, s.restarts),
+            c("vm_repromotions", l, s.repromotions),
+        ]);
+        // A closed epoch always holds the switch-in's cycles.
+        if s.pmu.cycles > 0 {
+            shown.extend(pmu_view(l, &s.pmu));
+        }
+    }
+    if ran {
+        shown.extend(pmu_view(Label::Host, &stats.host_pmu));
+        let b = &m.bcache.stats;
+        shown.extend([
+            g("bcache_hits", M, b.hits),
+            g("bcache_misses", M, b.misses),
+            g("bcache_chain_follows", M, b.chain_follows),
+            g("bcache_replayed_instrs", M, b.replayed_instrs),
+            g("bcache_batched_instrs", M, b.batched_instrs),
+            g("bcache_evictions", M, b.evictions),
+            g("bcache_superblocks", M, b.superblocks),
+            g("bcache_fused_segs", M, b.fused_segs),
+            g("bcache_store_invalidations", M, b.store_invalidations),
+            g("bcache_maint_invalidations", M, b.maint_invalidations),
+        ]);
+    }
+    events.retain(|e| e.value > 0);
+    snap.extend(shown.into_iter().chain(events));
+    snap
+}
+
+/// The PMU series of label `l`, whose epochs summed to `d`.
+fn pmu_view(l: Label, d: &PmuInputs) -> [Entry; 9] {
+    [
+        Entry::counter("pmu_cycles", l, d.cycles),
+        Entry::counter("instr_retired", l, d.instr_retired),
+        Entry::counter("icache_access", l, d.l1i_access),
+        Entry::counter("icache_refill", l, d.l1i_refill),
+        Entry::counter("dcache_access", l, d.l1d_access),
+        Entry::counter("dcache_refill", l, d.l1d_refill),
+        Entry::counter("tlb_refill", l, d.tlb_refill),
+        Entry::counter("pt_walks", l, d.pt_walks),
+        Entry::counter("exc_taken", l, d.exc_taken),
+    ]
 }

@@ -13,15 +13,18 @@ use mnv_trace::json::Json;
 use std::collections::BTreeMap;
 
 use crate::kobj::pd::Pd;
+use crate::obs;
+use crate::stats::KernelStats;
 
 /// Build the `context` object of a post-mortem blob: the live machine
 /// state (clock, PC, mode, cumulative PMU inputs), the implicated VM's
 /// saved vCPU set and attributed PMU totals when one is identified, and a
-/// metrics snapshot when the registry is live.
+/// metrics snapshot ([`obs::snapshot`]) when the registry is live.
 pub fn context(
     m: &Machine,
     pds: &BTreeMap<VmId, Pd>,
     vm: Option<VmId>,
+    stats: &KernelStats,
     metrics: &Registry,
 ) -> Json {
     let p = m.pmu_inputs();
@@ -65,7 +68,7 @@ pub fn context(
         })
         .unwrap_or(Json::Null);
     let metrics_json = if metrics.is_enabled() {
-        metrics.to_json()
+        obs::snapshot(m, pds, stats, metrics).to_json()
     } else {
         Json::Null
     };

@@ -15,7 +15,13 @@
 //! mean/min/max, so every Table III row can report p50/p90/p99 as well as
 //! the paper's mean.
 
+use mnv_arm::PmuInputs;
 use mnv_hal::abi::HYPERCALL_COUNT;
+use mnv_hal::VmId;
+use std::collections::BTreeMap;
+
+use crate::kobj::pd::{Pd, PdStats};
+use crate::slo::FAMILIES;
 
 /// The shared latency accumulator, re-exported from `mnv-trace` so the
 /// mean/min/max/percentile arithmetic exists in exactly one place (the
@@ -120,19 +126,13 @@ impl HwMgrStats {
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
     /// World switches: each switch into a VM plus the two manager-space
-    /// switches (in and out) of every manager invocation. The registry's
-    /// `world_switches` counts the switches into a VM alone.
+    /// switches (in and out) of every manager invocation. The
+    /// `world_switches` metric counts the switches into a VM alone.
     pub vm_switches: u64,
     /// Per-hypercall invocation counts.
     pub hypercalls: [u64; HYPERCALL_COUNT],
     /// Total hypercalls.
     pub hypercalls_total: u64,
-    /// Denied hypercalls (portal capability misses).
-    pub hypercalls_denied: u64,
-    /// Hypercalls whose number decodes to no known call. Counted in a
-    /// dedicated slot — an out-of-range number must never index the
-    /// per-call `hypercalls` array.
-    pub hypercalls_invalid: u64,
     /// Hardware Task Manager measurements.
     pub hwmgr: HwMgrStats,
     /// Virtual IRQs injected (all classes).
@@ -152,19 +152,69 @@ pub struct KernelStats {
     /// Hardware-task requests minted (every `HwTaskRequest` hypercall gets
     /// a fresh `ReqId`, whether or not it is eventually satisfied).
     pub reqs_minted: u64,
-    /// Completed requests whose end-to-end latency exceeded the interface's
-    /// latency objective.
-    pub slo_violations: u64,
-    /// SLO burn events: windows in which the violation count crossed the
-    /// burn limit.
-    pub slo_burns: u64,
+    /// Completed requests whose end-to-end latency exceeded their
+    /// interface family's latency objective, per family.
+    pub slo_violations: [u64; FAMILIES],
+    /// SLO burn events per interface family: windows in which the
+    /// violation count crossed the burn limit.
+    pub slo_burns: [u64; FAMILIES],
+    /// PMU inputs of every epoch the host (kernel, world-switch code, idle
+    /// loop) ran; each VM's epochs are in its `PdStats::pmu`.
+    pub host_pmu: PmuInputs,
+    /// The folded accounting of destroyed PDs, per VM id: a relaunch
+    /// reuses the id with fresh `PdStats`, so a VM's lifetime counts are
+    /// this plus its live PD's.
+    pub retired: BTreeMap<VmId, PdStats>,
+    /// The manager statistics of every window [`KernelStats::reset_hwmgr`]
+    /// closed.
+    pub hwmgr_earlier: HwMgrStats,
 }
 
 impl KernelStats {
-    /// Reset only the Table III accumulators (benchmarks call this between
-    /// warm-up and measurement phases).
+    /// Start a new Table III window (benchmarks call this between warm-up
+    /// and measurement phases): `hwmgr` restarts from zero, and what it
+    /// held folds into `hwmgr_earlier`.
     pub fn reset_hwmgr(&mut self) {
+        self.hwmgr_earlier.merge(&self.hwmgr);
         self.hwmgr = HwMgrStats::default();
+    }
+
+    /// The manager statistics since boot, across every reset.
+    pub fn hwmgr_lifetime(&self) -> HwMgrStats {
+        let mut h = self.hwmgr_earlier;
+        h.merge(&self.hwmgr);
+        h
+    }
+
+    /// Every VM's accounting over all its incarnations: its retired PDs'
+    /// folded with its live one's.
+    pub fn per_vm(&self, pds: &BTreeMap<VmId, Pd>) -> BTreeMap<VmId, PdStats> {
+        let mut all = self.retired.clone();
+        for (vm, pd) in pds {
+            all.entry(*vm).or_default().merge(&pd.stats);
+        }
+        all
+    }
+
+    /// Every machine-wide total that has a per-VM store must equal that
+    /// store's sum over live and retired PDs.
+    pub fn check_vm_totals(&self, pds: &BTreeMap<VmId, Pd>) -> Result<(), String> {
+        let mut v = PdStats::default();
+        self.per_vm(pds).values().for_each(|s| v.merge(s));
+        let (s, h) = (self, self.hwmgr_lifetime());
+        for (name, total, sum) in [
+            ("hypercalls", s.hypercalls_total, v.hypercalls_served()),
+            ("virqs_injected", s.virqs_injected, v.virqs_injected),
+            ("vm_restarts", s.vm_restarts, v.restarts),
+            ("ring_kicks", h.ring_kicks, v.ring_kicks),
+            ("ring_virqs", h.ring_virqs, v.ring_virqs),
+            ("repromotions", h.repromotions, v.repromotions),
+        ] {
+            if total != sum {
+                return Err(format!("{name}: total {total}, per-VM sum {sum}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -207,5 +257,39 @@ mod tests {
         s.reset_hwmgr();
         assert_eq!(s.vm_switches, 7);
         assert_eq!(s.hwmgr.invocations, 0);
+    }
+
+    #[test]
+    fn every_total_must_equal_its_per_vm_sum() {
+        type Bump = fn(&mut KernelStats, &mut PdStats);
+        // Each pair: the machine-wide total and the per-VM field it sums.
+        let pairs: [(Bump, Bump); 6] = [
+            (|k, _| k.hypercalls_total += 1, |_, p| p.hypercalls += 1),
+            (|k, _| k.virqs_injected += 1, |_, p| p.virqs_injected += 1),
+            (|k, _| k.vm_restarts += 1, |_, p| p.restarts += 1),
+            (|k, _| k.hwmgr.ring_kicks += 1, |_, p| p.ring_kicks += 1),
+            (|k, _| k.hwmgr.ring_virqs += 1, |_, p| p.ring_virqs += 1),
+            (|k, _| k.hwmgr.repromotions += 1, |_, p| p.repromotions += 1),
+        ];
+        let pds = BTreeMap::new();
+        for (i, (total, per_vm)) in pairs.iter().enumerate() {
+            // Both sides together, for a destroyed VM: the check holds,
+            // and still holds after a Table III reset.
+            let mut k = KernelStats::default();
+            let mut p = PdStats::default();
+            total(&mut k, &mut p);
+            per_vm(&mut k, &mut p);
+            k.retired.insert(VmId(2), p);
+            assert_eq!(k.check_vm_totals(&pds), Ok(()), "pair {i}");
+            k.reset_hwmgr();
+            assert_eq!(k.check_vm_totals(&pds), Ok(()), "pair {i} after reset");
+            // One side alone: the check fails.
+            let mut lone = k.clone();
+            total(&mut lone, &mut p);
+            assert!(lone.check_vm_totals(&pds).is_err(), "pair {i}: total alone");
+            per_vm(&mut k, &mut p);
+            k.retired.insert(VmId(2), p);
+            assert!(k.check_vm_totals(&pds).is_err(), "pair {i}: per-VM alone");
+        }
     }
 }

@@ -22,7 +22,6 @@ use crate::hwmgr::service::{PendingResume, SHADOW_LINE_KEY};
 use crate::hypercall::{self, touch_ktext};
 use crate::kernel::KernelState;
 use crate::mem::layout::ktext;
-use crate::obs::Counter;
 
 /// The environment handed to a running guest.
 pub struct VmEnv<'a> {
@@ -105,7 +104,7 @@ impl<'a> VmEnv<'a> {
                 Some(pd) => {
                     pd.vgic.note_injected(irq);
                     pd.stats.virqs_injected += 1;
-                    self.ks.sinks().count(Counter::VirqInjected(self.vm));
+                    self.ks.stats.virqs_injected += 1;
                     // Charge the forced jump to the VM's IRQ entry.
                     self.m.charge(mnv_arm::timing::EXC_RETURN);
                     if is_pl {
@@ -264,7 +263,7 @@ impl GuestEnv for VmEnv<'_> {
             if pd.vtimer.poll(now).is_some() {
                 pd.vgic.note_injected(IrqNum(mnv_ucos::layout::TIMER_VIRQ));
                 pd.stats.virqs_injected += 1;
-                self.ks.sinks().count(Counter::VirqInjected(self.vm));
+                self.ks.stats.virqs_injected += 1;
                 self.m
                     .charge(mnv_arm::timing::EXC_ENTRY + mnv_arm::timing::EXC_RETURN);
                 self.ks.tracer.emit(

@@ -8,16 +8,14 @@
 
 mod common;
 
-use common::{chaos_kernel, chaos_run, kernel, workload_guest};
-use mini_nova::obs::Counter;
+use common::{chaos_kernel, chaos_run, kernel, replay_oracle, workload_guest};
 use mini_nova::{GuestKind, Kernel, VmSpec};
 use mnv_fault::{FaultPlan, FaultSite, SiteCfg, SITE_COUNT};
 use mnv_fpga::cores::make_core;
 use mnv_hal::{Cycles, HwTaskId, Priority};
-use mnv_metrics::Registry;
 use mnv_trace::TraceEvent;
 use mnv_ucos::kernel::{Ucos, UcosConfig};
-use mnv_ucos::tasks::{AdpcmTask, BatchMode, HwBatchTask, THwTask, THW_SRC_OFF};
+use mnv_ucos::tasks::{AdpcmTask, GsmTask, THwTask, THW_SRC_OFF};
 
 #[test]
 fn chaos_soak_20_seeds_without_panics() {
@@ -282,86 +280,59 @@ fn trace_records_every_injected_fault() {
 }
 
 #[test]
-fn fault_plane_counters_mirror_the_metrics_registry() {
-    // The degradation counters are exported on the metrics plane too: under
-    // a seeded chaos run the registry's machine-wide series must agree
-    // exactly with the kernel's own fault-plane accounting.
-    use mnv_metrics::Label;
-
-    let (mut k, ids) = kernel();
-    let qam: Vec<HwTaskId> = ids[6..].to_vec();
-    k.create_vm(VmSpec {
-        name: "g1",
-        priority: Priority::GUEST,
-        guest: workload_guest(3, qam),
-    });
-    let reg = k.enable_metrics();
-    k.enable_faults(FaultPlan::chaos(0xFA17));
+fn trace_replays_every_counter_on_chaos_seed_11() {
+    // The replay oracle over chaos seed 11 of the standard two-VM
+    // workload, with the recovery soak's hang pressure so the ladder,
+    // quarantine and post-mortem paths carry load: every lifecycle
+    // counter and hot-path per-VM counter, in KernelStats and in the
+    // metrics snapshot, equals the fold of the unwrapped trace ring, and
+    // the newest post-mortem's reason and embedded metrics equal the fold
+    // up to the dump.
+    let (mut k, _) = chaos_kernel(11);
+    let mut plan = FaultPlan::chaos(11);
+    plan.prr_hang = SiteCfg::new(400_000, 6);
+    let plane = k.enable_faults(plan);
+    let tracer = k.enable_tracing(1 << 20);
+    k.enable_metrics();
+    k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
     k.state.hwmgr.watchdog_timeout = 1_000_000;
+    k.state.hwmgr.scrub_interval = 1_000_000;
     k.run(Cycles::from_millis(120.0));
-
-    let h = &k.state.stats.hwmgr;
-    let snap = reg.snapshot();
-    let series = [
-        ("pcap_retries", h.pcap_retries),
-        ("quarantines", h.quarantines),
-        ("sw_fallbacks", h.sw_fallbacks),
-        ("hwmgr_reclaims", h.reclaims),
-        ("hwmgr_reconfigs", h.reconfigs),
-    ];
-    for (name, stat) in series {
-        let metered = snap.get(name, Label::Machine);
-        assert_eq!(metered, stat, "registry series {name} diverged");
-    }
+    assert!(!plane.records().is_empty(), "the chaos plan never fired");
+    let h = k.state.stats.hwmgr;
+    assert!(h.quarantines > 0 && h.ladder_retries > 0, "{h:?}");
     assert!(
-        snap.get("pcap_retries", Label::Machine) > 0,
-        "chaos preset must exercise the retry path"
+        k.state.profiler.last_dump().is_some(),
+        "no post-mortem fired"
     );
+    replay_oracle(&k, &tracer).unwrap();
 }
 
 #[test]
-fn counter_table_pairs_agree_with_the_registry() {
-    // Every counter-table entry names a `KernelStats` field and a registry
-    // series bumped together: their values must agree, summed over labels.
-    // The check iterates the table itself, so a new entry is covered.
-    fn check(k: &Kernel, reg: &Registry, run: &str) {
-        let snap = reg.snapshot();
-        let mut stats = k.state.stats.clone();
-        for c in Counter::ALL {
-            let (value, name, _) = c.slot(&mut stats);
-            assert_eq!(snap.total(name), *value, "{run}: {name}");
-        }
-    }
-
-    // Four guests, one of them a shared-ring tenant.
-    let (mut k, ids) = kernel();
-    let reg = k.enable_metrics();
-    let qam: Vec<HwTaskId> = ids[6..].to_vec();
-    for seed in 1..=3 {
+fn trace_replays_every_counter_on_four_paper_guests() {
+    // The replay oracle over fig9's four-guest scenario (the paper's
+    // T_hw + GSM + ADPCM guests, 4 ms quantum). Nothing faults, so the
+    // hot-path per-VM counters carry the check.
+    let mut k = Kernel::new(mini_nova::KernelConfig {
+        quantum: Cycles::from_millis(4.0),
+        ..Default::default()
+    });
+    let ids = k.register_paper_task_set();
+    for i in 0..4u64 {
+        let mut os = Ucos::new(UcosConfig::default());
+        os.task_create(8, Box::new(THwTask::new(ids.clone(), 11 + i * 7919)));
+        os.task_create(12, Box::new(GsmTask::new(11 + i * 7919, 1)));
+        os.task_create(20, Box::new(AdpcmTask::new(11 + i * 7919 + 99)));
         k.create_vm(VmSpec {
-            name: "g",
+            name: "guest",
             priority: Priority::GUEST,
-            guest: workload_guest(seed, ids[..6].to_vec()),
+            guest: GuestKind::Ucos(Box::new(os)),
         });
     }
-    let mut os = Ucos::new(UcosConfig::default());
-    os.task_create(8, Box::new(HwBatchTask::new(qam, 1, BatchMode::Ring, 6, 4)));
-    k.create_vm(VmSpec {
-        name: "ring",
-        priority: Priority::GUEST,
-        guest: GuestKind::Ucos(Box::new(os)),
-    });
-    k.run(Cycles::from_millis(60.0));
-    let h = &k.state.stats.hwmgr;
-    assert!(
-        h.ring_kicks > 0 && h.ring_virqs > 0 && h.reconfigs > 0,
-        "{h:?}"
-    );
-    check(&k, &reg, "4 guests + ring");
-
-    // One chaos seed of the standard two-VM workload.
-    let (mut k, _) = chaos_kernel(11);
-    let reg = k.enable_metrics();
-    k.run(Cycles::from_millis(60.0));
-    check(&k, &reg, "chaos seed 11");
+    let tracer = k.enable_tracing(1 << 20);
+    k.enable_metrics();
+    k.run(Cycles::from_millis(100.0));
+    let s = &k.state.stats;
+    assert!(s.hypercalls_total > 0 && s.virqs_injected > 0, "{s:?}");
+    replay_oracle(&k, &tracer).unwrap();
 }

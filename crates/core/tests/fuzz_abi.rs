@@ -152,14 +152,15 @@ fn fuzz_against_armed_fault_plane() {
 fn out_of_range_svc_numbers_land_in_the_invalid_slot() {
     // Regression: an out-of-range SVC immediate used to be a blind spot —
     // the per-call histogram `hypercalls[nr]` must never be indexed with
-    // it, and the event must still be visible in `hypercalls_invalid`.
+    // it, and the event must still be visible in the VM's
+    // `hypercalls_invalid`.
     // Drive real SVC instructions from a MIR guest so the whole trap path
     // is covered, not just the dispatch function.
     use mini_nova::mirguest::MirGuest;
     use mnv_arm::mir::{Cond, ProgramBuilder};
 
     let mut k = Kernel::new(KernelConfig::default());
-    let reg = k.enable_metrics();
+    k.enable_metrics();
     let mut b = ProgramBuilder::new();
     let top = b.label();
     b.bind(top);
@@ -179,20 +180,70 @@ fn out_of_range_svc_numbers_land_in_the_invalid_slot() {
     k.run(Cycles::from_millis(5.0));
 
     let s = &k.state.stats;
-    assert!(
-        s.hypercalls_invalid >= 3,
-        "invalid slot: {}",
-        s.hypercalls_invalid
-    );
+    let invalid = k.pd(vm).stats.hypercalls_invalid;
+    assert!(invalid >= 3, "invalid slot: {invalid}");
     assert!(s.hypercalls[Hypercall::VmInfo.nr() as usize] > 0);
     // Bookkeeping invariant: every counted call is either a valid slot or
     // the invalid slot — nothing leaks past the array bound.
     let valid: u64 = s.hypercalls.iter().sum();
-    assert_eq!(valid + s.hypercalls_invalid, s.hypercalls_total);
-    // Invalid calls reach the registry's per-VM series too.
-    assert_eq!(reg.snapshot().total("hypercalls"), s.hypercalls_total);
+    assert_eq!(valid + invalid, s.hypercalls_total);
+    // Invalid calls reach the per-VM `hypercalls` metric too.
+    assert_eq!(k.metrics().total("hypercalls"), s.hypercalls_total);
     // The guest survives its own bad calls.
     assert!(k.pd(vm).stats.cpu_cycles > 0);
+}
+
+#[test]
+fn vm_stats_counts_a_denied_call_but_not_an_invalid_svc() {
+    // The guest-visible VmStats answers, pinned: HYPERCALLS counts every
+    // call with a known number, a portal-denied one included, and no SVC
+    // number that decodes to none. The `hypercalls` metric counts the
+    // reverse: calls served plus undecodable numbers.
+    use mini_nova::kobj::portal::PortalClass;
+    use mini_nova::mirguest::MirGuest;
+    use mnv_arm::mir::ProgramBuilder;
+    use mnv_hal::abi::vm_stats;
+    use mnv_metrics::Label;
+
+    let mut k = Kernel::new(KernelConfig::default());
+    k.enable_metrics();
+    let mut b = ProgramBuilder::new();
+    b.mov(6, 0x0030_0000); // results buffer VA
+    b.svc(0x7F); // decodes to no hypercall
+    b.mov(0, b'x' as u32);
+    b.svc(Hypercall::ConsoleWrite.nr()); // denied: Device portal revoked
+    b.mov(0, vm_stats::HYPERCALLS);
+    b.svc(Hypercall::VmStats.nr());
+    b.str(0, 6, 0);
+    b.mov(0, vm_stats::VIRQS);
+    b.svc(Hypercall::VmStats.nr());
+    b.str(0, 6, 4);
+    b.halt();
+    let vm = k.create_vm(VmSpec {
+        name: "stats",
+        priority: Priority::GUEST,
+        guest: GuestKind::Mir(Box::new(MirGuest::new(
+            b.assemble(mnv_ucos::layout::CODE_BASE.raw()),
+        ))),
+    });
+    let pd = k.state.pds.get_mut(&vm).unwrap();
+    pd.portals.revoke_class(PortalClass::Device);
+    k.run(Cycles::from_millis(5.0));
+
+    let buf = k.pd(vm).region + 0x0030_0000;
+    let answer = |off| k.machine.mem.read_u32(buf + off).unwrap();
+    assert_eq!(answer(0), 2, "HYPERCALLS: the denied call and this one");
+    assert_eq!(answer(4), 0, "VIRQS: an interpreted guest takes none");
+    let s = &k.pd(vm).stats;
+    assert_eq!((s.hypercalls_denied, s.hypercalls_invalid), (1, 1));
+    let metrics = k.metrics();
+    let l = Label::Vm(vm.0 as u8);
+    assert_eq!(
+        metrics.get("hypercalls", l),
+        3,
+        "two VmStats + the invalid SVC"
+    );
+    assert_eq!(metrics.get("hypercalls_denied", l), 1);
 }
 
 #[test]

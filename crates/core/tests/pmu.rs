@@ -264,12 +264,12 @@ fn per_vm_epoch_deltas_sum_to_machine_totals() {
                 guest,
             });
         }
-        let reg = k.enable_metrics();
+        k.enable_metrics();
         let start = k.state.meter_base;
         k.run(Cycles::from_millis(millis as f64));
         let end = k.state.meter_base;
         let d = end.delta(&start);
-        let snap = reg.snapshot();
+        let snap = k.metrics();
 
         let series = [
             ("pmu_cycles", d.cycles),

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{kernel, workload_guest};
+use common::{kernel, replay_oracle, workload_guest};
 use mini_nova::{hypercall, Kernel, VmSpec};
 use mnv_fault::{FaultPlan, SiteCfg};
 use mnv_hal::abi::{hw_task_result, Hypercall, HypercallArgs};
@@ -62,109 +62,6 @@ fn soak_run(
     (k, plane.records(), tracer.snapshot())
 }
 
-/// One event stream: for every lifecycle kind the kernel notes, the
-/// events in the trace ring must equal the `KernelStats` counter it maps
-/// to and the registry series too. A
-/// site that counts without tracing (or traces without counting) breaks
-/// the equality.
-fn check_one_event_stream(
-    k: &mini_nova::Kernel,
-    events: &[(Cycles, TraceEvent)],
-) -> Result<(), String> {
-    use TraceEvent as E;
-    type IsKind = fn(&TraceEvent) -> bool;
-    let (s, h) = (&k.state.stats, &k.state.stats.hwmgr);
-    let kinds: [(&str, IsKind, u64); 16] = [
-        (
-            "vms_killed",
-            |e| matches!(e, E::VmKilled { .. }),
-            s.vms_killed,
-        ),
-        (
-            "vm_restarts",
-            |e| matches!(e, E::VmRestart { .. }),
-            s.vm_restarts,
-        ),
-        (
-            "quarantines",
-            |e| matches!(e, E::PrrQuarantine { .. }),
-            h.quarantines,
-        ),
-        (
-            "prr_scrubs",
-            |e| matches!(e, E::PrrScrub { pass: true, .. }),
-            h.scrubs,
-        ),
-        (
-            "prr_scrub_fails",
-            |e| matches!(e, E::PrrScrub { pass: false, .. }),
-            h.scrub_fails,
-        ),
-        (
-            "prr_reinstates",
-            |e| matches!(e, E::PrrReinstate { .. }),
-            h.reinstates,
-        ),
-        (
-            "prrs_retired",
-            |e| matches!(e, E::PrrRetire { .. }),
-            h.prrs_retired,
-        ),
-        (
-            "repromotions",
-            |e| matches!(e, E::Repromote { .. }),
-            h.repromotions,
-        ),
-        (
-            "vm_repromotions",
-            |e| matches!(e, E::Repromote { .. }),
-            h.repromotions,
-        ),
-        (
-            "ladder_retries",
-            |e| matches!(e, E::HwTaskEscalate { rung: 1, .. }),
-            h.ladder_retries,
-        ),
-        (
-            "ladder_relocations",
-            |e| matches!(e, E::HwTaskEscalate { rung: 2, .. }),
-            h.ladder_relocations,
-        ),
-        (
-            "ladder_fallbacks",
-            |e| matches!(e, E::HwTaskEscalate { rung: 3, .. }),
-            h.ladder_fallbacks,
-        ),
-        (
-            "ladder_errors",
-            |e| matches!(e, E::HwTaskEscalate { rung: 4, .. }),
-            h.ladder_errors,
-        ),
-        (
-            "sw_fallbacks",
-            |e| matches!(e, E::SwFallback { .. }),
-            h.sw_fallbacks,
-        ),
-        (
-            "pcap_retries",
-            |e| matches!(e, E::PcapRetry { .. }),
-            h.pcap_retries,
-        ),
-        ("slo_burns", |e| matches!(e, E::SloBurn { .. }), s.slo_burns),
-    ];
-    let reg = k.state.metrics.snapshot();
-    for (name, is_kind, counter) in kinds {
-        let traced = events.iter().filter(|(_, e)| is_kind(e)).count() as u64;
-        if traced != counter {
-            return Err(format!("{name}: {traced} traced, {counter} in KernelStats"));
-        }
-        if reg.total(name) != counter {
-            return Err(format!("{name}: registry {} vs {counter}", reg.total(name)));
-        }
-    }
-    Ok(())
-}
-
 /// A degraded client returns to hardware at its next request: issue one
 /// for every remaining degraded dispatch whose task still has an
 /// un-retired compatible region. Each must be answered without the
@@ -204,7 +101,7 @@ fn degraded_clients_return_on_request(k: &mut Kernel) -> Result<usize, String> {
 fn twenty_seeds_converge_after_midrun_disarm() {
     let mut asked = 0;
     for seed in 1..=20u64 {
-        let (mut k, records, events) = soak_run(seed);
+        let (mut k, records, _) = soak_run(seed);
         assert!(
             !records.is_empty(),
             "seed {seed}: chaos plan never fired, the soak proves nothing"
@@ -212,7 +109,7 @@ fn twenty_seeds_converge_after_midrun_disarm() {
         k.check_recovery_invariants()
             .unwrap_or_else(|e| panic!("seed {seed}: invariant violated: {e}"));
         assert!(k.state.tracer.is_enabled());
-        check_one_event_stream(&k, &events)
+        replay_oracle(&k, &k.state.tracer)
             .unwrap_or_else(|e| panic!("seed {seed}: sinks disagree: {e}"));
         k.state
             .hwmgr

@@ -146,10 +146,11 @@ pub struct Pl {
     /// Fault-injection plane (disabled by default; see `mnv-fault`).
     fault: FaultPlane,
     /// Metrics registry handle (disabled no-op by default; the embedder
-    /// clones a live registry in via [`Pl::set_metrics`], mirroring the
-    /// fault-plane pattern). Feeds fabric-side series: PCAP byte/transfer
-    /// counts, AXI GP transaction counts, HP burst bytes and per-PRR
-    /// occupancy cycles.
+    /// clones a live registry in via [`Pl::set_metrics`], like the fault
+    /// plane). Feeds the fabric-side series nothing else counts: PCAP
+    /// bytes and stalls, AXI GP transactions and HP burst bytes. PCAP
+    /// transfers, PRR occupancy and PRR status are read from the PL
+    /// itself when a snapshot is taken.
     metrics: Registry,
 }
 
@@ -375,7 +376,6 @@ impl Pl {
                     self.prrs[target as usize].load_core(make_core(bs.core));
                     self.pcap.status = pcap_status::DONE;
                     self.pcap.transfers += 1;
-                    self.metrics.inc("pcap_transfers", Label::Machine);
                     self.metrics
                         .add("pcap_bytes", Label::Machine, self.pcap.len as u64);
                     ctx.tracer.emit(
@@ -542,29 +542,14 @@ impl Peripheral for Pl {
             }
         }
         // PRR engines.
-        let meter = self.metrics.is_enabled();
-        for (i, prr) in self.prrs.iter_mut().enumerate() {
+        for prr in self.prrs.iter_mut() {
             let irq_en = prr.regs.r[crate::prr::regs::CTRL] & ctrl::IRQ_EN != 0;
-            let busy_before = prr.busy_cycles;
             let completed = prr.advance(dt.raw(), ctx);
-            if meter {
-                let occupied = prr.busy_cycles - busy_before;
-                if occupied > 0 {
-                    self.metrics
-                        .add("prr_occupancy_cycles", Label::Prr(i as u8), occupied);
-                }
-                self.metrics.set(
-                    "prr_busy",
-                    Label::Prr(i as u8),
-                    (prr.regs.r[regs::STATUS] == status::BUSY) as u64,
-                );
-                if completed {
-                    // One HP-port burst in (source) and one out (result).
-                    let bytes =
-                        prr.regs.r[regs::SRC_LEN] as u64 + prr.regs.r[regs::RESULT_LEN] as u64;
-                    self.metrics
-                        .add("axi_hp_bytes", Label::Iface("s-hp0"), bytes);
-                }
+            if completed {
+                // One HP-port burst in (source) and one out (result).
+                let bytes = prr.regs.r[regs::SRC_LEN] as u64 + prr.regs.r[regs::RESULT_LEN] as u64;
+                self.metrics
+                    .add("axi_hp_bytes", Label::Iface("s-hp0"), bytes);
             }
             if completed && irq_en {
                 if let Some(line) = prr.irq_line {

@@ -120,6 +120,30 @@ pub struct Entry {
     pub value: u64,
 }
 
+impl Entry {
+    /// A counter sample.
+    pub fn counter(name: &'static str, label: Label, value: u64) -> Entry {
+        let kind = Kind::Counter;
+        Entry {
+            name,
+            label,
+            kind,
+            value,
+        }
+    }
+
+    /// A gauge sample.
+    pub fn gauge(name: &'static str, label: Label, value: u64) -> Entry {
+        let kind = Kind::Gauge;
+        Entry {
+            name,
+            label,
+            kind,
+            value,
+        }
+    }
+}
+
 /// One exported histogram bucket: exclusive upper bound, the number of
 /// samples that landed in it, and the exemplar — the last request id (with
 /// its sampled value) observed in this bucket (`exemplar_req == 0` when no
@@ -184,6 +208,13 @@ impl Snapshot {
             .find(|e| e.name == name && e.label == label)
             .map(|e| e.value)
             .unwrap_or(0)
+    }
+
+    /// Add samples kept outside the registry (an embedder's view of its
+    /// own counters), keeping the (name, label) order.
+    pub fn extend(&mut self, entries: impl IntoIterator<Item = Entry>) {
+        self.entries.extend(entries);
+        self.entries.sort_by_key(|e| (e.name, e.label));
     }
 
     /// Sum of a metric across all labels.

@@ -67,6 +67,8 @@ struct State {
     cur_vm: u8,
     ctx: SampleCtx,
     last_dump: Option<String>,
+    /// Dumps fired so far, per reason.
+    dumps: BTreeMap<&'static str, u64>,
 }
 
 /// Shared handle to the profiler and its post-mortem dumps. Clones share
@@ -97,6 +99,7 @@ impl Profiler {
                 cur_vm: 0,
                 ctx: SampleCtx::None,
                 last_dump: None,
+                dumps: BTreeMap::new(),
             }))),
         }
     }
@@ -291,7 +294,7 @@ impl Profiler {
     /// returned. `None` when disabled.
     pub fn trigger_dump(
         &self,
-        reason: &str,
+        reason: &'static str,
         now: Cycles,
         tracer: &Tracer,
         context: Json,
@@ -309,8 +312,17 @@ impl Profiler {
             context,
         )
         .to_string();
-        inner.borrow_mut().last_dump = Some(blob.clone());
+        let mut state = inner.borrow_mut();
+        state.last_dump = Some(blob.clone());
+        *state.dumps.entry(reason).or_default() += 1;
         Some(blob)
+    }
+
+    /// How many post-mortems fired so far, per reason.
+    pub fn dumps(&self) -> BTreeMap<&'static str, u64> {
+        self.inner
+            .as_ref()
+            .map_or_else(BTreeMap::new, |s| s.borrow().dumps.clone())
     }
 
     /// The most recent post-mortem blob, if any dump has fired.
@@ -407,6 +419,7 @@ mod tests {
             )
             .expect("enabled");
         assert_eq!(p.last_dump().as_deref(), Some(blob.as_str()));
+        assert_eq!(p.dumps().get("watchdog-abort"), Some(&1));
         let pm = postmortem::parse(&blob).expect("decodes");
         assert_eq!(pm.reason, "watchdog-abort");
         assert_eq!(pm.events.len(), DEFAULT_FLIGHT_CAP, "the newest events");

@@ -16,7 +16,7 @@ fn main() {
     let tracer = kernel.enable_tracing(1 << 16);
     // Per-VM counter plane: every cache/TLB/cycle event charged to the
     // VM — or the kernel itself — that caused it.
-    let metrics = kernel.enable_metrics();
+    kernel.enable_metrics();
 
     // 2. Put the paper's bitstream library on the "SD card": FFT-256 …
     //    FFT-8192 and QAM-4/16/64, each with its predefined PRR list.
@@ -122,11 +122,11 @@ fn main() {
         tracer.total()
     );
 
-    // 7. Export the counter plane: the registry mnvtop renders live, as
-    //    Prometheus text exposition (`mnv_<series>{vm="1"} value`).
+    // 7. Export the counter plane mnvtop renders live, as Prometheus text
+    //    exposition (`mnv_<series>{vm="1"} value`).
     let path = std::path::Path::new("target/experiments/quickstart.prom");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(path, metrics.prometheus()).unwrap();
+    std::fs::write(path, kernel.metrics().prometheus()).unwrap();
     println!(
         "wrote {} — per-VM counters in Prometheus text format",
         path.display()

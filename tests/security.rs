@@ -53,7 +53,7 @@ fn policy_kill_is_recorded_like_a_kernel_kill() {
     // same lifecycle note as `Kernel::kill_vm`.
     let mut k = Kernel::new(KernelConfig::default());
     let tracer = k.enable_tracing(1 << 12);
-    let reg = k.enable_metrics();
+    k.enable_metrics();
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
     let mut b = ProgramBuilder::new();
     b.mov(0, 0);
@@ -71,7 +71,10 @@ fn policy_kill_is_recorded_like_a_kernel_kill() {
     });
     k.run(Cycles::from_millis(5.0));
     assert_eq!(k.state.stats.vms_killed, 1);
-    assert_eq!(reg.get("vms_killed", mnv_metrics::Label::Machine), 1);
+    assert_eq!(
+        k.metrics().get("vms_killed", mnv_metrics::Label::Machine),
+        1
+    );
     let dump = profiler.last_dump().expect("the kill dumps a post-mortem");
     let pm = mnv_profile::postmortem::parse(&dump).unwrap();
     assert_eq!(pm.reason, "vm-killed");
@@ -337,7 +340,7 @@ fn portal_revocation_denies_hypercalls() {
     k.run(Cycles::from_millis(10.0));
     assert_eq!(result.get(), 1, "device portal must be denied");
     assert_eq!(k.state.stats.hwmgr.invocations, 0);
-    assert!(k.state.stats.hypercalls_denied >= 1);
+    assert!(k.pd(vm).stats.hypercalls_denied >= 1);
 }
 
 #[test]
