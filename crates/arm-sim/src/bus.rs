@@ -43,17 +43,30 @@ pub trait Peripheral: Any {
     fn write32(&mut self, off: u64, val: u32, ctx: &mut PeriphCtx<'_>);
 
     /// Advance device-internal time by `dt` (DMA engines, transfer ports…).
+    /// Below [`Peripheral::next_event`] the advance must be additive —
+    /// `advance(a); advance(b)` leaves the state `advance(a + b)` does —
+    /// because the machine advances devices only when the device deadline
+    /// passes or something reads or reprograms them.
     fn advance(&mut self, _dt: Cycles, _ctx: &mut PeriphCtx<'_>) {}
 
     /// Cycles until this device next changes externally observable state on
     /// its own (completes a DMA, raises an interrupt…), or `None` when it
-    /// is quiescent. The machine uses the minimum over all devices as the
-    /// per-block sync deadline, so a conservative (too early) answer costs
-    /// only extra syncs while a late one would delay an interrupt — the
-    /// default of `Some(0)` therefore forces per-instruction sync for
-    /// peripherals that do not implement the query.
+    /// is quiescent. The machine keeps the minimum over all devices as its
+    /// device deadline and skips device syncs below it, so a conservative
+    /// (too early) answer costs only extra catch-ups while a late one
+    /// would delay an event — the default of `Some(0)` therefore makes
+    /// every sync advance a peripheral that does not implement the query.
     fn next_event(&self, _now: Cycles) -> Option<u64> {
         Some(0)
+    }
+
+    /// True when the register at `off` holds a value that moves with
+    /// device time between events (a running counter): the machine
+    /// settles the devices before such a read. Any other register changes
+    /// only at an event, which a sync has already delivered. The default
+    /// settles before every read.
+    fn reads_time(&self, _off: u64) -> bool {
+        true
     }
 
     /// Downcasting support for typed test/introspection access.
@@ -61,6 +74,30 @@ pub trait Peripheral: Any {
 
     /// Mutable downcasting support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// The eager-sync oracle: a register-less peripheral whose next event is
+/// always due, so a machine it is attached to advances every device at
+/// every sync, exactly as before device time ran on demand. The
+/// differential tests run such a machine beside one without it and
+/// compare everything observable; nothing else attaches it.
+pub struct EagerSync;
+
+impl Peripheral for EagerSync {
+    fn window(&self) -> (PhysAddr, u64) {
+        // Unused I/O space below the GIC and timers.
+        (PhysAddr::new(0xE000_0000), 0x1000)
+    }
+    fn read32(&mut self, _off: u64, _ctx: &mut PeriphCtx<'_>) -> u32 {
+        0
+    }
+    fn write32(&mut self, _off: u64, _val: u32, _ctx: &mut PeriphCtx<'_>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 #[cfg(test)]

@@ -24,9 +24,12 @@ pub const SPURIOUS: u32 = 1023;
 /// The GIC: distributor state plus a single CPU interface (the reproduction
 /// models one core, as the paper's evaluation pins Mini-NOVA to one).
 pub struct Gic {
-    enabled: [bool; NUM_IRQS],
-    pending: [bool; NUM_IRQS],
-    active: [bool; NUM_IRQS],
+    /// Per-line state as bit masks (bit `i` = line `i`), so the "is any
+    /// line deliverable" question every IRQ poll asks is one AND — a
+    /// masked line that stays pending (§IV-D) costs nothing to skip.
+    enabled: u128,
+    pending: u128,
+    active: u128,
     priority: [u8; NUM_IRQS],
     /// Distributor-level global enable.
     pub dist_enabled: bool,
@@ -34,11 +37,6 @@ pub struct Gic {
     pub raised: u64,
     /// Statistics: acknowledged interrupt count.
     pub acked: u64,
-    /// Number of `pending` bits currently set; lets [`Gic::highest_pending`]
-    /// answer the common "nothing pending" case without scanning all 96
-    /// lines (the per-instruction IRQ poll is the interpreter's hottest
-    /// device-side check).
-    pending_count: u32,
 }
 
 impl Default for Gic {
@@ -52,104 +50,103 @@ impl Gic {
     /// priority (lower value = higher priority, as in hardware).
     pub fn new() -> Self {
         Gic {
-            enabled: [false; NUM_IRQS],
-            pending: [false; NUM_IRQS],
-            active: [false; NUM_IRQS],
+            enabled: 0,
+            pending: 0,
+            active: 0,
             priority: [0xF8; NUM_IRQS],
             dist_enabled: true,
             raised: 0,
             acked: 0,
-            pending_count: 0,
         }
     }
 
-    #[inline]
-    fn set_pending(&mut self, i: usize, val: bool) {
-        if self.pending[i] != val {
-            self.pending[i] = val;
-            if val {
-                self.pending_count += 1;
-            } else {
-                self.pending_count -= 1;
-            }
-        }
-    }
-
-    fn idx(irq: IrqNum) -> usize {
+    fn bit(irq: IrqNum) -> u128 {
         let i = irq.0 as usize;
         assert!(i < NUM_IRQS, "irq {i} out of modelled range");
-        i
+        1 << i
     }
 
     /// A device asserts its interrupt line.
     pub fn raise(&mut self, irq: IrqNum) {
-        self.set_pending(Self::idx(irq), true);
+        self.pending |= Self::bit(irq);
         self.raised += 1;
     }
 
     /// Enable forwarding of a line (ISENABLER).
     pub fn enable(&mut self, irq: IrqNum) {
-        self.enabled[Self::idx(irq)] = true;
+        self.enabled |= Self::bit(irq);
     }
 
     /// Disable (mask) a line (ICENABLER). Pending state is retained — this
     /// is what lets an inactive VM's hardware-task IRQ "remain the same
     /// until the next time the VM is scheduled" (§IV-D).
     pub fn disable(&mut self, irq: IrqNum) {
-        self.enabled[Self::idx(irq)] = false;
+        self.enabled &= !Self::bit(irq);
     }
 
     /// Is the line currently enabled?
     pub fn is_enabled(&self, irq: IrqNum) -> bool {
-        self.enabled[Self::idx(irq)]
+        self.enabled & Self::bit(irq) != 0
     }
 
     /// Is the line pending (asserted but not yet acknowledged)?
     pub fn is_pending(&self, irq: IrqNum) -> bool {
-        self.pending[Self::idx(irq)]
+        self.pending & Self::bit(irq) != 0
     }
 
     /// Clear a pending line without delivering it (ICPENDR).
     pub fn clear_pending(&mut self, irq: IrqNum) {
-        self.set_pending(Self::idx(irq), false);
+        self.pending &= !Self::bit(irq);
     }
 
     /// Set a line's priority (IPRIORITYR); lower value = more urgent.
     pub fn set_priority(&mut self, irq: IrqNum, prio: u8) {
-        self.priority[Self::idx(irq)] = prio;
+        let i = irq.0 as usize;
+        assert!(i < NUM_IRQS, "irq {i} out of modelled range");
+        self.priority[i] = prio;
     }
 
     /// The highest-priority pending+enabled line, if any — i.e. whether the
     /// nIRQ signal to the core is asserted.
+    #[inline]
     pub fn highest_pending(&self) -> Option<IrqNum> {
-        if !self.dist_enabled || self.pending_count == 0 {
+        let mut ready = self.pending & self.enabled & !self.active;
+        if !self.dist_enabled || ready == 0 {
             return None;
         }
-        (0..NUM_IRQS)
-            .filter(|&i| self.pending[i] && self.enabled[i] && !self.active[i])
-            .min_by_key(|&i| (self.priority[i], i))
-            .map(|i| IrqNum(i as u16))
+        // Lowest priority value wins; ties go to the lowest ID, which the
+        // ascending walk over the set bits keeps by taking only a strictly
+        // lower value.
+        let mut best = ready.trailing_zeros() as usize;
+        while ready != 0 {
+            let i = ready.trailing_zeros() as usize;
+            if self.priority[i] < self.priority[best] {
+                best = i;
+            }
+            ready &= ready - 1;
+        }
+        Some(IrqNum(best as u16))
     }
 
     /// Acknowledge: returns and activates the highest-priority pending line
     /// (ICCIAR). `None` models the spurious ID.
     pub fn ack(&mut self) -> Option<IrqNum> {
         let irq = self.highest_pending()?;
-        let i = Self::idx(irq);
-        self.set_pending(i, false);
-        self.active[i] = true;
+        let b = Self::bit(irq);
+        self.pending &= !b;
+        self.active |= b;
         self.acked += 1;
         Some(irq)
     }
 
     /// End of interrupt (ICCEOIR): deactivates the line.
     pub fn eoi(&mut self, irq: IrqNum) {
-        self.active[Self::idx(irq)] = false;
+        self.active &= !Self::bit(irq);
     }
 
     /// Is the line active (acknowledged, EOI not yet written)?
     pub fn is_active(&self, irq: IrqNum) -> bool {
-        self.active[Self::idx(irq)]
+        self.active & Self::bit(irq) != 0
     }
 
     // -- MMIO register interface ------------------------------------------
@@ -163,8 +160,8 @@ impl Gic {
     pub fn mmio_read(&mut self, off: u64) -> u32 {
         match off {
             0x000 => self.dist_enabled as u32, // GICD_CTLR
-            0x100..=0x10B => self.bitmap_read(off - 0x100, |g, i| g.enabled[i]),
-            0x200..=0x20B => self.bitmap_read(off - 0x200, |g, i| g.pending[i]),
+            0x100..=0x10B => Self::word(self.enabled, off - 0x100),
+            0x200..=0x20B => Self::word(self.pending, off - 0x200),
             0x400..=0x45F => {
                 // Byte-packed priorities, 4 per word.
                 let base = (off - 0x400) as usize;
@@ -185,17 +182,10 @@ impl Gic {
     pub fn mmio_write(&mut self, off: u64, val: u32) {
         match off {
             0x000 => self.dist_enabled = val & 1 != 0,
-            0x100..=0x10B => self.bitmap_write(off - 0x100, val, true),
-            0x180..=0x18B => self.bitmap_write(off - 0x180, val, false),
-            0x280..=0x28B => {
-                // ICPENDR: clear pending bits.
-                let base = ((off / 4) * 32 - (0x280 / 4) * 32) as usize;
-                for b in 0..32 {
-                    if val & (1 << b) != 0 && base + b < NUM_IRQS {
-                        self.set_pending(base + b, false);
-                    }
-                }
-            }
+            0x100..=0x10B => self.enabled |= Self::lines(val, off - 0x100),
+            0x180..=0x18B => self.enabled &= !Self::lines(val, off - 0x180),
+            // ICPENDR: clear pending bits.
+            0x280..=0x28B => self.pending &= !Self::lines(val, off - 0x280),
             0x400..=0x45F => {
                 let base = (off - 0x400) as usize;
                 for b in 0..4 {
@@ -209,24 +199,16 @@ impl Gic {
         }
     }
 
-    fn bitmap_read(&self, byte_off: u64, get: impl Fn(&Self, usize) -> bool) -> u32 {
-        let base = ((byte_off / 4) * 32) as usize;
-        let mut v = 0u32;
-        for b in 0..32 {
-            if base + b < NUM_IRQS && get(self, base + b) {
-                v |= 1 << b;
-            }
-        }
-        v
+    /// The 32-line word of `mask` that register byte offset `byte_off`
+    /// (within a bitmap bank) covers.
+    fn word(mask: u128, byte_off: u64) -> u32 {
+        (mask >> ((byte_off / 4) * 32)) as u32
     }
 
-    fn bitmap_write(&mut self, byte_off: u64, val: u32, set: bool) {
-        let base = ((byte_off / 4) * 32) as usize;
-        for b in 0..32 {
-            if val & (1 << b) != 0 && base + b < NUM_IRQS {
-                self.enabled[base + b] = set;
-            }
-        }
+    /// The lines a bitmap-register write of `val` at `byte_off` names,
+    /// clipped to the modelled range.
+    fn lines(val: u32, byte_off: u64) -> u128 {
+        ((val as u128) << ((byte_off / 4) * 32)) & ((1u128 << NUM_IRQS) - 1)
     }
 }
 
@@ -338,6 +320,45 @@ mod tests {
         gic.raise(IrqNum(40)); // prio 0x44
         gic.raise(IrqNum(41)); // prio 0x33 -> more urgent
         assert_eq!(gic.ack(), Some(IrqNum(41)));
+    }
+
+    #[test]
+    fn highest_pending_matches_a_scan_of_every_line() {
+        // The mask query against the 96-line scan it replaced, over seeded
+        // random line states and priorities.
+        let mut seed = 0x9E37_79B9u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for _ in 0..500 {
+            let mut gic = Gic::new();
+            for i in 0..NUM_IRQS as u16 {
+                gic.set_priority(IrqNum(i), (next() % 4) as u8 * 0x40);
+                match next() % 4 {
+                    0 => gic.raise(IrqNum(i)),
+                    1 => {
+                        gic.raise(IrqNum(i));
+                        gic.enable(IrqNum(i));
+                    }
+                    2 => gic.enable(IrqNum(i)),
+                    _ => {}
+                }
+            }
+            for _ in 0..(next() % 3) {
+                let _ = gic.ack();
+            }
+            let scan = (0..NUM_IRQS)
+                .filter(|&i| {
+                    let l = IrqNum(i as u16);
+                    gic.is_pending(l) && gic.is_enabled(l) && !gic.is_active(l)
+                })
+                .min_by_key(|&i| (gic.priority[i], i))
+                .map(|i| IrqNum(i as u16));
+            assert_eq!(gic.highest_pending(), scan);
+        }
     }
 
     #[test]

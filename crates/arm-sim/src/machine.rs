@@ -228,16 +228,19 @@ pub struct Machine {
     pub vfp: Vfp,
     /// Interrupt controller.
     pub gic: Gic,
-    /// Private (tick) timer.
-    pub ptimer: PrivateTimer,
-    /// Global free-running counter.
+    /// Private (tick) timer: read it through [`Machine::ptimer`], program
+    /// it through [`Machine::ptimer_mut`] or its MMIO window.
+    ptimer: PrivateTimer,
+    /// Global free-running counter (as of the last device catch-up; see
+    /// [`Machine::settle_devices`]).
     pub gtimer: GlobalTimer,
     /// Event tracer (disabled by default; the kernel installs a shared one).
     pub tracer: Tracer,
     /// Fault-injection plane (disabled by default; the kernel arms a shared
-    /// one). The machine consults it for AXI bus errors on peripheral
-    /// windows, spurious/storming PL interrupts and memory bit flips.
-    pub fault: FaultPlane,
+    /// one through [`Machine::set_fault_plane`]). The machine consults it
+    /// for AXI bus errors on peripheral windows, spurious/storming PL
+    /// interrupts and memory bit flips.
+    fault: FaultPlane,
     /// Cause of the most recent undefined-instruction exception.
     pub last_und: Option<UndCause>,
     /// Immediate of the most recent SVC.
@@ -268,7 +271,15 @@ pub struct Machine {
     /// Emptied buffers of the last committed recording, handed to the next.
     rec_bufs: RecordingBufs,
     clock: Cycles,
+    /// Clock at the last [`Machine::sync_devices`] call that saw time
+    /// move: the instant the devices are observed at.
     last_sync: Cycles,
+    /// Clock the devices have actually been advanced to (≤ `last_sync`).
+    dev_time: Cycles,
+    /// The one device deadline: no device changes observable state, and
+    /// no fault-plane probe changes the plane, before this time. Never
+    /// late; lowering it only costs an early catch-up.
+    dev_deadline: Cycles,
     periphs: Vec<Box<dyn Peripheral>>,
 }
 
@@ -307,6 +318,8 @@ impl Machine {
             rec_bufs: RecordingBufs::default(),
             clock: Cycles::ZERO,
             last_sync: Cycles::ZERO,
+            dev_time: Cycles::ZERO,
+            dev_deadline: Cycles::ZERO,
             periphs: Vec::new(),
         }
     }
@@ -327,13 +340,48 @@ impl Machine {
 
     /// Bring timers and peripherals up to the current clock. Called at
     /// instruction boundaries and before interrupt checks.
+    ///
+    /// Device time runs on demand: below the device deadline (the
+    /// earliest timer expiry, peripheral event or fault-plane due time)
+    /// nothing can change, so the call only notes the instant and
+    /// returns. The devices catch up in one closed-form step when a sync
+    /// reaches the deadline, and through [`Machine::settle_devices`] when
+    /// something reads a value that moves with time or reprograms a
+    /// device. Either way every event lands on the same sync as it would
+    /// if every call advanced every device.
+    #[inline]
     pub fn sync_devices(&mut self) {
-        let dt = self.clock.saturating_sub(self.last_sync);
-        if dt.is_zero() {
+        if self.clock <= self.last_sync {
             return;
         }
         self.last_sync = self.clock;
+        if self.clock >= self.dev_deadline {
+            self.catch_up();
+        }
+    }
+
+    /// A sync that reached the device deadline: time-driven faults first,
+    /// then the devices, then the next deadline.
+    #[inline(never)]
+    fn catch_up(&mut self) {
         self.inject_time_faults();
+        self.settle_devices();
+        self.rearm();
+    }
+
+    /// Advance the devices to the instant of the last sync. Below the
+    /// deadline that advance is additive (counters, countdowns and busy
+    /// time move; no event fires), so it is exact whenever it runs:
+    /// before a read of a value that moves with time (the timer counter,
+    /// a PRR's `PERF_CYCLES` or `busy_cycles`), before a device is
+    /// reprogrammed, and wherever the kernel hands device state out. It
+    /// probes no fault site.
+    pub fn settle_devices(&mut self) {
+        let dt = self.last_sync - self.dev_time;
+        if dt.is_zero() {
+            return;
+        }
+        self.dev_time = self.last_sync;
         self.gtimer.advance(dt);
         let fired = self.ptimer.advance(dt);
         for _ in 0..fired {
@@ -344,18 +392,69 @@ impl Machine {
             ref mut mem,
             ref mut gic,
             ref tracer,
-            clock,
+            last_sync,
             ..
         } = *self;
         let mut ctx = PeriphCtx {
             mem,
             gic,
-            now: clock,
+            now: last_sync,
             tracer,
         };
         for p in periphs.iter_mut() {
             p.advance(dt, &mut ctx);
         }
+    }
+
+    /// Recompute the device deadline from settled devices
+    /// (`dev_time == last_sync`).
+    fn rearm(&mut self) {
+        let now = self.dev_time;
+        let mut d = self.fault.next_due(now).map_or(u64::MAX, Cycles::raw);
+        if let Some(t) = self.ptimer.next_expiry_in() {
+            d = d.min(now.raw() + t);
+        }
+        for p in &self.periphs {
+            if let Some(t) = p.next_event(now) {
+                d = d.min(now.raw().saturating_add(t));
+            }
+        }
+        self.dev_deadline = Cycles::new(d);
+    }
+
+    /// Settle the devices and make the next sync re-arm the deadline: the
+    /// way in for anything that reprograms a device outside its MMIO
+    /// window ([`Machine::ptimer_mut`], [`Machine::peripheral_mut`], a new
+    /// peripheral or fault plane).
+    fn reprogram_devices(&mut self) {
+        self.settle_devices();
+        self.dev_deadline = self.dev_deadline.min(self.last_sync);
+    }
+
+    /// The private timer, as of the last device catch-up (call
+    /// [`Machine::settle_devices`] first for its running counter).
+    pub fn ptimer(&self) -> &PrivateTimer {
+        &self.ptimer
+    }
+
+    /// Program the private timer: settles the devices first and re-arms
+    /// the device deadline at the next sync.
+    pub fn ptimer_mut(&mut self) -> &mut PrivateTimer {
+        self.reprogram_devices();
+        &mut self.ptimer
+    }
+
+    /// The fault plane the machine consults.
+    pub fn fault(&self) -> &FaultPlane {
+        &self.fault
+    }
+
+    /// Install a fault plane (a shared handle; see [`FaultPlane`]). Its
+    /// first time-driven deadlines are stamped by the next sync, as when
+    /// the plane was a public field.
+    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
+        self.reprogram_devices();
+        self.fault = plane;
     }
 
     /// Inject the time-driven fault classes (spurious interrupts, interrupt
@@ -415,18 +514,31 @@ impl Machine {
 
     /// Advance simulated time until the GIC asserts an interrupt or `limit`
     /// cycles elapse; returns the cycles actually waited. This is the WFI /
-    /// idle-loop helper.
+    /// idle-loop helper. Time moves in 64-cycle steps, each ending in a
+    /// sync and a profiler poll, but a step below both the device deadline
+    /// and the next sample changes nothing, so the loop jumps to the first
+    /// step at or after the earlier of the two.
     pub fn wait_for_irq(&mut self, limit: Cycles) -> Cycles {
-        let start = self.clock;
-        let deadline = start + limit;
-        // Step in coarse quanta; device models are cheap to advance.
-        while self.gic.highest_pending().is_none() && self.clock < deadline {
-            let step = (deadline - self.clock).raw().min(64);
-            self.charge(step);
+        const STEP: u64 = 64;
+        let start = self.clock.raw();
+        let end = start + limit.raw();
+        while self.gic.highest_pending().is_none() && self.clock.raw() < end {
+            let next = self.clock.raw() + STEP;
+            let due = self
+                .dev_deadline
+                .raw()
+                .min(self.profiler.next_deadline())
+                .min(end);
+            let at = if due > next {
+                start + (due - start).div_ceil(STEP) * STEP
+            } else {
+                next
+            };
+            self.charge(at.min(end) - self.clock.raw());
             self.sync_devices();
             self.profile_poll();
         }
-        self.clock - start
+        Cycles::new(self.clock.raw() - start)
     }
 
     // -- peripherals ---------------------------------------------------------
@@ -446,17 +558,22 @@ impl Machine {
                 "peripheral windows overlap"
             );
         }
+        self.reprogram_devices();
         self.periphs.push(p);
         self.mmio_gen += 1;
     }
 
-    /// Typed access to an attached peripheral.
+    /// Typed access to an attached peripheral, as of the last device
+    /// catch-up: a value that moves with time (a PRR's busy cycles) is
+    /// current after [`Machine::settle_devices`].
     pub fn peripheral<T: 'static>(&self) -> Option<&T> {
         self.periphs.iter().find_map(|p| p.as_any().downcast_ref())
     }
 
-    /// Typed mutable access to an attached peripheral.
+    /// Typed mutable access to an attached peripheral: settles the devices
+    /// first and re-arms the device deadline at the next sync.
     pub fn peripheral_mut<T: 'static>(&mut self) -> Option<&mut T> {
+        self.reprogram_devices();
         self.periphs
             .iter_mut()
             .find_map(|p| p.as_any_mut().downcast_mut())
@@ -491,11 +608,16 @@ impl Machine {
         if (PTIMER_BASE..PTIMER_BASE + PTIMER_SIZE).contains(&a) {
             self.charge(timing::MMIO);
             self.sync_devices();
+            self.settle_devices();
             return Ok(self.ptimer.mmio_read(a - PTIMER_BASE));
         }
         if let Some(i) = self.mmio_lookup(pa) {
             self.charge(timing::MMIO);
             self.sync_devices();
+            let (base, _) = self.periphs[i].window();
+            if self.periphs[i].reads_time(pa - base) {
+                self.settle_devices();
+            }
             if self.fault.trip(FaultSite::AxiReadError, self.clock, a) {
                 // AXI DECERR: the interconnect answers with the error
                 // pattern instead of reaching the device.
@@ -515,7 +637,6 @@ impl Machine {
                 clock,
                 ..
             } = *self;
-            let (base, _) = periphs[i].window();
             let mut ctx = PeriphCtx {
                 mem,
                 gic,
@@ -543,7 +664,9 @@ impl Machine {
         if (PTIMER_BASE..PTIMER_BASE + PTIMER_SIZE).contains(&a) {
             self.charge(timing::MMIO);
             self.sync_devices();
+            self.settle_devices();
             self.ptimer.mmio_write(a - PTIMER_BASE, val);
+            self.rearm();
             return Ok(());
         }
         if let Some(i) = self.mmio_lookup(pa) {
@@ -560,6 +683,7 @@ impl Machine {
                 );
                 return Ok(());
             }
+            self.settle_devices();
             let Machine {
                 ref mut periphs,
                 ref mut mem,
@@ -576,6 +700,7 @@ impl Machine {
                 tracer,
             };
             periphs[i].write32(pa - base, val, &mut ctx);
+            self.rearm();
             return Ok(());
         }
         let cost = self
@@ -895,33 +1020,6 @@ impl Machine {
 
     // -- the block executor ------------------------------------------------------
 
-    /// Cycles timestamp at which a device can next change externally
-    /// observable state on its own: the private timer's exact expiry, the
-    /// earliest peripheral event, or *now* when the fault plane is armed
-    /// (fault deadlines are evaluated inside `sync_devices`, so an armed
-    /// plane pins the executor to per-instruction sync). Returns
-    /// `Cycles::new(u64::MAX)` when everything is quiescent. Only valid
-    /// right after a sync (`last_sync == clock`).
-    fn device_deadline(&self) -> Cycles {
-        if self.fault.is_armed() {
-            return self.clock;
-        }
-        let mut d = u64::MAX;
-        if let Some(t) = self.ptimer.next_expiry_in() {
-            d = d.min(t);
-        }
-        for p in &self.periphs {
-            if let Some(t) = p.next_event(self.clock) {
-                d = d.min(t);
-            }
-        }
-        if d == u64::MAX {
-            Cycles::new(u64::MAX)
-        } else {
-            self.last_sync + Cycles::new(d)
-        }
-    }
-
     /// Commit a recorded (super)block. Discards the recording if any store
     /// landed while it was open (the dirty-chunk drain only protects blocks
     /// that are already resident). When the recording knows its dynamic
@@ -1136,11 +1234,10 @@ impl Machine {
     /// deadline are folded into one precomputed *chain exit bound*, so the
     /// hot path pays a single compare per block boundary; the dirty-chunk
     /// `code_gen` drain stays a second integer compare. Device models sync
-    /// only at computed deadlines; loads/stores re-arm the deadline only
-    /// when they actually reached MMIO (detectable as `last_sync` having
-    /// caught up to the clock, because every MMIO access syncs internally),
-    /// while CP15/CPSR writes conservatively force a sync + poll at the
-    /// next boundary.
+    /// only at the machine's device deadline; after a load or store the
+    /// bound re-reads that deadline (a device write re-arms it) and the
+    /// O(1) GIC query, while CP15/CPSR writes conservatively force a sync
+    /// + poll at the next boundary.
     fn run_slice_fast(&mut self, deadline: Cycles) -> CpuEvent {
         use std::rc::Rc;
 
@@ -1154,9 +1251,10 @@ impl Machine {
             next_run: usize,
         }
 
-        // Starts at `clock` so the first iteration syncs + polls exactly
-        // like the first reference `step()`.
-        let mut dev_deadline = self.clock;
+        // Set when the next boundary must sync + poll for an IRQ whatever
+        // the device deadline says. Starts set so the first iteration
+        // syncs + polls exactly like the first reference `step()`.
+        let mut poll_due = true;
         // The chain exit bound: min(slice deadline, device deadline,
         // profiler sample deadline). While the clock is strictly below it,
         // a block boundary needs no deadline processing at all — one
@@ -1195,14 +1293,14 @@ impl Machine {
                 // Sample before the boundary's IRQ poll, exactly where the
                 // reference path samples (before `step()`'s `poll_irq`).
                 self.profile_poll();
-                if self.clock >= dev_deadline {
+                if poll_due || self.clock >= self.dev_deadline {
                     if let Some(ev) = self.poll_irq() {
                         if let Some(r) = rec.take() {
                             self.bcache_commit(r);
                         }
                         return ev;
                     }
-                    dev_deadline = self.device_deadline();
+                    poll_due = false;
                     // The sync may have DMA'd over code or flipped a bit in
                     // it (fault plane): stop trusting the run being
                     // replayed; the boundary drain below reconciles the
@@ -1213,7 +1311,7 @@ impl Machine {
                     }
                 }
                 chain_bound = deadline
-                    .min(dev_deadline)
+                    .min(self.dev_deadline)
                     .min(Cycles::new(self.profiler.next_deadline()));
             }
 
@@ -1502,19 +1600,14 @@ impl Machine {
                 FastClass::Pure => {}
                 _ if replay.is_some() => match instr {
                     Instr::Ldr { .. } | Instr::Str { .. } => {
-                        // A RAM access cannot move a device deadline or
-                        // raise an IRQ. An MMIO access synced internally —
-                        // observable as `last_sync` having caught up to the
-                        // clock (every other path leaves charges after the
-                        // last sync) — and only then can the deadline have
-                        // moved or a GIC write have raised something
-                        // deliverable at the next boundary.
-                        if self.last_sync == self.clock {
-                            dev_deadline = self.device_deadline();
-                            if !self.cpu.cpsr.irq_masked && self.gic.highest_pending().is_some() {
-                                dev_deadline = self.clock;
-                            }
-                            chain_bound = chain_bound.min(dev_deadline);
+                        // A RAM access cannot move the device deadline or
+                        // raise an IRQ. A device write re-arms the deadline
+                        // and a GIC write can make a pending line
+                        // deliverable; both show at the next boundary.
+                        chain_bound = chain_bound.min(self.dev_deadline);
+                        if !self.cpu.cpsr.irq_masked && self.gic.highest_pending().is_some() {
+                            poll_due = true;
+                            chain_bound = self.clock;
                         }
                         // A store over cached code must stop the replay
                         // before the next (now stale) instruction.
@@ -1530,15 +1623,15 @@ impl Machine {
                     // CP15/CPSR writes can unmask IRQs, remap, retune
                     // devices: re-sync and re-poll at the next boundary.
                     _ => {
-                        dev_deadline = self.clock;
-                        chain_bound = chain_bound.min(dev_deadline);
+                        poll_due = true;
+                        chain_bound = self.clock;
                     }
                 },
                 _ => {
                     // Recording: keep the reference path's conservative
                     // per-boundary sync after any sideband instruction.
-                    dev_deadline = self.clock;
-                    chain_bound = chain_bound.min(dev_deadline);
+                    poll_due = true;
+                    chain_bound = self.clock;
                 }
             }
 
@@ -2225,7 +2318,7 @@ mod tests {
             b.branch(Cond::Al, top);
         });
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(200));
+        m.ptimer_mut().program_periodic(Cycles::new(200));
         let ev = m.run(1_000);
         assert_eq!(ev, CpuEvent::Exception(ExceptionKind::Irq));
         assert_eq!(m.cpu.cpsr.mode, Mode::Irq);
@@ -2240,7 +2333,7 @@ mod tests {
         });
         m.cpu.cpsr.irq_masked = true;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(100));
+        m.ptimer_mut().program_periodic(Cycles::new(100));
         assert_eq!(m.run(10), CpuEvent::Halted);
         assert!(m.gic.is_pending(IrqNum::PRIVATE_TIMER));
     }
@@ -2253,7 +2346,7 @@ mod tests {
         });
         assert_eq!(m.run(10), CpuEvent::Wfi);
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(500));
+        m.ptimer_mut().program_periodic(Cycles::new(500));
         let waited = m.wait_for_irq(Cycles::new(10_000));
         assert!(
             waited.raw() >= 500 - 64 && waited.raw() <= 600,
@@ -2377,7 +2470,7 @@ mod tests {
         let mut slow = with_program(diff_program);
         slow.bcache.enabled = false;
         for m in [&mut fast, &mut slow] {
-            m.ptimer.program_periodic(Cycles::new(700));
+            m.ptimer_mut().program_periodic(Cycles::new(700));
             m.cpu.cpsr.irq_masked = true; // observe, don't deliver
         }
         let run = |m: &mut Machine| loop {
@@ -2393,7 +2486,7 @@ mod tests {
         assert_eq!(fast.cpu.reg(2), slow.cpu.reg(2));
         assert_eq!(fast.instructions_retired, slow.instructions_retired);
         assert_eq!(fast.now(), slow.now(), "charged cycles must be identical");
-        assert_eq!(fast.ptimer.expiries, slow.ptimer.expiries);
+        assert_eq!(fast.ptimer().expiries, slow.ptimer().expiries);
         assert_eq!(
             fast.gic.is_pending(IrqNum::PRIVATE_TIMER),
             slow.gic.is_pending(IrqNum::PRIVATE_TIMER)
@@ -2421,7 +2514,7 @@ mod tests {
         slow.bcache.enabled = false;
         for m in [&mut fast, &mut slow] {
             m.gic.enable(IrqNum::PRIVATE_TIMER);
-            m.ptimer.program_periodic(Cycles::new(1234));
+            m.ptimer_mut().program_periodic(Cycles::new(1234));
             m.cpu.cpsr.irq_masked = false;
         }
         let ev_f = fast.run_slice(fast.now() + Cycles::new(100_000));
@@ -2608,6 +2701,175 @@ mod tests {
         assert_eq!(fast.cpu.reg(3), slow.cpu.reg(3));
         assert_eq!(fast.now(), slow.now());
         assert!(fast.bcache.stats.batched_instrs > 0);
+    }
+
+    /// Everything the devices make observable without a settle: time,
+    /// the CPU, every GIC line, the trace and the fault record.
+    fn observe_events(m: &Machine) -> String {
+        let lines = |f: &dyn Fn(IrqNum) -> bool| {
+            (0..crate::gic::NUM_IRQS as u16).fold(0u128, |a, i| a | (f(IrqNum(i)) as u128) << i)
+        };
+        format!(
+            "{:?} pc={:#x} r={:?} {:?} irq_masked={} retired={} exc={} \
+             gic=({:#x},{:#x},{:#x}) trace={:?} faults={:?}",
+            m.now(),
+            m.cpu.pc,
+            (0..8).map(|r| m.cpu.reg(r)).collect::<Vec<_>>(),
+            m.cpu.cpsr.mode,
+            m.cpu.cpsr.irq_masked,
+            m.instructions_retired,
+            m.exceptions_taken,
+            lines(&|l| m.gic.is_pending(l)),
+            lines(&|l| m.gic.is_enabled(l)),
+            lines(&|l| m.gic.is_active(l)),
+            m.tracer.snapshot(),
+            m.fault().records(),
+        )
+    }
+
+    /// The devices' own state, which moves with time between events, as
+    /// an MMIO read sees it: synced to the clock, then settled.
+    fn observe_settled(m: &mut Machine) -> String {
+        m.sync_devices();
+        m.settle_devices();
+        let t = m.ptimer();
+        format!(
+            "timer={:?} expiries={} gtimer={}",
+            [0x0, 0x4, 0x8, 0xC].map(|o| t.mmio_read(o)),
+            t.expiries,
+            m.gtimer.count
+        )
+    }
+
+    #[test]
+    fn lazy_device_time_matches_eager_sync() {
+        // The differential oracle for on-demand device time: a machine
+        // with [`EagerSync`] attached advances every device at every sync,
+        // as the machine did before. Over seeded schedules of execution
+        // (both executors), timer programming through the accessor and the
+        // MMIO window, timer-counter and GIC reads from the program and
+        // the harness, WFI waits, IRQ delivery and a fault plane armed and
+        // then disarmed, both machines must agree after every step.
+        fn program(b: &mut ProgramBuilder) {
+            b.mov(4, 0x2_0000);
+            b.mov(5, PTIMER_BASE as u32 + 4); // the timer counter
+            b.mov(6, GIC_BASE as u32 + 0x200); // pending lines 0..31
+            let top = b.label();
+            b.bind(top);
+            b.alu_imm(AluOp::Add, 0, 0, 3);
+            b.str(0, 4, 0);
+            b.ldr(3, 4, 0);
+            b.alu(AluOp::Add, 0, 0, 3);
+            b.ldr(7, 5, 0);
+            b.alu(AluOp::Add, 1, 1, 7);
+            b.ldr(7, 6, 0);
+            b.alu(AluOp::Add, 2, 2, 7);
+            b.compute(40);
+            b.branch(Cond::Al, top);
+        }
+        let plan = mnv_fault::FaultPlan {
+            irq_spurious: mnv_fault::PeriodCfg::new(40_000, 6),
+            irq_storm: mnv_fault::PeriodCfg::new(150_000, 1),
+            mem_flip: mnv_fault::PeriodCfg::new(60_000, 4),
+            mem_flip_window: (0x2_0000, 0x40),
+            ..mnv_fault::FaultPlan::none(0)
+        };
+        let (mut irqs, mut faults) = (0, 0);
+        for seed in 0..24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut lazy = with_program(program);
+            let mut eager = with_program(program);
+            eager.add_peripheral(Box::new(crate::bus::EagerSync));
+            let mut planes = Vec::new();
+            for m in [&mut lazy, &mut eager] {
+                m.tracer = Tracer::enabled(1 << 16);
+                m.cpu.cpsr.irq_masked = true;
+                m.gic.enable(IrqNum::PRIVATE_TIMER);
+                m.gic.enable(IrqNum::pl(3));
+            }
+            for step in 0..160 {
+                let op = next(12);
+                let arg = next(1 << 20);
+                for m in [&mut lazy, &mut eager] {
+                    match op {
+                        0..=3 => {
+                            let deadline = m.now() + Cycles::new(500 + arg % 30_000);
+                            if let CpuEvent::Exception(ExceptionKind::Irq) = m.run_slice(deadline) {
+                                if let Some(irq) = m.gic.ack() {
+                                    m.gic.eoi(irq);
+                                }
+                                let ret = m.cpu.reg(14);
+                                m.exception_return(ret);
+                            }
+                        }
+                        4 => {
+                            // Out-of-band programming acts on the devices
+                            // as of the last sync; make that now on both.
+                            m.sync_devices();
+                            let t = m.ptimer_mut();
+                            t.program_periodic(Cycles::new(300 + arg % 8_000));
+                            t.prescale = (arg >> 16) as u8 % 3;
+                            t.irq_enable = arg & 1 == 0;
+                        }
+                        5 => {
+                            // Reload and control through the MMIO window.
+                            let base = PhysAddr::new(PTIMER_BASE);
+                            m.phys_write_u32(base, 200 + (arg % 5_000) as u32).unwrap();
+                            m.phys_write_u32(base + 8, 0b101 | (arg as u32 & 2))
+                                .unwrap();
+                        }
+                        6 => {
+                            let off = [0x4, 0xC][(arg & 1) as usize];
+                            let v = m.phys_read_u32(PhysAddr::new(PTIMER_BASE + off)).unwrap();
+                            m.cpu.set_user_reg(8, v);
+                        }
+                        7 => {
+                            m.wait_for_irq(Cycles::new(arg % 100_000));
+                        }
+                        8 => m.cpu.cpsr.irq_masked = arg & 1 == 0,
+                        9 => {
+                            m.charge(arg % 20_000);
+                            m.sync_devices();
+                        }
+                        10 if planes.len() < 2 => {
+                            let plane = mnv_fault::FaultPlane::armed(plan);
+                            m.set_fault_plane(plane.clone());
+                            planes.push(plane);
+                        }
+                        10 => planes.iter().for_each(|p| p.disarm()),
+                        _ => m.bcache.enabled = arg & 3 != 0,
+                    }
+                }
+                assert_eq!(
+                    observe_events(&lazy),
+                    observe_events(&eager),
+                    "seed {seed} step {step} op {op}"
+                );
+                if step % 4 == 0 {
+                    assert_eq!(
+                        observe_settled(&mut lazy),
+                        observe_settled(&mut eager),
+                        "seed {seed} step {step} op {op}: settled devices"
+                    );
+                }
+            }
+            assert!(
+                lazy.ptimer().expiries > 0,
+                "seed {seed}: the timer never fired"
+            );
+            irqs += lazy.exceptions_taken;
+            faults += lazy.fault().total();
+        }
+        assert!(
+            irqs > 0 && faults > 0,
+            "IRQs taken {irqs}, faults injected {faults}"
+        );
     }
 
     #[test]

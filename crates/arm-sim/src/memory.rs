@@ -39,6 +39,11 @@ struct Region {
     /// invalidate. One bool per chunk keeps the store fast path at two
     /// array indexes.
     code: Vec<bool>,
+    /// Per-chunk watch stamps for [`PhysMemory::watch`]: the low bit is
+    /// the watch flag, and a store into a watched chunk clears it by
+    /// bumping the stamp, so a stamp once handed out never comes back.
+    /// Empty until the region's first watch.
+    watch: Vec<u32>,
 }
 
 impl Region {
@@ -49,7 +54,13 @@ impl Region {
             size,
             chunks: (0..size >> CHUNK_SHIFT).map(|_| None).collect(),
             code: vec![false; (size >> CHUNK_SHIFT) as usize],
+            watch: Vec::new(),
         }
+    }
+
+    /// Chunk indexes covering `off..off+len` (`len` ≥ 1, in range).
+    fn chunk_span(off: u64, len: usize) -> std::ops::RangeInclusive<usize> {
+        (off >> CHUNK_SHIFT) as usize..=((off + len as u64 - 1) >> CHUNK_SHIFT) as usize
     }
 
     #[inline]
@@ -88,6 +99,9 @@ impl Region {
             if self.code[idx] {
                 self.code[idx] = false;
                 dirty.push(self.base + ((idx as u64) << CHUNK_SHIFT));
+            }
+            if let Some(w) = self.watch.get_mut(idx) {
+                *w += *w & 1;
             }
             let chunk = self.chunk_mut(off);
             chunk[in_chunk..in_chunk + take].copy_from_slice(&data[..take]);
@@ -228,6 +242,45 @@ impl PhysMemory {
         CHUNK_SIZE as u64
     }
 
+    // -- watched ranges (memoised checks over unchanged bytes) ---------------
+
+    /// Watch the chunks covering `addr..addr+len` and return their stamps:
+    /// [`PhysMemory::unchanged`] answers whether any store has landed in
+    /// those chunks since. Every write path clears the watch, like the
+    /// code flag. `None` when the range is not RAM or empty.
+    pub fn watch(&mut self, addr: PhysAddr, len: usize) -> Option<Box<[u32]>> {
+        if len == 0 {
+            return None;
+        }
+        let r = self.region_for_mut(addr.raw(), len).ok()?;
+        if r.watch.is_empty() {
+            r.watch = vec![0; r.code.len()];
+        }
+        let span = Region::chunk_span(addr.raw() - r.base, len);
+        Some(
+            r.watch[span]
+                .iter_mut()
+                .map(|w| {
+                    *w |= 1;
+                    *w
+                })
+                .collect(),
+        )
+    }
+
+    /// True when no store has reached the chunks covering `addr..addr+len`
+    /// since [`PhysMemory::watch`] handed out `stamps` for the same range.
+    /// Conservative at chunk grain: a store anywhere in a covered chunk
+    /// counts.
+    pub fn unchanged(&self, addr: PhysAddr, len: usize, stamps: &[u32]) -> bool {
+        let Ok(r) = self.region_for(addr.raw(), len.max(1)) else {
+            return false;
+        };
+        r.watch
+            .get(Region::chunk_span(addr.raw() - r.base, len.max(1)))
+            .is_some_and(|w| w == stamps)
+    }
+
     /// Read a little-endian u32. Word accesses are the data-path common
     /// case, so the in-chunk case skips the generic span loop.
     pub fn read_u32(&self, addr: PhysAddr) -> HalResult<u32> {
@@ -262,6 +315,9 @@ impl PhysMemory {
                 self.code_gen += 1;
             }
             let r = self.region_for_mut(a, 4)?;
+            if let Some(w) = r.watch.get_mut(idx) {
+                *w += *w & 1;
+            }
             let chunk = r.chunk_mut(off);
             chunk[in_chunk..in_chunk + 4].copy_from_slice(&val.to_le_bytes());
             return Ok(());
@@ -420,6 +476,28 @@ mod tests {
         let mut mem = PhysMemory::new();
         mem.note_code(PhysAddr::new(0x8000_0000), 8);
         assert_eq!(mem.code_gen(), 0);
+    }
+
+    #[test]
+    fn a_store_anywhere_in_a_watched_chunk_ends_the_watch() {
+        let mut mem = PhysMemory::new();
+        let img = PhysAddr::new(CHUNK_SIZE as u64 + 0x100);
+        let len = CHUNK_SIZE; // straddles chunks 1 and 2
+        let stamps = mem.watch(img, len).expect("RAM");
+        assert!(mem.unchanged(img, len, &stamps));
+        mem.write_u32(PhysAddr::new(0x10), 1).unwrap(); // chunk 0: unwatched
+        assert!(mem.unchanged(img, len, &stamps));
+        // A store past the image's end but inside its last chunk counts.
+        mem.write(PhysAddr::new(3 * CHUNK_SIZE as u64 - 8), &[1; 4])
+            .unwrap();
+        assert!(!mem.unchanged(img, len, &stamps));
+        // Re-watching hands out new stamps; the old ones stay stale.
+        let fresh = mem.watch(img, len).expect("RAM");
+        assert!(mem.unchanged(img, len, &fresh));
+        assert!(!mem.unchanged(img, len, &stamps));
+        mem.fill(img, 4, 0).unwrap();
+        assert!(!mem.unchanged(img, len, &fresh));
+        assert!(mem.watch(PhysAddr::new(0x8000_0000), 4).is_none());
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn make_pair(prog: &Program, timer_period: u64) -> (Machine, Machine) {
         m.cpu.cpsr.irq_masked = false;
         m.bcache.enabled = cache_on;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(timer_period));
+        m.ptimer_mut().program_periodic(Cycles::new(timer_period));
         m
     };
     (make(true), make(false))

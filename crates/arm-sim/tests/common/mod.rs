@@ -424,7 +424,8 @@ pub fn assert_same(seed: u64, at: &str, fast: &Machine, slow: &Machine) {
         "seed {seed} @ {at}: TLB/L1I/L1D/L2 replacement state"
     );
     assert_eq!(
-        fast.ptimer.expiries, slow.ptimer.expiries,
+        fast.ptimer().expiries,
+        slow.ptimer().expiries,
         "seed {seed} @ {at}: timer expiries"
     );
     assert_eq!(

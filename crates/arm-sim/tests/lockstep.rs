@@ -77,7 +77,7 @@ fn lockstep(seed: u64, total_cycles: u64, with_faults: bool) {
         m.cpu.cpsr.irq_masked = false;
         m.bcache.enabled = cache_on;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(period));
+        m.ptimer_mut().program_periodic(Cycles::new(period));
         if with_faults {
             // Chaos plan: spurious IRQs plus memory flips aimed straight at
             // the program text, so fault-plane writes must invalidate live
@@ -86,7 +86,7 @@ fn lockstep(seed: u64, total_cycles: u64, with_faults: bool) {
             plan.irq_spurious = mnv_fault::PeriodCfg::new(7_000, 8);
             plan.mem_flip = mnv_fault::PeriodCfg::new(20_000, 8);
             plan.mem_flip_window = (CODE_BASE, prog_len);
-            m.fault = mnv_fault::FaultPlane::armed(plan);
+            m.set_fault_plane(mnv_fault::FaultPlane::armed(plan));
         }
         m
     };
@@ -156,7 +156,7 @@ fn mmu_lockstep(seed: u64, total_cycles: u64, cov: &mut MmuCoverage) {
         let mut m = mmu_machine(&prog);
         m.bcache.enabled = cache_on;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(period));
+        m.ptimer_mut().program_periodic(Cycles::new(period));
         m
     };
     let mut fast = make(true);

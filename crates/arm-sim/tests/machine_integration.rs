@@ -157,7 +157,7 @@ fn exceptions_and_irqs_are_logged() {
     // Timer expiry leaves its line pending in the GIC, the one record of
     // a raised interrupt.
     assert!(!m.gic.is_pending(IrqNum::PRIVATE_TIMER));
-    m.ptimer.program_periodic(Cycles::new(100));
+    m.ptimer_mut().program_periodic(Cycles::new(100));
     m.charge(250);
     m.sync_devices();
     assert!(m.gic.is_pending(IrqNum::PRIVATE_TIMER));

@@ -52,7 +52,7 @@ fn quad_lockstep_prog(
         m.cpu.cpsr.irq_masked = false;
         m.bcache.enabled = cache_on;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
-        m.ptimer.program_periodic(Cycles::new(period));
+        m.ptimer_mut().program_periodic(Cycles::new(period));
         let p = if profiled {
             Profiler::enabled(SAMPLE_PERIOD, m.now())
         } else {

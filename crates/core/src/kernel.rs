@@ -280,7 +280,7 @@ impl Kernel {
             plan.mem_flip_window = (layout::BITSTREAM_BASE.raw(), layout::BITSTREAM_LEN);
         }
         let plane = FaultPlane::armed(plan);
-        self.machine.fault = plane.clone();
+        self.machine.set_fault_plane(plane.clone());
         self.machine
             .peripheral_mut::<Pl>()
             .expect("PL attached")
@@ -294,7 +294,7 @@ impl Kernel {
     pub fn kill_vm(&mut self, vm: VmId) {
         let (_, pds, _, mut sinks) = self.state.manager();
         let ev = TraceEvent::VmKilled { vm: vm.0 };
-        sinks.note_dump(&self.machine, pds, Some(vm), ev);
+        sinks.note_dump(&mut self.machine, pds, Some(vm), ev);
         // Supervised VMs get a backed-off relaunch — unless they crashed
         // too often inside the window, which makes the kill permanent.
         match self.supervisor.record_crash(vm, self.machine.now().raw()) {
@@ -470,7 +470,8 @@ impl Kernel {
         self.guests.get_mut(&vm)
     }
 
-    /// Typed PL access.
+    /// Typed PL access, as of the last device sync: [`Kernel::run`]
+    /// returns with the devices settled, so PRR busy time is current here.
     pub fn pl(&self) -> &Pl {
         self.machine.peripheral::<Pl>().expect("PL attached")
     }
@@ -655,7 +656,8 @@ impl Kernel {
 
     // -- the main loop ----------------------------------------------------------
 
-    /// Run the system for `duration` simulated cycles.
+    /// Run the system for `duration` simulated cycles. Returns with the
+    /// devices settled at the last sync (see [`Machine::settle_devices`]).
     pub fn run(&mut self, duration: Cycles) {
         let deadline = self.machine.now() + duration;
         while self.machine.now() < deadline {
@@ -767,6 +769,9 @@ impl Kernel {
                 self.state.sched.queue.remove(vm);
             }
         }
+        // Hand the devices out current: `pl()` and `metrics()` read PRR
+        // busy time, which moves with device time.
+        self.machine.settle_devices();
     }
 
     /// One VM-supervision pass, run from the main loop between slices:
@@ -828,7 +833,7 @@ impl Kernel {
     fn pcap_write_dropped(&self) -> bool {
         let regs = [plregs::PCAP_TARGET, plregs::PCAP_CTRL].map(|r| PL_GP_BASE + r);
         self.machine
-            .fault
+            .fault()
             .records()
             .iter()
             .any(|r| r.site == FaultSite::AxiWriteError && regs.contains(&r.arg))

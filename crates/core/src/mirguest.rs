@@ -201,28 +201,27 @@ impl MirGuest {
                     }
                 }
             }
-            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort => {
-                // Forward to the guest's abort handler if registered (the
-                // §IV-E page-fault acknowledgement path); else kill.
+            // Forward to the guest's abort handler if registered (the §IV-E
+            // page-fault acknowledgement path); else kill.
+            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort if self.abort_handler != 0 => {
                 ks.stats.faults_forwarded += 1;
                 ks.tracer
                     .emit(m.now(), mnv_trace::TraceEvent::FaultForwarded { vm: vm.0 });
-                if self.abort_handler != 0 {
-                    self.faults_taken += 1;
-                    if let Some(pd) = ks.pds.get_mut(&vm) {
-                        pd.stats.faults_forwarded += 1;
-                    }
-                    // r0 = faulting address (DFAR), r1 = status (DFSR).
-                    let dfar = m.cp15.read(mnv_arm::cp15::Cp15Reg::Dfar);
-                    let dfsr = m.cp15.read(mnv_arm::cp15::Cp15Reg::Dfsr);
-                    m.cpu.set_user_reg(0, dfar);
-                    m.cpu.set_user_reg(1, dfsr);
-                    m.exception_return(self.abort_handler);
-                    true
-                } else {
-                    self.kill(m, ks, vm);
-                    false
+                self.faults_taken += 1;
+                if let Some(pd) = ks.pds.get_mut(&vm) {
+                    pd.stats.faults_forwarded += 1;
                 }
+                // r0 = faulting address (DFAR), r1 = status (DFSR).
+                let dfar = m.cp15.read(mnv_arm::cp15::Cp15Reg::Dfar);
+                let dfsr = m.cp15.read(mnv_arm::cp15::Cp15Reg::Dfsr);
+                m.cpu.set_user_reg(0, dfar);
+                m.cpu.set_user_reg(1, dfsr);
+                m.exception_return(self.abort_handler);
+                true
+            }
+            ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort => {
+                self.kill(m, ks, vm);
+                false
             }
             ExceptionKind::Irq => {
                 // Physical IRQ while interpreting: ack and buffer through
@@ -247,7 +246,7 @@ impl MirGuest {
     /// Kill the VM on a policy violation or an unhandled fault: recorded
     /// exactly like [`crate::Kernel::kill_vm`] (trace, counters,
     /// post-mortem), but the guest only halts in place.
-    fn kill(&mut self, m: &Machine, ks: &mut KernelState, vm: VmId) {
+    fn kill(&mut self, m: &mut Machine, ks: &mut KernelState, vm: VmId) {
         self.halted = true;
         let (_, pds, _, mut sinks) = ks.manager();
         let ev = mnv_trace::TraceEvent::VmKilled { vm: vm.0 };

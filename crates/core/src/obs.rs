@@ -56,7 +56,7 @@ impl Sinks<'_> {
     /// context is `m`, `pds` and the implicated `vm`.
     pub(crate) fn note_dump(
         &mut self,
-        m: &Machine,
+        m: &mut Machine,
         pds: &BTreeMap<VmId, Pd>,
         vm: Option<VmId>,
         ev: TraceEvent,
@@ -101,12 +101,15 @@ impl Sinks<'_> {
     /// profiler is live, so an unprofiled run never builds a context.
     pub(crate) fn dump(
         &self,
-        m: &Machine,
+        m: &mut Machine,
         pds: &BTreeMap<VmId, Pd>,
         vm: Option<VmId>,
         reason: &'static str,
     ) {
         if self.profiler.is_enabled() {
+            // The context's metrics read PRR busy time, which moves with
+            // device time.
+            m.settle_devices();
             let context = postmortem::context(m, pds, vm, self.stats, self.metrics);
             self.profiler
                 .trigger_dump(reason, m.now(), self.tracer, context);

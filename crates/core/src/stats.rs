@@ -209,6 +209,7 @@ impl KernelStats {
             ("ring_kicks", h.ring_kicks, v.ring_kicks),
             ("ring_virqs", h.ring_virqs, v.ring_virqs),
             ("repromotions", h.repromotions, v.repromotions),
+            ("faults_forwarded", s.faults_forwarded, v.faults_forwarded),
         ] {
             if total != sum {
                 return Err(format!("{name}: total {total}, per-VM sum {sum}"));
@@ -263,13 +264,17 @@ mod tests {
     fn every_total_must_equal_its_per_vm_sum() {
         type Bump = fn(&mut KernelStats, &mut PdStats);
         // Each pair: the machine-wide total and the per-VM field it sums.
-        let pairs: [(Bump, Bump); 6] = [
+        let pairs: [(Bump, Bump); 7] = [
             (|k, _| k.hypercalls_total += 1, |_, p| p.hypercalls += 1),
             (|k, _| k.virqs_injected += 1, |_, p| p.virqs_injected += 1),
             (|k, _| k.vm_restarts += 1, |_, p| p.restarts += 1),
             (|k, _| k.hwmgr.ring_kicks += 1, |_, p| p.ring_kicks += 1),
             (|k, _| k.hwmgr.ring_virqs += 1, |_, p| p.ring_virqs += 1),
             (|k, _| k.hwmgr.repromotions += 1, |_, p| p.repromotions += 1),
+            (
+                |k, _| k.faults_forwarded += 1,
+                |_, p| p.faults_forwarded += 1,
+            ),
         ];
         let pds = BTreeMap::new();
         for (i, (total, per_vm)) in pairs.iter().enumerate() {

@@ -331,6 +331,33 @@ impl PlaneState {
         true
     }
 
+    fn next_due(&self, now: Cycles) -> Option<Cycles> {
+        if self.disarmed {
+            return None;
+        }
+        [
+            FaultSite::IrqSpurious,
+            FaultSite::IrqStorm,
+            FaultSite::MemFlip,
+        ]
+        .into_iter()
+        .filter_map(|site| {
+            let cfg = self.period_cfg(site);
+            let st = &self.sites[site as usize];
+            if cfg.period == 0 || cfg.max == 0 || st.trips >= cfg.max {
+                return None;
+            }
+            // An unscheduled site is stamped by the first probe that
+            // reaches it, so that probe is due at once.
+            Some(if st.due_at == u64::MAX {
+                now
+            } else {
+                Cycles::new(st.due_at)
+            })
+        })
+        .min()
+    }
+
     fn pick(&mut self, site: FaultSite, bound: u64) -> u64 {
         if bound == 0 {
             return 0;
@@ -386,6 +413,17 @@ impl FaultPlane {
             return inner.borrow_mut().due(site, now);
         }
         false
+    }
+
+    /// The earliest time at which a [`FaultPlane::due`] probe of any
+    /// time-driven site could change the plane: a scheduled site's
+    /// deadline, or `now` for an enabled site whose first deadline is not
+    /// stamped yet (the first probe that reaches it stamps it). `None`
+    /// when no probe can change anything: disabled, disarmed or every
+    /// time-driven site exhausted. Probing earlier is a no-op, which is
+    /// what lets the machine skip device syncs below this time.
+    pub fn next_due(&self, now: Cycles) -> Option<Cycles> {
+        self.inner.as_ref()?.borrow().next_due(now)
     }
 
     /// Draw a site-stream value in `0..bound` (0 when disabled or
@@ -587,6 +625,67 @@ mod tests {
             "the armed prefix stays intact for replay comparison"
         );
         assert!(p.is_armed(), "the plan itself stays attached");
+    }
+
+    #[test]
+    fn next_due_bounds_every_probe_that_changes_the_plane() {
+        // Over seeded plans and probe schedules: a `due` probe strictly
+        // before `next_due` leaves the plane exactly as it was, and one at
+        // or after it is the probe `due` itself would act on.
+        let state = |p: &FaultPlane| {
+            let i = p.inner.as_ref().expect("armed").borrow();
+            let sites: Vec<(u64, u32, u64)> =
+                i.sites.iter().map(|s| (s.rng, s.trips, s.due_at)).collect();
+            (sites, i.records.len())
+        };
+        let mut rng = 0x5EED_u64;
+        for seed in 0..200u64 {
+            let per = |rng: &mut u64| {
+                let v = splitmix64(rng);
+                PeriodCfg::new(
+                    [0, 500, 3_000, 20_000][(v % 4) as usize],
+                    (v >> 8) as u32 % 4,
+                )
+            };
+            let plan = FaultPlan {
+                irq_spurious: per(&mut rng),
+                irq_storm: per(&mut rng),
+                mem_flip: per(&mut rng),
+                ..FaultPlan::none(seed)
+            };
+            let p = FaultPlane::armed(plan);
+            let mut now = 0u64;
+            let mut changed = 0;
+            for step in 0..400 {
+                let before = state(&p);
+                let due = p.next_due(Cycles::new(now));
+                now += splitmix64(&mut rng) % 2_000;
+                if step == 300 {
+                    p.disarm();
+                    assert_eq!(p.next_due(Cycles::new(now)), None, "disarmed");
+                }
+                for site in [
+                    FaultSite::IrqSpurious,
+                    FaultSite::IrqStorm,
+                    FaultSite::MemFlip,
+                ] {
+                    let _ = p.due(site, Cycles::new(now));
+                }
+                if state(&p) != before {
+                    changed += 1;
+                    assert!(
+                        due.is_some_and(|d| d.raw() <= now),
+                        "seed {seed} step {step}: a probe at {now} changed the plane \
+                         before its next_due {due:?}"
+                    );
+                }
+            }
+            if plan.irq_spurious.max == 0 && plan.irq_storm.max == 0 && plan.mem_flip.max == 0 {
+                assert_eq!(changed, 0);
+                assert_eq!(p.next_due(Cycles::ZERO), None, "nothing time-driven");
+            }
+        }
+        assert_eq!(FaultPlane::disabled().next_due(Cycles::ZERO), None);
     }
 
     #[test]

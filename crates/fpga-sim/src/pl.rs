@@ -23,7 +23,7 @@ use mnv_fault::{FaultPlane, FaultSite};
 use mnv_metrics::{Label, Registry};
 use mnv_trace::TraceEvent;
 
-use crate::bitstream::Bitstream;
+use crate::bitstream::{Bitstream, HEADER_LEN};
 use crate::cores::make_core;
 use crate::fabric::FabricConfig;
 use crate::hwmmu::HwMmu;
@@ -131,6 +131,8 @@ struct PcapEngine {
     stalled: bool,
     /// Transfers completed (diagnostics / reconfiguration counting).
     transfers: u64,
+    /// Payload CRC checks run (a clean-image memo hit runs none).
+    crc_checks: u64,
 }
 
 /// The programmable logic peripheral.
@@ -152,6 +154,19 @@ pub struct Pl {
     /// transfers, PRR occupancy and PRR status are read from the PL
     /// itself when a snapshot is taken.
     metrics: Registry,
+    /// Images whose payload last passed its CRC untouched, at most one per
+    /// source address (see [`Pl::check_payload`]).
+    clean: Vec<CleanImage>,
+}
+
+/// A bitstream image in DDR whose payload passed its CRC, with the watch
+/// stamps of its bytes: while no store reaches them, loading it again
+/// needs neither the copy out of DDR nor the CRC.
+struct CleanImage {
+    src: u32,
+    len: u32,
+    header: [u8; HEADER_LEN],
+    stamps: Box<[u32]>,
 }
 
 impl Pl {
@@ -172,12 +187,14 @@ impl Pl {
                 remaining: 0,
                 stalled: false,
                 transfers: 0,
+                crc_checks: 0,
             },
             routes: vec![None; n],
             sel: 0,
             base_latch: 0,
             fault: FaultPlane::disabled(),
             metrics: Registry::disabled(),
+            clean: Vec::new(),
         }
     }
 
@@ -228,6 +245,12 @@ impl Pl {
     /// Completed PCAP transfers.
     pub fn pcap_transfers(&self) -> u64 {
         self.pcap.transfers
+    }
+
+    /// Payload CRC checks the PCAP ran: completions minus the clean-image
+    /// memo hits.
+    pub fn pcap_crc_checks(&self) -> u64 {
+        self.pcap.crc_checks
     }
 
     /// The PCAP engine's status (a [`pcap_status`] value) and target
@@ -301,26 +324,49 @@ impl Pl {
         );
     }
 
-    /// Stream the payload out of DDR, applying any injected transfer
-    /// corruption. `Err(())` means the length field or source address do
-    /// not describe readable memory.
-    fn fetch_payload(&mut self, bs: &Bitstream, ctx: &mut PeriphCtx<'_>) -> Result<Vec<u8>, ()> {
+    /// Stream the payload out of DDR, apply any injected transfer
+    /// corruption and check its CRC. `Err(())` means the length field or
+    /// source address do not describe readable memory. An image that
+    /// passed clean before, and whose bytes no store has reached since, is
+    /// clean again without the copy or the CRC: the corruption fault is
+    /// drawn at the same point either way, and a trip takes the full path.
+    fn check_payload(
+        &mut self,
+        bs: &Bitstream,
+        header: &[u8; HEADER_LEN],
+        ctx: &mut PeriphCtx<'_>,
+    ) -> Result<bool, ()> {
         let plen = bs.payload_len as usize;
-        if crate::bitstream::HEADER_LEN + plen > self.pcap.len as usize {
+        let image = HEADER_LEN + plen;
+        if image > self.pcap.len as usize {
             return Err(()); // length field exceeds the programmed transfer
         }
-        let mut payload = vec![0u8; plen];
-        ctx.mem
-            .read(
-                PhysAddr::new(self.pcap.src as u64 + crate::bitstream::HEADER_LEN as u64),
-                &mut payload,
-            )
-            .map_err(|_| ())?;
-        if plen > 0
+        let (src, len) = (self.pcap.src, self.pcap.len);
+        let at = PhysAddr::new(src as u64);
+        let read = |mem: &mnv_arm::memory::PhysMemory| {
+            let mut payload = vec![0u8; plen];
+            mem.read(at + HEADER_LEN as u64, &mut payload)
+                .map(|_| payload)
+                .map_err(|_| ())
+        };
+        let memo_hit = self.clean.iter().any(|c| {
+            (c.src, c.len) == (src, len)
+                && c.header == *header
+                && ctx.mem.unchanged(at, image, &c.stamps)
+        });
+        let payload = if memo_hit { None } else { Some(read(ctx.mem)?) };
+        let tripped = plen > 0
             && self
                 .fault
-                .trip(FaultSite::PcapCorrupt, ctx.now, self.pcap.target as u64)
-        {
+                .trip(FaultSite::PcapCorrupt, ctx.now, self.pcap.target as u64);
+        if memo_hit && !tripped {
+            return Ok(true);
+        }
+        let mut payload = match payload {
+            Some(p) => p,
+            None => read(ctx.mem)?,
+        };
+        if tripped {
             let byte = self.fault.pick(FaultSite::PcapCorrupt, plen as u64) as usize;
             let bit = self.fault.pick(FaultSite::PcapCorrupt, 8) as u32;
             payload[byte] ^= 1u8 << bit;
@@ -331,11 +377,24 @@ impl Pl {
                 },
             );
         }
-        Ok(payload)
+        self.pcap.crc_checks += 1;
+        let ok = bs.verify_payload(&payload);
+        if ok {
+            if let Some(stamps) = ctx.mem.watch(at, image) {
+                self.clean.retain(|c| c.src != src);
+                self.clean.push(CleanImage {
+                    src,
+                    len,
+                    header: *header,
+                    stamps,
+                });
+            }
+        }
+        Ok(ok)
     }
 
     fn finish_pcap(&mut self, ctx: &mut PeriphCtx<'_>) {
-        let mut header = [0u8; crate::bitstream::HEADER_LEN];
+        let mut header = [0u8; HEADER_LEN];
         let ok = ctx
             .mem
             .read(PhysAddr::new(self.pcap.src as u64), &mut header)
@@ -371,8 +430,8 @@ impl Pl {
                 self.pcap.status = pcap_status::ERROR;
                 self.pcap.err = pcap_err::TOO_LARGE;
             }
-            Ok(bs) => match self.fetch_payload(&bs, ctx) {
-                Ok(payload) if bs.verify_payload(&payload) => {
+            Ok(bs) => match self.check_payload(&bs, &header, ctx) {
+                Ok(true) => {
                     self.prrs[target as usize].load_core(make_core(bs.core));
                     self.pcap.status = pcap_status::DONE;
                     self.pcap.transfers += 1;
@@ -389,7 +448,7 @@ impl Pl {
                         ctx.gic.raise(IrqNum::PCAP_DONE);
                     }
                 }
-                Ok(_) => {
+                Ok(false) => {
                     self.pcap.status = pcap_status::ERROR;
                     self.pcap.err = pcap_err::CRC_MISMATCH;
                 }
@@ -529,6 +588,11 @@ impl Peripheral for Pl {
                 }
             }
         }
+    }
+
+    fn reads_time(&self, off: u64) -> bool {
+        // Only a PRR's PERF_CYCLES counts between events.
+        off >= PAGE && off % PAGE == 4 * regs::PERF_CYCLES as u64
     }
 
     fn advance(&mut self, dt: Cycles, ctx: &mut PeriphCtx<'_>) {
@@ -839,6 +903,132 @@ mod tests {
         // The cap is spent: a retry goes through clean.
         pcap_load(&mut m, src, len, 0);
         assert_eq!(pcap_wait(&mut m), pcap_status::DONE);
+    }
+
+    /// Load each `(image, target)` of `loads` in turn from `lib`, waiting
+    /// out every transfer, with `poke` run before each load. Returns each
+    /// load's (status, error), the fault record and the CRC checks run.
+    fn run_loads(
+        m: &mut Machine,
+        lib: &[(CoreKind, PhysAddr, u32)],
+        plane: &mnv_fault::FaultPlane,
+        loads: &[(usize, u8)],
+        mut poke: impl FnMut(&mut Machine, PhysAddr),
+    ) -> (Vec<(u32, u32)>, Vec<mnv_fault::FaultRecord>, u64) {
+        let mut seen = Vec::new();
+        for &(i, target) in loads {
+            let (_, src, len) = lib[i];
+            poke(m, src);
+            pcap_load(m, src, len, target);
+            let status = pcap_wait(m);
+            seen.push((status, m.phys_read_u32(reg(plregs::PCAP_ERR)).unwrap()));
+            m.charge(50_000);
+            m.sync_devices();
+        }
+        let checks = m.peripheral::<Pl>().unwrap().pcap_crc_checks();
+        (seen, plane.records(), checks)
+    }
+
+    /// Today's path: rewrite the image's first word with its own value, an
+    /// uncharged store that changes no byte but ends any watch on it, so
+    /// every completion copies and checks the payload.
+    fn full_path(m: &mut Machine, src: PhysAddr) {
+        let w = m.mem.read_u32(src).unwrap();
+        m.mem.write_u32(src, w).unwrap();
+    }
+
+    /// The memoised run against today's path under `plan` (the machine and
+    /// the PL share the plane): same outcomes, same fault draws.
+    fn memo_matches_full_path(
+        plan: mnv_fault::FaultPlan,
+        loads: &[(usize, u8)],
+    ) -> (Vec<(u32, u32)>, u64, u64) {
+        let run = |full: bool| {
+            let (mut m, lib, plane) = machine_with_faulty_pl(plan);
+            m.set_fault_plane(plane.clone());
+            let poke = |m: &mut Machine, src| {
+                if full {
+                    full_path(m, src)
+                }
+            };
+            run_loads(&mut m, &lib, &plane, loads, poke)
+        };
+        let (memo, memo_faults, memo_checks) = run(false);
+        let (full, full_faults, full_checks) = run(true);
+        assert_eq!(memo, full, "outcomes");
+        assert_eq!(memo_faults, full_faults, "fault draws");
+        assert_eq!(
+            full_checks,
+            loads.len() as u64,
+            "today's path checks every payload"
+        );
+        (memo, memo_checks, full_checks)
+    }
+
+    #[test]
+    fn memoised_image_is_rechecked_after_a_memory_flip() {
+        // Flips land in the FFT-256 image's payload between loads: the
+        // load after a flip must fail its CRC as it does today.
+        let (_, lib) = machine_with_pl();
+        let (_, src, len) = lib[0];
+        let mut plan = mnv_fault::FaultPlan::none(3);
+        plan.mem_flip = mnv_fault::PeriodCfg::new(4_000_000, 2);
+        let payload = src.raw() + HEADER_LEN as u64;
+        plan.mem_flip_window = (payload, len as u64 - HEADER_LEN as u64);
+        let loads = [(0, 0); 12];
+        let (seen, checks, _) = memo_matches_full_path(plan, &loads);
+        assert_eq!(seen[..2], [(pcap_status::DONE, 0); 2], "{seen:?}");
+        assert!(
+            seen.contains(&(pcap_status::ERROR, pcap_err::CRC_MISMATCH)),
+            "a flip must land in the image: {seen:?}"
+        );
+        assert!(checks < loads.len() as u64, "the clean loads hit the memo");
+    }
+
+    #[test]
+    fn a_store_sharing_the_images_last_chunk_ends_its_memo() {
+        // A neighbour's store (a page-table entry, say) lands past the
+        // image's end but inside its last 64 KB chunk: the next load must
+        // copy and check the payload again.
+        let (mut m, lib) = machine_with_pl();
+        let (_, src, len) = lib[5]; // FFT-8192: spans several chunks
+        let end = src.raw() + len as u64;
+        let neighbour = PhysAddr::new(end.next_multiple_of(4));
+        assert_eq!(
+            (end - 1) >> 16,
+            neighbour.raw() >> 16,
+            "the neighbour shares the image's last chunk"
+        );
+        let checks = |m: &Machine| m.peripheral::<Pl>().unwrap().pcap_crc_checks();
+        for _ in 0..2 {
+            pcap_load(&mut m, src, len, 0);
+            assert_eq!(pcap_wait(&mut m), pcap_status::DONE);
+        }
+        assert_eq!(checks(&m), 1, "the second load hits the memo");
+        m.phys_write_u32(neighbour, 0xDEAD_BEEF).unwrap();
+        pcap_load(&mut m, src, len, 0);
+        assert_eq!(pcap_wait(&mut m), pcap_status::DONE);
+        assert_eq!(checks(&m), 2, "the store ended the memo");
+        pcap_load(&mut m, src, len, 0);
+        assert_eq!(pcap_wait(&mut m), pcap_status::DONE);
+        assert_eq!(checks(&m), 2, "re-watched after the clean check");
+    }
+
+    #[test]
+    fn corruption_tripped_on_a_memoised_image_takes_todays_path() {
+        // Every other transfer trips the corruption site: each trip must
+        // copy, damage and fail the payload with the same draws as today,
+        // and the clean loads in between must still come out DONE.
+        let mut plan = mnv_fault::FaultPlan::none(7);
+        plan.pcap_corrupt = mnv_fault::SiteCfg::new(500_000, 6);
+        let loads: Vec<(usize, u8)> = (0..16).map(|i| (i % 2, 0)).collect();
+        let (seen, checks, _) = memo_matches_full_path(plan, &loads);
+        let tripped = seen
+            .iter()
+            .filter(|s| **s == (pcap_status::ERROR, pcap_err::CRC_MISMATCH))
+            .count();
+        assert!(tripped >= 2, "{seen:?}");
+        assert!(checks < loads.len() as u64, "the clean loads hit the memo");
     }
 
     #[test]

@@ -172,6 +172,29 @@ fn unhandled_guest_fault_kills_the_vm() {
 }
 
 #[test]
+fn unhandled_guest_fault_is_not_counted_as_forwarded() {
+    // No abort handler: the abort kills the VM, so neither the machine-wide
+    // nor the VM's forwarded-fault count moves and no FaultForwarded event
+    // is traced.
+    let mut k = Kernel::new(KernelConfig::default());
+    let tracer = k.enable_tracing(1024);
+    let mut b = ProgramBuilder::new();
+    b.mov(2, 0x00F0_0000);
+    b.ldr(3, 2, 0);
+    b.halt();
+    let vm = mir_vm(&mut k, b);
+    k.run(Cycles::from_millis(5.0));
+    assert_eq!(k.state.stats.vms_killed, 1);
+    assert_eq!(k.state.stats.faults_forwarded, 0);
+    assert_eq!(k.pd(vm).stats.faults_forwarded, 0);
+    assert!(!tracer
+        .snapshot()
+        .iter()
+        .any(|(_, e)| matches!(e, mnv_trace::TraceEvent::FaultForwarded { .. })));
+    assert_eq!(k.state.stats.check_vm_totals(&k.state.pds), Ok(()));
+}
+
+#[test]
 fn interpreted_guests_share_cpu_by_quantum() {
     let mut k = Kernel::new(KernelConfig {
         quantum: Cycles::from_micros(500.0),
