@@ -430,8 +430,6 @@ fn with_manager(
     m.cp15.set_asid(mnv_hal::Asid(0));
     ks.stats.vm_switches += 1;
     let t1 = m.now();
-    let vm_label = Label::Vm(caller.0 as u8);
-    ks.metrics.inc("hwmgr_invocations", vm_label);
     ks.sinks()
         .mgr_phase(MgrPhase::Entry, caller, t0, t1, exemplar);
 
@@ -459,6 +457,7 @@ fn with_manager(
     let t3 = m.now();
     let total = (t3 - t0).raw();
     ks.stats.hwmgr.total.push(Cycles::new(total));
+    let vm_label = Label::Vm(caller.0 as u8);
     ks.metrics
         .observe("mgr_total_latency", vm_label, total, exemplar);
     ks.sinks()

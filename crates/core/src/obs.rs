@@ -17,10 +17,10 @@
 //! Table III's manager phases go through `Sinks::mgr_phase`.
 //!
 //! Every counter lives in one place: a [`KernelStats`] or `PdStats` field,
-//! the block cache's statistics or the PL. The metrics registry keeps only
-//! what nobody else has (the latency histograms, the per-VM manager
-//! invocations and phase cycles, PCAP bytes and stalls, AXI traffic);
-//! [`snapshot`] adds a view of everything else when a snapshot is taken.
+//! the block cache's statistics, the PL or a latency histogram. The
+//! metrics registry keeps only what nobody else has (the latency
+//! histograms, PCAP bytes and stalls, AXI traffic); [`snapshot`] adds a
+//! view of everything else when a snapshot is taken.
 
 use mnv_arm::machine::Machine;
 use mnv_arm::PmuInputs;
@@ -117,9 +117,8 @@ impl Sinks<'_> {
     }
 
     /// Close Table III phase `phase` of a manager invocation by `vm` that
-    /// ran from `from` to `to`: its accumulator, its registry cycle counter
-    /// and latency histogram (with `exemplar`), its end event and the next
-    /// phase's start event.
+    /// ran from `from` to `to`: its accumulator, its latency histogram
+    /// (with `exemplar`), its end event and the next phase's start event.
     pub(crate) fn mgr_phase(
         &mut self,
         phase: MgrPhase,
@@ -130,25 +129,14 @@ impl Sinks<'_> {
     ) {
         use MgrPhase as P;
         let h = &mut self.stats.hwmgr;
-        let (acc, cycles, latency, next) = match phase {
-            P::Entry => (
-                &mut h.entry,
-                "hwmgr_entry_cycles",
-                "mgr_entry_latency",
-                Some(P::Exec),
-            ),
-            P::Exec => (
-                &mut h.exec,
-                "hwmgr_exec_cycles",
-                "mgr_exec_latency",
-                Some(P::Exit),
-            ),
-            P::Exit => (&mut h.exit, "hwmgr_exit_cycles", "mgr_exit_latency", None),
+        let (acc, latency, next) = match phase {
+            P::Entry => (&mut h.entry, "mgr_entry_latency", Some(P::Exec)),
+            P::Exec => (&mut h.exec, "mgr_exec_latency", Some(P::Exit)),
+            P::Exit => (&mut h.exit, "mgr_exit_latency", None),
         };
         let dt = (to - from).raw();
         acc.push(Cycles::new(dt));
         let label = Label::Vm(vm.0 as u8);
-        self.metrics.add(cycles, label, dt);
         self.metrics.observe(latency, label, dt, exemplar);
         self.tracer
             .emit(to, TraceEvent::HwMgrPhase { phase, end: true });
@@ -289,6 +277,18 @@ pub fn snapshot(
             g("bcache_store_invalidations", M, b.store_invalidations),
             g("bcache_maint_invalidations", M, b.maint_invalidations),
         ]);
+    }
+    // The manager's per-VM phase cycles and invocations are its latency
+    // histograms' sums and counts.
+    for l in &snap.hists {
+        let (name, value) = match l.name {
+            "mgr_entry_latency" => ("hwmgr_entry_cycles", l.sum),
+            "mgr_exec_latency" => ("hwmgr_exec_cycles", l.sum),
+            "mgr_exit_latency" => ("hwmgr_exit_cycles", l.sum),
+            "mgr_total_latency" => ("hwmgr_invocations", l.count),
+            _ => continue,
+        };
+        events.push(c(name, l.label, value));
     }
     events.retain(|e| e.value > 0);
     snap.extend(shown.into_iter().chain(events));

@@ -15,7 +15,7 @@
 use mnv_hal::abi::{ring as ringabi, HcError, HwTaskStatus};
 use mnv_hal::{HwTaskId, VirtAddr};
 use mnv_workloads::adpcm::{adpcm_encode, AdpcmState};
-use mnv_workloads::gsm::{GsmEncoder, GSM_FRAME_BYTES, GSM_FRAME_SAMPLES};
+use mnv_workloads::gsm::{GsmLoopEncoder, GSM_FRAME_BYTES, GSM_FRAME_SAMPLES};
 use mnv_workloads::signal::{Lcg, Signal};
 
 use crate::hwtask::{HwClientError, HwTaskClient};
@@ -70,10 +70,12 @@ impl GuestTask for ComputeTask {
 
 /// GSM encoder task: streams a synthetic utterance through the encoder,
 /// one 160-sample frame per step, reading PCM from and writing the coded
-/// frames into guest memory.
+/// frames into guest memory. The capture buffer holds the utterance's
+/// first `WORK_LEN / 2` bytes of whole frames (65.5 s of 8 kHz PCM), and
+/// the task loops over those.
 pub struct GsmTask {
-    enc: GsmEncoder,
-    pcm: Vec<i16>,
+    /// The staged frames' encoder (see [`GsmLoopEncoder`]).
+    enc: GsmLoopEncoder,
     frame: usize,
     out_va: VirtAddr,
     in_va: VirtAddr,
@@ -85,9 +87,11 @@ pub struct GsmTask {
 impl GsmTask {
     /// A task encoding a `seconds`-long looped utterance.
     pub fn new(seed: u64, seconds: usize) -> Self {
+        let pcm = Signal::speech_like(8000 * seconds.max(1), seed);
+        // The capture buffer is WORK_LEN / 2 bytes of 16-bit samples.
+        let staged = pcm.len().min((layout::WORK_LEN / 2 / 2) as usize);
         GsmTask {
-            enc: GsmEncoder::new(),
-            pcm: Signal::speech_like(8000 * seconds.max(1), seed),
+            enc: GsmLoopEncoder::new(&pcm[..staged]),
             frame: 0,
             in_va: layout::WORK_BASE,
             out_va: VirtAddr::new(layout::WORK_BASE.raw() + layout::WORK_LEN / 2),
@@ -103,25 +107,25 @@ impl GuestTask for GsmTask {
     }
 
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> TaskAction {
+        let frames = self.enc.frames();
         if !self.initialised {
             // Stage the PCM into guest memory (the "capture buffer").
-            let bytes: Vec<u8> = self.pcm.iter().flat_map(|s| s.to_le_bytes()).collect();
-            let n = bytes.len().min((layout::WORK_LEN / 2) as usize);
-            let _ = ctx.env.write_block(self.in_va, &bytes[..n]);
+            let bytes: Vec<u8> = frames
+                .as_flattened()
+                .iter()
+                .flat_map(|s| s.to_le_bytes())
+                .collect();
+            let _ = ctx.env.write_block(self.in_va, &bytes);
             self.initialised = true;
             return TaskAction::Continue;
         }
-        let frames_in_buf = self.pcm.len() / GSM_FRAME_SAMPLES;
-        let idx = self.frame % frames_in_buf;
+        let idx = self.frame % frames.len();
         // Read the frame from guest memory (real traffic)…
-        let mut raw = vec![0u8; GSM_FRAME_SAMPLES * 2];
+        let mut raw = [0u8; GSM_FRAME_SAMPLES * 2];
         let _ = ctx
             .env
             .read_block(self.in_va + (idx * GSM_FRAME_SAMPLES * 2) as u64, &mut raw);
-        let pcm: Vec<i16> = raw
-            .chunks_exact(2)
-            .map(|c| i16::from_le_bytes([c[0], c[1]]))
-            .collect();
+        let pcm = std::array::from_fn(|i| i16::from_le_bytes([raw[2 * i], raw[2 * i + 1]]));
         // …encode (host-side compute, charged at the modelled rate)…
         let coded = self.enc.encode_frame(&pcm);
         ctx.env.compute(GSM_CYCLES_PER_FRAME);
@@ -774,6 +778,33 @@ mod tests {
         let mut buf = [0u8; GSM_FRAME_BYTES];
         env.read_block(out, &mut buf).unwrap();
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn gsm_task_loops_over_the_staged_frames_only() {
+        // 70 s of PCM is more than the 1 MiB capture buffer holds. The
+        // task must loop over the whole frames it staged, never reading
+        // the coded-output area above them.
+        use mnv_workloads::gsm::GsmEncoder;
+        let (mut env, mut svc) = ctx_parts();
+        let mut t = GsmTask::new(5, 70);
+        let pcm = Signal::speech_like(8000 * 70, 5);
+        let staged = (layout::WORK_LEN / 2) as usize / (GSM_FRAME_SAMPLES * 2);
+        let mut plain = GsmEncoder::new();
+        let mut ctx = TaskCtx {
+            env: &mut env,
+            svc: &mut svc,
+        };
+        t.step(&mut ctx); // stage
+        for k in 0..staged + 2 {
+            t.step(&mut ctx);
+            let idx = k % staged;
+            let want = plain.encode_frame(&pcm[idx * GSM_FRAME_SAMPLES..][..GSM_FRAME_SAMPLES]);
+            let mut got = [0u8; GSM_FRAME_BYTES];
+            let at = t.out_va + (idx * GSM_FRAME_BYTES) as u64;
+            ctx.env.read_block(at, &mut got).unwrap();
+            assert_eq!(got, want, "frame {k}");
+        }
     }
 
     #[test]

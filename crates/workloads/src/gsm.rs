@@ -13,6 +13,10 @@
 //! — what the reproduction's cache model feeds on — match the real thing.
 #![allow(clippy::needless_range_loop)] // index loops couple several arrays at once
 
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
+
 use crate::signal::Signal;
 
 /// Samples per GSM frame (20 ms at 8 kHz).
@@ -233,6 +237,8 @@ fn ltp_search(d: &[f32; SUBFRAME], hist: &[f32; LAG_MAX]) -> (usize, f64, f64) {
 // -- the codec ------------------------------------------------------------------
 
 /// Streaming GSM encoder (keeps filter and LTP history across frames).
+/// Its state is plain arrays, so a clone allocates nothing.
+#[derive(Clone)]
 pub struct GsmEncoder {
     pre_s: f32,
     pre_y: f32,
@@ -240,7 +246,7 @@ pub struct GsmEncoder {
     /// Short-term filter history (input samples).
     st_hist: [f32; LPC_ORDER],
     /// Reconstructed residual history for LTP (what the decoder will have).
-    dprime: Vec<f32>,
+    dprime: [f32; LAG_MAX + GSM_FRAME_SAMPLES],
     frames: u64,
 }
 
@@ -258,7 +264,7 @@ impl GsmEncoder {
             pre_y: 0.0,
             emph_prev: 0.0,
             st_hist: [0.0; LPC_ORDER],
-            dprime: vec![0.0; LAG_MAX + GSM_FRAME_SAMPLES],
+            dprime: [0.0; LAG_MAX + GSM_FRAME_SAMPLES],
             frames: 0,
         }
     }
@@ -396,6 +402,146 @@ impl GsmEncoder {
         let mut out = [0u8; GSM_FRAME_BYTES];
         out.copy_from_slice(&bytes);
         out
+    }
+}
+
+/// Frames a [`GsmLoopEncoder`]'s worker may encode ahead of its reader:
+/// few, so a worker whose reader pauses stops within tens of
+/// microseconds.
+const AHEAD_FRAMES: usize = 4;
+
+/// One frame encoded ahead: the encoder state before it and its bytes.
+struct Ahead {
+    before: GsmEncoder,
+    coded: [u8; GSM_FRAME_BYTES],
+}
+
+/// A worker thread encoding a loop's frames, in order, into a bounded
+/// queue.
+struct Worker {
+    queue: Receiver<Ahead>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Encode `frames` from `at` on, looping, starting from state `enc`;
+    /// `None` when the host cannot start a thread.
+    fn start(
+        mut enc: GsmEncoder,
+        frames: Arc<[[i16; GSM_FRAME_SAMPLES]]>,
+        mut at: usize,
+    ) -> Option<Self> {
+        let (tx, queue) = sync_channel(AHEAD_FRAMES);
+        let builder = thread::Builder::new().name("gsm-ahead".into());
+        let handle = builder
+            .spawn(move || loop {
+                let before = enc.clone();
+                let coded = enc.encode_frame(&frames[at]);
+                if tx.send(Ahead { before, coded }).is_err() {
+                    return; // the reader closed the queue
+                }
+                at = (at + 1) % frames.len();
+            })
+            .ok()?;
+        Some(Worker { queue, handle })
+    }
+
+    /// Close the queue (the worker finishes at most the frame in hand)
+    /// and join it, resuming a worker panic on this thread.
+    fn stop(self) {
+        drop(self.queue);
+        if let Err(panic) = self.handle.join() {
+            if !thread::panicking() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+/// An encoder for a looped utterance, bit-identical to a plain
+/// [`GsmEncoder`] fed the same frames. While every frame it is given
+/// equals the loop's next frame, a worker thread encodes the loop ahead
+/// and each call takes the worker's bytes. The first frame that differs
+/// closes the queue, joins the worker and takes the state the worker
+/// queued before that frame; from then on every frame is encoded inline.
+/// The worker starts on the first frame, and only on a host with more than
+/// one CPU ([`std::thread::available_parallelism`]); where it cannot
+/// start, every frame is encoded inline.
+pub struct GsmLoopEncoder {
+    frames: Arc<[[i16; GSM_FRAME_SAMPLES]]>,
+    /// Loop index of the frame expected next.
+    next: usize,
+    /// The inline encoder; stale while a worker runs.
+    enc: GsmEncoder,
+    worker: Option<Worker>,
+    /// False once a frame differed from the loop, on one CPU, or when no
+    /// worker could start.
+    speculate: bool,
+}
+
+impl GsmLoopEncoder {
+    /// An encoder for the whole frames of `pcm`, looped (a trailing
+    /// partial frame is not part of the loop).
+    pub fn new(pcm: &[i16]) -> Self {
+        let frames: Arc<[_]> = pcm
+            .chunks_exact(GSM_FRAME_SAMPLES)
+            .map(|c| c.try_into().expect("chunks are whole frames"))
+            .collect();
+        assert!(!frames.is_empty(), "a GSM loop needs one whole frame");
+        GsmLoopEncoder {
+            frames,
+            next: 0,
+            enc: GsmEncoder::new(),
+            worker: None,
+            speculate: true,
+        }
+    }
+
+    /// The loop's frames.
+    pub fn frames(&self) -> &[[i16; GSM_FRAME_SAMPLES]] {
+        &self.frames
+    }
+
+    /// True while a worker encodes ahead.
+    #[cfg(test)]
+    fn running_ahead(&self) -> bool {
+        self.worker.is_some()
+    }
+
+    /// Encode `pcm` as [`GsmEncoder::encode_frame`] would after every
+    /// frame given so far.
+    pub fn encode_frame(&mut self, pcm: &[i16; GSM_FRAME_SAMPLES]) -> [u8; GSM_FRAME_BYTES] {
+        let at = self.next;
+        self.next = (at + 1) % self.frames.len();
+        let looped = self.speculate && *pcm == self.frames[at];
+        if looped && self.worker.is_none() {
+            if thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+                self.worker = Worker::start(self.enc.clone(), self.frames.clone(), at);
+            }
+            self.speculate = self.worker.is_some();
+        }
+        if let Some(worker) = self.worker.take() {
+            let Ok(queued) = worker.queue.recv() else {
+                worker.stop();
+                unreachable!("a worker leaves an open queue only by panicking");
+            };
+            if looped {
+                self.worker = Some(worker);
+                return queued.coded;
+            }
+            self.enc = queued.before;
+            worker.stop();
+        }
+        self.speculate = false;
+        self.enc.encode_frame(pcm)
+    }
+}
+
+impl Drop for GsmLoopEncoder {
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            worker.stop();
+        }
     }
 }
 
@@ -637,6 +783,80 @@ mod tests {
         frames.extend([silent, rail, silent, square]);
         frames.extend_from_slice(&speech);
         assert_bit_exact(&frames, "silence and full scale");
+    }
+
+    fn many_cpus() -> bool {
+        thread::available_parallelism().map_or(1, |n| n.get()) > 1
+    }
+
+    /// Feed `feed` to a [`GsmLoopEncoder`] over `pcm` and to a plain
+    /// encoder side by side, requiring every byte to agree. Returns the
+    /// loop encoder and whether its worker ran before the last frame.
+    fn assert_loop_matches_plain(
+        pcm: &[i16],
+        feed: &[[i16; GSM_FRAME_SAMPLES]],
+        what: &str,
+    ) -> (GsmLoopEncoder, bool) {
+        let (mut ahead, mut plain) = (GsmLoopEncoder::new(pcm), GsmEncoder::new());
+        let mut ran = false;
+        for (i, f) in feed.iter().enumerate() {
+            assert_eq!(
+                ahead.encode_frame(f),
+                plain.encode_frame(f),
+                "{what}: frame {i}"
+            );
+            ran |= ahead.running_ahead();
+        }
+        (ahead, ran)
+    }
+
+    #[test]
+    fn loop_encoder_matches_plain_encoder_over_passes() {
+        let pcm = test_utterance(12, 5);
+        let feed = frames_of(&pcm).repeat(3);
+        let (ahead, ran) = assert_loop_matches_plain(&pcm, &feed, "three passes");
+        // The worker runs exactly when the host has a second CPU.
+        assert_eq!(ran, many_cpus());
+        assert_eq!(ahead.running_ahead(), many_cpus());
+    }
+
+    #[test]
+    fn loop_encoder_matches_plain_encoder_past_differing_frames() {
+        // A 12-frame loop, three passes; each case changes one sample of
+        // the frames it names: the first, mid-loop, either side of the
+        // wrap, and two in one run.
+        let pcm = test_utterance(12, 6);
+        let once = frames_of(&pcm);
+        for flips in [&[0][..], &[5], &[11], &[12], &[4, 20]] {
+            let mut feed = once.repeat(3);
+            for &at in flips {
+                feed[at][17] ^= 0x40;
+            }
+            let what = format!("frames {flips:?} differ");
+            let (ahead, ran) = assert_loop_matches_plain(&pcm, &feed, &what);
+            assert!(!ahead.running_ahead(), "{what}: the worker outlived them");
+            assert_eq!(ran, many_cpus() && flips[0] > 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_loop_encoder_mid_stream_returns_promptly() {
+        // The worker goes on until its queue is full and then waits on
+        // it; dropping the encoder must close the queue before joining,
+        // or the join never returns.
+        let pcm = test_utterance(12, 7);
+        let mut ahead = GsmLoopEncoder::new(&pcm);
+        for f in frames_of(&pcm).iter().take(3) {
+            ahead.encode_frame(f);
+        }
+        let (done, dropped) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            drop(ahead);
+            done.send(()).unwrap();
+        });
+        dropped
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("dropping the encoder hung");
     }
 
     #[test]
